@@ -8,19 +8,23 @@
 //!    describes the fleet intensively (diurnal arrivals, context /
 //!    battery / signal mix) — user `i` is a pure function of the fleet
 //!    seed, so no per-user state exists up front;
-//! 2. [`FleetEngine::run`] synthesizes users in bounded-size batches
-//!    (reusing one [`SessionBatch`] spine), streams each batch through
-//!    [`SweepEngine`]'s work-stealing pool, and folds the batch's
-//!    results into a [`FleetReducer`] **in global user order** — then
-//!    drops them;
+//! 2. [`FleetEngine::run`] walks the fleet in bounded-size batches of
+//!    user indices. Each user is one job of [`SweepEngine`]'s
+//!    work-stealing pool ([`SweepEngine::run_generated`]): the worker
+//!    derives the user, synthesizes the session, simulates it (through
+//!    the cache when the policy has one), drops the trace and hands
+//!    back only the user spec and its result. The caller folds each
+//!    batch's results into a [`FleetReducer`] **in global user order**
+//!    — then drops them;
 //! 3. the reducer keeps only aggregates: counters, fixed-bin QoE and
 //!    energy histograms ([`FixedHistogram`]), per-class [`ClassReport`]
 //!    slices (context / battery / signal) and an arrivals-by-hour
-//!    profile. Peak memory is O(batch), independent of fleet size.
+//!    profile. Peak memory is one batch of results plus one trace per
+//!    worker, independent of fleet size.
 //!
-//! **Determinism.** `SweepEngine::run_grid` returns results in
-//! sessions-major order regardless of [`ExecPolicy`], and the reducer
-//! folds them in that order across batches, so the aggregate report is
+//! **Determinism.** `SweepEngine::run_generated` returns results in
+//! user-index order regardless of [`ExecPolicy`], and the reducer folds
+//! them in that order across batches, so the aggregate report is
 //! byte-identical for `Sequential` and `Parallel { jobs }` execution
 //! *and* invariant to the batch size (the floating-point sums
 //! accumulate in the same global order either way). CI asserts both.
@@ -40,7 +44,7 @@ use std::sync::Arc;
 
 use ecas_obs::{names, perf, MetricsRegistry};
 use ecas_sim::result::SessionResult;
-use ecas_trace::population::{BatteryState, FleetContext, PopulationSpec, SessionBatch, SignalTier, UserSpec};
+use ecas_trace::population::{BatteryState, FleetContext, PopulationSpec, SignalTier, UserSpec};
 use ecas_types::float::nearest_rank;
 use ecas_types::units::MegaBytes;
 use serde::{Deserialize, Serialize};
@@ -620,7 +624,8 @@ impl FleetReport {
 }
 
 /// The fleet population engine: streams a [`PopulationSpec`] through a
-/// [`SweepEngine`] in bounded-memory batches and reduces on the fly.
+/// [`SweepEngine`]'s pool, one user per job, in bounded-memory batches
+/// and reduces on the fly.
 ///
 /// # Examples
 ///
@@ -647,8 +652,8 @@ pub struct FleetEngine {
 
 impl FleetEngine {
     /// Default batch size: large enough to keep every worker of a wide
-    /// pool busy, small enough that a batch of short sessions stays in
-    /// the tens of megabytes.
+    /// pool busy, small enough that a batch of buffered results stays
+    /// small.
     pub const DEFAULT_BATCH: usize = 2048;
 
     /// Creates an engine around a configured runner, evaluating the
@@ -706,28 +711,33 @@ impl FleetEngine {
 
     /// Runs the whole fleet under `policy` and returns the aggregate.
     ///
-    /// Memory: one [`SessionBatch`] of `batch_size` synthesized sessions
-    /// plus that batch's results — never the fleet. The fold order is
-    /// the global user order for every policy and batch size, so the
-    /// report (and its [`FleetReport::render`] text) is byte-identical
-    /// across `Sequential` / `Parallel { jobs }` and across batch-size
-    /// choices.
+    /// Each user is one pool job that synthesizes, simulates (cache
+    /// lookup and store included when `policy` caches) and drops its
+    /// session; `Sequential` is the same loop one worker wide. Memory:
+    /// one batch of `batch_size` results plus one trace per worker —
+    /// never the fleet. The fold order is the global user order for
+    /// every policy and batch size, so the report (and its
+    /// [`FleetReport::render`] text) is byte-identical across
+    /// `Sequential` / `Parallel { jobs }` and across batch-size choices.
     #[must_use]
     pub fn run(&self, spec: &PopulationSpec, policy: &ExecPolicy) -> FleetReport {
         let watch = self.registry.as_ref().map(|_| perf::Stopwatch::start());
         let mut reducer = FleetReducer::new();
-        let mut batch = SessionBatch::with_capacity(self.batch.min(spec.users() as usize));
-        let approaches = [self.approach];
         let mut start = 0u64;
         while start < spec.users() {
-            batch.refill(spec, start, self.batch);
-            let results = self.sweep.run_grid(batch.sessions(), &approaches, policy);
-            for (user, result) in batch.specs().iter().zip(&results) {
+            let len = usize::try_from(spec.users() - start)
+                .map_or(self.batch, |rest| rest.min(self.batch));
+            let results = self.sweep.run_generated(len, &self.approach, policy, |i| {
+                let user = spec.user(start + i as u64);
+                let session = user.synthesize();
+                (user, session)
+            });
+            for (user, result) in &results {
                 reducer.absorb(user, result);
             }
-            start += batch.len() as u64;
+            start += len as u64;
             if let Some(registry) = &self.registry {
-                registry.add(names::FLEET_USERS, batch.len() as u64);
+                registry.add(names::FLEET_USERS, len as u64);
                 registry.add(names::FLEET_BATCHES, 1);
             }
         }
@@ -744,6 +754,7 @@ impl FleetEngine {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use ecas_trace::population::SessionBatch;
     use ecas_types::units::Seconds;
 
     fn tiny_spec(users: u64) -> PopulationSpec {

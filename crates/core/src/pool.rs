@@ -10,15 +10,19 @@
 //! is what the workspace's byte-identity guarantees (sweep results,
 //! fleet reports, corpus verify summaries) are built on.
 
-use parking_lot::Mutex;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves a requested worker count: `0` means one worker per
-/// available core, and the result never exceeds the item count.
+/// available core, and the result never exceeds the item count. Only
+/// `0` asks the host for its core count (on Linux that reads cgroup
+/// files), so an explicit width costs nothing.
 pub(crate) fn resolve_workers(requested: usize, items: usize) -> usize {
-    let auto = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
-    let workers = if requested == 0 { auto } else { requested };
+    let workers = if requested == 0 {
+        std::thread::available_parallelism().map_or(4, NonZeroUsize::get)
+    } else {
+        requested
+    };
     workers.min(items).max(1)
 }
 
@@ -29,50 +33,51 @@ pub(crate) fn resolve_workers(requested: usize, items: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics.
+/// A panic in `f` reaches the caller with its original payload, after
+/// every worker has stopped.
 pub(crate) fn run_ordered<T, R, F>(items: &[T], requested: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
     let workers = resolve_workers(requested, items.len());
     if workers <= 1 {
         return items.iter().map(&f).collect();
     }
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
-    let next: Mutex<usize> = Mutex::new(0);
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let idx = {
-                    let mut guard = next.lock();
-                    let idx = *guard;
-                    if idx >= items.len() {
-                        return;
-                    }
-                    *guard += 1;
-                    idx
-                };
-                let Some(item) = items.get(idx) else {
-                    return;
-                };
-                let result = f(item);
-                if let Some(slot) = results.lock().get_mut(idx) {
+    // Relaxed is enough: the cursor publishes nothing but distinct
+    // indices, and results travel back through `join`, which
+    // synchronizes.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut tagged = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(idx) else {
+                return tagged;
+            };
+            tagged.push((idx, f(item)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        for handle in handles {
+            // Re-raise a worker's panic with its own payload; the scope
+            // joins the remaining workers before it propagates.
+            let tagged = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (idx, result) in tagged {
+                if let Some(slot) = slots.get_mut(idx) {
                     *slot = Some(result);
                 }
-            });
+            }
         }
-    })
-    // ecas-lint: allow(panic-safety, reason = "a worker panic must propagate to the caller, not be swallowed into a partial result set")
-    .expect("pool worker panicked");
-    results
-        .into_inner()
+    });
+    slots
         .into_iter()
-        // ecas-lint: allow(panic-safety, reason = "the job queue assigns every slot index exactly once; an empty slot is a scheduler bug worth crashing on")
+        // ecas-lint: allow(panic-safety, reason = "the cursor hands out every index below the item count exactly once; an empty slot is a scheduler bug worth crashing on")
         .map(|r| r.expect("every pool job filled its slot"))
         .collect()
 }
@@ -98,5 +103,16 @@ mod tests {
         assert_eq!(resolve_workers(16, 2), 2);
         assert!(resolve_workers(0, 1000) >= 1);
         assert_eq!(resolve_workers(0, 1), 1);
+        assert_eq!(resolve_workers(4, 0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 13 is poisoned")]
+    fn a_panicking_item_panics_the_caller() {
+        let items: Vec<u64> = (0..40).collect();
+        let _ = run_ordered(&items, 3, |&v| {
+            assert!(v != 13, "item 13 is poisoned");
+            v
+        });
     }
 }

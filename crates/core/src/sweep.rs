@@ -16,6 +16,12 @@
 //!   validation failure counts as [`CacheStats::corrupt`] and the cell is
 //!   recomputed and rewritten.
 //!
+//! [`SweepEngine::run_grid`] and [`SweepEngine::comparison`] run cells
+//! over sessions the caller already holds;
+//! [`SweepEngine::run_generated`] builds each session inside its pool
+//! job from an index → trace factory and drops it after the cell, which
+//! is how fleets stream through the pool without holding their traces.
+//!
 //! The cache key covers the complete cell input, so invalidation is
 //! automatic: change the seed, the player config, η or the fault spec and
 //! the key changes with it. Stale entries are simply never looked up
@@ -204,6 +210,30 @@ struct KeyContext {
     fault: Option<FaultSpec>,
 }
 
+impl KeyContext {
+    /// The cache key of `cell` over the session whose content hash is
+    /// `session`.
+    fn key(&self, session: String, cell: Cell, observed: bool) -> String {
+        let key = CellKey {
+            format: CACHE_FORMAT,
+            crate_version: self.crate_version.clone(),
+            eta: self.eta,
+            config_hash: self.config_hash.clone(),
+            ladder_mbps: self.ladder.clone(),
+            fault: self.fault,
+            controller: cell.label().to_string(),
+            session,
+            observed,
+        };
+        format!("{:016x}", stable_hash(&key))
+    }
+}
+
+/// The content hash a cell key carries for `session`.
+fn session_hash(session: &SessionTrace) -> String {
+    format!("{:016x}", stable_hash(session))
+}
+
 /// The full, serializable identity of one grid cell. Its stable FNV-1a
 /// hash is the cache key; any field changing means a different entry.
 #[derive(Serialize)]
@@ -320,6 +350,58 @@ impl SweepEngine {
         self.execute(&jobs, policy)
     }
 
+    /// Runs `approach` over `count` sessions that `make` builds on
+    /// demand (`make(i)` returns a caller tag and session `i`), returning
+    /// the tags with their results in index order — identical across
+    /// policies.
+    ///
+    /// Each index is one pool job: the worker builds the session, runs
+    /// the cell inline (cache lookup and store included when `policy`
+    /// caches) and drops the trace, so at most one trace per worker is
+    /// alive. Pool width, cache-key context and cache directories are
+    /// settled once per call, and the call records one `sweep/execute`
+    /// span.
+    #[must_use]
+    pub fn run_generated<T, F>(
+        &self,
+        count: usize,
+        approach: &Approach,
+        policy: &ExecPolicy,
+        make: F,
+    ) -> Vec<(T, SessionResult)>
+    where
+        T: Send,
+        F: Fn(usize) -> (T, SessionTrace) + Sync,
+    {
+        let watch = self.registry.as_ref().map(|_| perf::Stopwatch::start());
+        let (caches, width) = self.plan(policy);
+        let ctx = (!caches.is_empty()).then(|| self.key_context());
+        let cell = Cell::Approach(*approach);
+        let indices: Vec<usize> = (0..count).collect();
+        let done = pool::run_ordered(&indices, width, |&i| {
+            let (tag, session) = make(i);
+            let job = Job {
+                session: &session,
+                cell,
+            };
+            let result = match &ctx {
+                Some(ctx) => {
+                    let key = ctx.key(session_hash(&session), cell, false);
+                    self.cached_cell(&caches, &key, &job)
+                }
+                None => self.compute(&job),
+            };
+            (tag, result, session.meta().video_length)
+        });
+        if let Some(watch) = watch {
+            let sim = done.iter().map(|(_, _, length)| *length).sum();
+            self.record_execute(&watch, sim);
+        }
+        done.into_iter()
+            .map(|(tag, result, _)| (tag, result))
+            .collect()
+    }
+
     /// Runs the full comparison grid — one base-energy cell plus one cell
     /// per approach, per session — and aggregates it exactly like
     /// [`ComparisonSummary::evaluate`]. Base-energy runs go through the
@@ -410,10 +492,8 @@ impl SweepEngine {
             Some(dir) => {
                 fs::create_dir_all(dir)?;
                 let key = self
-                    .keys_for(std::slice::from_ref(&job), true)
-                    .into_iter()
-                    .next()
-                    .unwrap_or_default();
+                    .key_context()
+                    .key(session_hash(session), job.cell, true);
                 Some((dir, key))
             }
             None => None,
@@ -482,15 +562,68 @@ impl SweepEngine {
             ExecPolicy::Parallel { jobs: n } => self.execute_parallel(jobs, *n),
             ExecPolicy::Cached { dir, policy } => self.execute_cached(jobs, dir, policy),
         };
-        if let (Some(watch), Some(registry)) = (watch, &self.registry) {
+        if let Some(watch) = watch {
+            let sim = jobs.iter().map(|j| j.session.meta().video_length).sum();
+            self.record_execute(&watch, sim);
+        }
+        results
+    }
+
+    /// Records one grid execution's span and its simulated-seconds-per-
+    /// core-second gauge (`sim` is the executed cells' video length).
+    fn record_execute(&self, watch: &perf::Stopwatch, sim: Seconds) {
+        if let Some(registry) = &self.registry {
             registry.record_span(names::SWEEP_EXECUTE_SPAN, watch.elapsed_nanos());
-            let sim: Seconds = jobs.iter().map(|j| j.session.meta().video_length).sum();
             registry.gauge(
                 names::PERF_SWEEP_SESS_S_PER_CORE_S,
                 perf::session_seconds_per_core_second(sim, Seconds::new(watch.elapsed_seconds())),
             );
         }
-        results
+    }
+
+    /// Splits `policy` into its cache directories, outermost first, and
+    /// the worker count that computes misses. Each directory is created
+    /// here; one that cannot be costs a single write error and is
+    /// skipped, so every cell misses it.
+    fn plan<'p>(&self, policy: &'p ExecPolicy) -> (Vec<(&'p Path, bool)>, usize) {
+        let mut caches = Vec::new();
+        let mut policy = policy;
+        loop {
+            match policy {
+                ExecPolicy::Sequential => return (caches, 1),
+                ExecPolicy::Parallel { jobs } => return (caches, *jobs),
+                ExecPolicy::Cached { dir, policy: inner } => {
+                    let usable = fs::create_dir_all(dir).is_ok();
+                    if !usable {
+                        self.note_write_error();
+                    }
+                    caches.push((dir.as_path(), usable));
+                    policy = inner;
+                }
+            }
+        }
+    }
+
+    /// One unobserved cell through the cache directories `caches`
+    /// (outermost first): the first hit serves it, otherwise it is
+    /// computed, and the result is stored in every usable directory that
+    /// missed — per cell, the same lookups, stores and stats as nested
+    /// [`ExecPolicy::Cached`] grids.
+    fn cached_cell(&self, caches: &[(&Path, bool)], key: &str, job: &Job<'_>) -> SessionResult {
+        let Some((&(dir, usable), inner)) = caches.split_first() else {
+            return self.compute(job);
+        };
+        if usable {
+            if let Some(result) = self.lookup(dir, key, job) {
+                return result;
+            }
+        }
+        self.note_miss();
+        let result = self.cached_cell(inner, key, job);
+        if usable && self.store(dir, key, job, &result, None).is_err() {
+            self.note_write_error();
+        }
+        result
     }
 
     /// The shared worker pool ([`crate::pool`]): a next-index counter
@@ -523,21 +656,7 @@ impl SweepEngine {
                 if !dir_ok {
                     return None;
                 }
-                match self.load(dir, key, job, false) {
-                    Lookup::Hit(entry) => {
-                        self.note_hit();
-                        Some(entry.result)
-                    }
-                    Lookup::Record(result) => {
-                        self.note_record_hit();
-                        Some(*result)
-                    }
-                    Lookup::Absent => None,
-                    Lookup::Corrupt => {
-                        self.note_corrupt();
-                        None
-                    }
-                }
+                self.lookup(dir, key, job)
             })
             .collect();
 
@@ -600,26 +719,15 @@ impl SweepEngine {
         jobs.iter()
             .map(|job| {
                 let ptr: *const SessionTrace = job.session;
-                let session_hash = match &memo {
+                let session = match &memo {
                     Some((p, h)) if std::ptr::eq(*p, ptr) => h.clone(),
                     _ => {
-                        let h = format!("{:016x}", stable_hash(job.session));
+                        let h = session_hash(job.session);
                         memo = Some((ptr, h.clone()));
                         h
                     }
                 };
-                let key = CellKey {
-                    format: CACHE_FORMAT,
-                    crate_version: ctx.crate_version.clone(),
-                    eta: ctx.eta,
-                    config_hash: ctx.config_hash.clone(),
-                    ladder_mbps: ctx.ladder.clone(),
-                    fault: ctx.fault,
-                    controller: job.cell.label().to_string(),
-                    session: session_hash,
-                    observed,
-                };
-                format!("{:016x}", stable_hash(&key))
+                ctx.key(session, job.cell, observed)
             })
             .collect()
     }
@@ -667,6 +775,26 @@ impl SweepEngine {
             return Lookup::Corrupt;
         }
         Lookup::Record(Box::new(record.reference))
+    }
+
+    /// Serves an unobserved cell from `dir`, noting the hit (or the
+    /// corrupt entry) in the stats; `None` means the caller computes.
+    fn lookup(&self, dir: &Path, key: &str, job: &Job<'_>) -> Option<SessionResult> {
+        match self.load(dir, key, job, false) {
+            Lookup::Hit(entry) => {
+                self.note_hit();
+                Some(entry.result)
+            }
+            Lookup::Record(result) => {
+                self.note_record_hit();
+                Some(*result)
+            }
+            Lookup::Absent => None,
+            Lookup::Corrupt => {
+                self.note_corrupt();
+                None
+            }
+        }
     }
 
     /// Writes an entry via a temp file + rename so a concurrent reader
@@ -1110,6 +1238,78 @@ mod tests {
             base,
             "controller must key"
         );
+    }
+
+    /// `run_generated` runs each cell inline in its pool job; under every
+    /// policy — nested caches and an unusable cache directory included —
+    /// it must return what `run_grid` returns over the same sessions and
+    /// leave the same cache stats behind.
+    #[test]
+    fn generated_cells_match_grid_cells_under_every_policy() {
+        let make = |i: usize| {
+            SessionGenerator::new(
+                format!("gen-{i}"),
+                ContextSchedule::constant(Context::Walking),
+                Seconds::new(20.0),
+                i as u64,
+            )
+            .generate()
+        };
+        let sessions: Vec<SessionTrace> = (0..5).map(make).collect();
+        let outer = temp_dir("gen-outer");
+        let inner = temp_dir("gen-inner");
+        let blocker = temp_dir("gen-blocker");
+        fs::write(&blocker, "a file, so no directory can be created below it").unwrap();
+        let policies = [
+            ExecPolicy::Sequential,
+            ExecPolicy::Parallel { jobs: 2 },
+            ExecPolicy::cached(&outer, ExecPolicy::Parallel { jobs: 3 }),
+            ExecPolicy::cached(&outer, ExecPolicy::cached(&inner, ExecPolicy::Sequential)),
+            ExecPolicy::cached(blocker.join("cache"), ExecPolicy::Parallel { jobs: 2 }),
+        ];
+        let clear = || {
+            let _ = fs::remove_dir_all(&outer);
+            let _ = fs::remove_dir_all(&inner);
+        };
+        for policy in &policies {
+            // Each side starts from the same empty caches.
+            clear();
+            let grid_engine = SweepEngine::new(ExperimentRunner::paper());
+            let grid = grid_engine.run_grid(&sessions, &[Approach::Ours], policy);
+            clear();
+            let generated_engine = SweepEngine::new(ExperimentRunner::paper());
+            let generated =
+                generated_engine
+                    .run_generated(sessions.len(), &Approach::Ours, policy, |i| (i, make(i)));
+            let tags: Vec<usize> = generated.iter().map(|(tag, _)| *tag).collect();
+            assert_eq!(tags, vec![0, 1, 2, 3, 4], "{policy:?}");
+            let results: Vec<SessionResult> = generated.into_iter().map(|(_, r)| r).collect();
+            assert_eq!(results, grid, "{policy:?}");
+            assert_eq!(generated_engine.stats(), grid_engine.stats(), "{policy:?}");
+        }
+        // A cold nested pass stores every cell in both directories. With
+        // the outer one gone, the inner one serves every cell and the
+        // outer one is refilled, so the pass after that is all hits.
+        clear();
+        let nested = &policies[3];
+        let pass = || {
+            let engine = SweepEngine::new(ExperimentRunner::paper());
+            let _ =
+                engine.run_generated(sessions.len(), &Approach::Ours, nested, |i| ((), make(i)));
+            engine.stats()
+        };
+        pass();
+        fs::remove_dir_all(&outer).unwrap();
+        let inner_served = pass();
+        assert_eq!(
+            (inner_served.hits, inner_served.misses),
+            (5, 5),
+            "{inner_served:?}"
+        );
+        let warm = pass();
+        assert!(warm.all_hits() && warm.hits == 5, "{warm:?}");
+        clear();
+        fs::remove_file(&blocker).ok();
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Fleet-engine guarantees through the public API: same-seed runs are
-//! byte-identical, the aggregate is independent of execution policy and
-//! batch size, metrics flow into an attached registry, and sharded
-//! reducers agree with the streaming single pass.
+//! byte-identical, the aggregate is independent of execution policy,
+//! batch size and the result cache, metrics flow into an attached
+//! registry, and sharded reducers agree with the streaming single pass.
 
 #![allow(clippy::float_cmp)] // exact equality is the property under test
 
+use std::fs;
 use std::sync::Arc;
 
 use ecas_core::fleet::{FleetEngine, FleetReducer};
@@ -56,19 +57,64 @@ fn different_seeds_give_different_fleets() {
 
 #[test]
 fn registry_sees_fleet_progress() {
-    let registry = Arc::new(MetricsRegistry::new());
-    let report = FleetEngine::paper()
+    for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { jobs: 2 }] {
+        let registry = Arc::new(MetricsRegistry::new());
+        let report = FleetEngine::paper()
+            .batch_size(4)
+            .with_registry(Arc::clone(&registry))
+            .run(&spec(9), &policy);
+        assert_eq!(report.users, 9);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter(names::FLEET_USERS), Some(9));
+        assert_eq!(
+            snapshot.counter(names::FLEET_BATCHES),
+            Some(3),
+            "9 users in batches of 4"
+        );
+        // One sweep execution per batch, however many users it holds.
+        let execute = snapshot.span(names::SWEEP_EXECUTE_SPAN).map(|s| s.count);
+        assert_eq!(execute, Some(3), "{policy:?}");
+        let fleet = snapshot.span(names::FLEET_EXECUTE_SPAN).map(|s| s.count);
+        assert_eq!(fleet, Some(1));
+    }
+}
+
+#[test]
+fn cached_parallel_fleet_matches_uncached_sequential() {
+    let spec = spec(11);
+    let dir = std::env::temp_dir().join(format!("ecas-fleet-cache-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let reference = FleetEngine::paper()
         .batch_size(4)
-        .with_registry(Arc::clone(&registry))
-        .run(&spec(9), &ExecPolicy::Sequential);
-    assert_eq!(report.users, 9);
-    let snapshot = registry.snapshot();
-    assert_eq!(snapshot.counter(names::FLEET_USERS), Some(9));
+        .run(&spec, &ExecPolicy::Sequential);
+    let policy = ExecPolicy::cached(&dir, ExecPolicy::Parallel { jobs: 3 });
+
+    let cold_engine = FleetEngine::paper().batch_size(4);
+    let cold = cold_engine.run(&spec, &policy);
+    let stats = cold_engine.stats();
     assert_eq!(
-        snapshot.counter(names::FLEET_BATCHES),
-        Some(3),
-        "9 users in batches of 4"
+        (stats.hits, stats.misses, stats.corrupt, stats.write_errors),
+        (0, 11, 0, 0)
     );
+
+    let warm_engine = FleetEngine::paper().batch_size(4);
+    let warm = warm_engine.run(&spec, &policy);
+    let stats = warm_engine.stats();
+    assert!(stats.all_hits(), "{stats:?}");
+    assert_eq!(stats.hits, 11);
+
+    let json = serde_json::to_string(&reference).unwrap();
+    for (run, report) in [("cold", &cold), ("warm", &warm)] {
+        assert_eq!(report.render(), reference.render(), "{run} render");
+        assert_eq!(serde_json::to_string(report).unwrap(), json, "{run} json");
+    }
+    let litter: Vec<_> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "tmp"))
+        .collect();
+    assert!(litter.is_empty(), "temp files left behind: {litter:?}");
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

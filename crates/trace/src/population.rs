@@ -18,8 +18,8 @@
 //!   [`SessionGenerator`], with the user's [`SignalTier`] applied as a
 //!   cell-center/cell-edge rescaling of the link channels;
 //! * [`SessionBatch`] — a reusable batch buffer whose spine vectors are
-//!   allocated once and refilled, so steady-state fleet streaming does
-//!   not grow allocations with fleet size.
+//!   allocated once and refilled, so a caller streaming fixed-size
+//!   batches of traces does not grow allocations with fleet size.
 //!
 //! Everything is deterministic given the fleet seed; no wall clock, no
 //! global RNG.
@@ -588,9 +588,11 @@ fn apply_signal_tier(session: SessionTrace, tier: SignalTier) -> SessionTrace {
 /// A reusable buffer for one batch of synthesized users.
 ///
 /// The spine vectors (specs and sessions) are allocated once and
-/// refilled in place, so a fleet run that streams millions of users in
+/// refilled in place, so a caller that streams millions of users in
 /// fixed-size batches performs no per-batch spine allocation and its
-/// peak trace memory is O(batch), independent of fleet size.
+/// peak trace memory is O(batch), independent of fleet size. (The fleet
+/// engine holds no batch of traces at all: it synthesizes each user
+/// inside its own pool job.)
 #[derive(Debug, Default)]
 pub struct SessionBatch {
     specs: Vec<UserSpec>,

@@ -123,6 +123,26 @@ if ! grep -Eq 'users=100000 ' "$obs_dir/fleet_1.txt"; then
     exit 1
 fi
 
+echo "==> smoke: cached fleet (cold == warm == uncached --jobs 1, warm all hits)"
+fleet_cache="$obs_dir/fleet_cache"
+./target/release/fleet --users 1000 --duration 20 --cache-dir "$fleet_cache" \
+    > "$obs_dir/fleet_cold.txt" 2> "$obs_dir/fleet_cold.log"
+./target/release/fleet --users 1000 --duration 20 --cache-dir "$fleet_cache" \
+    > "$obs_dir/fleet_warm.txt" 2> "$obs_dir/fleet_warm.log"
+./target/release/fleet --users 1000 --duration 20 --jobs 1 > "$obs_dir/fleet_plain.txt"
+for run in fleet_warm fleet_plain; do
+    if ! cmp -s "$obs_dir/fleet_cold.txt" "$obs_dir/$run.txt"; then
+        echo "cached fleet: $run output differs from the cold cached run" >&2
+        diff "$obs_dir/fleet_cold.txt" "$obs_dir/$run.txt" >&2 || true
+        exit 1
+    fi
+done
+if ! grep -q 'cache: hits=1000 misses=0 corrupt=0' "$obs_dir/fleet_warm.log"; then
+    echo "warm fleet run was not served 100% from the cache" >&2
+    cat "$obs_dir/fleet_warm.log" >&2
+    exit 1
+fi
+
 echo "==> smoke: record corpus (batch-record + order-stable verify + self-diff)"
 corpus_dir="$obs_dir/corpus"
 ./target/release/session batch-record --users 6 --seed 7 --duration 20 --batch 4 "$corpus_dir" >/dev/null
