@@ -16,8 +16,8 @@
 //! | [`RateBased`] | Last-sample strawman | [`rate`] |
 //!
 //! The optimization objective of Eq. (11) lives in [`objective`]; the
-//! generic shortest-path machinery (Dijkstra + DAG dynamic programming
-//! cross-check) lives in [`graph`].
+//! optimal planner solves the Fig. 4 shortest path with a forward dynamic
+//! program in [`optimal`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +27,6 @@ pub mod bba;
 pub mod bola;
 pub mod deferral;
 pub mod festive;
-pub mod graph;
 pub mod instrument;
 pub mod mpc;
 pub mod objective;

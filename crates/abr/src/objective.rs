@@ -59,15 +59,6 @@ impl ObjectiveWeights {
         assert!(!q_max.is_zero(), "QoE normalizer must be positive");
         self.eta * (energy / e_max) - (1.0 - self.eta) * (qoe / q_max)
     }
-
-    /// A shift that makes every Eq. (11) cost non-negative, enabling
-    /// Dijkstra: costs are at least `−(1−η)·(Q/Q_max)` and `Q/Q_max` is at
-    /// most `5` (a task can beat the normalizer when vibration flattens
-    /// the top of the quality curve, but never by more than the MOS range).
-    #[must_use]
-    pub fn nonnegative_shift(&self) -> f64 {
-        5.0 * (1.0 - self.eta)
-    }
 }
 
 impl Default for ObjectiveWeights {
@@ -118,15 +109,6 @@ mod tests {
             w.cost(Joules::new(1.0), e_max, QoeScore::new(3.0), q_max),
             w.cost(Joules::new(9.0), e_max, QoeScore::new(3.0), q_max)
         );
-    }
-
-    #[test]
-    fn shift_makes_costs_nonnegative() {
-        let w = ObjectiveWeights::paper();
-        let e_max = Joules::new(10.0);
-        let q_max = QoeScore::new(1.0); // adversarial tiny normalizer
-        let cost = w.cost(Joules::new(0.0), e_max, QoeScore::new(5.0), q_max);
-        assert!(cost + w.nonnegative_shift() >= 0.0);
     }
 
     #[test]

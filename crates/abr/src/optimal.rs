@@ -12,10 +12,12 @@
 //! *replayed* through the event simulator so that all approaches are
 //! measured under identical mechanics.
 //!
-//! The paper solves the graph with Dijkstra's algorithm. Eq. (11) weights
-//! can be negative, so a constant shift (harmless because all `s → e`
-//! paths have the same edge count) makes them non-negative; a
-//! topological-order dynamic program cross-checks the result.
+//! The paper solves the graph with Dijkstra's algorithm, which needs a
+//! constant shift because Eq. (11) weights can be negative. Every `s → e`
+//! path has the same number of edges, so a forward dynamic program over
+//! the `n × m` (tasks × levels) table finds the same argmin with no graph,
+//! heap or shift. The unit tests keep the paper's Dijkstra as the
+//! reference the program is checked against.
 
 use ecas_obs::{names, Probe, NULL_PROBE};
 use ecas_power::task::{TaskConditions, TaskEnergyModel};
@@ -27,7 +29,6 @@ use ecas_trace::session::SessionTrace;
 use ecas_types::ladder::{BitrateLadder, LevelIndex};
 use ecas_types::units::{Mbps, MetersPerSec2, Seconds};
 
-use crate::graph::Graph;
 use crate::objective::ObjectiveWeights;
 
 /// An optimal bitrate plan for one session.
@@ -36,7 +37,7 @@ use crate::objective::ObjectiveWeights;
 pub struct OptimalPlan {
     /// The chosen level for each task, in task order.
     pub levels: Vec<LevelIndex>,
-    /// The Eq. (11) objective value of the plan (unshifted).
+    /// The Eq. (11) objective value of the plan.
     pub objective: f64,
 }
 
@@ -171,7 +172,7 @@ impl OptimalPlanner {
     }
 
     /// Eq. (11) cost of choosing `level` for task `ctx` coming from
-    /// `prev` (unshifted).
+    /// `prev`.
     fn cost(&self, ctx: &TaskContext, level: LevelIndex, prev: Option<LevelIndex>) -> f64 {
         let bitrate = self.ladder.bitrate(level);
         let energy = self.energy_model.energy(bitrate, ctx.conditions);
@@ -187,19 +188,16 @@ impl OptimalPlanner {
     ///
     /// # Panics
     ///
-    /// Panics if the session is shorter than one segment, or if the
-    /// Dijkstra and dynamic-programming solutions disagree (an internal
-    /// consistency failure).
+    /// Panics if the session is shorter than one segment, or if an
+    /// Eq. (11) cost is NaN.
     #[must_use]
     pub fn plan(&self, session: &SessionTrace) -> OptimalPlan {
         self.plan_with_probe(session, &NULL_PROBE)
     }
 
     /// [`OptimalPlanner::plan`] reporting the solver's deterministic work
-    /// counters (`abr/labels_expanded`, `abr/labels_pruned`,
-    /// `abr/edges_relaxed`) into `probe`. The counters depend only on the
-    /// session and configuration, so same-input runs report identical
-    /// totals.
+    /// counter (`abr/dp_cells`, `n·m` for `n` tasks and `m` levels) into
+    /// `probe`.
     ///
     /// # Panics
     ///
@@ -207,60 +205,59 @@ impl OptimalPlanner {
     #[must_use]
     pub fn plan_with_probe(&self, session: &SessionTrace, probe: &dyn Probe) -> OptimalPlan {
         let contexts = self.task_contexts(session);
-        let n = contexts.len();
-        assert!(n > 0, "session shorter than one segment");
+        assert!(!contexts.is_empty(), "session shorter than one segment");
+        let plan = self.forward_dp(&contexts);
+        probe.add(
+            names::ABR_DP_CELLS,
+            (contexts.len() * self.ladder.len()) as u64,
+        );
+        plan
+    }
+
+    /// The shortest path through the Fig. 4 lattice as a forward dynamic
+    /// program. `best[j]` holds the cheapest Eq. (11) cost of the tasks so
+    /// far ending at level `j`, and `back[i·m + j]` the level of task
+    /// `i − 1` on that path. Previous levels and the final argmin are
+    /// scanned in ascending order with a strict `<`, so an exact tie keeps
+    /// the lowest level. The objective is accumulated in task order, as
+    /// [`OptimalPlanner::objective_of`] does, so the two agree exactly.
+    fn forward_dp(&self, contexts: &[TaskContext]) -> OptimalPlan {
         let m = self.ladder.len();
-        let shift = self.weights.nonnegative_shift();
-
-        // Node layout: 0 = source, 1 + i*m + j = task i at level j,
-        // 1 + n*m = sink. Indices increase along edges (topological).
-        let node = |i: usize, j: usize| 1 + i * m + j;
-        let sink = 1 + n * m;
-        let mut graph = Graph::new(sink + 1);
-
-        if let Some(first_ctx) = contexts.first() {
-            for j in 0..m {
-                let w = self.cost(first_ctx, LevelIndex::new(j), None) + shift;
-                graph.add_edge(0, node(0, j), w);
+        let n = contexts.len();
+        let mut best = vec![f64::INFINITY; m];
+        let mut next = vec![f64::INFINITY; m];
+        let mut back = vec![0_usize; n * m];
+        if let Some(first) = contexts.first() {
+            for (j, cell) in best.iter_mut().enumerate() {
+                *cell = self.cost(first, LevelIndex::new(j), None);
             }
         }
-        for (i, ctx) in contexts.iter().enumerate().skip(1) {
-            for jp in 0..m {
-                for j in 0..m {
-                    let w = self.cost(ctx, LevelIndex::new(j), Some(LevelIndex::new(jp))) + shift;
-                    graph.add_edge(node(i - 1, jp), node(i, j), w);
+        for (ctx, row) in contexts.iter().zip(back.chunks_exact_mut(m)).skip(1) {
+            for (j, (cell, from)) in next.iter_mut().zip(row.iter_mut()).enumerate() {
+                let level = LevelIndex::new(j);
+                (*cell, *from) = (f64::INFINITY, 0);
+                for (jp, &prev_cost) in best.iter().enumerate() {
+                    let c = prev_cost + self.cost(ctx, level, Some(LevelIndex::new(jp)));
+                    assert!(!c.is_nan(), "Eq. (11) cost must not be NaN");
+                    if c < *cell {
+                        (*cell, *from) = (c, jp);
+                    }
                 }
             }
+            std::mem::swap(&mut best, &mut next);
         }
-        for j in 0..m {
-            graph.add_edge(node(n - 1, j), sink, 0.0);
+        let (mut j, mut objective) = (0, f64::INFINITY);
+        for (jl, &c) in best.iter().enumerate() {
+            assert!(!c.is_nan(), "Eq. (11) cost must not be NaN");
+            if c < objective {
+                (j, objective) = (jl, c);
+            }
         }
-
-        let (solved, stats) = graph.dijkstra_path_with_stats(0, sink);
-        probe.add(names::ABR_LABELS_EXPANDED, stats.expanded);
-        probe.add(names::ABR_LABELS_PRUNED, stats.pruned);
-        probe.add(names::ABR_EDGES_RELAXED, stats.relaxed);
-        let (cost_dijkstra, path) = solved
-            // ecas-lint: allow(panic-safety, reason = "the layered graph built above always connects source to sink")
-            .expect("layered graph is connected");
-        let (cost_dp, path_dp) = graph
-            .dag_shortest_path(0, sink)
-            // ecas-lint: allow(panic-safety, reason = "the layered graph built above always connects source to sink")
-            .expect("layered graph is connected");
-        assert!(
-            (cost_dijkstra - cost_dp).abs() < 1e-6,
-            "Dijkstra ({cost_dijkstra}) and DP ({cost_dp}) disagree"
-        );
-        // Paths may differ under exact ties; costs must match.
-        debug_assert_eq!(path.len(), path_dp.len());
-
-        let levels: Vec<LevelIndex> = path
-            .get(1..path.len().saturating_sub(1))
-            .unwrap_or_default()
-            .iter()
-            .map(|&id| LevelIndex::new((id - 1) % m))
-            .collect();
-        let objective = cost_dijkstra - shift * n as f64;
+        let mut levels = vec![LevelIndex::new(0); n];
+        for (level, row) in levels.iter_mut().zip(back.chunks_exact(m)).rev() {
+            *level = LevelIndex::new(j);
+            j = row.get(j).copied().unwrap_or_default();
+        }
         OptimalPlan { levels, objective }
     }
 
@@ -381,11 +378,100 @@ mod tests {
         let planner = OptimalPlanner::paper(BitrateLadder::evaluation());
         let plan = planner.plan(&s);
         let recomputed = planner.objective_of(&s, &plan.levels);
-        assert!(
-            (plan.objective - recomputed).abs() < 1e-6,
-            "{} vs {recomputed}",
-            plan.objective
-        );
+        assert_eq!(plan.objective.to_bits(), recomputed.to_bits());
+    }
+
+    /// The paper's algorithm, kept as the reference the forward DP is
+    /// checked against: Dijkstra over the Fig. 4 lattice (node 0 = source,
+    /// `1 + i·m + j` = task `i` at level `j`, `1 + n·m` = sink), with every
+    /// task edge shifted by one constant so no weight is negative. All
+    /// source → sink paths have `n` task edges, so the shift moves every
+    /// path cost by `n·shift` and keeps the argmin.
+    fn dijkstra_reference(planner: &OptimalPlanner, session: &SessionTrace) -> OptimalPlan {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let contexts = planner.task_contexts(session);
+        let (n, m) = (contexts.len(), planner.ladder.len());
+        let node = |i: usize, j: usize| 1 + i * m + j;
+        let sink = 1 + n * m;
+        let mut adj: Vec<Vec<(usize, f64)>> = vec![Vec::new(); sink + 1];
+        for j in 0..m {
+            let w = planner.cost(&contexts[0], LevelIndex::new(j), None);
+            adj[0].push((node(0, j), w));
+        }
+        for (i, ctx) in contexts.iter().enumerate().skip(1) {
+            for jp in 0..m {
+                for j in 0..m {
+                    let w = planner.cost(ctx, LevelIndex::new(j), Some(LevelIndex::new(jp)));
+                    adj[node(i - 1, jp)].push((node(i, j), w));
+                }
+            }
+        }
+        let min_w = adj.iter().flatten().map(|&(_, w)| w).fold(0.0, f64::min);
+        let shift = -min_w;
+        for (_, w) in adj.iter_mut().flatten() {
+            *w += shift;
+        }
+        for j in 0..m {
+            adj[node(n - 1, j)].push((sink, 0.0));
+        }
+
+        // Distances are non-negative, where the IEEE bit pattern orders
+        // like the value, so the heap can key on `to_bits`.
+        let mut dist = vec![f64::INFINITY; sink + 1];
+        let mut prev = vec![usize::MAX; sink + 1];
+        let mut heap = BinaryHeap::new();
+        dist[0] = 0.0;
+        heap.push(Reverse((0.0_f64.to_bits(), 0)));
+        while let Some(Reverse((bits, u))) = heap.pop() {
+            let d = f64::from_bits(bits);
+            if d > dist[u] {
+                continue;
+            }
+            for &(v, w) in &adj[u] {
+                assert!(w >= 0.0, "Dijkstra needs non-negative weights, got {w}");
+                let nd = d + w;
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    prev[v] = u;
+                    heap.push(Reverse((nd.to_bits(), v)));
+                }
+            }
+        }
+        let mut levels = Vec::with_capacity(n);
+        let mut cur = prev[sink];
+        while cur != 0 {
+            levels.push(LevelIndex::new((cur - 1) % m));
+            cur = prev[cur];
+        }
+        levels.reverse();
+        OptimalPlan {
+            levels,
+            objective: dist[sink] - shift * n as f64,
+        }
+    }
+
+    #[test]
+    fn forward_dp_matches_paper_dijkstra_on_table_v() {
+        for eta in [0.0, 0.5, 1.0] {
+            let planner = OptimalPlanner::with_eta(BitrateLadder::evaluation(), eta);
+            for spec in EvalTraceSpec::table_v() {
+                let s = spec.generate();
+                let plan = planner.plan(&s);
+                let reference = dijkstra_reference(&planner, &s);
+                assert_eq!(plan.levels, reference.levels, "trace {} eta {eta}", spec.id);
+                assert!(
+                    (plan.objective - reference.objective).abs() < 1e-9,
+                    "trace {} eta {eta}: {} vs {}",
+                    spec.id,
+                    plan.objective,
+                    reference.objective
+                );
+                let recomputed = planner.objective_of(&s, &plan.levels);
+                assert_eq!(plan.objective.to_bits(), recomputed.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -437,13 +523,8 @@ mod tests {
         let recorder = ecas_obs::MemoryRecorder::new();
         let plan = planner.plan_with_probe(&s, &recorder);
         let snapshot = recorder.metrics().snapshot();
-        let expanded = snapshot.counter(names::ABR_LABELS_EXPANDED).unwrap();
-        let relaxed = snapshot.counter(names::ABR_EDGES_RELAXED).unwrap();
-        // Every task layer must settle at least one label, and reaching
-        // the sink needs at least one relaxation per settled-path edge.
-        assert!(expanded >= plan.levels.len() as u64);
-        assert!(relaxed >= expanded - 1);
-        assert!(snapshot.counter(names::ABR_LABELS_PRUNED).is_some());
+        let cells = plan.levels.len() * planner.ladder.len();
+        assert_eq!(snapshot.counter(names::ABR_DP_CELLS), Some(cells as u64));
         // The probe is observation-only: the plan itself is unchanged.
         assert_eq!(plan, planner.plan(&s));
     }

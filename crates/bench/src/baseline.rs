@@ -2,11 +2,11 @@
 //!
 //! The `perf` binary times the workspace's three hot paths — the
 //! simulator inner loop, the radio-energy integration kernel and the
-//! Eq. (11) shortest-path solver — and records each path twice:
+//! Eq. (11) optimal planner — and records each path twice:
 //!
-//! * **work** — deterministic work counters (integration chunks, labels
-//!   expanded/pruned, edges relaxed). Same seed, same configuration →
-//!   byte-identical counters on every host; CI compares them *exactly*.
+//! * **work** — deterministic work counters (integration chunks, DP
+//!   cells filled). Same seed, same configuration → byte-identical
+//!   counters on every host; CI compares them *exactly*.
 //! * **throughput** — measured simulated session-seconds per core-second
 //!   ([`ecas_obs::perf::session_seconds_per_core_second`]). Wall-clock,
 //!   host-dependent; CI only rejects a *collapse* beyond

@@ -8,7 +8,7 @@
 //! * `radio_integration` — the shared radio-energy chunked integration
 //!   kernel over each full session window (work: chunk count);
 //! * `optimal_solver` — the Eq. (11) shortest-path optimal planner
-//!   (work: the `abr/*` Dijkstra label counters).
+//!   (work: `abr/dp_cells`, the forward DP's task × level cells).
 //!
 //! `--smoke` restricts to trace 1 (the profile `BENCH_core.json` is
 //! committed with); `--out <file>` writes the baseline; `--check <file>`

@@ -53,7 +53,7 @@ use crate::approach::Approach;
 use crate::oracle::{self, ReplayVerdict};
 use crate::pool;
 use crate::record::{RecordScenario, RecordedSession, SessionRecord, SessionRecordError};
-use crate::sweep::{record_cell_key, record_path};
+use crate::sweep::{record_cell_key, record_path, write_atomic};
 
 /// File name of the index manifest written next to the records.
 // ecas-lint: allow(pub-surface, reason = "corpus on-disk contract documented in DESIGN.md section 14")
@@ -202,7 +202,7 @@ pub fn batch_record(
         for item in recorded {
             let (record, bytes) = item?;
             let key = record_cell_key(&record);
-            fs::write(record_path(dir, &key), &bytes)?;
+            write_atomic(&record_path(dir, &key), &bytes)?;
             entries.push(CorpusEntry {
                 key,
                 label: record.scenario.label(),
@@ -219,7 +219,7 @@ pub fn batch_record(
     };
     let json = serde_json::to_string_pretty(&index)
         .map_err(|e| CorpusError::Index(e.to_string()))?;
-    fs::write(dir.join(INDEX_FILE), json + "\n")?;
+    write_atomic(&dir.join(INDEX_FILE), (json + "\n").as_bytes())?;
     Ok(index)
 }
 

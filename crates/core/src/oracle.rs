@@ -517,8 +517,8 @@ impl<'a> Oracle<'a> {
     }
 
     /// The Eq. (11) objective of the shortest-path optimal plan for
-    /// `session` under this oracle's models and η. Expensive (one
-    /// Dijkstra); cache it when checking many approaches on one session
+    /// `session` under this oracle's models and η. Expensive (one full
+    /// plan); cache it when checking many approaches on one session
     /// via [`Oracle::check_objective_against`].
     #[must_use]
     pub fn optimal_objective(&self, session: &SessionTrace) -> f64 {
@@ -569,7 +569,7 @@ impl<'a> Oracle<'a> {
     }
 
     /// [`Oracle::check_objective`] with a precomputed
-    /// [`Oracle::optimal_objective`] (amortizes the Dijkstra across many
+    /// [`Oracle::optimal_objective`] (amortizes the plan across many
     /// approaches on the same session).
     ///
     /// # Errors

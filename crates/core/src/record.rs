@@ -64,6 +64,7 @@ use serde::{Deserialize, Serialize};
 use crate::approach::Approach;
 use crate::oracle::{Oracle, ReplayError, ReplayVerdict};
 use crate::runner::ExperimentRunner;
+use crate::sweep::write_atomic;
 
 /// Section tag of the scenario header (canonical JSON).
 pub const SECTION_SCENARIO: u8 = 1;
@@ -453,7 +454,8 @@ impl SessionRecord {
         })
     }
 
-    /// Writes the record to `path`.
+    /// Writes the record to `path` atomically (temp file + rename), so a
+    /// concurrent reader never decodes a half-written record.
     ///
     /// # Errors
     ///
@@ -461,7 +463,8 @@ impl SessionRecord {
     /// failure.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), SessionRecordError> {
         let bytes = self.to_bytes()?;
-        fs::write(path, bytes).map_err(|e| SessionRecordError::Codec(RecordError::Io(e)))
+        write_atomic(path.as_ref(), &bytes)
+            .map_err(|e| SessionRecordError::Codec(RecordError::Io(e)))
     }
 
     /// Reads a record from `path`.

@@ -113,24 +113,6 @@ impl ExperimentRunner {
         SweepEngine::new(self.clone()).run_grid(sessions, approaches, policy)
     }
 
-    /// Runs every `(session, approach)` pair across worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run_grid(sessions, approaches, &ExecPolicy::parallel())"
-    )]
-    #[must_use]
-    pub fn run_grid_parallel(
-        &self,
-        sessions: &[SessionTrace],
-        approaches: &[Approach],
-    ) -> Vec<SessionResult> {
-        self.run_grid(sessions, approaches, &ExecPolicy::parallel())
-    }
-
     /// The session's *base energy* (Fig. 5c): the energy of streaming
     /// every segment at the lowest bitrate — the minimum possible
     /// consumption, covering the screen plus minimal transmission and
@@ -188,19 +170,6 @@ mod tests {
         let seq = runner.run_grid(&sessions, &approaches, &ExecPolicy::Sequential);
         let par = runner.run_grid(&sessions, &approaches, &ExecPolicy::parallel());
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parallel_shim_still_works() {
-        let runner = ExperimentRunner::paper();
-        let sessions = vec![short_session()];
-        let approaches = [Approach::Youtube, Approach::Ours];
-        let shim = runner.run_grid_parallel(&sessions, &approaches);
-        assert_eq!(
-            shim,
-            runner.run_grid(&sessions, &approaches, &ExecPolicy::Sequential)
-        );
     }
 
     #[test]

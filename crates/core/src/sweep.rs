@@ -35,7 +35,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ecas_obs::{names, perf, stable_hash, JsonlRecorder, MetricsRegistry};
 use ecas_sim::controller::FixedLevel;
@@ -45,7 +45,6 @@ use ecas_sim::FaultSpec;
 use ecas_trace::session::SessionTrace;
 use ecas_types::ladder::LevelIndex;
 use ecas_types::units::{Joules, Seconds};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::approach::Approach;
@@ -326,7 +325,7 @@ impl SweepEngine {
     /// Cache activity accumulated so far.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Runs every `(session, approach)` pair under `policy`, returning
@@ -797,14 +796,8 @@ impl SweepEngine {
         }
     }
 
-    /// Writes an entry via a temp file + rename so a concurrent reader
+    /// Writes an entry through [`write_atomic`], so a concurrent reader
     /// never sees a half-written entry (it sees the old one or none).
-    ///
-    /// The temp name embeds the process id and a process-wide counter:
-    /// two writers racing on the same key (same process or two processes
-    /// sharing a `--cache-dir`) each write their own temp file, and the
-    /// final `rename` is atomic, so the published entry is always one
-    /// writer's complete bytes — never an interleaving.
     fn store(
         &self,
         dir: &Path,
@@ -832,14 +825,7 @@ impl SweepEngine {
             text.push_str(&to_json(&probe.to_string())?);
             text.push('\n');
         }
-        static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-        let tmp = dir.join(format!(
-            "{key}.{}.{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, entry_path(dir, key))
+        write_atomic(&entry_path(dir, key), text.as_bytes())
     }
 
     // ---------------------------------------------------------------- //
@@ -847,14 +833,17 @@ impl SweepEngine {
     // ---------------------------------------------------------------- //
 
     fn note_hit(&self) {
-        self.stats.lock().hits += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .hits += 1;
         self.bump(names::SWEEP_CACHE_HIT);
     }
 
     /// A hit served from a recorded reference counts as a regular hit
     /// too, so `all_hits()` keeps meaning "zero simulator runs".
     fn note_record_hit(&self) {
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         stats.hits += 1;
         stats.from_record += 1;
         drop(stats);
@@ -863,17 +852,26 @@ impl SweepEngine {
     }
 
     fn note_miss(&self) {
-        self.stats.lock().misses += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .misses += 1;
         self.bump(names::SWEEP_CACHE_MISS);
     }
 
     fn note_corrupt(&self) {
-        self.stats.lock().corrupt += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .corrupt += 1;
         self.bump(names::SWEEP_CACHE_CORRUPT);
     }
 
     fn note_write_error(&self) {
-        self.stats.lock().write_errors += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .write_errors += 1;
         self.bump(names::SWEEP_CACHE_WRITE_ERROR);
     }
 
@@ -882,6 +880,32 @@ impl SweepEngine {
             registry.add(name, 1);
         }
     }
+}
+
+/// Publishes `bytes` at `path` via a temp file in the same directory and
+/// a `rename`, so a concurrent reader sees the old file or the new one,
+/// never a torn write. Every file the cache reads is written this way.
+///
+/// The temp name embeds the process id and a process-wide counter: two
+/// writers racing on one path (threads, or processes sharing a
+/// directory) each write their own temp file, and the `rename` is
+/// atomic, so the published file is always one writer's complete bytes.
+/// A failed write removes its temp file.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let written = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        // Best effort: the write error is what the caller needs to see.
+        let _ = fs::remove_file(&tmp);
+    }
+    written
 }
 
 fn entry_path(dir: &Path, key: &str) -> PathBuf {
@@ -1095,12 +1119,68 @@ mod tests {
             Lookup::Hit(_)
         ));
         // … and every temp file was consumed by its own rename.
-        let litter: Vec<_> = fs::read_dir(&dir)
+        assert_no_temp_litter(&dir);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    fn assert_no_temp_litter(dir: &Path) {
+        let litter: Vec<_> = fs::read_dir(dir)
             .unwrap()
             .map(|e| e.unwrap().path())
             .filter(|p| p.extension().is_some_and(|e| e == "tmp"))
             .collect();
         assert!(litter.is_empty(), "temp litter left behind: {litter:?}");
+    }
+
+    /// `SessionRecord::save` publishes through [`write_atomic`] too: a
+    /// reader racing repeated saves of one record decodes the complete
+    /// record or finds no file, never a torn one.
+    #[test]
+    fn concurrent_record_saves_never_publish_torn_records() {
+        use crate::record::{RecordScenario, RecordedSession, SessionRecord, SessionRecordError};
+        use ecas_trace::record::RecordError;
+        use std::sync::Barrier;
+
+        let dir = temp_dir("record-race");
+        fs::create_dir_all(&dir).unwrap();
+        let record = SessionRecord::record(RecordScenario {
+            session: RecordedSession::Synthetic {
+                context: Context::Walking,
+                seconds: 20.0,
+                seed: 5,
+            },
+            approach: Approach::Ours,
+            eta: 0.5,
+            fault: None,
+        })
+        .unwrap();
+        let path = dir.join("race.ecasr");
+        let start = Barrier::new(5);
+
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        record.save(&path).unwrap();
+                    }
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..400 {
+                    match SessionRecord::load(&path) {
+                        Ok(read) => assert_eq!(read, record),
+                        Err(SessionRecordError::Codec(RecordError::Io(e)))
+                            if e.kind() == io::ErrorKind::NotFound => {}
+                        Err(e) => panic!("reader decoded a torn record: {e}"),
+                    }
+                }
+            });
+        });
+
+        assert_eq!(SessionRecord::load(&path).unwrap(), record);
+        assert_no_temp_litter(&dir);
         fs::remove_dir_all(&dir).ok();
     }
 

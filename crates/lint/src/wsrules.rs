@@ -648,12 +648,12 @@ mod tests {
             "ecas-sim::player::run_inner"
         ));
         assert!(hot_path_matches(
-            "ecas-abr::graph::dijkstra*",
-            "ecas-abr::graph::dijkstra_with_stats"
+            "ecas-abr::optimal::forward*",
+            "ecas-abr::optimal::forward_dp"
         ));
         assert!(!hot_path_matches(
-            "ecas-abr::graph::dijkstra*",
-            "ecas-abr::graph::reconstruct"
+            "ecas-abr::optimal::forward*",
+            "ecas-abr::optimal::objective_of"
         ));
     }
 }

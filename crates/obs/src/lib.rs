@@ -41,10 +41,9 @@
 //!
 //! Counters double as deterministic *work measures* for the hot paths —
 //! `sim/integration_chunks` for the radio integration kernel,
-//! `abr/labels_expanded` / `abr/labels_pruned` / `abr/edges_relaxed` for
-//! the Eq. (11) shortest-path solver — so performance cost is observable
-//! and comparable across hosts without timing anything (see [`perf`] for
-//! the wall-clock side).
+//! `abr/dp_cells` for the Eq. (11) optimal planner's dynamic program — so
+//! performance cost is observable and comparable across hosts without
+//! timing anything (see [`perf`] for the wall-clock side).
 //!
 //! # Example
 //!

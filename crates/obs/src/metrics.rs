@@ -2,8 +2,8 @@
 //! histograms and monotonic span timers.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// Default histogram bucket upper bounds: log-ish spacing covering
@@ -85,13 +85,13 @@ impl MetricsRegistry {
 
     /// Increments a counter.
     pub fn add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         *entry_or_insert(&mut inner.counters, name, 0) += delta;
     }
 
     /// Sets a gauge (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         *entry_or_insert(&mut inner.gauges, name, 0.0) = value;
     }
 
@@ -99,7 +99,7 @@ impl MetricsRegistry {
     /// [`DEFAULT_BUCKETS`] on first use; call
     /// [`MetricsRegistry::register_histogram`] first for custom buckets.
     pub fn observe(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner
             .histograms
             .entry(name.to_string())
@@ -113,7 +113,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `bounds` is empty or not strictly increasing.
     pub fn register_histogram(&self, name: &str, bounds: &[f64]) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner
             .histograms
             .entry(name.to_string())
@@ -127,7 +127,7 @@ impl MetricsRegistry {
     /// so profiling summaries show the distribution, not just extremes.
     pub fn record_span(&self, name: &str, nanos: u64) {
         self.observe(&format!("{name}_seconds"), nanos as f64 / 1e9);
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(stats) = inner.spans.get_mut(name) {
             stats.count += 1;
             stats.total_ns += nanos;
@@ -149,7 +149,7 @@ impl MetricsRegistry {
     /// Takes a consistent snapshot of every metric.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         MetricsSnapshot {
             counters: inner.counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
             gauges: inner.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect(),

@@ -134,13 +134,9 @@ pub const SIM_DOWNLOAD_SPAN: &str = "sim/download";
 
 // ------------------------------------------------------------ abr solver
 
-/// A Dijkstra label settled (heap pop expanded) by the Eq. (11)
-/// shortest-path optimal solver (`ecas-abr`'s `graph` module).
-pub const ABR_LABELS_EXPANDED: &str = "abr/labels_expanded";
-/// A stale Dijkstra heap entry skipped without expansion.
-pub const ABR_LABELS_PRUNED: &str = "abr/labels_pruned";
-/// An edge relaxation that improved a tentative distance.
-pub const ABR_EDGES_RELAXED: &str = "abr/edges_relaxed";
+/// A (task, level) cell filled by the Eq. (11) optimal planner's
+/// forward dynamic program: `n·m` per plan for `n` tasks and `m` levels.
+pub const ABR_DP_CELLS: &str = "abr/dp_cells";
 
 // ----------------------------------------------------------- power model
 
@@ -164,7 +160,7 @@ pub const RADIO_INTEGRATION_CHUNKS: &str = "radio/integration_chunks";
 pub const PERF_PATH_SIM_LOOP: &str = "sim_loop";
 /// Perf-gate path id: the radio-energy integration kernel.
 pub const PERF_PATH_RADIO_INTEGRATION: &str = "radio_integration";
-/// Perf-gate path id: the Eq. (11) shortest-path optimal solver.
+/// Perf-gate path id: the Eq. (11) optimal planner's dynamic program.
 pub const PERF_PATH_OPTIMAL_SOLVER: &str = "optimal_solver";
 
 /// Every registered name, for runtime enumeration (e.g. dashboards and
@@ -210,9 +206,7 @@ pub const ALL: &[&str] = &[
     SIM_WASTED_ENERGY_J,
     SIM_DECISION_SPAN,
     SIM_DOWNLOAD_SPAN,
-    ABR_LABELS_EXPANDED,
-    ABR_LABELS_PRUNED,
-    ABR_EDGES_RELAXED,
+    ABR_DP_CELLS,
     POWER_MEASURE_SPAN,
     POWER_MEASUREMENTS,
     POWER_MEASURED_J,

@@ -44,12 +44,11 @@
 //! assert_eq!(snapshot.span("grid/cell").unwrap().count, 1);
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use ecas_types::float;
 use ecas_types::units::Seconds;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -126,7 +125,7 @@ impl Profiler {
     /// every live ancestor span joined with `/`.
     #[must_use]
     pub fn span(&self, name: &str) -> ProfilerSpan<'_> {
-        let mut stack = self.stack.lock();
+        let mut stack = self.stack.lock().unwrap_or_else(PoisonError::into_inner);
         let path = match stack.last() {
             Some(parent) => format!("{parent}/{name}"),
             None => name.to_string(),
@@ -181,7 +180,11 @@ impl Drop for ProfilerSpan<'_> {
     fn drop(&mut self) {
         let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.profiler.registry.record_span(&self.path, nanos);
-        let mut stack = self.profiler.stack.lock();
+        let mut stack = self
+            .profiler
+            .stack
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(pos) = stack.iter().rposition(|p| *p == self.path) {
             stack.remove(pos);
         }

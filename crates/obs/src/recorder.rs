@@ -2,9 +2,8 @@
 
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use serde::Value;
 
 use crate::metrics::MetricsRegistry;
@@ -48,19 +47,28 @@ impl MemoryRecorder {
     /// A copy of the captured events, in emission order.
     #[must_use]
     pub fn events(&self) -> Vec<Value> {
-        self.events.lock().clone()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Number of captured events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Whether no events were captured.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty()
     }
 
     /// Serializes the captured events as JSONL — one compact JSON object
@@ -72,7 +80,7 @@ impl MemoryRecorder {
     /// built by `serde_json::to_value`).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let events = self.events.lock();
+        let events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
         for event in events.iter() {
             // ecas-lint: allow(panic-safety, reason = "a serde_json::Value tree always serializes")
@@ -93,7 +101,10 @@ impl Probe for MemoryRecorder {
     }
 
     fn emit(&self, event: &Value) {
-        self.events.lock().push(event.clone());
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(event.clone());
     }
 
     fn record_span(&self, name: &str, nanos: u64) {
@@ -178,13 +189,20 @@ impl JsonlRecorder {
     ///
     /// Returns the I/O error if the flush fails.
     pub fn flush(&self) -> io::Result<()> {
-        self.sink.lock().flush()
+        self.sink
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .flush()
     }
 }
 
 impl Drop for JsonlRecorder {
     fn drop(&mut self) {
-        let _ = self.sink.lock().flush();
+        let _ = self
+            .sink
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .flush();
     }
 }
 
@@ -200,7 +218,7 @@ impl Probe for JsonlRecorder {
     fn emit(&self, event: &Value) {
         // ecas-lint: allow(panic-safety, reason = "a serde_json::Value tree always serializes")
         let line = serde_json::to_string(event).expect("Value serializes");
-        let mut sink = self.sink.lock();
+        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
         // An experiment tool that loses its event stream should fail
         // loudly rather than report success over partial data.
         sink.write_all(line.as_bytes())
@@ -273,7 +291,10 @@ mod tests {
         struct Shared(Arc<Mutex<Vec<u8>>>);
         impl Write for Shared {
             fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-                self.0.lock().extend_from_slice(data);
+                self.0
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .extend_from_slice(data);
                 Ok(data.len())
             }
             fn flush(&mut self) -> io::Result<()> {
@@ -286,7 +307,12 @@ mod tests {
             jsonl.emit(&e);
         }
         jsonl.flush().unwrap();
-        assert_eq!(mem.to_jsonl().as_bytes(), buf.lock().as_slice());
+        assert_eq!(
+            mem.to_jsonl().as_bytes(),
+            buf.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .as_slice()
+        );
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //!
 //! CSV ([`write_csv`] / [`read_csv`]) handles individual channels in a
 //! spreadsheet-friendly layout, and [`read_mahimahi`] imports external
-//! Mahimahi packet traces. The old free functions (`read_json`,
-//! `write_json`, `encode_binary`, `decode_binary`) are deprecated shims
-//! over the unified surface and will be removed after one release.
+//! Mahimahi packet traces.
 //!
 //! Reader/writer functions take `R: Read` / `W: Write` by value; pass
 //! `&mut reader` when the caller needs to keep using the stream afterwards.
@@ -197,33 +195,6 @@ impl SessionTrace {
         writer.flush()?;
         Ok(())
     }
-}
-
-/// Writes a session trace as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError`] on I/O or serialization failure.
-#[deprecated(
-    since = "0.1.0",
-    note = "use SessionTrace::write_to(writer, TraceFormat::Json)"
-)]
-pub fn write_json<W: Write>(writer: W, session: &SessionTrace) -> Result<(), TraceIoError> {
-    write_json_impl(writer, session)
-}
-
-/// Reads a session trace from JSON.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError`] on I/O or deserialization failure (including
-/// out-of-order samples in the payload).
-#[deprecated(
-    since = "0.1.0",
-    note = "use SessionTrace::read_from(reader, TraceFormat::Json)"
-)]
-pub fn read_json<R: Read>(reader: R) -> Result<SessionTrace, TraceIoError> {
-    read_json_impl(reader)
 }
 
 /// A sample that can be encoded to / decoded from a CSV row.
@@ -408,30 +379,6 @@ fn get_f64(buf: &mut Bytes, what: &str) -> Result<f64, TraceIoError> {
         return Err(TraceIoError::Corrupt(format!("truncated {what}")));
     }
     Ok(buf.get_f64_le())
-}
-
-/// Encodes a session trace into the compact binary format.
-#[deprecated(
-    since = "0.1.0",
-    note = "use SessionTrace::write_to(writer, TraceFormat::Binary)"
-)]
-#[must_use]
-pub fn encode_binary(session: &SessionTrace) -> Bytes {
-    encode_binary_impl(session)
-}
-
-/// Decodes a session trace from the compact binary format.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Corrupt`] on bad magic, unsupported version, or
-/// a truncated / invalid payload.
-#[deprecated(
-    since = "0.1.0",
-    note = "use SessionTrace::read_from(reader, TraceFormat::Binary)"
-)]
-pub fn decode_binary(data: &[u8]) -> Result<SessionTrace, TraceIoError> {
-    decode_binary_impl(data)
 }
 
 fn encode_binary_impl(session: &SessionTrace) -> Bytes {
@@ -715,40 +662,6 @@ mod tests {
             bin.len() * 2 < json.len(),
             "binary should be < half of JSON"
         );
-    }
-}
-
-#[cfg(test)]
-// The deprecated free functions stay API-compatible for one release;
-// these are the only call sites allowed to keep using them.
-#[allow(deprecated)]
-mod deprecated_shim_tests {
-    use super::*;
-    use crate::synth::context::{Context, ContextSchedule};
-    use crate::synth::SessionGenerator;
-
-    #[test]
-    fn shims_delegate_to_the_unified_codec() {
-        let s = SessionGenerator::new(
-            "shim-test",
-            ContextSchedule::constant(Context::QuietRoom),
-            Seconds::new(8.0),
-            7,
-        )
-        .generate();
-
-        let mut json = Vec::new();
-        write_json(&mut json, &s).unwrap();
-        assert_eq!(read_json(json.as_slice()).unwrap(), s);
-        let mut via_method = Vec::new();
-        s.write_to(&mut via_method, TraceFormat::Json).unwrap();
-        assert_eq!(json, via_method);
-
-        let bin = encode_binary(&s);
-        assert_eq!(decode_binary(&bin).unwrap(), s);
-        let mut via_method = Vec::new();
-        s.write_to(&mut via_method, TraceFormat::Binary).unwrap();
-        assert_eq!(bin.as_ref(), via_method.as_slice());
     }
 }
 

@@ -23,8 +23,6 @@
 //! assert_eq!(float::total_min([1.0, 3.0, 2.0]), Some(1.0));
 //! ```
 
-use std::cmp::Ordering;
-
 /// Sorts a float slice with the IEEE-754 total order (NaN sorts after
 /// every number, `-0.0` before `0.0`).
 pub fn total_sort(xs: &mut [f64]) {
@@ -96,26 +94,6 @@ pub fn nearest_rank(n: usize, p: f64) -> Option<usize> {
     Some(idx.min(n - 1))
 }
 
-/// An `f64` wrapper that is [`Ord`] via [`f64::total_cmp`], for use in
-/// `BinaryHeap`s and B-tree keys (e.g. Dijkstra distances in
-/// `ecas-abr`).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TotalF64(pub f64);
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 #[cfg(test)]
 // Tests assert exact fixture values; clippy::float_cmp guards library code.
 #[allow(clippy::float_cmp)]
@@ -172,17 +150,5 @@ mod tests {
     #[should_panic(expected = "quantile must be in")]
     fn nearest_rank_rejects_out_of_range() {
         let _ = nearest_rank(5, 1.5);
-    }
-
-    #[test]
-    fn total_f64_orders_in_a_heap() {
-        use std::collections::BinaryHeap;
-        let mut heap = BinaryHeap::new();
-        for v in [1.5, -2.0, f64::NAN, 0.0] {
-            heap.push(TotalF64(v));
-        }
-        let top = heap.pop().map(|t| t.0);
-        assert!(top.is_some_and(f64::is_nan)); // NaN is the total-order max
-        assert_eq!(heap.pop(), Some(TotalF64(1.5)));
     }
 }
