@@ -144,33 +144,23 @@ pub struct ComparisonSummary {
 
 impl ComparisonSummary {
     /// Runs the full evaluation grid for `approaches` over `sessions` on
-    /// an auto-sized worker pool. Sugar for [`Self::evaluate_with`] under
-    /// [`ExecPolicy::parallel`].
+    /// an auto-sized worker pool. Sugar for [`Self::evaluate_with_stats`]
+    /// under [`ExecPolicy::parallel`].
     #[must_use]
     pub fn evaluate(
         runner: &ExperimentRunner,
         sessions: &[SessionTrace],
         approaches: &[Approach],
     ) -> Self {
-        Self::evaluate_with(runner, sessions, approaches, &ExecPolicy::parallel())
+        Self::evaluate_with_stats(runner, sessions, approaches, &ExecPolicy::parallel()).0
     }
 
-    /// Runs the full evaluation grid under an explicit [`ExecPolicy`].
-    /// The per-session base-energy runs go through the same pool and
-    /// cache as the approach cells (see [`SweepEngine::comparison`]).
-    #[must_use]
-    pub fn evaluate_with(
-        runner: &ExperimentRunner,
-        sessions: &[SessionTrace],
-        approaches: &[Approach],
-        policy: &ExecPolicy,
-    ) -> Self {
-        Self::evaluate_with_stats(runner, sessions, approaches, policy).0
-    }
-
-    /// [`Self::evaluate_with`] returning the engine's [`CacheStats`] as
-    /// well, so callers running under a cached policy can report cache
-    /// activity (the bench binaries print it to stderr).
+    /// Runs the full evaluation grid under an explicit [`ExecPolicy`] and
+    /// returns the engine's [`CacheStats`] as well, so callers running
+    /// under a cached policy can report cache activity (the bench
+    /// binaries print it to stderr). The per-session base-energy runs go
+    /// through the same pool and cache as the approach cells (see
+    /// [`SweepEngine::comparison`]).
     #[must_use]
     pub fn evaluate_with_stats(
         runner: &ExperimentRunner,

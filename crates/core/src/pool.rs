@@ -1,14 +1,13 @@
 //! The shared ordered work-stealing pool.
 //!
-//! Extracted from `SweepEngine::execute_parallel` so every bulk
-//! executor in this crate — the sweep grid, the fleet batches riding on
-//! it, and the record-corpus subsystem (batch recording and parallel
-//! corpus verification) — schedules work the same way: a next-index
-//! counter hands items to workers as they free up, and each result
-//! lands in its preassigned slot, so the output order always matches a
-//! sequential run regardless of completion order. That order stability
-//! is what the workspace's byte-identity guarantees (sweep results,
-//! fleet reports, corpus verify summaries) are built on.
+//! Every bulk executor in this crate — the sweep engine's grid cells
+//! and fleet users, and the record-corpus subsystem (batch recording
+//! and parallel corpus verification) — schedules work the same way: a
+//! next-index counter hands items to workers as they free up, and each
+//! result lands in its preassigned slot, so the output order always
+//! matches a sequential run regardless of completion order. That order
+//! stability is what the workspace's byte-identity guarantees (sweep
+//! results, fleet reports, corpus verify summaries) are built on.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

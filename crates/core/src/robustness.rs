@@ -89,28 +89,13 @@ pub fn table_v_robustness(
     approaches: &[Approach],
     seeds: &[u64],
 ) -> Vec<RobustnessRow> {
-    table_v_robustness_with(runner, approaches, seeds, &ExecPolicy::parallel())
+    table_v_robustness_with_stats(runner, approaches, seeds, &ExecPolicy::parallel()).0
 }
 
-/// [`table_v_robustness`] under an explicit [`ExecPolicy`]; with a cached
-/// policy every seed re-draw is memoized across invocations.
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`table_v_robustness`].
-#[must_use]
-pub(crate) fn table_v_robustness_with(
-    runner: &ExperimentRunner,
-    approaches: &[Approach],
-    seeds: &[u64],
-    policy: &ExecPolicy,
-) -> Vec<RobustnessRow> {
-    table_v_robustness_with_stats(runner, approaches, seeds, policy).0
-}
-
-/// [`table_v_robustness_with`] returning the accumulated [`CacheStats`]
-/// across every seed re-draw (one engine serves the whole run, so the
-/// stats cover all seeds).
+/// [`table_v_robustness`] under an explicit [`ExecPolicy`], returning the
+/// accumulated [`CacheStats`] as well. With a cached policy every seed
+/// re-draw is memoized across invocations; one engine serves the whole
+/// run, so the stats cover all seeds.
 ///
 /// # Panics
 ///
@@ -224,7 +209,7 @@ pub fn fault_sweep(
     intensities: &[f64],
     seed: u64,
 ) -> Vec<FaultSweepCell> {
-    fault_sweep_with(
+    fault_sweep_with_stats(
         runner,
         sessions,
         approaches,
@@ -232,31 +217,15 @@ pub fn fault_sweep(
         seed,
         &ExecPolicy::parallel(),
     )
+    .0
 }
 
-/// [`fault_sweep`] under an explicit [`ExecPolicy`]. Each intensity runs
-/// its grid through one [`SweepEngine`]; the fault spec participates in
-/// the cache key, so cached sweeps stay correct across intensities.
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`fault_sweep`].
-#[must_use]
-pub(crate) fn fault_sweep_with(
-    runner: &ExperimentRunner,
-    sessions: &[SessionTrace],
-    approaches: &[Approach],
-    intensities: &[f64],
-    seed: u64,
-    policy: &ExecPolicy,
-) -> Vec<FaultSweepCell> {
-    fault_sweep_with_stats(runner, sessions, approaches, intensities, seed, policy).0
-}
-
-/// [`fault_sweep_with`] returning the merged [`CacheStats`] across every
-/// intensity's engine (each intensity runs its own engine because the
-/// fault spec is part of the runner; their stats are folded together with
-/// [`CacheStats::merge`]).
+/// [`fault_sweep`] under an explicit [`ExecPolicy`], returning the merged
+/// [`CacheStats`] as well. Each intensity runs its grid through its own
+/// [`SweepEngine`], because the fault spec is part of the runner; the
+/// spec participates in the cache key, so cached sweeps stay correct
+/// across intensities, and the engines' stats are folded together with
+/// [`CacheStats::merge`].
 ///
 /// # Panics
 ///

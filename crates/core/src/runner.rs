@@ -1,4 +1,4 @@
-//! The experiment runner: approaches × traces, optionally in parallel.
+//! The experiment runner: one approach over one session.
 
 use ecas_abr::InstrumentedBox;
 use ecas_obs::{names, Probe, SpanGuard};
@@ -11,14 +11,15 @@ use ecas_types::ladder::{BitrateLadder, LevelIndex};
 use ecas_types::units::Joules;
 
 use crate::approach::Approach;
-use crate::sweep::{ExecPolicy, SweepEngine};
 
 /// Runs approaches over sessions with a shared simulator configuration.
+/// Grids of cells go through [`crate::SweepEngine`], which wraps a
+/// runner.
 ///
 /// # Examples
 ///
 /// ```
-/// use ecas_core::{Approach, ExecPolicy, ExperimentRunner};
+/// use ecas_core::{Approach, ExecPolicy, ExperimentRunner, SweepEngine};
 /// use ecas_core::trace::videos::EvalTraceSpec;
 ///
 /// let sessions: Vec<_> = EvalTraceSpec::table_v()[..2]
@@ -26,8 +27,11 @@ use crate::sweep::{ExecPolicy, SweepEngine};
 ///     .map(|s| s.generate())
 ///     .collect();
 /// let runner = ExperimentRunner::paper();
-/// let grid = runner.run_grid(&sessions, &Approach::paper_set(), &ExecPolicy::parallel());
+/// let ours = runner.run(&sessions[0], &Approach::Ours);
+/// let grid = SweepEngine::new(runner)
+///     .run_grid(&sessions, &Approach::paper_set(), &ExecPolicy::parallel());
 /// assert_eq!(grid.len(), 2 * 5);
+/// assert!(grid.contains(&ours));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExperimentRunner {
@@ -94,25 +98,6 @@ impl ExperimentRunner {
             .run_logged_with_probe(session, &mut instrumented, probe)
     }
 
-    /// Runs every `(session, approach)` pair under `policy`, returning
-    /// results in `sessions`-major order regardless of the policy — the
-    /// single grid API (sequential, pooled and cached execution all live
-    /// in [`SweepEngine`]; this is sugar for the common case).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics under
-    /// [`ExecPolicy::Parallel`].
-    #[must_use]
-    pub fn run_grid(
-        &self,
-        sessions: &[SessionTrace],
-        approaches: &[Approach],
-        policy: &ExecPolicy,
-    ) -> Vec<SessionResult> {
-        SweepEngine::new(self.clone()).run_grid(sessions, approaches, policy)
-    }
-
     /// The session's *base energy* (Fig. 5c): the energy of streaming
     /// every segment at the lowest bitrate — the minimum possible
     /// consumption, covering the screen plus minimal transmission and
@@ -127,6 +112,7 @@ impl ExperimentRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{ExecPolicy, SweepEngine};
     use ecas_trace::videos::EvalTraceSpec;
 
     fn short_session() -> SessionTrace {
@@ -152,23 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn grid_order_is_sessions_major() {
-        let runner = ExperimentRunner::paper();
-        let sessions = vec![short_session()];
-        let approaches = [Approach::Youtube, Approach::Bba];
-        let grid = runner.run_grid(&sessions, &approaches, &ExecPolicy::Sequential);
-        assert_eq!(grid.len(), 2);
-        assert_eq!(grid[0].controller, "youtube");
-        assert_eq!(grid[1].controller, "bba");
-    }
-
-    #[test]
     fn parallel_grid_matches_sequential() {
-        let runner = ExperimentRunner::paper();
+        let engine = SweepEngine::new(ExperimentRunner::paper());
         let sessions = vec![short_session(), EvalTraceSpec::table_v()[0].generate()];
         let approaches = [Approach::Youtube, Approach::Ours, Approach::Optimal];
-        let seq = runner.run_grid(&sessions, &approaches, &ExecPolicy::Sequential);
-        let par = runner.run_grid(&sessions, &approaches, &ExecPolicy::parallel());
+        let seq = engine.run_grid(&sessions, &approaches, &ExecPolicy::Sequential);
+        let par = engine.run_grid(&sessions, &approaches, &ExecPolicy::parallel());
         assert_eq!(seq, par);
     }
 

@@ -16,11 +16,19 @@
 //!   validation failure counts as [`CacheStats::corrupt`] and the cell is
 //!   recomputed and rewritten.
 //!
-//! [`SweepEngine::run_grid`] and [`SweepEngine::comparison`] run cells
-//! over sessions the caller already holds;
-//! [`SweepEngine::run_generated`] builds each session inside its pool
-//! job from an index → trace factory and drops it after the cell, which
-//! is how fleets stream through the pool without holding their traces.
+//! Every policy runs on one path. The policy is flattened once into a
+//! chain of cache directories and a pool width; each cell is one pool
+//! job that walks the chain (a lookup per directory, a store in each
+//! one that missed) or, with no cache, just computes. A `Sequential`
+//! policy is the same pool one worker wide.
+//!
+//! [`SweepEngine::run_grid`], [`SweepEngine::comparison`] and
+//! [`SweepEngine::base_energy`] run cells over sessions the caller
+//! already holds, hashing each distinct session once on the caller
+//! thread; [`SweepEngine::run_generated`] builds each session inside its
+//! pool job from an index → trace factory and drops it after the cell,
+//! which is how fleets stream through the pool without holding their
+//! traces.
 //!
 //! The cache key covers the complete cell input, so invalidation is
 //! automatic: change the seed, the player config, η or the fault spec and
@@ -71,11 +79,12 @@ pub enum ExecPolicy {
         /// Worker count; `0` means one worker per available core.
         jobs: usize,
     },
-    /// Serve cells from `dir`, computing misses under `policy`.
+    /// Serve cells from `dir`; misses fall through to `policy`, whose
+    /// worker count sets the pool width for lookups and misses alike.
     Cached {
         /// The cache directory (created on first use).
         dir: PathBuf,
-        /// The policy used to compute cache misses.
+        /// The policy that serves or computes cache misses.
         policy: Box<ExecPolicy>,
     },
 }
@@ -212,7 +221,7 @@ struct KeyContext {
 impl KeyContext {
     /// The cache key of `cell` over the session whose content hash is
     /// `session`.
-    fn key(&self, session: String, cell: Cell, observed: bool) -> String {
+    fn key(&self, session: &str, cell: Cell, observed: bool) -> String {
         let key = CellKey {
             format: CACHE_FORMAT,
             crate_version: self.crate_version.clone(),
@@ -221,7 +230,7 @@ impl KeyContext {
             ladder_mbps: self.ladder.clone(),
             fault: self.fault,
             controller: cell.label().to_string(),
-            session,
+            session: session.to_string(),
             observed,
         };
         format!("{:016x}", stable_hash(&key))
@@ -337,16 +346,8 @@ impl SweepEngine {
         approaches: &[Approach],
         policy: &ExecPolicy,
     ) -> Vec<SessionResult> {
-        let jobs: Vec<Job<'_>> = sessions
-            .iter()
-            .flat_map(|s| {
-                approaches.iter().map(move |a| Job {
-                    session: s,
-                    cell: Cell::Approach(*a),
-                })
-            })
-            .collect();
-        self.execute(&jobs, policy)
+        let cells: Vec<Cell> = approaches.iter().map(|&a| Cell::Approach(a)).collect();
+        self.execute(sessions, &cells, policy)
     }
 
     /// Runs `approach` over `count` sessions that `make` builds on
@@ -379,17 +380,14 @@ impl SweepEngine {
         let indices: Vec<usize> = (0..count).collect();
         let done = pool::run_ordered(&indices, width, |&i| {
             let (tag, session) = make(i);
+            let key = ctx
+                .as_ref()
+                .map(|ctx| ctx.key(&session_hash(&session), cell, false));
             let job = Job {
                 session: &session,
                 cell,
             };
-            let result = match &ctx {
-                Some(ctx) => {
-                    let key = ctx.key(session_hash(&session), cell, false);
-                    self.cached_cell(&caches, &key, &job)
-                }
-                None => self.compute(&job),
-            };
+            let result = self.run_cell(&caches, key.as_deref(), &job);
             (tag, result, session.meta().video_length)
         });
         if let Some(watch) = watch {
@@ -417,20 +415,10 @@ impl SweepEngine {
         approaches: &[Approach],
         policy: &ExecPolicy,
     ) -> ComparisonSummary {
-        let jobs: Vec<Job<'_>> = sessions
-            .iter()
-            .flat_map(|s| {
-                std::iter::once(Job {
-                    session: s,
-                    cell: Cell::BaseEnergy,
-                })
-                .chain(approaches.iter().map(move |a| Job {
-                    session: s,
-                    cell: Cell::Approach(*a),
-                }))
-            })
+        let cells: Vec<Cell> = std::iter::once(Cell::BaseEnergy)
+            .chain(approaches.iter().map(|&a| Cell::Approach(a)))
             .collect();
-        let results = self.execute(&jobs, policy);
+        let results = self.execute(sessions, &cells, policy);
         let stride = approaches.len() + 1;
         let traces = sessions
             .iter()
@@ -452,11 +440,7 @@ impl SweepEngine {
     /// `policy` caches.
     #[must_use]
     pub fn base_energy(&self, session: &SessionTrace, policy: &ExecPolicy) -> Joules {
-        let job = Job {
-            session,
-            cell: Cell::BaseEnergy,
-        };
-        self.execute(std::slice::from_ref(&job), policy)
+        self.execute(std::slice::from_ref(session), &[Cell::BaseEnergy], policy)
             .into_iter()
             .next()
             .map(|r| r.total_energy())
@@ -492,7 +476,7 @@ impl SweepEngine {
                 fs::create_dir_all(dir)?;
                 let key = self
                     .key_context()
-                    .key(session_hash(session), job.cell, true);
+                    .key(&session_hash(session), job.cell, true);
                 Some((dir, key))
             }
             None => None,
@@ -549,20 +533,51 @@ impl SweepEngine {
         }
     }
 
-    fn execute(&self, jobs: &[Job<'_>], policy: &ExecPolicy) -> Vec<SessionResult> {
+    /// Runs every `(session, cell)` pair, sessions-major, as one pool job
+    /// each. The pool width and cache chain come from [`Self::plan`];
+    /// when the policy caches, each distinct session is content-hashed
+    /// once, here on the caller thread, and every job walks the chain
+    /// through [`Self::run_cell`] — the per-cell path fleet users take
+    /// too. An empty grid returns before `plan`, so it creates no
+    /// directory and counts nothing.
+    fn execute(
+        &self,
+        sessions: &[SessionTrace],
+        cells: &[Cell],
+        policy: &ExecPolicy,
+    ) -> Vec<SessionResult> {
+        if sessions.is_empty() || cells.is_empty() {
+            return Vec::new();
+        }
         // The engine is a sanctioned wall-clock seam (see ecas-obs's perf
         // module): when a registry is attached, each grid execution
         // records its span and the derived simulated-seconds-per-
         // core-second throughput gauge. Metrics only — the deterministic
         // event stream never sees the clock.
         let watch = self.registry.as_ref().map(|_| perf::Stopwatch::start());
-        let results = match policy {
-            ExecPolicy::Sequential => jobs.iter().map(|j| self.compute(j)).collect(),
-            ExecPolicy::Parallel { jobs: n } => self.execute_parallel(jobs, *n),
-            ExecPolicy::Cached { dir, policy } => self.execute_cached(jobs, dir, policy),
-        };
+        let (caches, width) = self.plan(policy);
+        let ctx = (!caches.is_empty()).then(|| self.key_context());
+        let mut jobs = Vec::with_capacity(sessions.len() * cells.len());
+        for session in sessions {
+            // Hashing serializes the whole trace into a JSON value tree,
+            // so it stays serial: one tree alive at a time, once per
+            // session rather than once per cell.
+            let hashed = ctx.as_ref().map(|ctx| (ctx, session_hash(session)));
+            for &cell in cells {
+                let key = hashed
+                    .as_ref()
+                    .map(|(ctx, hash)| ctx.key(hash, cell, false));
+                jobs.push((Job { session, cell }, key));
+            }
+        }
+        let results = pool::run_ordered(&jobs, width, |(job, key)| {
+            self.run_cell(&caches, key.as_deref(), job)
+        });
         if let Some(watch) = watch {
-            let sim = jobs.iter().map(|j| j.session.meta().video_length).sum();
+            let sim = jobs
+                .iter()
+                .map(|(job, _)| job.session.meta().video_length)
+                .sum();
             self.record_execute(&watch, sim);
         }
         results
@@ -581,9 +596,9 @@ impl SweepEngine {
     }
 
     /// Splits `policy` into its cache directories, outermost first, and
-    /// the worker count that computes misses. Each directory is created
-    /// here; one that cannot be costs a single write error and is
-    /// skipped, so every cell misses it.
+    /// the pool width every cell runs at (the innermost policy's worker
+    /// count). Each directory is created here; one that cannot be costs
+    /// a single write error and is skipped, so every cell misses it.
     fn plan<'p>(&self, policy: &'p ExecPolicy) -> (Vec<(&'p Path, bool)>, usize) {
         let mut caches = Vec::new();
         let mut policy = policy;
@@ -603,13 +618,18 @@ impl SweepEngine {
         }
     }
 
-    /// One unobserved cell through the cache directories `caches`
-    /// (outermost first): the first hit serves it, otherwise it is
-    /// computed, and the result is stored in every usable directory that
-    /// missed — per cell, the same lookups, stores and stats as nested
-    /// [`ExecPolicy::Cached`] grids.
-    fn cached_cell(&self, caches: &[(&Path, bool)], key: &str, job: &Job<'_>) -> SessionResult {
-        let Some((&(dir, usable), inner)) = caches.split_first() else {
+    /// One unobserved cell of a planned execution. With a cache `key`,
+    /// it walks the cache directories `caches` (outermost first): the
+    /// first hit serves it, otherwise it is computed and stored in every
+    /// usable directory that missed. With no key — the policy does not
+    /// cache — or an exhausted chain, it is computed.
+    fn run_cell(
+        &self,
+        caches: &[(&Path, bool)],
+        key: Option<&str>,
+        job: &Job<'_>,
+    ) -> SessionResult {
+        let (Some(key), Some((&(dir, usable), inner))) = (key, caches.split_first()) else {
             return self.compute(job);
         };
         if usable {
@@ -618,77 +638,11 @@ impl SweepEngine {
             }
         }
         self.note_miss();
-        let result = self.cached_cell(inner, key, job);
+        let result = self.run_cell(inner, Some(key), job);
         if usable && self.store(dir, key, job, &result, None).is_err() {
             self.note_write_error();
         }
         result
-    }
-
-    /// The shared worker pool ([`crate::pool`]): a next-index counter
-    /// hands jobs to workers as they free up; each result lands in its
-    /// preassigned slot, so the output order matches
-    /// [`ExecPolicy::Sequential`] exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
-    fn execute_parallel(&self, jobs: &[Job<'_>], requested: usize) -> Vec<SessionResult> {
-        pool::run_ordered(jobs, requested, |job| self.compute(job))
-    }
-
-    fn execute_cached(&self, jobs: &[Job<'_>], dir: &Path, inner: &ExecPolicy) -> Vec<SessionResult> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let dir_ok = fs::create_dir_all(dir).is_ok();
-        if !dir_ok {
-            // Degrade to plain computation: one write error for the
-            // unusable directory, every cell a miss.
-            self.note_write_error();
-        }
-        let keys = self.keys_for(jobs, false);
-        let mut slots: Vec<Option<SessionResult>> = jobs
-            .iter()
-            .zip(&keys)
-            .map(|(job, key)| {
-                if !dir_ok {
-                    return None;
-                }
-                self.lookup(dir, key, job)
-            })
-            .collect();
-
-        let missing: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.is_none().then_some(i))
-            .collect();
-        for _ in &missing {
-            self.note_miss();
-        }
-        let miss_jobs: Vec<Job<'_>> = missing
-            .iter()
-            .filter_map(|&i| jobs.get(i).copied())
-            .collect();
-        let computed = self.execute(&miss_jobs, inner);
-        for (&slot_idx, result) in missing.iter().zip(computed) {
-            if dir_ok {
-                if let (Some(job), Some(key)) = (jobs.get(slot_idx), keys.get(slot_idx)) {
-                    if self.store(dir, key, job, &result, None).is_err() {
-                        self.note_write_error();
-                    }
-                }
-            }
-            if let Some(slot) = slots.get_mut(slot_idx) {
-                *slot = Some(result);
-            }
-        }
-        slots
-            .into_iter()
-            // ecas-lint: allow(panic-safety, reason = "every index is either a hit or appears in `missing` and is filled from the computed batch; an empty slot is an engine bug worth crashing on")
-            .map(|r| r.expect("every sweep slot filled"))
-            .collect()
     }
 
     // ---------------------------------------------------------------- //
@@ -707,28 +661,6 @@ impl SweepEngine {
                 .collect(),
             fault: sim.faults().copied(),
         }
-    }
-
-    /// One cache key per job. The full session trace is content-hashed
-    /// once per distinct session (jobs arrive sessions-major, so a
-    /// single-entry memo suffices).
-    fn keys_for(&self, jobs: &[Job<'_>], observed: bool) -> Vec<String> {
-        let ctx = self.key_context();
-        let mut memo: Option<(*const SessionTrace, String)> = None;
-        jobs.iter()
-            .map(|job| {
-                let ptr: *const SessionTrace = job.session;
-                let session = match &memo {
-                    Some((p, h)) if std::ptr::eq(*p, ptr) => h.clone(),
-                    _ => {
-                        let h = session_hash(job.session);
-                        memo = Some((ptr, h.clone()));
-                        h
-                    }
-                };
-                ctx.key(session, job.cell, observed)
-            })
-            .collect()
     }
 
     // ---------------------------------------------------------------- //
@@ -1090,7 +1022,9 @@ mod tests {
             session: &sessions[0],
             cell: Cell::Approach(Approach::Ours),
         };
-        let key = engine.keys_for(std::slice::from_ref(&job), false).remove(0);
+        let key = engine
+            .key_context()
+            .key(&session_hash(&sessions[0]), job.cell, false);
         let result = engine
             .run_grid(&sessions, &[Approach::Ours], &ExecPolicy::Sequential)
             .remove(0);
@@ -1286,19 +1220,23 @@ mod tests {
 
     #[test]
     fn cache_key_separates_eta_fault_and_observed() {
-        let engine = SweepEngine::new(ExperimentRunner::paper());
-        let sessions = sessions();
-        let job = Job {
-            session: &sessions[0],
-            cell: Cell::Approach(Approach::Ours),
+        let hash = session_hash(&sessions()[0]);
+        let key = |engine: &SweepEngine, approach, observed| {
+            engine
+                .key_context()
+                .key(&hash, Cell::Approach(approach), observed)
         };
-        let jobs = std::slice::from_ref(&job);
-        let base = engine.keys_for(jobs, false);
-        assert_eq!(engine.keys_for(jobs, false), base, "keys must be stable");
-        assert_ne!(engine.keys_for(jobs, true), base, "observed flag must key");
+        let engine = SweepEngine::new(ExperimentRunner::paper());
+        let base = key(&engine, Approach::Ours, false);
+        let changed = |engine: &SweepEngine, approach, observed, what: &str| {
+            assert_ne!(key(engine, approach, observed), base, "{what} must key");
+        };
+        assert_eq!(key(&engine, Approach::Ours, false), base, "keys are stable");
+        changed(&engine, Approach::Ours, true, "observed flag");
+        changed(&engine, Approach::Youtube, false, "controller");
 
         let other_eta = SweepEngine::new(ExperimentRunner::paper_with_eta(0.9));
-        assert_ne!(other_eta.keys_for(jobs, false), base, "eta must key");
+        changed(&other_eta, Approach::Ours, false, "eta");
 
         let faulty = SweepEngine::new(ExperimentRunner::new(
             ExperimentRunner::paper()
@@ -1307,23 +1245,14 @@ mod tests {
                 .with_faults(FaultSpec::scaled(0.5, 7)),
             0.5,
         ));
-        assert_ne!(faulty.keys_for(jobs, false), base, "fault spec must key");
-
-        let youtube_job = Job {
-            session: &sessions[0],
-            cell: Cell::Approach(Approach::Youtube),
-        };
-        assert_ne!(
-            engine.keys_for(std::slice::from_ref(&youtube_job), false),
-            base,
-            "controller must key"
-        );
+        changed(&faulty, Approach::Ours, false, "fault spec");
     }
 
     /// `run_generated` runs each cell inline in its pool job; under every
     /// policy — nested caches and an unusable cache directory included —
     /// it must return what `run_grid` returns over the same sessions and
-    /// leave the same cache stats behind.
+    /// leave the same cache stats behind. Base-energy cells take the same
+    /// path through `comparison`.
     #[test]
     fn generated_cells_match_grid_cells_under_every_policy() {
         let make = |i: usize| {
@@ -1351,6 +1280,13 @@ mod tests {
             let _ = fs::remove_dir_all(&outer);
             let _ = fs::remove_dir_all(&inner);
         };
+        let approaches = [Approach::Youtube, Approach::Ours];
+        let reference = SweepEngine::new(ExperimentRunner::paper()).comparison(
+            &sessions,
+            &approaches,
+            &ExecPolicy::Sequential,
+        );
+        let comparison_cells = (sessions.len() * (approaches.len() + 1)) as u64;
         for policy in &policies {
             // Each side starts from the same empty caches.
             clear();
@@ -1366,6 +1302,30 @@ mod tests {
             let results: Vec<SessionResult> = generated.into_iter().map(|(_, r)| r).collect();
             assert_eq!(results, grid, "{policy:?}");
             assert_eq!(generated_engine.stats(), grid_engine.stats(), "{policy:?}");
+
+            // A cold and then a warm comparison grid equal the uncached
+            // sequential one, and every usable cache serves the warm pass.
+            clear();
+            let comparison = || {
+                let engine = SweepEngine::new(ExperimentRunner::paper());
+                let summary = engine.comparison(&sessions, &approaches, policy);
+                assert_eq!(summary, reference, "{policy:?}");
+                engine.stats()
+            };
+            comparison();
+            let warm = match policy.cache_dir() {
+                None => CacheStats::default(),
+                Some(dir) if dir.starts_with(&blocker) => CacheStats {
+                    misses: comparison_cells,
+                    write_errors: 1,
+                    ..CacheStats::default()
+                },
+                Some(_) => CacheStats {
+                    hits: comparison_cells,
+                    ..CacheStats::default()
+                },
+            };
+            assert_eq!(comparison(), warm, "{policy:?}");
         }
         // A cold nested pass stores every cell in both directories. With
         // the outer one gone, the inner one serves every cell and the
@@ -1389,6 +1349,91 @@ mod tests {
         let warm = pass();
         assert!(warm.all_hits() && warm.hits == 5, "{warm:?}");
         clear();
+        fs::remove_file(&blocker).ok();
+    }
+
+    #[test]
+    fn grid_order_is_sessions_major() {
+        let mut sessions = sessions();
+        sessions.push(
+            SessionGenerator::new(
+                "sweep-test-2",
+                ContextSchedule::constant(Context::MovingVehicle),
+                Seconds::new(20.0),
+                21,
+            )
+            .generate(),
+        );
+        let engine = SweepEngine::new(ExperimentRunner::paper());
+        let grid = engine.run_grid(
+            &sessions,
+            &[Approach::Youtube, Approach::Bba],
+            &ExecPolicy::parallel(),
+        );
+        let order: Vec<(&str, &str)> = grid
+            .iter()
+            .map(|r| (r.trace.as_str(), r.controller.as_str()))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                ("sweep-test", "youtube"),
+                ("sweep-test", "bba"),
+                ("sweep-test-2", "youtube"),
+                ("sweep-test-2", "bba"),
+            ]
+        );
+    }
+
+    /// One grid call is one execution: it records exactly one
+    /// `sweep/execute` span however deep its cache chain is.
+    #[test]
+    fn one_grid_call_records_one_execute_span() {
+        let sessions = sessions();
+        let outer = temp_dir("span-outer");
+        let inner = temp_dir("span-inner");
+        let policies = [
+            ExecPolicy::Sequential,
+            ExecPolicy::cached(&outer, ExecPolicy::Parallel { jobs: 2 }),
+            ExecPolicy::cached(&outer, ExecPolicy::cached(&inner, ExecPolicy::Sequential)),
+        ];
+        for policy in &policies {
+            let _ = fs::remove_dir_all(&outer);
+            let _ = fs::remove_dir_all(&inner);
+            let registry = Arc::new(MetricsRegistry::new());
+            let engine =
+                SweepEngine::new(ExperimentRunner::paper()).with_registry(Arc::clone(&registry));
+            let _ = engine.run_grid(&sessions, &[Approach::Youtube, Approach::Ours], policy);
+            let spans = registry
+                .snapshot()
+                .span(names::SWEEP_EXECUTE_SPAN)
+                .map(|span| span.count);
+            assert_eq!(spans, Some(1), "{policy:?}");
+        }
+        fs::remove_dir_all(&outer).ok();
+        fs::remove_dir_all(&inner).ok();
+    }
+
+    /// An empty grid does no work: it returns nothing, creates no cache
+    /// directory and counts nothing — not even the write error an
+    /// uncreatable directory would cost a non-empty grid.
+    #[test]
+    fn empty_grid_touches_no_cache_directory() {
+        let sessions = sessions();
+        let fresh = temp_dir("empty-fresh");
+        let blocker = temp_dir("empty-blocker");
+        fs::write(&blocker, "a file, so no directory can be created below it").unwrap();
+        let policies = [
+            ExecPolicy::cached(&fresh, ExecPolicy::Sequential),
+            ExecPolicy::cached(blocker.join("cache"), ExecPolicy::Parallel { jobs: 2 }),
+        ];
+        for policy in &policies {
+            let engine = SweepEngine::new(ExperimentRunner::paper());
+            assert!(engine.run_grid(&[], &[Approach::Ours], policy).is_empty());
+            assert!(engine.run_grid(&sessions, &[], policy).is_empty());
+            assert_eq!(engine.stats(), CacheStats::default(), "{policy:?}");
+        }
+        assert!(!fresh.exists(), "an empty grid created {}", fresh.display());
         fs::remove_file(&blocker).ok();
     }
 

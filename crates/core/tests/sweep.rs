@@ -91,13 +91,13 @@ fn parallel_and_sequential_summaries_are_identical() {
     let runner = ExperimentRunner::paper();
     let sessions = vec![session(1), session(2), session(3)];
     let approaches = [Approach::Youtube, Approach::Festive, Approach::Ours];
-    let sequential = ComparisonSummary::evaluate_with(
+    let sequential = ComparisonSummary::evaluate_with_stats(
         &runner,
         &sessions,
         &approaches,
         &ExecPolicy::Sequential,
     );
-    let parallel = ComparisonSummary::evaluate_with(
+    let parallel = ComparisonSummary::evaluate_with_stats(
         &runner,
         &sessions,
         &approaches,

@@ -23,9 +23,9 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ecas_types::units::{Dbm, Mbps, MegaBytes, MetersPerSec2, Seconds, Watts};
 
+use crate::record::wire::Reader;
 use crate::sample::{AccelSample, NetworkSample, PowerSample, SignalSample};
 use crate::series::{TimeSeries, Timestamped};
 use crate::session::{SessionTrace, TraceMeta};
@@ -356,110 +356,128 @@ where
     TimeSeries::new(samples).map_err(|e| TraceIoError::Corrupt(e.to_string()))
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_string(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
 }
 
-fn get_string(buf: &mut Bytes) -> Result<String, TraceIoError> {
-    if buf.remaining() < 4 {
-        return Err(TraceIoError::Corrupt("truncated string length".into()));
+fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(TraceIoError::Corrupt("truncated string payload".into()));
-    }
-    let raw = buf.copy_to_bytes(len);
+}
+
+/// Takes the next `N` bytes; running out is [`TraceIoError::Corrupt`]
+/// naming the field `what`.
+fn take<const N: usize>(r: &mut Reader<'_>, what: &'static str) -> Result<[u8; N], TraceIoError> {
+    let raw = r
+        .take(N, what)
+        .map_err(|_| TraceIoError::Corrupt(format!("truncated {what}")))?;
+    let mut out = [0u8; N];
+    out.copy_from_slice(raw);
+    Ok(out)
+}
+
+fn get_u32(r: &mut Reader<'_>, what: &'static str) -> Result<u32, TraceIoError> {
+    take(r, what).map(u32::from_le_bytes)
+}
+
+fn get_f64(r: &mut Reader<'_>, what: &'static str) -> Result<f64, TraceIoError> {
+    take(r, what).map(f64::from_le_bytes)
+}
+
+fn get_string(r: &mut Reader<'_>) -> Result<String, TraceIoError> {
+    let len = get_u32(r, "string length")? as usize;
+    let raw = r
+        .take(len, "string payload")
+        .map_err(|_| TraceIoError::Corrupt("truncated string payload".into()))?;
     String::from_utf8(raw.to_vec())
         .map_err(|e| TraceIoError::Corrupt(format!("invalid utf-8 string: {e}")))
 }
 
-fn get_f64(buf: &mut Bytes, what: &str) -> Result<f64, TraceIoError> {
-    if buf.remaining() < 8 {
-        return Err(TraceIoError::Corrupt(format!("truncated {what}")));
+/// Reads a channel's sample count and refuses one the remaining bytes
+/// cannot hold at `size` bytes per sample, so a hostile count is a typed
+/// error before anything is allocated.
+fn get_count(r: &mut Reader<'_>, what: &'static str, size: usize) -> Result<usize, TraceIoError> {
+    let n = get_u32(r, what)? as usize;
+    if n > r.remaining() / size {
+        return Err(TraceIoError::Corrupt(format!(
+            "{what} {n} exceeds what {} remaining bytes could hold",
+            r.remaining()
+        )));
     }
-    Ok(buf.get_f64_le())
+    Ok(n)
 }
 
-fn encode_binary_impl(session: &SessionTrace) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(BINARY_MAGIC);
-    buf.put_u8(BINARY_VERSION);
+fn encode_binary_impl(session: &SessionTrace) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(BINARY_MAGIC);
+    out.push(BINARY_VERSION);
 
     let meta = session.meta();
-    put_string(&mut buf, &meta.name);
-    buf.put_f64_le(meta.video_length.value());
-    buf.put_f64_le(meta.data_size.value());
-    buf.put_f64_le(meta.avg_vibration.value());
-    put_string(&mut buf, &meta.description);
+    put_string(&mut out, &meta.name);
+    put_f64s(
+        &mut out,
+        &[
+            meta.video_length.value(),
+            meta.data_size.value(),
+            meta.avg_vibration.value(),
+        ],
+    );
+    put_string(&mut out, &meta.description);
     match meta.seed {
         Some(seed) => {
-            buf.put_u8(1);
-            buf.put_u64_le(seed);
+            out.push(1);
+            out.extend_from_slice(&seed.to_le_bytes());
         }
-        None => buf.put_u8(0),
+        None => out.push(0),
     }
 
-    buf.put_u32_le(session.network().len() as u32);
+    out.extend_from_slice(&(session.network().len() as u32).to_le_bytes());
     for s in session.network().iter() {
-        buf.put_f64_le(s.time.value());
-        buf.put_f64_le(s.throughput.value());
+        put_f64s(&mut out, &[s.time.value(), s.throughput.value()]);
     }
-    buf.put_u32_le(session.signal().len() as u32);
+    out.extend_from_slice(&(session.signal().len() as u32).to_le_bytes());
     for s in session.signal().iter() {
-        buf.put_f64_le(s.time.value());
-        buf.put_f64_le(s.dbm.value());
+        put_f64s(&mut out, &[s.time.value(), s.dbm.value()]);
     }
-    buf.put_u32_le(session.accel().len() as u32);
+    out.extend_from_slice(&(session.accel().len() as u32).to_le_bytes());
     for s in session.accel().iter() {
-        buf.put_f64_le(s.time.value());
-        buf.put_f64_le(s.x);
-        buf.put_f64_le(s.y);
-        buf.put_f64_le(s.z);
+        put_f64s(&mut out, &[s.time.value(), s.x, s.y, s.z]);
     }
-
-    buf.freeze()
+    out
 }
 
 fn decode_binary_impl(data: &[u8]) -> Result<SessionTrace, TraceIoError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 5 {
+    if data.len() < 5 {
         return Err(TraceIoError::Corrupt("payload shorter than header".into()));
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
+    let mut r = Reader::new(data);
+    let magic: [u8; 4] = take(&mut r, "magic")?;
     if &magic != BINARY_MAGIC {
         return Err(TraceIoError::Corrupt(format!(
             "bad magic {magic:?}, want {BINARY_MAGIC:?}"
         )));
     }
-    let version = buf.get_u8();
+    let [version] = take(&mut r, "version")?;
     if version != BINARY_VERSION {
         return Err(TraceIoError::Corrupt(format!(
             "unsupported version {version}, want {BINARY_VERSION}"
         )));
     }
 
-    let name = get_string(&mut buf)?;
-    let video_length = Seconds::try_new(get_f64(&mut buf, "video length")?)
+    let name = get_string(&mut r)?;
+    let video_length = Seconds::try_new(get_f64(&mut r, "video length")?)
         .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let data_size = MegaBytes::try_new(get_f64(&mut buf, "data size")?)
+    let data_size = MegaBytes::try_new(get_f64(&mut r, "data size")?)
         .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let avg_vibration = MetersPerSec2::try_new(get_f64(&mut buf, "avg vibration")?)
+    let avg_vibration = MetersPerSec2::try_new(get_f64(&mut r, "avg vibration")?)
         .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let description = get_string(&mut buf)?;
-    if buf.remaining() < 1 {
-        return Err(TraceIoError::Corrupt("truncated seed flag".into()));
-    }
-    let seed = match buf.get_u8() {
-        0 => None,
-        1 => {
-            if buf.remaining() < 8 {
-                return Err(TraceIoError::Corrupt("truncated seed".into()));
-            }
-            Some(buf.get_u64_le())
-        }
-        other => return Err(TraceIoError::Corrupt(format!("invalid seed flag {other}"))),
+    let description = get_string(&mut r)?;
+    let seed = match take(&mut r, "seed flag")? {
+        [0] => None,
+        [1] => Some(u64::from_le_bytes(take(&mut r, "seed")?)),
+        [other] => return Err(TraceIoError::Corrupt(format!("invalid seed flag {other}"))),
     };
 
     let meta = TraceMeta {
@@ -471,41 +489,34 @@ fn decode_binary_impl(data: &[u8]) -> Result<SessionTrace, TraceIoError> {
         seed,
     };
 
-    fn get_count(buf: &mut Bytes, what: &str) -> Result<usize, TraceIoError> {
-        if buf.remaining() < 4 {
-            return Err(TraceIoError::Corrupt(format!("truncated {what} count")));
-        }
-        Ok(buf.get_u32_le() as usize)
-    }
-
-    let n = get_count(&mut buf, "network")?;
+    let n = get_count(&mut r, "network count", 16)?;
     let mut network = Vec::with_capacity(n);
     for _ in 0..n {
-        let t = Seconds::try_new(get_f64(&mut buf, "network time")?)
+        let t = Seconds::try_new(get_f64(&mut r, "network time")?)
             .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        let thr = Mbps::try_new(get_f64(&mut buf, "throughput")?)
+        let thr = Mbps::try_new(get_f64(&mut r, "throughput")?)
             .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
         network.push(NetworkSample::new(t, thr));
     }
 
-    let n = get_count(&mut buf, "signal")?;
+    let n = get_count(&mut r, "signal count", 16)?;
     let mut signal = Vec::with_capacity(n);
     for _ in 0..n {
-        let t = Seconds::try_new(get_f64(&mut buf, "signal time")?)
+        let t = Seconds::try_new(get_f64(&mut r, "signal time")?)
             .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        let dbm = Dbm::try_new(get_f64(&mut buf, "signal dbm")?)
+        let dbm = Dbm::try_new(get_f64(&mut r, "signal dbm")?)
             .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
         signal.push(SignalSample::new(t, dbm));
     }
 
-    let n = get_count(&mut buf, "accel")?;
+    let n = get_count(&mut r, "accel count", 32)?;
     let mut accel = Vec::with_capacity(n);
     for _ in 0..n {
-        let t = Seconds::try_new(get_f64(&mut buf, "accel time")?)
+        let t = Seconds::try_new(get_f64(&mut r, "accel time")?)
             .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        let x = get_f64(&mut buf, "accel x")?;
-        let y = get_f64(&mut buf, "accel y")?;
-        let z = get_f64(&mut buf, "accel z")?;
+        let x = get_f64(&mut r, "accel x")?;
+        let y = get_f64(&mut r, "accel y")?;
+        let z = get_f64(&mut r, "accel z")?;
         if x.is_nan() || y.is_nan() || z.is_nan() {
             return Err(TraceIoError::Corrupt("NaN accelerometer axis".into()));
         }
@@ -610,6 +621,83 @@ mod tests {
 
         let wrong_arity = "time_s,throughput_mbps\n1\n";
         assert!(read_csv::<_, NetworkSample>(wrong_arity.as_bytes()).is_err());
+    }
+
+    /// A tiny trace with every field set, small enough to spell out its
+    /// `.bin` bytes field by field.
+    fn pinned_trace() -> SessionTrace {
+        let meta = TraceMeta {
+            name: "pin".into(),
+            video_length: Seconds::new(2.0),
+            data_size: MegaBytes::new(1.5),
+            avg_vibration: MetersPerSec2::new(0.25),
+            description: "v1".into(),
+            seed: Some(7),
+        };
+        let network = TimeSeries::new(vec![
+            NetworkSample::new(Seconds::new(0.0), Mbps::new(4.0)),
+            NetworkSample::new(Seconds::new(1.0), Mbps::new(2.5)),
+        ])
+        .unwrap();
+        let signal =
+            TimeSeries::new(vec![SignalSample::new(Seconds::new(0.0), Dbm::new(-90.0))]).unwrap();
+        let accel =
+            TimeSeries::new(vec![AccelSample::new(Seconds::new(0.5), 0.0, -1.0, 9.75)]).unwrap();
+        SessionTrace::new(meta, network, signal, accel).unwrap()
+    }
+
+    /// The v1 `.bin` layout, pinned byte for byte: little-endian `u32`
+    /// lengths and counts, little-endian `f64` values, no padding.
+    #[test]
+    fn binary_layout_is_pinned() {
+        let expected = concat!(
+            "4543415301",                       // "ECAS", version 1
+            "0300000070696e",                   // name "pin"
+            "0000000000000040",                 // video length 2.0 s
+            "000000000000f83f",                 // data size 1.5 MB
+            "000000000000d03f",                 // avg vibration 0.25
+            "020000007631",                     // description "v1"
+            "010700000000000000",               // seed Some(7)
+            "02000000",                         // 2 network samples
+            "00000000000000000000000000001040", // (0 s, 4 Mbps)
+            "000000000000f03f0000000000000440", // (1 s, 2.5 Mbps)
+            "01000000",                         // 1 signal sample
+            "000000000000000000000000008056c0", // (0 s, -90 dBm)
+            "01000000",                         // 1 accel sample
+            "000000000000e03f0000000000000000", // (0.5 s, x 0,
+            "000000000000f0bf0000000000802340", //  y -1, z 9.75)
+        );
+        let trace = pinned_trace();
+        let mut bytes = Vec::new();
+        trace.write_to(&mut bytes, TraceFormat::Binary).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, expected);
+        let back = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap();
+        assert_eq!(back, trace);
+    }
+
+    /// A sample count the remaining bytes cannot hold is corrupt before
+    /// anything is allocated: the 42-byte file that claims `u32::MAX`
+    /// network samples must not ask for 64 GiB.
+    #[test]
+    fn binary_rejects_hostile_sample_counts() {
+        let mut header = b"ECAS\x01".to_vec();
+        header.extend_from_slice(&0u32.to_le_bytes()); // empty name
+        for v in [2.0f64, 1.5, 0.25] {
+            header.extend_from_slice(&v.to_le_bytes());
+        }
+        header.extend_from_slice(&0u32.to_le_bytes()); // empty description
+        header.push(0); // no seed
+        for (empty_before, channel) in ["network", "signal", "accel"].into_iter().enumerate() {
+            let mut bytes = header.clone();
+            for _ in 0..empty_before {
+                bytes.extend_from_slice(&0u32.to_le_bytes());
+            }
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(bytes.len(), 42 + 4 * empty_before);
+            let err = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap_err();
+            assert!(matches!(err, TraceIoError::Corrupt(_)), "{channel}: {err}");
+        }
     }
 
     #[test]

@@ -52,22 +52,26 @@ for artifact in manifest.json metrics.txt events timelines; do
     fi
 done
 
-echo "==> smoke: warm result cache (100% hits, byte-identical output)"
+echo "==> smoke: warm result cache (100% hits, byte-identical output at any pool width)"
 cache_dir="$obs_dir/cache"
 ./target/release/evaluate --cache-dir "$cache_dir" \
     > "$obs_dir/eval_cold.txt" 2> "$obs_dir/eval_cold.log"
 ./target/release/evaluate --cache-dir "$cache_dir" \
     > "$obs_dir/eval_warm.txt" 2> "$obs_dir/eval_warm.log"
-if ! cmp -s "$obs_dir/eval_cold.txt" "$obs_dir/eval_warm.txt"; then
-    echo "warm-cache evaluate output differs from the cold run" >&2
-    diff "$obs_dir/eval_cold.txt" "$obs_dir/eval_warm.txt" >&2 || true
-    exit 1
-fi
-if ! grep -Eq 'cache: hits=[1-9][0-9]* misses=0 corrupt=0' "$obs_dir/eval_warm.log"; then
-    echo "warm-cache evaluate was not served 100% from the cache" >&2
-    cat "$obs_dir/eval_warm.log" >&2
-    exit 1
-fi
+./target/release/evaluate --cache-dir "$cache_dir" --jobs 1 \
+    > "$obs_dir/eval_warm_seq.txt" 2> "$obs_dir/eval_warm_seq.log"
+for run in eval_warm eval_warm_seq; do
+    if ! cmp -s "$obs_dir/eval_cold.txt" "$obs_dir/$run.txt"; then
+        echo "warm-cache evaluate: $run output differs from the cold run" >&2
+        diff "$obs_dir/eval_cold.txt" "$obs_dir/$run.txt" >&2 || true
+        exit 1
+    fi
+    if ! grep -q 'cache: hits=30 misses=0 corrupt=0' "$obs_dir/$run.log"; then
+        echo "warm-cache evaluate: $run was not served 100% from the cache" >&2
+        cat "$obs_dir/$run.log" >&2
+        exit 1
+    fi
+done
 
 echo "==> bench binaries go through the shared CLI (no direct env::args)"
 if grep -Rn 'env::args' crates/bench/src/bin/; then

@@ -3,7 +3,7 @@
 use ecas::trace::io::TraceFormat;
 use ecas::trace::videos::EvalTraceSpec;
 use ecas::trace::SessionTrace;
-use ecas::{Approach, ExecPolicy, ExperimentRunner};
+use ecas::{Approach, ExecPolicy, ExperimentRunner, SweepEngine};
 
 #[test]
 fn whole_evaluation_is_deterministic() {
@@ -12,8 +12,11 @@ fn whole_evaluation_is_deterministic() {
             .iter()
             .map(EvalTraceSpec::generate)
             .collect();
-        let runner = ExperimentRunner::paper();
-        runner.run_grid(&sessions, &Approach::paper_set(), &ExecPolicy::Sequential)
+        SweepEngine::new(ExperimentRunner::paper()).run_grid(
+            &sessions,
+            &Approach::paper_set(),
+            &ExecPolicy::Sequential,
+        )
     };
     let a = run();
     let b = run();
@@ -70,10 +73,10 @@ fn parallel_and_sequential_grids_agree() {
         .iter()
         .map(EvalTraceSpec::generate)
         .collect();
-    let runner = ExperimentRunner::paper();
+    let engine = SweepEngine::new(ExperimentRunner::paper());
     let approaches = [Approach::Youtube, Approach::Festive, Approach::Ours];
     assert_eq!(
-        runner.run_grid(&sessions, &approaches, &ExecPolicy::Sequential),
-        runner.run_grid(&sessions, &approaches, &ExecPolicy::parallel())
+        engine.run_grid(&sessions, &approaches, &ExecPolicy::Sequential),
+        engine.run_grid(&sessions, &approaches, &ExecPolicy::parallel())
     );
 }
