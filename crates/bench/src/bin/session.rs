@@ -18,8 +18,10 @@
 //! result from the stored event log alone through the replay oracle;
 //! `verify` diffs that reconstruction against the stored reference for
 //! every given record file or corpus directory (exit 1 on any
-//! divergence) — the golden-corpus CI gate drives it over
-//! `golden/**/*.ecasr`; `diff` compares two corpora record-by-record.
+//! divergence; a directory also fails on each indexed record that is
+//! missing and each record its `corpus.json` does not list) — the
+//! golden-corpus CI gate drives it over `golden/**/*.ecasr`; `diff`
+//! compares two corpora record-by-record.
 //!
 //! Exit codes: 0 success, 1 failed verification/divergence or runtime
 //! error, 2 usage error (bad flag value, conflicting flags).
@@ -338,10 +340,12 @@ fn verify(args: &Args) -> Result<ExitCode, CmdError> {
     let mut inputs: Vec<&str> = vec![positional(args, 0, "path")?];
     inputs.extend(args.trailing().iter().map(String::as_str));
     let mut paths: Vec<PathBuf> = Vec::with_capacity(inputs.len());
+    let mut findings = Vec::new();
     for input in inputs {
         let path = PathBuf::from(input);
         if path.is_dir() {
             paths.extend(corpus::list(&path).map_err(CmdError::fail)?);
+            findings.extend(corpus::index_findings(&path).map_err(CmdError::fail)?);
         } else {
             paths.push(path);
         }
@@ -350,7 +354,8 @@ fn verify(args: &Args) -> Result<ExitCode, CmdError> {
         jobs: args.jobs().unwrap_or(0),
         filter: args.option("--filter").map(str::to_string),
     };
-    let summary = corpus::verify(&paths, &options);
+    let mut summary = corpus::verify(&paths, &options);
+    summary.add_findings(findings);
     print!("{}", summary.render());
     Ok(if summary.failures == 0 {
         ExitCode::SUCCESS

@@ -13,7 +13,9 @@
 //! * [`verify`] streams `session verify` over a whole corpus in
 //!   parallel with an order-stable summary — byte-identical across
 //!   `--jobs` widths — and an optional substring filter on scenario
-//!   labels.
+//!   labels. [`index_findings`] checks a directory against its
+//!   `corpus.json`: an indexed record that is missing, or a record the
+//!   index does not list, is a failure too.
 //! * Because corpus files are named by their sweep cache key, a corpus
 //!   directory doubles as a warm result cache: `SweepEngine`'s cached
 //!   policy serves unobserved cells straight from the recorded
@@ -39,7 +41,7 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -261,7 +263,6 @@ enum VerifyOutcome {
 
 /// The order-stable result of verifying a corpus.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// ecas-lint: allow(pub-surface, reason = "returned by corpus::verify; the session bin consumes it structurally")
 pub struct VerifySummary {
     /// Records verified (excludes skipped).
     pub records: usize,
@@ -273,9 +274,17 @@ pub struct VerifySummary {
 }
 
 impl VerifySummary {
+    /// Appends directory-level findings (see [`index_findings`]) after
+    /// the per-record lines; each one counts as a failure.
+    pub fn add_findings(&mut self, findings: Vec<String>) {
+        self.failures += findings.len();
+        self.lines.extend(findings);
+    }
+
     /// Renders the summary: one `PASS`/`FAIL` line per verified record
-    /// in input order, then the `records=… failures=…` footer (with a
-    /// `skipped=…` field only when the filter excluded anything).
+    /// in input order, then any added findings, then the
+    /// `records=… failures=…` footer (with a `skipped=…` field only when
+    /// the filter excluded anything).
     /// Deterministic for a given input order — the pool preserves it —
     /// so two runs at different `--jobs` print identical bytes.
     #[must_use]
@@ -343,6 +352,46 @@ pub fn verify(paths: &[PathBuf], options: &VerifyOptions) -> VerifySummary {
         }
     }
     summary
+}
+
+/// Compares a corpus directory's `corpus.json` with the record files it
+/// holds. Each indexed key with no `<key>.ecasr` and each record file the
+/// index does not list is one `FAIL` line, in sorted order, for
+/// [`VerifySummary::add_findings`]. A directory with no index has nothing
+/// to compare; an index that cannot be read or parsed is one finding.
+///
+/// # Errors
+///
+/// Returns [`CorpusError::Io`] when the directory cannot be listed.
+pub fn index_findings(dir: &Path) -> Result<Vec<String>, CorpusError> {
+    let index = match CorpusIndex::load(dir) {
+        Ok(index) => index,
+        Err(CorpusError::Io(e)) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => {
+            return Ok(vec![format!(
+                "FAIL {}: {e}",
+                dir.join(INDEX_FILE).display()
+            )])
+        }
+    };
+    let mut unlisted: BTreeSet<PathBuf> = list(dir)?.into_iter().collect();
+    let mut findings = Vec::new();
+    for entry in &index.entries {
+        let path = record_path(dir, &entry.key);
+        if !unlisted.remove(&path) {
+            findings.push(format!(
+                "FAIL {}: listed in {INDEX_FILE} but missing",
+                path.display()
+            ));
+        }
+    }
+    findings.extend(
+        unlisted
+            .iter()
+            .map(|path| format!("FAIL {}: not listed in {INDEX_FILE}", path.display())),
+    );
+    findings.sort();
+    Ok(findings)
 }
 
 /// The outcome of comparing two corpora record-by-record.
@@ -589,6 +638,51 @@ mod tests {
         assert_eq!(summary.records, 3);
         assert_eq!(summary.failures, 1);
         assert!(summary.render().starts_with("FAIL "));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn index_findings_flag_records_the_index_disagrees_with() {
+        let dir = temp_dir("findings");
+        let index = batch_record(&dir, &small_fleet(), &CorpusOptions::default()).unwrap();
+        assert!(index_findings(&dir).unwrap().is_empty());
+        let moved = record_path(&dir, &index.entries.first().unwrap().key);
+        let renamed = record_path(&dir, "0000000000000000");
+        fs::rename(&moved, &renamed).unwrap();
+        let findings = index_findings(&dir).unwrap();
+        assert_eq!(
+            findings,
+            vec![
+                format!("FAIL {}: not listed in corpus.json", renamed.display()),
+                format!(
+                    "FAIL {}: listed in corpus.json but missing",
+                    moved.display()
+                ),
+            ]
+        );
+        // Every record still replays on its own; only the index check
+        // sees the rename.
+        let mut summary = verify(&list(&dir).unwrap(), &VerifyOptions::default());
+        assert_eq!((summary.records, summary.failures), (3, 0));
+        summary.add_findings(findings.clone());
+        assert_eq!(summary.failures, 2);
+        let rendered = summary.render();
+        assert!(rendered.ends_with(&format!(
+            "{}\n{}\nrecords=3 failures=2\n",
+            findings[0], findings[1]
+        )));
+
+        fs::write(dir.join(INDEX_FILE), "{").unwrap();
+        assert_eq!(
+            index_findings(&dir).unwrap().len(),
+            1,
+            "a malformed index is a finding"
+        );
+        fs::remove_file(dir.join(INDEX_FILE)).unwrap();
+        assert!(
+            index_findings(&dir).unwrap().is_empty(),
+            "no index, nothing to compare"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -24,11 +24,11 @@
 //!
 //! [`SweepEngine::run_grid`], [`SweepEngine::comparison`] and
 //! [`SweepEngine::base_energy`] run cells over sessions the caller
-//! already holds, hashing each distinct session once on the caller
-//! thread; [`SweepEngine::run_generated`] builds each session inside its
-//! pool job from an index → trace factory and drops it after the cell,
-//! which is how fleets stream through the pool without holding their
-//! traces.
+//! already holds, hashing each distinct session once in the pool before
+//! the cells start; [`SweepEngine::run_generated`] builds each session
+//! inside its pool job from an index → trace factory and drops it after
+//! the cell, which is how fleets stream through the pool without holding
+//! their traces.
 //!
 //! The cache key covers the complete cell input, so invalidation is
 //! automatic: change the seed, the player config, η or the fault spec and
@@ -536,10 +536,10 @@ impl SweepEngine {
     /// Runs every `(session, cell)` pair, sessions-major, as one pool job
     /// each. The pool width and cache chain come from [`Self::plan`];
     /// when the policy caches, each distinct session is content-hashed
-    /// once, here on the caller thread, and every job walks the chain
-    /// through [`Self::run_cell`] — the per-cell path fleet users take
-    /// too. An empty grid returns before `plan`, so it creates no
-    /// directory and counts nothing.
+    /// once, as one pool job at that width before the cells start, and
+    /// every cell job walks the chain through [`Self::run_cell`] — the
+    /// per-cell path fleet users take too. An empty grid returns before
+    /// `plan`, so it creates no directory and counts nothing.
     fn execute(
         &self,
         sessions: &[SessionTrace],
@@ -557,15 +557,16 @@ impl SweepEngine {
         let watch = self.registry.as_ref().map(|_| perf::Stopwatch::start());
         let (caches, width) = self.plan(policy);
         let ctx = (!caches.is_empty()).then(|| self.key_context());
+        let hashes = match ctx {
+            Some(_) => pool::run_ordered(sessions, width, session_hash),
+            None => Vec::new(),
+        };
         let mut jobs = Vec::with_capacity(sessions.len() * cells.len());
-        for session in sessions {
-            // Hashing serializes the whole trace into a JSON value tree,
-            // so it stays serial: one tree alive at a time, once per
-            // session rather than once per cell.
-            let hashed = ctx.as_ref().map(|ctx| (ctx, session_hash(session)));
+        for (i, session) in sessions.iter().enumerate() {
             for &cell in cells {
-                let key = hashed
+                let key = ctx
                     .as_ref()
+                    .zip(hashes.get(i))
                     .map(|(ctx, hash)| ctx.key(hash, cell, false));
                 jobs.push((Job { session, cell }, key));
             }
@@ -1246,6 +1247,28 @@ mod tests {
             0.5,
         ));
         changed(&faulty, Approach::Ours, false, "fault spec");
+    }
+
+    /// Pins the content hashes every existing cache is named by: a drift
+    /// in the JSON renderer would otherwise silently turn every stored
+    /// entry into a miss. The first is Table V row 1's trace hash (the
+    /// golden `tablev1-ours` record's `trace_hash`); the second is the
+    /// paper runner's key for that row's Ours cell at η = 0.5, the file
+    /// stem an `evaluate --cache-dir` run writes for it. The key also
+    /// covers the crate version, so a version bump re-pins it.
+    #[test]
+    fn content_hashes_are_pinned() {
+        let session = ecas_trace::videos::EvalTraceSpec::table_v()[0].generate();
+        let hash = session_hash(&session);
+        assert_eq!(hash, "5d2e2a9373b7b24b");
+        assert_eq!(
+            u64::from_str_radix(&hash, 16).unwrap(),
+            6_714_350_907_245_965_899
+        );
+        let key = SweepEngine::new(ExperimentRunner::paper())
+            .key_context()
+            .key(&hash, Cell::Approach(Approach::Ours), false);
+        assert_eq!(key, "47ee96f2518a4fd2");
     }
 
     /// `run_generated` runs each cell inline in its pool job; under every

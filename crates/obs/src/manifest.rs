@@ -9,9 +9,24 @@
 //!
 //! Hashing uses FNV-1a 64 over the manifest's compact JSON form — stable
 //! across runs and platforms because the serialization order is the struct
-//! field order and floats round-trip exactly.
+//! field order and floats round-trip exactly. [`stable_hash`] streams that
+//! JSON from the typed value straight into the hash (`Serialize::write_json`
+//! into a `fmt::Write` sink), so hashing a whole trace allocates nothing;
+//! the bytes hashed are the ones `serde_json::to_string` would return.
+
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into a running FNV-1a 64 state.
+fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
+}
 
 /// FNV-1a 64-bit hash.
 ///
@@ -21,29 +36,29 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
+/// A `fmt::Write` sink that folds everything written into FNV-1a.
+struct FnvSink(u64);
+
+impl fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a_fold(self.0, s.as_bytes());
+        Ok(())
     }
-    hash
 }
 
 /// Content hash of any serializable value: FNV-1a 64 over its compact JSON
-/// form.
-///
-/// # Panics
-///
-/// Panics if the value fails to serialize (derived `Serialize` impls in
-/// this workspace cannot fail).
+/// form. The JSON is streamed straight into the hash, so no value tree and
+/// no string is built; the bytes hashed are exactly
+/// `serde_json::to_string(value)`.
 #[must_use]
 pub fn stable_hash<T: Serialize + ?Sized>(value: &T) -> u64 {
-    fnv1a_64(
-        serde_json::to_string(value)
-            // ecas-lint: allow(panic-safety, reason = "manifest types contain no non-serializable values; documented above")
-            .expect("value serializes")
-            .as_bytes(),
-    )
+    let mut sink = FnvSink(FNV_OFFSET);
+    // The sink never fails and serialization only forwards sink errors.
+    let _ = value.write_json(&mut sink);
+    sink.0
 }
 
 /// One trace in a run: its name and the seed regenerating it.

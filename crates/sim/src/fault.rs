@@ -244,21 +244,16 @@ fn overlap(list: &[(f64, f64)], from: f64, to: f64) -> f64 {
         .sum()
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// FNV-1a over a handful of words — the per-attempt failure draw. Hashing
-/// `(seed, segment, attempt, salt)` makes the draw independent of query
-/// order, so retries cannot perturb other segments' fates.
+/// FNV-1a over a handful of words (their little-endian bytes, in order) —
+/// the per-attempt failure draw. Hashing `(seed, segment, attempt, salt)`
+/// makes the draw independent of query order, so retries cannot perturb
+/// other segments' fates.
 fn fnv1a(words: [u64; 4]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
+    let mut bytes = [0u8; 32];
+    for (chunk, word) in bytes.chunks_exact_mut(8).zip(words) {
+        chunk.copy_from_slice(&word.to_le_bytes());
     }
-    h
+    ecas_obs::fnv1a_64(&bytes)
 }
 
 /// Maps a hash to a uniform draw in `[0, 1)` (53 mantissa bits).

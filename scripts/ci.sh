@@ -147,7 +147,7 @@ if ! grep -q 'cache: hits=1000 misses=0 corrupt=0' "$obs_dir/fleet_warm.log"; th
     exit 1
 fi
 
-echo "==> smoke: record corpus (batch-record + order-stable verify + self-diff)"
+echo "==> smoke: record corpus (batch-record + order-stable verify + self-diff + index check)"
 corpus_dir="$obs_dir/corpus"
 ./target/release/session batch-record --users 6 --seed 7 --duration 20 --batch 4 "$corpus_dir" >/dev/null
 ./target/release/session verify --jobs 4 "$corpus_dir" > "$obs_dir/corpus_par.txt"
@@ -166,6 +166,20 @@ fi
 if ! grep -q 'matched=6 diverged=0 only_a=0 only_b=0' "$obs_dir/corpus_diff.txt"; then
     echo "corpus self-diff reported divergences" >&2
     cat "$obs_dir/corpus_diff.txt" >&2
+    exit 1
+fi
+# A record renamed away from its key still replays, but the directory now
+# disagrees with corpus.json twice: one indexed key has no file, one file
+# is not indexed. Verify must count both and exit 1.
+renamed_dir="$obs_dir/corpus_renamed"
+cp -r "$corpus_dir" "$renamed_dir"
+records=("$renamed_dir"/*.ecasr)
+mv "${records[0]}" "$renamed_dir/0000000000000000.ecasr"
+status=0
+./target/release/session verify "$renamed_dir" > "$obs_dir/corpus_renamed.txt" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q 'records=6 failures=2' "$obs_dir/corpus_renamed.txt"; then
+    echo "corpus verify did not flag a record renamed away from corpus.json (exit $status)" >&2
+    cat "$obs_dir/corpus_renamed.txt" >&2
     exit 1
 fi
 

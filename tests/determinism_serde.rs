@@ -1,9 +1,13 @@
 //! Determinism and serialization guarantees across the whole stack.
 
+use ecas::obs::{fnv1a_64, stable_hash, NULL_PROBE};
+use ecas::record::{RecordScenario, RecordedSession};
+use ecas::sim::FaultSpec;
 use ecas::trace::io::TraceFormat;
 use ecas::trace::videos::EvalTraceSpec;
 use ecas::trace::SessionTrace;
-use ecas::{Approach, ExecPolicy, ExperimentRunner, SweepEngine};
+use ecas::{Approach, ExecPolicy, ExperimentRunner, Scenario, SweepEngine};
+use serde::Serialize;
 
 #[test]
 fn whole_evaluation_is_deterministic() {
@@ -79,4 +83,42 @@ fn parallel_and_sequential_grids_agree() {
         engine.run_grid(&sessions, &approaches, &ExecPolicy::Sequential),
         engine.run_grid(&sessions, &approaches, &ExecPolicy::parallel())
     );
+}
+
+/// Asserts that the compact JSON streamed from `value` — what
+/// `serde_json::to_string` returns and `stable_hash` hashes — is the
+/// value tree's rendering, byte for byte.
+fn assert_streams_like_tree<T: Serialize>(value: &T) {
+    let tree = serde_json::to_value(value).unwrap().to_string();
+    // `assert!`, not `assert_eq!`: a failure must not print megabytes.
+    assert!(serde_json::to_string(value).unwrap() == tree);
+    assert_eq!(stable_hash(value), fnv1a_64(tree.as_bytes()));
+}
+
+#[test]
+fn streamed_json_matches_the_value_tree_for_real_values() {
+    let sessions: Vec<SessionTrace> = EvalTraceSpec::table_v()
+        .iter()
+        .map(EvalTraceSpec::generate)
+        .collect();
+    for session in &sessions {
+        assert_streams_like_tree(session);
+    }
+    let runner = ExperimentRunner::paper();
+    assert_streams_like_tree(runner.simulator().config());
+    for approach in Approach::paper_set() {
+        let (result, log) = runner.run_with_probe(&sessions[0], &approach, &NULL_PROBE);
+        assert_streams_like_tree(&result);
+        assert_streams_like_tree(&log);
+    }
+    assert_streams_like_tree(&RecordScenario {
+        session: RecordedSession::TableV { id: 1 },
+        approach: Approach::Ours,
+        eta: 0.5,
+        fault: Some(FaultSpec::scaled(0.5, 1)),
+    });
+    assert_streams_like_tree(&ecas::observe::manifest(
+        &Scenario::paper_evaluation(),
+        &runner,
+    ));
 }
