@@ -14,8 +14,9 @@
 //!   parallel with an order-stable summary — byte-identical across
 //!   `--jobs` widths — and an optional substring filter on scenario
 //!   labels. [`index_findings`] checks a directory against its
-//!   `corpus.json`: an indexed record that is missing, or a record the
-//!   index does not list, is a failure too.
+//!   `corpus.json`: an indexed record that is missing, a record the
+//!   index does not list, or an indexed label, trace hash or event count
+//!   the record file disagrees with is a failure too.
 //! * Because corpus files are named by their sweep cache key, a corpus
 //!   directory doubles as a warm result cache: `SweepEngine`'s cached
 //!   policy serves unobserved cells straight from the recorded
@@ -61,8 +62,9 @@ use crate::sweep::{record_cell_key, record_path, write_atomic};
 // ecas-lint: allow(pub-surface, reason = "corpus on-disk contract documented in DESIGN.md section 14")
 pub const INDEX_FILE: &str = "corpus.json";
 
-/// Schema version of the index manifest.
-pub const INDEX_FORMAT: u32 = 1;
+/// Schema version of the index manifest. Version 2 entries carry the
+/// `.bin`-byte trace hash of record schema version 2.
+pub const INDEX_FORMAT: u32 = 2;
 
 /// Error produced while building, scanning or diffing a corpus.
 #[derive(Debug)]
@@ -355,10 +357,13 @@ pub fn verify(paths: &[PathBuf], options: &VerifyOptions) -> VerifySummary {
 }
 
 /// Compares a corpus directory's `corpus.json` with the record files it
-/// holds. Each indexed key with no `<key>.ecasr` and each record file the
-/// index does not list is one `FAIL` line, in sorted order, for
-/// [`VerifySummary::add_findings`]. A directory with no index has nothing
-/// to compare; an index that cannot be read or parsed is one finding.
+/// holds. Each indexed key with no `<key>.ecasr`, each record file the
+/// index does not list, and each `label`, `trace_hash` or `events` field
+/// of an entry that its record file disagrees with is one `FAIL` line, in
+/// sorted order, for [`VerifySummary::add_findings`]. A record file that
+/// does not load is left to [`verify`]'s own `FAIL` line. A directory
+/// with no index has nothing to compare; an index that cannot be read or
+/// parsed is one finding.
 ///
 /// # Errors
 ///
@@ -383,6 +388,8 @@ pub fn index_findings(dir: &Path) -> Result<Vec<String>, CorpusError> {
                 "FAIL {}: listed in {INDEX_FILE} but missing",
                 path.display()
             ));
+        } else if let Ok(record) = SessionRecord::load(&path) {
+            findings.extend(stale_fields(&path, entry, &record));
         }
     }
     findings.extend(
@@ -392,6 +399,38 @@ pub fn index_findings(dir: &Path) -> Result<Vec<String>, CorpusError> {
     );
     findings.sort();
     Ok(findings)
+}
+
+/// One `FAIL` line per field of `entry` that `record` (the file at
+/// `path`) disagrees with.
+fn stale_fields(path: &Path, entry: &CorpusEntry, record: &SessionRecord) -> Vec<String> {
+    let fields = [
+        (
+            "label",
+            format!("{:?}", entry.label),
+            format!("{:?}", record.scenario.label()),
+        ),
+        (
+            "trace_hash",
+            entry.trace_hash.to_string(),
+            record.trace_hash.to_string(),
+        ),
+        (
+            "events",
+            entry.events.to_string(),
+            record.log.len().to_string(),
+        ),
+    ];
+    fields
+        .into_iter()
+        .filter(|(_, listed, actual)| listed != actual)
+        .map(|(field, listed, actual)| {
+            format!(
+                "FAIL {}: {INDEX_FILE} {field} {listed} but the record has {actual}",
+                path.display()
+            )
+        })
+        .collect()
 }
 
 /// The outcome of comparing two corpora record-by-record.
@@ -683,6 +722,44 @@ mod tests {
             index_findings(&dir).unwrap().is_empty(),
             "no index, nothing to compare"
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An index entry whose label, trace hash or event count disagrees
+    /// with its record file is one sorted `FAIL` line per field, although
+    /// the record itself still replays.
+    #[test]
+    fn index_findings_name_stale_index_fields() {
+        let dir = temp_dir("stale-fields");
+        let mut index = batch_record(&dir, &small_fleet(), &CorpusOptions::default()).unwrap();
+        let entry = &mut index.entries[1];
+        let path = record_path(&dir, &entry.key);
+        let (label, hash, events) = (entry.label.clone(), entry.trace_hash, entry.events);
+        entry.label = format!("{label}-stale");
+        entry.trace_hash ^= 1;
+        entry.events += 1;
+        let json = serde_json::to_string_pretty(&index).unwrap();
+        fs::write(dir.join(INDEX_FILE), json + "\n").unwrap();
+
+        let shown = path.display();
+        assert_eq!(
+            index_findings(&dir).unwrap(),
+            vec![
+                format!(
+                    "FAIL {shown}: corpus.json events {} but the record has {events}",
+                    events + 1
+                ),
+                format!(
+                    "FAIL {shown}: corpus.json label \"{label}-stale\" but the record has \"{label}\""
+                ),
+                format!(
+                    "FAIL {shown}: corpus.json trace_hash {} but the record has {hash}",
+                    hash ^ 1
+                ),
+            ]
+        );
+        let summary = verify(&list(&dir).unwrap(), &VerifyOptions::default());
+        assert_eq!((summary.records, summary.failures), (3, 0));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -48,7 +48,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use ecas_obs::{names, stable_hash, Probe, NULL_PROBE};
+use ecas_obs::{names, Probe, NULL_PROBE};
 use ecas_sim::codec;
 use ecas_sim::{EventLog, FaultSpec, SessionResult, Simulator};
 use ecas_trace::population::PopulationSpec;
@@ -352,7 +352,8 @@ pub struct SessionRecord {
     pub scenario: RecordScenario,
     /// Workspace version that wrote the record.
     pub crate_version: String,
-    /// [`stable_hash`] of the regenerated [`SessionTrace`].
+    /// [`SessionTrace::content_hash`] of the regenerated trace: FNV-1a 64
+    /// over its `.bin` bytes. [`Self::regenerate_trace`] checks it.
     pub trace_hash: u64,
     /// The bitrate ladder, in Mbps, the session ran against.
     pub ladder_mbps: Vec<f64>,
@@ -395,7 +396,7 @@ impl SessionRecord {
         Ok(Self {
             scenario,
             crate_version: env!("CARGO_PKG_VERSION").to_string(),
-            trace_hash: stable_hash(&trace),
+            trace_hash: trace.content_hash(),
             ladder_mbps,
             log,
             reference,
@@ -488,7 +489,7 @@ impl SessionRecord {
     /// generators no longer reproduce the recorded trace.
     pub fn regenerate_trace(&self) -> Result<SessionTrace, SessionRecordError> {
         let trace = self.scenario.session.generate()?;
-        let computed = stable_hash(&trace);
+        let computed = trace.content_hash();
         if computed != self.trace_hash {
             return Err(SessionRecordError::TraceHashMismatch {
                 stored: self.trace_hash,
@@ -814,7 +815,8 @@ mod tests {
             .mean_duration(Seconds::new(30.0))
             .user(5)
             .synthesize();
-        assert_eq!(stable_hash(&trace), stable_hash(&expected));
+        assert_eq!(trace, expected);
+        assert_eq!(trace.content_hash(), expected.content_hash());
         // And the full record pipeline holds for fleet sessions too.
         let record = SessionRecord::record(RecordScenario {
             session,

@@ -10,9 +10,11 @@
 //!   sessions-major output ordering regardless of completion order;
 //! * [`ExecPolicy::Cached`] — serve each cell from an on-disk JSONL cache
 //!   keyed by a stable FNV-1a content hash of everything that determines
-//!   the result (simulator config, ladder, η, fault spec, the full session
-//!   trace, the controller), falling back to the wrapped policy for
-//!   misses. Cache entries are versioned and *never trusted*: any parse or
+//!   the result (simulator config, ladder, η, fault spec, the session
+//!   trace's [`content_hash`](SessionTrace::content_hash) over its `.bin`
+//!   bytes, the controller), falling back to the wrapped policy for
+//!   misses. Cache entries are versioned and *never trusted*: the header
+//!   carries an FNV-1a hash of the entry's body, and any parse, hash or
 //!   validation failure counts as [`CacheStats::corrupt`] and the cell is
 //!   recomputed and rewritten.
 //!
@@ -45,7 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use ecas_obs::{names, perf, stable_hash, JsonlRecorder, MetricsRegistry};
+use ecas_obs::{fnv1a_64, names, perf, stable_hash, JsonlRecorder, MetricsRegistry};
 use ecas_sim::controller::FixedLevel;
 use ecas_sim::events::EventLog;
 use ecas_sim::result::SessionResult;
@@ -62,8 +64,10 @@ use crate::record::SessionRecord;
 use crate::runner::ExperimentRunner;
 
 /// Version stamp of the on-disk cache entry layout. Bumping it (or the
-/// crate version) invalidates every existing entry.
-pub(crate) const CACHE_FORMAT: u32 = 1;
+/// crate version) invalidates every existing entry. Format 2 names a
+/// session by the hash of its `.bin` bytes and adds the header's body
+/// hash.
+pub(crate) const CACHE_FORMAT: u32 = 2;
 
 /// The pseudo-controller label under which per-session base-energy runs
 /// (everything at the lowest ladder level) are cached.
@@ -237,9 +241,10 @@ impl KeyContext {
     }
 }
 
-/// The content hash a cell key carries for `session`.
+/// The content hash a cell key carries for `session`: its
+/// [`SessionTrace::content_hash`], the hash of its `.bin` bytes.
 fn session_hash(session: &SessionTrace) -> String {
-    format!("{:016x}", stable_hash(session))
+    format!("{:016x}", session.content_hash())
 }
 
 /// The full, serializable identity of one grid cell. Its stable FNV-1a
@@ -266,6 +271,9 @@ struct CacheHeader {
     controller: String,
     trace: String,
     observed: bool,
+    /// FNV-1a 64 of every byte after the header line, so a changed digit
+    /// in a stored result is corrupt, not a hit.
+    body: u64,
 }
 
 /// A validated entry read back from disk.
@@ -739,6 +747,14 @@ impl SweepEngine {
         result: &SessionResult,
         observed: Option<(&EventLog, &str)>,
     ) -> io::Result<()> {
+        let mut body = to_json(result)?;
+        body.push('\n');
+        if let Some((log, probe)) = observed {
+            body.push_str(&to_json(log)?);
+            body.push('\n');
+            body.push_str(&to_json(&probe.to_string())?);
+            body.push('\n');
+        }
         let header = CacheHeader {
             format: CACHE_FORMAT,
             key: key.to_string(),
@@ -746,18 +762,11 @@ impl SweepEngine {
             controller: job.cell.label().to_string(),
             trace: job.session.meta().name.clone(),
             observed: observed.is_some(),
+            body: fnv1a_64(body.as_bytes()),
         };
-        let mut text = String::new();
-        text.push_str(&to_json(&header)?);
+        let mut text = to_json(&header)?;
         text.push('\n');
-        text.push_str(&to_json(result)?);
-        text.push('\n');
-        if let Some((log, probe)) = observed {
-            text.push_str(&to_json(log)?);
-            text.push('\n');
-            text.push_str(&to_json(&probe.to_string())?);
-            text.push('\n');
-        }
+        text.push_str(&body);
         write_atomic(&entry_path(dir, key), text.as_bytes())
     }
 
@@ -880,20 +889,23 @@ fn to_json<T: Serialize>(value: &T) -> io::Result<String> {
 }
 
 /// Parses and validates one entry. Any mismatch — wrong format, wrong
-/// key, wrong crate version, wrong cell identity, malformed payload,
-/// trailing garbage — rejects the whole entry.
+/// key, wrong crate version, wrong cell identity, a body that does not
+/// hash to the header's `body`, malformed payload, trailing garbage —
+/// rejects the whole entry.
 fn parse_entry(text: &str, key: &str, job: &Job<'_>, observed: bool) -> Option<CachedEntry> {
-    let mut lines = text.lines();
-    let header: CacheHeader = serde_json::from_str(lines.next()?).ok()?;
+    let (header, body) = text.split_once('\n')?;
+    let header: CacheHeader = serde_json::from_str(header).ok()?;
     let valid = header.format == CACHE_FORMAT
         && header.key == key
         && header.crate_version == env!("CARGO_PKG_VERSION")
         && header.controller == job.cell.label()
         && header.trace == job.session.meta().name
-        && header.observed == observed;
+        && header.observed == observed
+        && header.body == fnv1a_64(body.as_bytes());
     if !valid {
         return None;
     }
+    let mut lines = body.lines();
     let result: SessionResult = serde_json::from_str(lines.next()?).ok()?;
     let (log, probe_jsonl) = if observed {
         let log: EventLog = serde_json::from_str(lines.next()?).ok()?;
@@ -1003,6 +1015,67 @@ mod tests {
         let warm_engine = SweepEngine::new(ExperimentRunner::paper());
         assert_eq!(warm_engine.run_grid(&sessions, &approaches, &policy), cold);
         assert!(warm_engine.stats().all_hits());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A stored result with one digit changed — same length, still valid
+    /// JSON, a different answer — must not be served: the header's body
+    /// hash makes the entry corrupt, the cell is recomputed to the
+    /// uncached result, and the repaired entry serves the next run.
+    #[test]
+    fn a_changed_digit_in_a_stored_result_is_corrupt() {
+        let dir = temp_dir("digit");
+        let sessions = sessions();
+        let approaches = [Approach::Ours];
+        let policy = ExecPolicy::cached(&dir, ExecPolicy::Sequential);
+        let uncached = SweepEngine::new(ExperimentRunner::paper()).run_grid(
+            &sessions,
+            &approaches,
+            &ExecPolicy::Sequential,
+        );
+        let cold = SweepEngine::new(ExperimentRunner::paper());
+        assert_eq!(cold.run_grid(&sessions, &approaches, &policy), uncached);
+
+        let entry = entry_path(
+            &dir,
+            &cold.key_context().key(
+                &session_hash(&sessions[0]),
+                Cell::Approach(Approach::Ours),
+                false,
+            ),
+        );
+        let text = fs::read_to_string(&entry).unwrap();
+        let field = "\"mean_qoe\":";
+        let at = text.find(field).unwrap() + field.len();
+        let digit = at + text[at..].find('.').unwrap() + 1;
+        let mut bytes = text.clone().into_bytes();
+        bytes[digit] = if bytes[digit] == b'9' {
+            b'0'
+        } else {
+            bytes[digit] + 1
+        };
+        let tampered = String::from_utf8(bytes).unwrap();
+        assert_eq!(tampered.len(), text.len());
+        let result_line = tampered.lines().nth(1).unwrap();
+        let served: SessionResult = serde_json::from_str(result_line).unwrap();
+        assert_ne!(
+            served, uncached[0],
+            "the edit must change the stored answer"
+        );
+        fs::write(&entry, tampered).unwrap();
+
+        let engine = SweepEngine::new(ExperimentRunner::paper());
+        assert_eq!(engine.run_grid(&sessions, &approaches, &policy), uncached);
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.corrupt),
+            (0, 1, 1),
+            "{stats:?}"
+        );
+
+        let warm = SweepEngine::new(ExperimentRunner::paper());
+        assert_eq!(warm.run_grid(&sessions, &approaches, &policy), uncached);
+        assert!(warm.stats().all_hits(), "{:?}", warm.stats());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1250,25 +1323,30 @@ mod tests {
     }
 
     /// Pins the content hashes every existing cache is named by: a drift
-    /// in the JSON renderer would otherwise silently turn every stored
-    /// entry into a miss. The first is Table V row 1's trace hash (the
-    /// golden `tablev1-ours` record's `trace_hash`); the second is the
-    /// paper runner's key for that row's Ours cell at η = 0.5, the file
-    /// stem an `evaluate --cache-dir` run writes for it. The key also
-    /// covers the crate version, so a version bump re-pins it.
+    /// in the trace encoder or the key's JSON would otherwise silently
+    /// turn every stored entry into a miss. The first is Table V row 1's
+    /// trace hash, FNV-1a over the bytes `tracetool tablev 1 t1.bin`
+    /// writes, and equal to the golden `tablev1-ours` record's
+    /// `trace_hash`; the second is the paper runner's key for that row's
+    /// Ours cell at η = 0.5, the file stem an `evaluate --cache-dir` run
+    /// writes for it. The key also covers the crate version and the cache
+    /// format, so bumping either re-pins it.
     #[test]
     fn content_hashes_are_pinned() {
         let session = ecas_trace::videos::EvalTraceSpec::table_v()[0].generate();
         let hash = session_hash(&session);
-        assert_eq!(hash, "5d2e2a9373b7b24b");
-        assert_eq!(
-            u64::from_str_radix(&hash, 16).unwrap(),
-            6_714_350_907_245_965_899
+        assert_eq!(hash, "690b438c339039b3");
+        let golden = include_str!("../../../golden/tablev1-ours/manifest.json");
+        let trace_hash = u64::from_str_radix(&hash, 16).unwrap();
+        assert_eq!(trace_hash, 7_569_217_868_165_822_899);
+        assert!(
+            golden.contains(&format!("\"trace_hash\":{trace_hash},")),
+            "golden tablev1-ours was recorded against another trace hash: {golden}"
         );
         let key = SweepEngine::new(ExperimentRunner::paper())
             .key_context()
             .key(&hash, Cell::Approach(Approach::Ours), false);
-        assert_eq!(key, "47ee96f2518a4fd2");
+        assert_eq!(key, "89682e8e20aab7ae");
     }
 
     /// `run_generated` runs each cell inline in its pool job; under every

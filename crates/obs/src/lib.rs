@@ -72,7 +72,7 @@ pub mod probe;
 pub mod recorder;
 pub mod render;
 
-pub use manifest::{fnv1a_64, stable_hash, RunManifest, TraceRef};
+pub use manifest::{fnv1a_64, stable_hash, FnvHasher, RunManifest, TraceRef};
 pub use metrics::{
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SpanSnapshot, DEFAULT_BUCKETS,
 };

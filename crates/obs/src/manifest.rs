@@ -10,22 +10,89 @@
 //! Hashing uses FNV-1a 64 over the manifest's compact JSON form — stable
 //! across runs and platforms because the serialization order is the struct
 //! field order and floats round-trip exactly. [`stable_hash`] streams that
-//! JSON from the typed value straight into the hash (`Serialize::write_json`
-//! into a `fmt::Write` sink), so hashing a whole trace allocates nothing;
-//! the bytes hashed are the ones `serde_json::to_string` would return.
+//! JSON from the typed value straight into an [`FnvHasher`]
+//! (`Serialize::write_json` into its `fmt::Write` side), so hashing a
+//! config or a cell key allocates nothing; the bytes hashed are the ones
+//! `serde_json::to_string` would return.
+//!
+//! The same hasher is an `io::Write` sink for binary encoders: a session
+//! trace's content hash is FNV-1a over its `.bin` bytes, streamed by the
+//! trace encoder into the hasher (`SessionTrace::content_hash` in
+//! `ecas-trace`). One hash function, two sinks: JSON for keys, configs and
+//! manifests, the binary layout for traces.
 
-use std::fmt;
+use std::{fmt, io};
 
 use serde::{Deserialize, Serialize};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds `bytes` into a running FNV-1a 64 state.
-fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
+/// A running FNV-1a 64 hash that folds in every byte written to it.
+///
+/// It is a sink on both sides of the standard library: `fmt::Write`
+/// (text, how [`stable_hash`] streams compact JSON) and `io::Write`
+/// (bytes, how a binary encoder streams its layout). Neither side ever
+/// fails, and nothing written is buffered or kept.
+///
+/// ```
+/// use std::io::Write;
+///
+/// let mut hasher = ecas_obs::FnvHasher::new();
+/// hasher.write_all(b"foo").unwrap();
+/// hasher.write_all(b"bar").unwrap();
+/// assert_eq!(hasher.finish(), ecas_obs::fnv1a_64(b"foobar"));
+/// ```
+#[derive(Debug)]
+pub struct FnvHasher(u64);
+
+impl FnvHasher {
+    /// A hasher at the FNV offset basis: the hash of no bytes.
+    #[must_use]
+    pub fn new() -> Self {
+        Self(FNV_OFFSET)
+    }
+
+    /// The hash of every byte written so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn fold(&mut self, bytes: &[u8]) {
+        self.0 = bytes.iter().fold(self.0, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        });
+    }
+}
+
+impl Default for FnvHasher {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Write for FnvHasher {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.fold(s.as_bytes());
+        Ok(())
+    }
+}
+
+impl io::Write for FnvHasher {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.fold(buf);
+        Ok(buf.len())
+    }
+
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        self.fold(buf);
+        Ok(())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// FNV-1a 64-bit hash.
@@ -36,29 +103,21 @@ fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
 /// ```
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_OFFSET, bytes)
-}
-
-/// A `fmt::Write` sink that folds everything written into FNV-1a.
-struct FnvSink(u64);
-
-impl fmt::Write for FnvSink {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 = fnv1a_fold(self.0, s.as_bytes());
-        Ok(())
-    }
+    let mut hasher = FnvHasher::new();
+    hasher.fold(bytes);
+    hasher.finish()
 }
 
 /// Content hash of any serializable value: FNV-1a 64 over its compact JSON
-/// form. The JSON is streamed straight into the hash, so no value tree and
-/// no string is built; the bytes hashed are exactly
+/// form. The JSON is streamed straight into an [`FnvHasher`], so no value
+/// tree and no string is built; the bytes hashed are exactly
 /// `serde_json::to_string(value)`.
 #[must_use]
 pub fn stable_hash<T: Serialize + ?Sized>(value: &T) -> u64 {
-    let mut sink = FnvSink(FNV_OFFSET);
-    // The sink never fails and serialization only forwards sink errors.
-    let _ = value.write_json(&mut sink);
-    sink.0
+    let mut hasher = FnvHasher::new();
+    // The hasher never fails and serialization only forwards sink errors.
+    let _ = value.write_json(&mut hasher);
+    hasher.finish()
 }
 
 /// One trace in a run: its name and the seed regenerating it.

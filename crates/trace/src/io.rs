@@ -15,14 +15,23 @@
 //! spreadsheet-friendly layout, and [`read_mahimahi`] imports external
 //! Mahimahi packet traces.
 //!
+//! [`SessionTrace::content_hash`] names a trace by its `.bin` bytes: one
+//! encoder writes the v1 layout either into the buffer `write_to` hands
+//! its writer or straight into an FNV-1a hasher
+//! ([`ecas_obs::FnvHasher`]), so the hash of a trace is
+//! `fnv1a_64(&bytes)` of the file `save("x.bin")` writes, computed
+//! without building those bytes. Cache keys and record headers carry this
+//! hash; JSON stays the interchange format at the edges.
+//!
 //! Reader/writer functions take `R: Read` / `W: Write` by value; pass
 //! `&mut reader` when the caller needs to keep using the stream afterwards.
 
 use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+use ecas_obs::FnvHasher;
 use ecas_types::units::{Dbm, Mbps, MegaBytes, MetersPerSec2, Seconds, Watts};
 
 use crate::record::wire::Reader;
@@ -161,10 +170,35 @@ impl SessionTrace {
         match format {
             TraceFormat::Json => write_json_impl(writer, self),
             TraceFormat::Binary => {
-                writer.write_all(&encode_binary_impl(self))?;
+                let mut bytes = Vec::new();
+                write_binary(self, &mut bytes)?;
+                writer.write_all(&bytes)?;
                 Ok(())
             }
         }
+    }
+
+    /// The trace's content hash: FNV-1a 64 over its `.bin` v1 bytes —
+    /// exactly what [`write_to`](Self::write_to) writes in
+    /// [`TraceFormat::Binary`] — streamed into the hasher without building
+    /// them. Every channel value enters as its raw little-endian bits, so
+    /// a one-ULP change, or `0.0` against `-0.0`, changes the hash.
+    ///
+    /// ```
+    /// use ecas_trace::io::TraceFormat;
+    /// use ecas_trace::videos::EvalTraceSpec;
+    ///
+    /// let trace = EvalTraceSpec::table_v()[0].generate();
+    /// let mut bytes = Vec::new();
+    /// trace.write_to(&mut bytes, TraceFormat::Binary).unwrap();
+    /// assert_eq!(trace.content_hash(), ecas_obs::fnv1a_64(&bytes));
+    /// ```
+    #[must_use]
+    pub fn content_hash(&self) -> u64 {
+        let mut hasher = FnvHasher::new();
+        // ecas-lint: allow(panic-safety, reason = "the hasher never fails; only a string or channel longer than u32::MAX, far past any trace in memory, can")
+        write_binary(self, &mut hasher).expect("a trace's lengths fit the .bin layout");
+        hasher.finish()
     }
 
     /// Loads a trace from `path`, autodetecting the format from the
@@ -356,15 +390,28 @@ where
     TimeSeries::new(samples).map_err(|e| TraceIoError::Corrupt(e.to_string()))
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// Writes a length or sample count as the layout's little-endian `u32`;
+/// one that does not fit is an error, never a truncated field.
+fn put_len<W: Write>(out: &mut W, len: usize, what: &str) -> io::Result<()> {
+    let len = u32::try_from(len).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{what} {len} does not fit the .bin layout's u32 field"),
+        )
+    })?;
+    out.write_all(&len.to_le_bytes())
 }
 
-fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+fn put_string<W: Write>(out: &mut W, s: &str) -> io::Result<()> {
+    put_len(out, s.len(), "string length")?;
+    out.write_all(s.as_bytes())
+}
+
+fn put_f64s<W: Write>(out: &mut W, values: &[f64]) -> io::Result<()> {
     for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+        out.write_all(&v.to_le_bytes())?;
     }
+    Ok(())
 }
 
 /// Takes the next `N` bytes; running out is [`TraceIoError::Corrupt`]
@@ -409,43 +456,45 @@ fn get_count(r: &mut Reader<'_>, what: &'static str, size: usize) -> Result<usiz
     Ok(n)
 }
 
-fn encode_binary_impl(session: &SessionTrace) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(BINARY_MAGIC);
-    out.push(BINARY_VERSION);
+/// Writes the `.bin` v1 layout of `session` to `out`: the one encoder
+/// behind both [`SessionTrace::write_to`] in [`TraceFormat::Binary`] and
+/// [`SessionTrace::content_hash`].
+fn write_binary<W: Write>(session: &SessionTrace, out: &mut W) -> io::Result<()> {
+    out.write_all(BINARY_MAGIC)?;
+    out.write_all(&[BINARY_VERSION])?;
 
     let meta = session.meta();
-    put_string(&mut out, &meta.name);
+    put_string(out, &meta.name)?;
     put_f64s(
-        &mut out,
+        out,
         &[
             meta.video_length.value(),
             meta.data_size.value(),
             meta.avg_vibration.value(),
         ],
-    );
-    put_string(&mut out, &meta.description);
+    )?;
+    put_string(out, &meta.description)?;
     match meta.seed {
         Some(seed) => {
-            out.push(1);
-            out.extend_from_slice(&seed.to_le_bytes());
+            out.write_all(&[1])?;
+            out.write_all(&seed.to_le_bytes())?;
         }
-        None => out.push(0),
+        None => out.write_all(&[0])?,
     }
 
-    out.extend_from_slice(&(session.network().len() as u32).to_le_bytes());
+    put_len(out, session.network().len(), "network count")?;
     for s in session.network().iter() {
-        put_f64s(&mut out, &[s.time.value(), s.throughput.value()]);
+        put_f64s(out, &[s.time.value(), s.throughput.value()])?;
     }
-    out.extend_from_slice(&(session.signal().len() as u32).to_le_bytes());
+    put_len(out, session.signal().len(), "signal count")?;
     for s in session.signal().iter() {
-        put_f64s(&mut out, &[s.time.value(), s.dbm.value()]);
+        put_f64s(out, &[s.time.value(), s.dbm.value()])?;
     }
-    out.extend_from_slice(&(session.accel().len() as u32).to_le_bytes());
+    put_len(out, session.accel().len(), "accel count")?;
     for s in session.accel().iter() {
-        put_f64s(&mut out, &[s.time.value(), s.x, s.y, s.z]);
+        put_f64s(out, &[s.time.value(), s.x, s.y, s.z])?;
     }
-    out
+    Ok(())
 }
 
 fn decode_binary_impl(data: &[u8]) -> Result<SessionTrace, TraceIoError> {
@@ -697,6 +746,102 @@ mod tests {
             assert_eq!(bytes.len(), 42 + 4 * empty_before);
             let err = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap_err();
             assert!(matches!(err, TraceIoError::Corrupt(_)), "{channel}: {err}");
+        }
+    }
+
+    fn bin_bytes(trace: &SessionTrace) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        trace.write_to(&mut bytes, TraceFormat::Binary).unwrap();
+        bytes
+    }
+
+    /// The content hash is FNV-1a 64 over exactly the bytes a `.bin` file
+    /// holds, for every Table V row, a fleet user and the pinned trace.
+    #[test]
+    fn content_hash_is_fnv1a_of_the_bin_bytes() {
+        let mut traces: Vec<SessionTrace> = crate::videos::EvalTraceSpec::table_v()
+            .iter()
+            .map(crate::videos::EvalTraceSpec::generate)
+            .collect();
+        traces.push(
+            crate::population::PopulationSpec::new(1000, 7)
+                .mean_duration(Seconds::new(24.0))
+                .user(3)
+                .synthesize(),
+        );
+        traces.push(pinned_trace());
+        for trace in &traces {
+            let bytes = bin_bytes(trace);
+            assert_eq!(
+                trace.content_hash(),
+                ecas_obs::fnv1a_64(&bytes),
+                "{}",
+                trace.meta().name
+            );
+        }
+        assert_eq!(pinned_trace().content_hash(), 0x67b3_39fa_3597_4e09);
+    }
+
+    /// `pinned_trace` with its parts edited by `edit`.
+    fn edited(
+        edit: impl FnOnce(&mut TraceMeta, &mut [NetworkSample], &mut [SignalSample], &mut [AccelSample]),
+    ) -> SessionTrace {
+        let (mut meta, network, signal, accel) = pinned_trace().into_parts();
+        let mut network = network.as_slice().to_vec();
+        let mut signal = signal.as_slice().to_vec();
+        let mut accel = accel.as_slice().to_vec();
+        edit(&mut meta, &mut network, &mut signal, &mut accel);
+        SessionTrace::new(
+            meta,
+            TimeSeries::new(network).unwrap(),
+            TimeSeries::new(signal).unwrap(),
+            TimeSeries::new(accel).unwrap(),
+        )
+        .unwrap()
+    }
+
+    /// The next `f64` up from `v` (away from zero for negatives).
+    fn ulp(v: f64) -> f64 {
+        f64::from_bits(v.to_bits() + 1)
+    }
+
+    /// Every value and metadata field enters the hash: a one-ULP change
+    /// to any single channel value, and a change to the name, the
+    /// description, the seed's presence or the sign of a zero, each give
+    /// a hash no other variant has.
+    #[test]
+    fn content_hash_covers_every_field() {
+        let mut variants = vec![pinned_trace()];
+        for i in 0..2 {
+            variants.push(edited(|_, n, _, _| {
+                n[i].time = Seconds::new(ulp(n[i].time.value()))
+            }));
+            variants.push(edited(|_, n, _, _| {
+                n[i].throughput = Mbps::new(ulp(n[i].throughput.value()));
+            }));
+        }
+        variants.push(edited(|_, _, s, _| {
+            s[0].time = Seconds::new(ulp(s[0].time.value()))
+        }));
+        variants.push(edited(|_, _, s, _| {
+            s[0].dbm = Dbm::new(ulp(s[0].dbm.value()))
+        }));
+        variants.push(edited(|_, _, _, a| {
+            a[0].time = Seconds::new(ulp(a[0].time.value()))
+        }));
+        variants.push(edited(|_, _, _, a| a[0].x = ulp(a[0].x)));
+        variants.push(edited(|_, _, _, a| a[0].y = ulp(a[0].y)));
+        variants.push(edited(|_, _, _, a| a[0].z = ulp(a[0].z)));
+        variants.push(edited(|m, _, _, _| m.name = "pio".into()));
+        variants.push(edited(|m, _, _, _| m.description = "v2".into()));
+        variants.push(edited(|m, _, _, _| m.seed = None));
+        variants.push(edited(|m, _, _, _| m.data_size = MegaBytes::new(0.0)));
+        variants.push(edited(|m, _, _, _| m.data_size = MegaBytes::new(-0.0)));
+        let hashes: std::collections::BTreeSet<u64> =
+            variants.iter().map(SessionTrace::content_hash).collect();
+        assert_eq!(hashes.len(), variants.len(), "two variants share a hash");
+        for trace in &variants {
+            assert_eq!(trace.content_hash(), ecas_obs::fnv1a_64(&bin_bytes(trace)));
         }
     }
 

@@ -21,9 +21,11 @@
 //!
 //! Compatibility policy: within a schema version, readers must skip
 //! sections whose tag they do not recognise (new optional sections are a
-//! compatible change). A version this library does not know is rejected
-//! with [`RecordError::UnsupportedVersion`] — future layouts may change
-//! the framing itself, so guessing is worse than failing. Truncation,
+//! compatible change). Any version other than [`RECORD_VERSION`] is
+//! rejected with [`RecordError::UnsupportedVersion`] — a future layout
+//! may change the framing itself, and an older one may give a field
+//! another meaning (version 1 hashed traces as JSON), so guessing is
+//! worse than failing. Truncation,
 //! hash mismatches and malformed varints are likewise typed errors —
 //! hostile bytes must never panic the reader.
 //!
@@ -54,9 +56,11 @@ use ecas_obs::fnv1a_64;
 /// Magic prefix of the session-record container (`ECAS` family, `R` for
 /// record; the plain trace archive uses `ECAS` + version byte).
 pub const RECORD_MAGIC: &[u8; 5] = b"ECASR";
-/// Schema version this library reads and writes.
-// ecas-lint: allow(pub-surface, reason = "wire-format contract documented in DESIGN.md section 13")
-pub const RECORD_VERSION: u16 = 1;
+/// Schema version this library reads and writes. Version 2 changed what
+/// the scenario header's `trace_hash` means (FNV-1a over the trace's
+/// `.bin` bytes, not its compact JSON), so a version-1 record is
+/// [`RecordError::UnsupportedVersion`] rather than a trace-hash mismatch.
+pub const RECORD_VERSION: u16 = 2;
 
 /// Canonical file extension for ECASR containers (no leading dot).
 /// Corpus directories are scanned for `*.ecasr` by this constant, so
@@ -80,12 +84,12 @@ pub enum RecordError {
         /// The bytes found where the magic was expected.
         found: [u8; 5],
     },
-    /// The record was written by a schema version this library does not
-    /// know (typically a future release).
+    /// The record was written under a schema version other than the one
+    /// this library reads (an older release, or a future one).
     UnsupportedVersion {
         /// The version stored in the record.
         found: u16,
-        /// The newest version this library supports.
+        /// The one version this library reads ([`RECORD_VERSION`]).
         supported: u16,
     },
     /// The payload ended before the named field was complete.
@@ -121,7 +125,7 @@ impl fmt::Display for RecordError {
             }
             RecordError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "record schema version {found} is not supported (this build reads <= {supported})"
+                "record schema version {found} is not supported (this build reads version {supported})"
             ),
             RecordError::Truncated { context } => {
                 write!(f, "record truncated while reading {context}")
@@ -622,6 +626,22 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("1337"));
+    }
+
+    /// A version-1 record hashed its trace as JSON; this build reads only
+    /// version 2, so such a record is refused by version, not by a
+    /// trace-hash mismatch that would blame the generators.
+    #[test]
+    fn version_1_records_are_unsupported() {
+        let mut bytes = sample().encode();
+        bytes[5..7].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            RecordContainer::decode(&bytes),
+            Err(RecordError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            })
+        ));
     }
 
     #[test]

@@ -73,6 +73,43 @@ for run in eval_warm eval_warm_seq; do
     fi
 done
 
+echo "==> smoke: tampered cache entry (a changed digit is corrupt, recomputed, repaired)"
+# Raise the first fractional digit of mean_qoe on one entry's result line:
+# same length, still valid JSON, a different answer. The header's body
+# hash must reject the entry, so the cell is recomputed and rewritten.
+entry="$(find "$cache_dir" -name '*.jsonl' | sort | head -n 1)"
+digit="$(sed -n '2s/.*"mean_qoe":[0-9]*\.\([0-9]\).*/\1/p' "$entry")"
+before="$(cksum < "$entry")"
+if [ -n "$digit" ]; then
+    sed -i "2s/\(\"mean_qoe\":[0-9]*\.\)$digit/\1$(( (digit + 1) % 10 ))/" "$entry"
+fi
+after="$(cksum < "$entry")"
+if [ -z "$digit" ] || [ "$before" = "$after" ] || [ "${before#* }" != "${after#* }" ]; then
+    echo "tamper leg: could not change one digit of $entry in place" >&2
+    exit 1
+fi
+./target/release/evaluate --cache-dir "$cache_dir" \
+    > "$obs_dir/eval_tampered.txt" 2> "$obs_dir/eval_tampered.log"
+./target/release/evaluate --cache-dir "$cache_dir" \
+    > "$obs_dir/eval_repaired.txt" 2> "$obs_dir/eval_repaired.log"
+for run in eval_tampered eval_repaired; do
+    if ! cmp -s "$obs_dir/eval_cold.txt" "$obs_dir/$run.txt"; then
+        echo "tampered-cache evaluate: $run output differs from the cold run" >&2
+        diff "$obs_dir/eval_cold.txt" "$obs_dir/$run.txt" >&2 || true
+        exit 1
+    fi
+done
+if ! grep -q 'cache: hits=29 misses=1 corrupt=1' "$obs_dir/eval_tampered.log"; then
+    echo "tampered-cache evaluate: the changed entry was not counted corrupt and recomputed" >&2
+    cat "$obs_dir/eval_tampered.log" >&2
+    exit 1
+fi
+if ! grep -q 'cache: hits=30 misses=0 corrupt=0' "$obs_dir/eval_repaired.log"; then
+    echo "tampered-cache evaluate: the recompute did not repair the entry" >&2
+    cat "$obs_dir/eval_repaired.log" >&2
+    exit 1
+fi
+
 echo "==> bench binaries go through the shared CLI (no direct env::args)"
 if grep -Rn 'env::args' crates/bench/src/bin/; then
     echo "bench binaries must parse arguments via ecas_bench::cli" >&2
