@@ -164,21 +164,16 @@ pub fn run_observed_with(
         let mut results = Vec::with_capacity(scenario.approaches.len());
         for approach in &scenario.approaches {
             let stem = pair_stem(&name, approach.label());
-            let (result, log) = engine.run_observed_pair(
+            let (result, events) = engine.run_observed_pair(
                 session,
                 approach,
                 cache_dir,
                 &events_dir.join(format!("{stem}.jsonl")),
                 &registry,
             )?;
-            let values: Vec<_> = log
-                .iter()
-                // ecas-lint: allow(panic-safety, reason = "session events are plain enums; serialization cannot fail")
-                .map(|e| serde_json::to_value(e).expect("session event serializes"))
-                .collect();
             fs::write(
                 timelines_dir.join(format!("{stem}.txt")),
-                segment_timeline(&values),
+                segment_timeline(&events),
             )?;
             results.push(result);
         }

@@ -155,7 +155,7 @@ mod tests {
         let (probed, log) = runner.run_with_probe(&s, &Approach::Ours, &recorder);
         let plain = runner.run(&s, &Approach::Ours);
         assert_eq!(probed, plain);
-        assert_eq!(recorder.events().len(), log.len());
+        assert_eq!(recorder.len(), log.len());
         let snap = recorder.metrics().snapshot();
         assert_eq!(snap.span("core/run").unwrap().count, 1);
         assert!(snap.span("abr/decide/ours").unwrap().count >= log.decisions().len() as u64);

@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use ecas_obs::{fnv1a_64, names, perf, stable_hash, JsonlRecorder, MetricsRegistry};
+use ecas_obs::{fnv1a_64, names, perf, stable_hash, MemoryRecorder, MetricsRegistry};
 use ecas_sim::controller::FixedLevel;
 use ecas_sim::events::EventLog;
 use ecas_sim::result::SessionResult;
@@ -279,7 +279,6 @@ struct CacheHeader {
 /// A validated entry read back from disk.
 struct CachedEntry {
     result: SessionResult,
-    log: Option<EventLog>,
     probe_jsonl: Option<String>,
 }
 
@@ -456,11 +455,12 @@ impl SweepEngine {
     }
 
     /// Like [`ExperimentRunner::run_with_probe`] but cache-aware: the
-    /// deterministic event stream is written to `events_path` either by a
-    /// live instrumented run (miss — the stream is then stored alongside
-    /// the result) or byte-for-byte from the cache (hit — the simulator
-    /// never runs, so `registry` accumulates no `sim/*` metrics for the
-    /// pair).
+    /// deterministic event stream (JSONL text) comes either from a live
+    /// instrumented run (miss — the stream is then stored alongside the
+    /// result) or byte-for-byte from the cache (hit — the simulator never
+    /// runs, so `registry` accumulates no `sim/*` metrics for the pair).
+    /// Either way the stream is published to `events_path` through
+    /// [`write_atomic`] and returned with the result.
     ///
     /// # Errors
     ///
@@ -474,7 +474,7 @@ impl SweepEngine {
         cache_dir: Option<&Path>,
         events_path: &Path,
         registry: &Arc<MetricsRegistry>,
-    ) -> io::Result<(SessionResult, EventLog)> {
+    ) -> io::Result<(SessionResult, String)> {
         let job = Job {
             session,
             cell: Cell::Approach(*approach),
@@ -494,10 +494,10 @@ impl SweepEngine {
             match self.load(dir, key, &job, true) {
                 Lookup::Hit(entry) => {
                     let entry = *entry;
-                    if let (Some(log), Some(probe)) = (entry.log, entry.probe_jsonl) {
+                    if let Some(probe) = entry.probe_jsonl {
                         self.note_hit();
-                        fs::write(events_path, probe)?;
-                        return Ok((entry.result, log));
+                        write_atomic(events_path, probe.as_bytes())?;
+                        return Ok((entry.result, probe));
                     }
                     self.note_corrupt();
                 }
@@ -510,13 +510,12 @@ impl SweepEngine {
             self.note_miss();
         }
 
-        let recorder = JsonlRecorder::create_with_registry(events_path, Arc::clone(registry))?;
+        let recorder = MemoryRecorder::with_registry(Arc::clone(registry));
         let (result, log) = self.runner.run_with_probe(session, approach, &recorder);
-        recorder.flush()?;
-        drop(recorder);
+        let probe = recorder.to_jsonl();
+        write_atomic(events_path, probe.as_bytes())?;
 
         if let Some((dir, key)) = &cache {
-            let probe = fs::read_to_string(events_path).unwrap_or_default();
             if self
                 .store(dir, key, &job, &result, Some((&log, &probe)))
                 .is_err()
@@ -524,7 +523,7 @@ impl SweepEngine {
                 self.note_write_error();
             }
         }
-        Ok((result, log))
+        Ok((result, probe))
     }
 
     // ---------------------------------------------------------------- //
@@ -752,7 +751,7 @@ impl SweepEngine {
         if let Some((log, probe)) = observed {
             body.push_str(&to_json(log)?);
             body.push('\n');
-            body.push_str(&to_json(&probe.to_string())?);
+            body.push_str(&to_json(probe)?);
             body.push('\n');
         }
         let header = CacheHeader {
@@ -883,7 +882,7 @@ pub(crate) fn record_cell_key(record: &SessionRecord) -> String {
     format!("{:016x}", stable_hash(&key))
 }
 
-fn to_json<T: Serialize>(value: &T) -> io::Result<String> {
+fn to_json<T: Serialize + ?Sized>(value: &T) -> io::Result<String> {
     serde_json::to_string(value)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("cache serialize: {e}")))
 }
@@ -907,19 +906,18 @@ fn parse_entry(text: &str, key: &str, job: &Job<'_>, observed: bool) -> Option<C
     }
     let mut lines = body.lines();
     let result: SessionResult = serde_json::from_str(lines.next()?).ok()?;
-    let (log, probe_jsonl) = if observed {
-        let log: EventLog = serde_json::from_str(lines.next()?).ok()?;
-        let probe: String = serde_json::from_str(lines.next()?).ok()?;
-        (Some(log), Some(probe))
+    let probe_jsonl = if observed {
+        // The stored log must parse, although a hit serves only the stream.
+        serde_json::from_str::<EventLog>(lines.next()?).ok()?;
+        Some(serde_json::from_str(lines.next()?).ok()?)
     } else {
-        (None, None)
+        None
     };
     if lines.next().is_some() {
         return None;
     }
     Some(CachedEntry {
         result,
-        log,
         probe_jsonl,
     })
 }

@@ -1,8 +1,12 @@
 //! The [`Probe`] instrumentation interface and the zero-cost null probe.
+//!
+//! Events reach a probe as `&dyn Serialize`: the emitting site hands over
+//! its typed event, and only a recorder that consumes events serializes
+//! it, straight to compact JSON.
 
 use std::time::Instant;
 
-use serde::Value;
+use serde::Serialize;
 
 /// The instrumentation interface the simulator, controllers, runner and
 /// power accounting report into.
@@ -27,8 +31,9 @@ pub trait Probe: Sync {
 
     /// Records a deterministic, simulation-time event. Events must depend
     /// only on the run's seed and configuration (never on wall-clock) so
-    /// recorded streams reproduce byte-for-byte.
-    fn emit(&self, event: &Value) {
+    /// recorded streams reproduce byte-for-byte. Recorders stream the
+    /// event's compact JSON from [`Serialize::write_json`].
+    fn emit(&self, event: &dyn Serialize) {
         let _ = event;
     }
 
@@ -97,6 +102,7 @@ impl Drop for SpanGuard<'_> {
 mod tests {
     use super::*;
     use crate::MemoryRecorder;
+    use serde::Value;
 
     #[test]
     fn null_probe_reports_disabled() {

@@ -1,24 +1,38 @@
 //! Recorder implementations of [`Probe`]: in-memory and JSONL.
+//!
+//! Both write each event as one JSONL line, the event's compact JSON
+//! streamed from `Serialize::write_json` plus a newline, so an in-memory
+//! stream and a file stream of the same run are the same bytes.
 
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use serde::Value;
+use serde::Serialize;
 
 use crate::metrics::MetricsRegistry;
 use crate::probe::Probe;
 
+/// One JSONL line: the event's compact JSON and a newline.
+fn jsonl_line(event: &dyn Serialize) -> String {
+    let mut line = String::new();
+    // A `String` sink never fails, and serialization only forwards sink
+    // errors.
+    let _ = event.write_json(&mut line);
+    line.push('\n');
+    line
+}
+
 /// Records events in memory and metrics into a [`MetricsRegistry`].
 ///
-/// The workhorse for tests and in-process inspection;
-/// [`MemoryRecorder::to_jsonl`] serializes the captured events through the
-/// same path as [`JsonlRecorder`], so byte-identity assertions can run
+/// The workhorse for tests and in-process inspection. Events are kept as
+/// the JSONL lines [`JsonlRecorder`] would write, so
+/// [`MemoryRecorder::to_jsonl`] is byte-identical to a recorded file
 /// without touching the filesystem.
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
     metrics: Arc<MetricsRegistry>,
-    events: Mutex<Vec<Value>>,
+    lines: Mutex<Vec<String>>,
 }
 
 impl MemoryRecorder {
@@ -34,7 +48,7 @@ impl MemoryRecorder {
     pub fn with_registry(metrics: Arc<MetricsRegistry>) -> Self {
         Self {
             metrics,
-            events: Mutex::new(Vec::new()),
+            lines: Mutex::new(Vec::new()),
         }
     }
 
@@ -44,19 +58,10 @@ impl MemoryRecorder {
         &self.metrics
     }
 
-    /// A copy of the captured events, in emission order.
-    #[must_use]
-    pub fn events(&self) -> Vec<Value> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
     /// Number of captured events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events
+        self.lines
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
@@ -65,29 +70,20 @@ impl MemoryRecorder {
     /// Whether no events were captured.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events
+        self.lines
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .is_empty()
     }
 
-    /// Serializes the captured events as JSONL — one compact JSON object
-    /// per line, exactly what [`JsonlRecorder`] writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event fails to serialize (cannot happen for values
-    /// built by `serde_json::to_value`).
+    /// The captured events as JSONL — one compact JSON object per line,
+    /// exactly what [`JsonlRecorder`] writes.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = String::new();
-        for event in events.iter() {
-            // ecas-lint: allow(panic-safety, reason = "a serde_json::Value tree always serializes")
-            out.push_str(&serde_json::to_string(event).expect("Value serializes"));
-            out.push('\n');
-        }
-        out
+        self.lines
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .concat()
     }
 }
 
@@ -100,11 +96,12 @@ impl Probe for MemoryRecorder {
         true
     }
 
-    fn emit(&self, event: &Value) {
-        self.events
+    fn emit(&self, event: &dyn Serialize) {
+        let line = jsonl_line(event);
+        self.lines
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(event.clone());
+            .push(line);
     }
 
     fn record_span(&self, name: &str, nanos: u64) {
@@ -215,14 +212,12 @@ impl Probe for JsonlRecorder {
         true
     }
 
-    fn emit(&self, event: &Value) {
-        // ecas-lint: allow(panic-safety, reason = "a serde_json::Value tree always serializes")
-        let line = serde_json::to_string(event).expect("Value serializes");
+    fn emit(&self, event: &dyn Serialize) {
+        let line = jsonl_line(event);
         let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
         // An experiment tool that loses its event stream should fail
         // loudly rather than report success over partial data.
         sink.write_all(line.as_bytes())
-            .and_then(|()| sink.write_all(b"\n"))
             // ecas-lint: allow(panic-safety, reason = "a tool that loses its event stream must fail loudly, not report success")
             .expect("event sink write failed");
     }
@@ -247,6 +242,7 @@ impl Probe for JsonlRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn event(kind: &str, at: f64) -> Value {
         Value::Object(vec![(

@@ -71,15 +71,21 @@ struct SegmentRow {
     stall: f64,
 }
 
-/// Renders a per-segment timeline table from a recorded event stream
-/// (the externally-tagged JSON form of `ecas-sim`'s `SessionEvent`).
+/// Renders a per-segment timeline table from a recorded JSONL event
+/// stream: one externally-tagged `SessionEvent` of `ecas-sim` per line,
+/// as the recorders write it.
 ///
 /// One row per segment: decision time, chosen level, vibration estimate,
 /// buffer level at decision, download window, achieved throughput, and
-/// stall seconds attributed to the download. Unknown event shapes are
-/// ignored, so the renderer stays usable on partial or extended streams.
+/// stall seconds attributed to the download. Unknown event shapes and
+/// lines that do not parse are ignored, so the renderer stays usable on
+/// partial or extended streams.
 #[must_use]
-pub fn segment_timeline(events: &[Value]) -> String {
+pub fn segment_timeline(jsonl: &str) -> String {
+    let events: Vec<Value> = jsonl
+        .lines()
+        .filter_map(|line| serde_json::from_str(line).ok())
+        .collect();
     let mut rows: Vec<SegmentRow> = Vec::new();
     let row = |segment: f64, rows: &mut Vec<SegmentRow>| -> usize {
         let idx = segment.max(0.0) as usize;
@@ -91,7 +97,7 @@ pub fn segment_timeline(events: &[Value]) -> String {
 
     let mut open_segment: Option<usize> = None;
     let mut stall_open: Option<f64> = None;
-    for event in events {
+    for event in &events {
         if let Some(seg) = field(event, "Decision", "segment") {
             let idx = row(seg, &mut rows);
             rows[idx].decide_at = field(event, "Decision", "at");
@@ -243,6 +249,11 @@ mod tests {
         )])
     }
 
+    /// The events as a recorded JSONL stream.
+    fn jsonl(events: &[Value]) -> String {
+        events.iter().map(|e| format!("{e}\n")).collect()
+    }
+
     #[test]
     fn timeline_builds_one_row_per_segment() {
         let events = vec![
@@ -264,7 +275,7 @@ mod tests {
                 vec![("at", 1.0), ("segment", 0.0), ("throughput", 4.0)],
             ),
         ];
-        let table = segment_timeline(&events);
+        let table = segment_timeline(&jsonl(&events));
         assert_eq!(table.lines().count(), 3, "{table}");
         let row = table.lines().last().unwrap();
         assert!(row.contains("4.00"), "{row}");
@@ -277,7 +288,7 @@ mod tests {
             obj(vec![("SomethingNew", Value::Null)]),
             tagged("DownloadStart", vec![("at", 2.0), ("segment", 1.0)]),
         ];
-        let table = segment_timeline(&events);
+        let table = segment_timeline(&format!("not json\n{}", jsonl(&events)));
         // Segments 0 and 1 render (0 has no data).
         assert_eq!(table.lines().count(), 4);
     }

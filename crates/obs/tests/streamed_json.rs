@@ -1,21 +1,23 @@
 //! `serde_json::to_string` and `stable_hash` stream compact JSON straight
-//! from the typed value. These tests hold that stream to the bytes the
-//! value tree renders (`to_value(x).to_string()`) for every shape the
-//! derive supports, and pin the scalar renderings themselves, so cache
-//! keys and record hashes cannot drift with the renderer.
+//! from the typed value. These tests pin that stream for every shape the
+//! derive supports and the scalar renderings themselves, so cache keys
+//! and record hashes cannot drift with the renderer. The literals are
+//! the bytes the former value-tree renderer produced. The pretty pins
+//! were captured from that renderer too, for the cases an indenter of
+//! the compact stream can get wrong.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use ecas_obs::{fnv1a_64, stable_hash};
 use serde::Serialize;
+use serde_json::Value;
 
-/// Asserts that streaming `value` produces the tree's bytes, both as text
-/// and as a hash, and returns that text.
+/// Streams `value` as compact JSON text, checks that `stable_hash`
+/// hashes exactly those bytes, and returns the text.
 fn streamed<T: Serialize + ?Sized>(value: &T) -> String {
-    let tree = serde_json::to_value(value).unwrap().to_string();
-    assert_eq!(serde_json::to_string(value).unwrap(), tree);
-    assert_eq!(stable_hash(value), fnv1a_64(tree.as_bytes()), "{tree}");
-    tree
+    let text = serde_json::to_string(value).unwrap();
+    assert_eq!(stable_hash(value), fnv1a_64(text.as_bytes()), "{text}");
+    text
 }
 
 #[derive(Serialize)]
@@ -133,7 +135,11 @@ fn every_derive_shape_streams_the_tree_bytes() {
     for (shape, json) in &shapes {
         assert_eq!(streamed(shape), *json);
     }
-    streamed(&shapes.iter().map(|(s, _)| s).collect::<Vec<_>>());
+    let jsons: Vec<&str> = shapes.iter().map(|(_, json)| *json).collect();
+    assert_eq!(
+        streamed(&shapes.iter().map(|(s, _)| s).collect::<Vec<_>>()),
+        format!("[{}]", jsons.join(","))
+    );
 }
 
 #[test]
@@ -166,7 +172,7 @@ fn containers_stream_the_tree_bytes() {
     let set: BTreeSet<i16> = [3, -1, 2].into_iter().collect();
     assert_eq!(streamed(&set), "[-1,2,3]");
     assert_eq!(streamed(&Box::new(5u64)), "5");
-    let value = serde_json::to_value(&btree).unwrap();
+    let value: Value = serde_json::from_str(r#"{"a":1,"b":2,"c\"":3}"#).unwrap();
     assert_eq!(streamed(&value), r#"{"a":1,"b":2,"c\"":3}"#);
 }
 
@@ -233,4 +239,79 @@ fn floats_stream_the_tree_bytes() {
     ] {
         assert_eq!(streamed(&f), json, "{f:?}");
     }
+}
+
+#[test]
+fn pretty_json_is_pinned() {
+    let pretty = |value: &dyn Serialize| {
+        let mut text = String::new();
+        value.write_json(&mut text).unwrap();
+        let pretty = serde_json::to_string_pretty(value).unwrap();
+        // Indenting adds only whitespace outside strings: it parses back
+        // to the same value.
+        assert_eq!(
+            serde_json::from_str::<Value>(&pretty).unwrap(),
+            serde_json::from_str::<Value>(&text).unwrap()
+        );
+        pretty
+    };
+    assert_eq!(pretty(&Vec::<u8>::new()), "[]");
+    assert_eq!(pretty(&BTreeMap::<String, u8>::new()), "{}");
+    assert_eq!(pretty(&None::<u8>), "null");
+    let nested: Value = serde_json::from_str(
+        r#"{"a":[],"b":{},"c":[[],{},[[]],{"d":{}}],"e":[{"f":[1,{}]},2.5,null,true]}"#,
+    )
+    .unwrap();
+    assert_eq!(
+        pretty(&nested),
+        r#"{
+  "a": [],
+  "b": {},
+  "c": [
+    [],
+    {},
+    [
+      []
+    ],
+    {
+      "d": {}
+    }
+  ],
+  "e": [
+    {
+      "f": [
+        1,
+        {}
+      ]
+    },
+    2.5,
+    null,
+    true
+  ]
+}"#
+    );
+    let tricky = "{ [ , : \" \\ \u{1} ] }";
+    assert_eq!(pretty(&tricky), r#""{ [ , : \" \\ \u0001 ] }""#);
+    assert_eq!(
+        pretty(&vec![tricky, "end\\", "\\\"", ""]),
+        r#"[
+  "{ [ , : \" \\ \u0001 ] }",
+  "end\\",
+  "\\\"",
+  ""
+]"#
+    );
+    let mut map = BTreeMap::new();
+    map.insert("k\"{[:,\\\n".to_string(), vec![Some(1u8), None]);
+    map.insert("plain".to_string(), Vec::new());
+    assert_eq!(
+        pretty(&map),
+        r#"{
+  "k\"{[:,\\\n": [
+    1,
+    null
+  ],
+  "plain": []
+}"#
+    );
 }

@@ -93,12 +93,14 @@ impl<'p> PlayState<'p> {
         }
     }
 
+    // Out of line on purpose: inlined into its 14 call sites in
+    // `run_inner`, it slowed the null-probe simulator loop by ~9% on a
+    // 2-core x86-64 host (`perf` `sim_loop`, perfbench `grid`).
+    #[inline(never)]
     fn log(&mut self, event: SessionEvent) {
         self.last_event_at = self.last_event_at.max(event.at().value());
         if self.probe.events_enabled() {
-            // ecas-lint: allow(panic-safety, reason = "SessionEvent is a plain enum of finite floats and strings; serialization cannot fail and this is the per-event hot path")
-            let value = serde_json::to_value(&event).expect("session event serializes");
-            self.probe.emit(&value);
+            self.probe.emit(&event);
         }
         if let Some(log) = self.events.as_deref_mut() {
             log.push(event);
@@ -1023,7 +1025,7 @@ mod tests {
         // Event stream mirrors the event log: same decisions, downloads.
         let fresh = ecas_obs::MemoryRecorder::new();
         let (_, log) = sim().run_logged_with_probe(&s, &mut FixedLevel::highest(), &fresh);
-        assert_eq!(fresh.events().len(), log.len());
+        assert_eq!(fresh.len(), log.len());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::synth::context::{Context, ContextSchedule};
 use crate::synth::SessionGenerator;
 
 /// One of the ten quality-assessment videos (Table I / Fig. 2a).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TestVideo {
     /// Short genre name used in Table I (e.g. "Speech").
     pub genre: &'static str,

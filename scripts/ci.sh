@@ -41,16 +41,38 @@ if [ "$quick" -eq 0 ]; then
     fi
 fi
 
-echo "==> smoke: evaluate --obs"
+echo "==> smoke: evaluate --obs (byte-identical uncached twice, cold and warm cached)"
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$obs_dir"' EXIT
-./target/release/evaluate --obs "$obs_dir" >/dev/null
+./target/release/evaluate --obs "$obs_dir/obs_a" > "$obs_dir/obs_a.txt"
 for artifact in manifest.json metrics.txt events timelines; do
-    if [ ! -e "$obs_dir/$artifact" ]; then
+    if [ ! -e "$obs_dir/obs_a/$artifact" ]; then
         echo "missing observability artifact: $artifact" >&2
         exit 1
     fi
 done
+./target/release/evaluate --obs "$obs_dir/obs_b" > "$obs_dir/obs_b.txt"
+./target/release/evaluate --obs "$obs_dir/obs_cold" --cache-dir "$obs_dir/obs_cache" \
+    > "$obs_dir/obs_cold.txt" 2> "$obs_dir/obs_cold.log"
+./target/release/evaluate --obs "$obs_dir/obs_warm" --cache-dir "$obs_dir/obs_cache" \
+    > "$obs_dir/obs_warm.txt" 2> "$obs_dir/obs_warm.log"
+# metrics.txt holds wall-clock spans; every other artifact must match.
+for run in obs_b obs_cold obs_warm; do
+    if ! diff -r -x metrics.txt "$obs_dir/obs_a" "$obs_dir/$run" >&2 \
+        || ! cmp -s "$obs_dir/obs_a.txt" "$obs_dir/$run.txt"; then
+        echo "evaluate --obs: $run differs from the first uncached run" >&2
+        exit 1
+    fi
+done
+if ! grep -q 'cache: hits=30 misses=0 corrupt=0' "$obs_dir/obs_warm.log"; then
+    echo "evaluate --obs: the warm run was not served 100% from the cache" >&2
+    cat "$obs_dir/obs_warm.log" >&2
+    exit 1
+fi
+if find "$obs_dir" -name '*.tmp' | grep . >&2; then
+    echo "evaluate --obs: temp files left behind" >&2
+    exit 1
+fi
 
 echo "==> smoke: warm result cache (100% hits, byte-identical output at any pool width)"
 cache_dir="$obs_dir/cache"

@@ -86,39 +86,55 @@ fn parallel_and_sequential_grids_agree() {
 }
 
 /// Asserts that the compact JSON streamed from `value` — what
-/// `serde_json::to_string` returns and `stable_hash` hashes — is the
-/// value tree's rendering, byte for byte.
-fn assert_streams_like_tree<T: Serialize>(value: &T) {
-    let tree = serde_json::to_value(value).unwrap().to_string();
-    // `assert!`, not `assert_eq!`: a failure must not print megabytes.
-    assert!(serde_json::to_string(value).unwrap() == tree);
-    assert_eq!(stable_hash(value), fnv1a_64(tree.as_bytes()));
+/// `serde_json::to_string` returns and `stable_hash` hashes — hashes to
+/// `pin`. Each pin is FNV-1a over the bytes the former value-tree
+/// renderer produced for the same value.
+fn assert_pinned<T: Serialize>(what: &str, value: &T, pin: u64) {
+    let text = serde_json::to_string(value).unwrap();
+    let hash = fnv1a_64(text.as_bytes());
+    assert_eq!(hash, pin, "{what}: {hash:016x}");
+    assert_eq!(stable_hash(value), pin, "{what}");
 }
 
 #[test]
-fn streamed_json_matches_the_value_tree_for_real_values() {
+fn streamed_json_is_pinned_for_real_values() {
     let sessions: Vec<SessionTrace> = EvalTraceSpec::table_v()
         .iter()
         .map(EvalTraceSpec::generate)
         .collect();
-    for session in &sessions {
-        assert_streams_like_tree(session);
+    let trace_pins = [
+        0x5d2e2a9373b7b24b,
+        0x37da3eeb44434862,
+        0x4c1ada17af5bd02f,
+        0x812126a0760a9d38,
+        0xb7fb15408814dac4,
+    ];
+    for (session, pin) in sessions.iter().zip(trace_pins) {
+        assert_pinned(&session.meta().name, session, pin);
     }
     let runner = ExperimentRunner::paper();
-    assert_streams_like_tree(runner.simulator().config());
-    for approach in Approach::paper_set() {
+    assert_pinned("config", runner.simulator().config(), 0x0d9ed689524c6112);
+    // (approach, result pin, event log pin) on Table V trace 1.
+    let run_pins = [
+        (Approach::Youtube, 0x2156da42f50a26cc, 0x44f00bf3d07cd0cb),
+        (Approach::Festive, 0x90f1299e7a3f7dde, 0x1cd7cbe58f870e9a),
+        (Approach::Bba, 0x4f45216ce42fa2af, 0xd774cd65dba0303f),
+        (Approach::Ours, 0xced498f521cbc0ed, 0x2e86e36d2f821a6c),
+        (Approach::Optimal, 0x0ab82fef652c97f7, 0xa6eb6e86c3251225),
+    ];
+    assert_eq!(run_pins.map(|(a, _, _)| a), Approach::paper_set());
+    for (approach, result_pin, log_pin) in run_pins {
         let (result, log) = runner.run_with_probe(&sessions[0], &approach, &NULL_PROBE);
-        assert_streams_like_tree(&result);
-        assert_streams_like_tree(&log);
+        assert_pinned(&format!("{} result", approach.label()), &result, result_pin);
+        assert_pinned(&format!("{} log", approach.label()), &log, log_pin);
     }
-    assert_streams_like_tree(&RecordScenario {
+    let scenario = RecordScenario {
         session: RecordedSession::TableV { id: 1 },
         approach: Approach::Ours,
         eta: 0.5,
         fault: Some(FaultSpec::scaled(0.5, 1)),
-    });
-    assert_streams_like_tree(&ecas::observe::manifest(
-        &Scenario::paper_evaluation(),
-        &runner,
-    ));
+    };
+    assert_pinned("record scenario", &scenario, 0xce2b12e024955601);
+    let manifest = ecas::observe::manifest(&Scenario::paper_evaluation(), &runner);
+    assert_pinned("manifest", &manifest, 0xcb394ae82390834b);
 }
