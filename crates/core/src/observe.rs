@@ -14,7 +14,10 @@
 //!
 //! Event files depend only on seeds and configuration, so a rerun of the
 //! same scenario produces byte-identical JSONL and an equal manifest hash
-//! — asserted by this crate's determinism tests.
+//! — asserted by this crate's determinism tests. Each `(trace, approach)`
+//! pair is an observed cell of one [`SweepEngine`] comparison grid, so
+//! pairs run in the policy's pool and a cached pair serves its stream
+//! from the cache; every file is published through `write_atomic`.
 
 use std::fs;
 use std::io;
@@ -26,10 +29,10 @@ use ecas_obs::{stable_hash, MetricsRegistry, RunManifest, TraceRef};
 use ecas_trace::videos::EvalTraceSpec;
 use ecas_types::ladder::LevelIndex;
 
-use crate::metrics::{ComparisonSummary, TraceComparison};
+use crate::metrics::ComparisonSummary;
 use crate::report::{Scenario, TraceSelection};
 use crate::runner::ExperimentRunner;
-use crate::sweep::{CacheStats, ExecPolicy, SweepEngine};
+use crate::sweep::{write_atomic, CacheStats, ExecPolicy, SweepEngine};
 
 /// Builds the [`RunManifest`] describing a scenario run under `runner`.
 #[must_use]
@@ -112,18 +115,17 @@ pub fn run_observed(scenario: &Scenario, dir: &Path) -> io::Result<ComparisonSum
     run_observed_with(scenario, dir, &scenario.policy()).map(|(summary, _)| summary)
 }
 
-/// [`run_observed`] under an explicit [`ExecPolicy`]: when the policy
-/// caches, every `(trace, approach)` pair — including its event JSONL —
-/// and every base-energy run is served from the cache on a warm rerun,
+/// [`run_observed`] under an explicit [`ExecPolicy`]. The pairs and the
+/// base-energy runs are one comparison grid at the policy's pool width;
+/// when the policy caches, every pair — its event JSONL included — and
+/// every base-energy run is served from the cache on a warm rerun,
 /// producing byte-identical event files without executing the simulator.
-///
-/// Only the policy's cache layer affects the observed pairs (each pair
-/// streams into its own recorder, which is inherently sequential); the
-/// wrapped policy still drives base-energy computation.
 ///
 /// Returns the summary together with the run's [`CacheStats`]. On a warm
 /// run the `sim/*` metrics stay at zero — the `sweep/cache_*` counters in
 /// `metrics.txt` tell the story instead (see [`ecas_obs::names`]).
+/// Counters aggregate over the pairs; the per-session `sim/*` gauges
+/// hold whichever pair finished last.
 ///
 /// # Errors
 ///
@@ -144,49 +146,35 @@ pub fn run_observed_with(
     fs::create_dir_all(&timelines_dir)?;
 
     let manifest = manifest(scenario, &runner);
-    fs::write(
-        dir.join("manifest.json"),
-        format!("{}\n", manifest.to_json_pretty()),
+    write_atomic(
+        &dir.join("manifest.json"),
+        format!("{}\n", manifest.to_json_pretty()).as_bytes(),
     )?;
 
     let registry = Arc::new(MetricsRegistry::new());
     let engine = SweepEngine::new(runner).with_registry(Arc::clone(&registry));
-    let cache_dir = policy.cache_dir();
-    let base_policy = match cache_dir {
-        Some(cache) => ExecPolicy::cached(cache, ExecPolicy::Sequential),
-        None => ExecPolicy::Sequential,
-    };
-
     let sessions = scenario.traces.sessions();
-    let mut traces = Vec::with_capacity(sessions.len());
-    for session in &sessions {
-        let name = session.meta().name.clone();
-        let mut results = Vec::with_capacity(scenario.approaches.len());
-        for approach in &scenario.approaches {
-            let stem = pair_stem(&name, approach.label());
-            let (result, events) = engine.run_observed_pair(
-                session,
-                approach,
-                cache_dir,
-                &events_dir.join(format!("{stem}.jsonl")),
-                &registry,
-            )?;
-            fs::write(
-                timelines_dir.join(format!("{stem}.txt")),
-                segment_timeline(&events),
-            )?;
-            results.push(result);
-        }
-        traces.push(TraceComparison::from_results(
-            name,
-            engine.base_energy(session, &base_policy),
-            &scenario.approaches,
-            &results,
-        ));
+    let (summary, streams) = engine.observed_comparison(&sessions, &scenario.approaches, policy);
+    let stems = sessions.iter().flat_map(|session| {
+        let name = &session.meta().name;
+        scenario
+            .approaches
+            .iter()
+            .map(move |approach| pair_stem(name, approach.label()))
+    });
+    for (stem, events) in stems.zip(&streams) {
+        write_atomic(&events_dir.join(format!("{stem}.jsonl")), events.as_bytes())?;
+        write_atomic(
+            &timelines_dir.join(format!("{stem}.txt")),
+            segment_timeline(events).as_bytes(),
+        )?;
     }
 
-    fs::write(dir.join("metrics.txt"), metrics_summary(&registry.snapshot()))?;
-    Ok((ComparisonSummary { traces }, engine.stats()))
+    write_atomic(
+        &dir.join("metrics.txt"),
+        metrics_summary(&registry.snapshot()).as_bytes(),
+    )?;
+    Ok((summary, engine.stats()))
 }
 
 #[cfg(test)]
@@ -257,41 +245,64 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// Pool width and the cache never leak into artifacts: uncached runs
+    /// and cached runs, cold then warm, at one worker and at three, write
+    /// the `events/` and `timelines/` files of an uncached default run.
     #[test]
     fn observed_warm_cache_run_is_byte_identical() {
         let scenario = tiny_scenario();
-        let cache = temp_dir("obs-cache");
-        let cold_dir = temp_dir("obs-cold");
-        let warm_dir = temp_dir("obs-warm");
-        let policy = ExecPolicy::cached(&cache, ExecPolicy::Sequential);
+        let reference_dir = temp_dir("obs-reference");
+        let (reference, _) =
+            run_observed_with(&scenario, &reference_dir, &scenario.policy()).unwrap();
+        let same_artifacts = |dir: &Path| {
+            for approach in ["youtube", "ours"] {
+                let stem = format!("walking-0__{approach}");
+                for (sub, ext) in [("events", "jsonl"), ("timelines", "txt")] {
+                    let name = format!("{stem}.{ext}");
+                    let a = fs::read(reference_dir.join(sub).join(&name)).unwrap();
+                    let b = fs::read(dir.join(sub).join(&name)).unwrap();
+                    assert_eq!(a, b, "{sub}/{name} differs in {}", dir.display());
+                }
+            }
+        };
+        let inner_policies = [
+            ("seq", ExecPolicy::Sequential),
+            ("par", ExecPolicy::Parallel { jobs: 3 }),
+        ];
+        for (tag, inner) in inner_policies {
+            let cache = temp_dir(&format!("obs-cache-{tag}"));
+            let uncached_dir = temp_dir(&format!("obs-uncached-{tag}"));
+            let cold_dir = temp_dir(&format!("obs-cold-{tag}"));
+            let warm_dir = temp_dir(&format!("obs-warm-{tag}"));
 
-        let (cold, cold_stats) = run_observed_with(&scenario, &cold_dir, &policy).unwrap();
-        // Two observed pairs + one base-energy cell, all misses.
-        assert_eq!(cold_stats.misses, 3);
-        assert_eq!(cold_stats.hits, 0);
+            let (uncached, uncached_stats) =
+                run_observed_with(&scenario, &uncached_dir, &inner).unwrap();
+            assert_eq!(uncached, reference, "{inner:?}");
+            assert_eq!(uncached_stats, CacheStats::default(), "{inner:?}");
 
-        let (warm, warm_stats) = run_observed_with(&scenario, &warm_dir, &policy).unwrap();
-        assert_eq!(warm, cold);
-        assert!(warm_stats.all_hits(), "{warm_stats:?}");
-        assert_eq!(warm_stats.hits, 3);
+            let policy = ExecPolicy::cached(&cache, inner);
+            let (cold, cold_stats) = run_observed_with(&scenario, &cold_dir, &policy).unwrap();
+            // Two observed pairs + one base-energy cell, all misses.
+            assert_eq!(cold_stats.misses, 3);
+            assert_eq!(cold_stats.hits, 0);
 
-        for approach in ["youtube", "ours"] {
-            let stem = format!("walking-0__{approach}");
-            for sub in ["events", "timelines"] {
-                let ext = if sub == "events" { "jsonl" } else { "txt" };
-                let name = format!("{stem}.{ext}");
-                let a = fs::read(cold_dir.join(sub).join(&name)).unwrap();
-                let b = fs::read(warm_dir.join(sub).join(&name)).unwrap();
-                assert_eq!(a, b, "{sub}/{name} differs between cold and warm runs");
+            let (warm, warm_stats) = run_observed_with(&scenario, &warm_dir, &policy).unwrap();
+            assert_eq!(warm, cold);
+            assert!(warm_stats.all_hits(), "{warm_stats:?}");
+            assert_eq!(warm_stats.hits, 3);
+
+            for dir in [&uncached_dir, &cold_dir, &warm_dir] {
+                same_artifacts(dir);
+            }
+            // The warm run never executed the simulator; the cache counters
+            // carry the story instead.
+            let metrics = fs::read_to_string(warm_dir.join("metrics.txt")).unwrap();
+            assert!(metrics.contains("sweep/cache_hit"), "{metrics}");
+
+            for d in [&cache, &uncached_dir, &cold_dir, &warm_dir] {
+                fs::remove_dir_all(d).ok();
             }
         }
-        // The warm run never executed the simulator; the cache counters
-        // carry the story instead.
-        let metrics = fs::read_to_string(warm_dir.join("metrics.txt")).unwrap();
-        assert!(metrics.contains("sweep/cache_hit"), "{metrics}");
-
-        for d in [&cache, &cold_dir, &warm_dir] {
-            fs::remove_dir_all(d).ok();
-        }
+        fs::remove_dir_all(&reference_dir).ok();
     }
 }

@@ -32,6 +32,12 @@
 //! the cell, which is how fleets stream through the pool without holding
 //! their traces.
 //!
+//! An observed cell is an approach cell run under a [`MemoryRecorder`]:
+//! it yields the pair's JSONL event stream with its result, and its cache
+//! entry stores the stream's lines after the result line. Observed runs
+//! ([`crate::observe`]) are comparison grids of observed cells, so they
+//! take the same path as every other grid.
+//!
 //! The cache key covers the complete cell input, so invalidation is
 //! automatic: change the seed, the player config, η or the fault spec and
 //! the key changes with it. Stale entries are simply never looked up
@@ -49,7 +55,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use ecas_obs::{fnv1a_64, names, perf, stable_hash, MemoryRecorder, MetricsRegistry};
 use ecas_sim::controller::FixedLevel;
-use ecas_sim::events::EventLog;
 use ecas_sim::result::SessionResult;
 use ecas_sim::FaultSpec;
 use ecas_trace::session::SessionTrace;
@@ -66,8 +71,9 @@ use crate::runner::ExperimentRunner;
 /// Version stamp of the on-disk cache entry layout. Bumping it (or the
 /// crate version) invalidates every existing entry. Format 2 names a
 /// session by the hash of its `.bin` bytes and adds the header's body
-/// hash.
-pub(crate) const CACHE_FORMAT: u32 = 2;
+/// hash; format 3 stores an observed cell's event stream as its own
+/// lines after the result line.
+pub(crate) const CACHE_FORMAT: u32 = 3;
 
 /// The pseudo-controller label under which per-session base-energy runs
 /// (everything at the lowest ladder level) are cached.
@@ -190,21 +196,33 @@ impl CacheStats {
     }
 }
 
-/// What a grid cell runs: a real approach or the base-energy probe.
+/// What a grid cell runs: a real approach, an observed one or the
+/// base-energy probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Cell {
     Approach(Approach),
+    /// The approach run under a [`MemoryRecorder`]: the cell yields the
+    /// pair's JSONL event stream with its result.
+    Observed(Approach),
     BaseEnergy,
 }
 
 impl Cell {
     fn label(self) -> &'static str {
         match self {
-            Cell::Approach(a) => a.label(),
+            Cell::Approach(a) | Cell::Observed(a) => a.label(),
             Cell::BaseEnergy => BASE_LABEL,
         }
     }
+
+    fn observed(self) -> bool {
+        matches!(self, Cell::Observed(_))
+    }
 }
+
+/// What a cell yields: its result and, for an observed cell, the pair's
+/// JSONL event stream.
+type Outcome = (SessionResult, Option<String>);
 
 /// One schedulable unit: a session replayed under one cell kind.
 #[derive(Debug, Clone, Copy)]
@@ -225,7 +243,7 @@ struct KeyContext {
 impl KeyContext {
     /// The cache key of `cell` over the session whose content hash is
     /// `session`.
-    fn key(&self, session: &str, cell: Cell, observed: bool) -> String {
+    fn key(&self, session: &str, cell: Cell) -> String {
         let key = CellKey {
             format: CACHE_FORMAT,
             crate_version: self.crate_version.clone(),
@@ -235,7 +253,7 @@ impl KeyContext {
             fault: self.fault,
             controller: cell.label().to_string(),
             session: session.to_string(),
-            observed,
+            observed: cell.observed(),
         };
         format!("{:016x}", stable_hash(&key))
     }
@@ -276,14 +294,8 @@ struct CacheHeader {
     body: u64,
 }
 
-/// A validated entry read back from disk.
-struct CachedEntry {
-    result: SessionResult,
-    probe_jsonl: Option<String>,
-}
-
 enum Lookup {
-    Hit(Box<CachedEntry>),
+    Hit(Box<Outcome>),
     /// Served from a recorded `.ecasr` reference (no JSONL entry).
     Record(Box<SessionResult>),
     Absent,
@@ -355,6 +367,9 @@ impl SweepEngine {
     ) -> Vec<SessionResult> {
         let cells: Vec<Cell> = approaches.iter().map(|&a| Cell::Approach(a)).collect();
         self.execute(sessions, &cells, policy)
+            .into_iter()
+            .map(|(result, _)| result)
+            .collect()
     }
 
     /// Runs `approach` over `count` sessions that `make` builds on
@@ -389,12 +404,12 @@ impl SweepEngine {
             let (tag, session) = make(i);
             let key = ctx
                 .as_ref()
-                .map(|ctx| ctx.key(&session_hash(&session), cell, false));
+                .map(|ctx| ctx.key(&session_hash(&session), cell));
             let job = Job {
                 session: &session,
                 cell,
             };
-            let result = self.run_cell(&caches, key.as_deref(), &job);
+            let (result, _) = self.run_cell(&caches, key.as_deref(), &job);
             (tag, result, session.meta().video_length)
         });
         if let Some(watch) = watch {
@@ -422,10 +437,54 @@ impl SweepEngine {
         approaches: &[Approach],
         policy: &ExecPolicy,
     ) -> ComparisonSummary {
+        self.compare(sessions, approaches, Cell::Approach, policy).0
+    }
+
+    /// The session's base energy (Fig. 5c), served through the cache when
+    /// `policy` caches.
+    #[must_use]
+    pub fn base_energy(&self, session: &SessionTrace, policy: &ExecPolicy) -> Joules {
+        self.execute(std::slice::from_ref(session), &[Cell::BaseEnergy], policy)
+            .into_iter()
+            .next()
+            .map(|(r, _)| r.total_energy())
+            .unwrap_or_else(|| self.runner.base_energy(session))
+    }
+
+    /// [`Self::comparison`] with every approach cell observed: returns the
+    /// summary with each `(session, approach)` pair's JSONL event stream,
+    /// sessions-major. A miss records the stream live into a
+    /// [`MemoryRecorder`] that shares the engine's registry; a hit serves
+    /// it byte for byte from the cache without running the simulator.
+    pub(crate) fn observed_comparison(
+        &self,
+        sessions: &[SessionTrace],
+        approaches: &[Approach],
+        policy: &ExecPolicy,
+    ) -> (ComparisonSummary, Vec<String>) {
+        self.compare(sessions, approaches, Cell::Observed, policy)
+    }
+
+    // ---------------------------------------------------------------- //
+    // Execution
+    // ---------------------------------------------------------------- //
+
+    /// The comparison grid with approach cells built by `cell`: one
+    /// base-energy cell plus `cell(approach)` per approach, per session,
+    /// aggregated like [`ComparisonSummary::evaluate`], with the event
+    /// streams of the observed cells, sessions-major.
+    fn compare(
+        &self,
+        sessions: &[SessionTrace],
+        approaches: &[Approach],
+        cell: fn(Approach) -> Cell,
+        policy: &ExecPolicy,
+    ) -> (ComparisonSummary, Vec<String>) {
         let cells: Vec<Cell> = std::iter::once(Cell::BaseEnergy)
-            .chain(approaches.iter().map(|&a| Cell::Approach(a)))
+            .chain(approaches.iter().map(|&a| cell(a)))
             .collect();
-        let results = self.execute(sessions, &cells, policy);
+        let (results, streams): (Vec<SessionResult>, Vec<Option<String>>) =
+            self.execute(sessions, &cells, policy).into_iter().unzip();
         let stride = approaches.len() + 1;
         let traces = sessions
             .iter()
@@ -440,102 +499,26 @@ impl SweepEngine {
                 ))
             })
             .collect();
-        ComparisonSummary { traces }
+        let streams = streams.into_iter().flatten().collect();
+        (ComparisonSummary { traces }, streams)
     }
 
-    /// The session's base energy (Fig. 5c), served through the cache when
-    /// `policy` caches.
-    #[must_use]
-    pub fn base_energy(&self, session: &SessionTrace, policy: &ExecPolicy) -> Joules {
-        self.execute(std::slice::from_ref(session), &[Cell::BaseEnergy], policy)
-            .into_iter()
-            .next()
-            .map(|r| r.total_energy())
-            .unwrap_or_else(|| self.runner.base_energy(session))
-    }
-
-    /// Like [`ExperimentRunner::run_with_probe`] but cache-aware: the
-    /// deterministic event stream (JSONL text) comes either from a live
-    /// instrumented run (miss — the stream is then stored alongside the
-    /// result) or byte-for-byte from the cache (hit — the simulator never
-    /// runs, so `registry` accumulates no `sim/*` metrics for the pair).
-    /// Either way the stream is published to `events_path` through
-    /// [`write_atomic`] and returned with the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if `events_path` cannot be written. Cache
-    /// *store* failures are counted in [`CacheStats::write_errors`], not
-    /// returned.
-    pub fn run_observed_pair(
-        &self,
-        session: &SessionTrace,
-        approach: &Approach,
-        cache_dir: Option<&Path>,
-        events_path: &Path,
-        registry: &Arc<MetricsRegistry>,
-    ) -> io::Result<(SessionResult, String)> {
-        let job = Job {
-            session,
-            cell: Cell::Approach(*approach),
-        };
-        let cache = match cache_dir {
-            Some(dir) => {
-                fs::create_dir_all(dir)?;
-                let key = self
-                    .key_context()
-                    .key(&session_hash(session), job.cell, true);
-                Some((dir, key))
-            }
-            None => None,
-        };
-
-        if let Some((dir, key)) = &cache {
-            match self.load(dir, key, &job, true) {
-                Lookup::Hit(entry) => {
-                    let entry = *entry;
-                    if let Some(probe) = entry.probe_jsonl {
-                        self.note_hit();
-                        write_atomic(events_path, probe.as_bytes())?;
-                        return Ok((entry.result, probe));
-                    }
-                    self.note_corrupt();
-                }
-                // Records carry no probe stream, so `load` never
-                // returns one for an observed lookup.
-                Lookup::Record(_) => {}
-                Lookup::Corrupt => self.note_corrupt(),
-                Lookup::Absent => {}
-            }
-            self.note_miss();
-        }
-
-        let recorder = MemoryRecorder::with_registry(Arc::clone(registry));
-        let (result, log) = self.runner.run_with_probe(session, approach, &recorder);
-        let probe = recorder.to_jsonl();
-        write_atomic(events_path, probe.as_bytes())?;
-
-        if let Some((dir, key)) = &cache {
-            if self
-                .store(dir, key, &job, &result, Some((&log, &probe)))
-                .is_err()
-            {
-                self.note_write_error();
-            }
-        }
-        Ok((result, probe))
-    }
-
-    // ---------------------------------------------------------------- //
-    // Execution
-    // ---------------------------------------------------------------- //
-
-    fn compute(&self, job: &Job<'_>) -> SessionResult {
+    fn compute(&self, job: &Job<'_>) -> Outcome {
         match job.cell {
-            Cell::Approach(a) => self.runner.run(job.session, &a),
+            Cell::Approach(a) => (self.runner.run(job.session, &a), None),
+            Cell::Observed(a) => {
+                let recorder = self
+                    .registry
+                    .as_ref()
+                    .map_or_else(MemoryRecorder::new, |r| {
+                        MemoryRecorder::with_registry(Arc::clone(r))
+                    });
+                let (result, _) = self.runner.run_with_probe(job.session, &a, &recorder);
+                (result, Some(recorder.to_jsonl()))
+            }
             Cell::BaseEnergy => {
                 let mut lowest = FixedLevel::new(LevelIndex::new(0));
-                self.runner.simulator().run(job.session, &mut lowest)
+                (self.runner.simulator().run(job.session, &mut lowest), None)
             }
         }
     }
@@ -552,7 +535,7 @@ impl SweepEngine {
         sessions: &[SessionTrace],
         cells: &[Cell],
         policy: &ExecPolicy,
-    ) -> Vec<SessionResult> {
+    ) -> Vec<Outcome> {
         if sessions.is_empty() || cells.is_empty() {
             return Vec::new();
         }
@@ -574,7 +557,7 @@ impl SweepEngine {
                 let key = ctx
                     .as_ref()
                     .zip(hashes.get(i))
-                    .map(|(ctx, hash)| ctx.key(hash, cell, false));
+                    .map(|(ctx, hash)| ctx.key(hash, cell));
                 jobs.push((Job { session, cell }, key));
             }
         }
@@ -626,31 +609,26 @@ impl SweepEngine {
         }
     }
 
-    /// One unobserved cell of a planned execution. With a cache `key`,
+    /// One cell of a planned execution. With a cache `key`,
     /// it walks the cache directories `caches` (outermost first): the
     /// first hit serves it, otherwise it is computed and stored in every
     /// usable directory that missed. With no key — the policy does not
     /// cache — or an exhausted chain, it is computed.
-    fn run_cell(
-        &self,
-        caches: &[(&Path, bool)],
-        key: Option<&str>,
-        job: &Job<'_>,
-    ) -> SessionResult {
+    fn run_cell(&self, caches: &[(&Path, bool)], key: Option<&str>, job: &Job<'_>) -> Outcome {
         let (Some(key), Some((&(dir, usable), inner))) = (key, caches.split_first()) else {
             return self.compute(job);
         };
         if usable {
-            if let Some(result) = self.lookup(dir, key, job) {
-                return result;
+            if let Some(outcome) = self.lookup(dir, key, job) {
+                return outcome;
             }
         }
         self.note_miss();
-        let result = self.run_cell(inner, Some(key), job);
-        if usable && self.store(dir, key, job, &result, None).is_err() {
+        let outcome = self.run_cell(inner, Some(key), job);
+        if usable && self.store(dir, key, job, &outcome).is_err() {
             self.note_write_error();
         }
-        result
+        outcome
     }
 
     // ---------------------------------------------------------------- //
@@ -675,22 +653,22 @@ impl SweepEngine {
     // Cache I/O
     // ---------------------------------------------------------------- //
 
-    fn load(&self, dir: &Path, key: &str, job: &Job<'_>, observed: bool) -> Lookup {
+    fn load(&self, dir: &Path, key: &str, job: &Job<'_>) -> Lookup {
         let text = match fs::read_to_string(entry_path(dir, key)) {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 // No JSONL entry. A recorded `.ecasr` reference can stand
-                // in for an unobserved cell; observed pairs need the probe
+                // in for an unobserved cell; observed cells need the event
                 // stream that records do not carry.
-                if observed {
+                if job.cell.observed() {
                     return Lookup::Absent;
                 }
                 return self.load_record(dir, key);
             }
             Err(_) => return Lookup::Corrupt,
         };
-        parse_entry(&text, key, job, observed)
-            .map_or(Lookup::Corrupt, |entry| Lookup::Hit(Box::new(entry)))
+        parse_entry(&text, key, job)
+            .map_or(Lookup::Corrupt, |outcome| Lookup::Hit(Box::new(outcome)))
     }
 
     /// Attempts to serve a cell from a recorded `.ecasr` reference in the
@@ -716,17 +694,17 @@ impl SweepEngine {
         Lookup::Record(Box::new(record.reference))
     }
 
-    /// Serves an unobserved cell from `dir`, noting the hit (or the
-    /// corrupt entry) in the stats; `None` means the caller computes.
-    fn lookup(&self, dir: &Path, key: &str, job: &Job<'_>) -> Option<SessionResult> {
-        match self.load(dir, key, job, false) {
-            Lookup::Hit(entry) => {
+    /// Serves a cell from `dir`, noting the hit (or the corrupt entry) in
+    /// the stats; `None` means the caller computes.
+    fn lookup(&self, dir: &Path, key: &str, job: &Job<'_>) -> Option<Outcome> {
+        match self.load(dir, key, job) {
+            Lookup::Hit(outcome) => {
                 self.note_hit();
-                Some(entry.result)
+                Some(*outcome)
             }
             Lookup::Record(result) => {
                 self.note_record_hit();
-                Some(*result)
+                Some((*result, None))
             }
             Lookup::Absent => None,
             Lookup::Corrupt => {
@@ -737,22 +715,20 @@ impl SweepEngine {
     }
 
     /// Writes an entry through [`write_atomic`], so a concurrent reader
-    /// never sees a half-written entry (it sees the old one or none).
+    /// never sees a half-written entry (it sees the old one or none). The
+    /// body is the result line, then an observed cell's event stream as
+    /// it stands.
     fn store(
         &self,
         dir: &Path,
         key: &str,
         job: &Job<'_>,
-        result: &SessionResult,
-        observed: Option<(&EventLog, &str)>,
+        (result, stream): &Outcome,
     ) -> io::Result<()> {
         let mut body = to_json(result)?;
         body.push('\n');
-        if let Some((log, probe)) = observed {
-            body.push_str(&to_json(log)?);
-            body.push('\n');
-            body.push_str(&to_json(probe)?);
-            body.push('\n');
+        if let Some(stream) = stream {
+            body.push_str(stream);
         }
         let header = CacheHeader {
             format: CACHE_FORMAT,
@@ -760,7 +736,7 @@ impl SweepEngine {
             crate_version: env!("CARGO_PKG_VERSION").to_string(),
             controller: job.cell.label().to_string(),
             trace: job.session.meta().name.clone(),
-            observed: observed.is_some(),
+            observed: job.cell.observed(),
             body: fnv1a_64(body.as_bytes()),
         };
         let mut text = to_json(&header)?;
@@ -889,11 +865,14 @@ fn to_json<T: Serialize + ?Sized>(value: &T) -> io::Result<String> {
 
 /// Parses and validates one entry. Any mismatch — wrong format, wrong
 /// key, wrong crate version, wrong cell identity, a body that does not
-/// hash to the header's `body`, malformed payload, trailing garbage —
-/// rejects the whole entry.
-fn parse_entry(text: &str, key: &str, job: &Job<'_>, observed: bool) -> Option<CachedEntry> {
+/// hash to the header's `body`, a malformed result line, bytes after an
+/// unobserved cell's result line — rejects the whole entry. An observed
+/// cell's event stream is the rest of the body, served verbatim: the
+/// body hash already covers every byte of it.
+fn parse_entry(text: &str, key: &str, job: &Job<'_>) -> Option<Outcome> {
     let (header, body) = text.split_once('\n')?;
     let header: CacheHeader = serde_json::from_str(header).ok()?;
+    let observed = job.cell.observed();
     let valid = header.format == CACHE_FORMAT
         && header.key == key
         && header.crate_version == env!("CARGO_PKG_VERSION")
@@ -904,22 +883,13 @@ fn parse_entry(text: &str, key: &str, job: &Job<'_>, observed: bool) -> Option<C
     if !valid {
         return None;
     }
-    let mut lines = body.lines();
-    let result: SessionResult = serde_json::from_str(lines.next()?).ok()?;
-    let probe_jsonl = if observed {
-        // The stored log must parse, although a hit serves only the stream.
-        serde_json::from_str::<EventLog>(lines.next()?).ok()?;
-        Some(serde_json::from_str(lines.next()?).ok()?)
+    let (result, stream) = body.split_once('\n')?;
+    let result: SessionResult = serde_json::from_str(result).ok()?;
+    if observed {
+        Some((result, Some(stream.to_string())))
     } else {
-        None
-    };
-    if lines.next().is_some() {
-        return None;
+        stream.is_empty().then_some((result, None))
     }
-    Some(CachedEntry {
-        result,
-        probe_jsonl,
-    })
 }
 
 #[cfg(test)]
@@ -1036,11 +1006,9 @@ mod tests {
 
         let entry = entry_path(
             &dir,
-            &cold.key_context().key(
-                &session_hash(&sessions[0]),
-                Cell::Approach(Approach::Ours),
-                false,
-            ),
+            &cold
+                .key_context()
+                .key(&session_hash(&sessions[0]), Cell::Approach(Approach::Ours)),
         );
         let text = fs::read_to_string(&entry).unwrap();
         let field = "\"mean_qoe\":";
@@ -1096,22 +1064,25 @@ mod tests {
         };
         let key = engine
             .key_context()
-            .key(&session_hash(&sessions[0]), job.cell, false);
-        let result = engine
-            .run_grid(&sessions, &[Approach::Ours], &ExecPolicy::Sequential)
-            .remove(0);
+            .key(&session_hash(&sessions[0]), job.cell);
+        let outcome = (
+            engine
+                .run_grid(&sessions, &[Approach::Ours], &ExecPolicy::Sequential)
+                .remove(0),
+            None,
+        );
 
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..50 {
-                        engine.store(&dir, &key, &job, &result, None).unwrap();
+                        engine.store(&dir, &key, &job, &outcome).unwrap();
                     }
                 });
             }
             scope.spawn(|| {
                 for _ in 0..400 {
-                    match engine.load(&dir, &key, &job, false) {
+                    match engine.load(&dir, &key, &job) {
                         Lookup::Hit(_) | Lookup::Record(_) | Lookup::Absent => {}
                         Lookup::Corrupt => panic!("reader observed a torn cache entry"),
                     }
@@ -1120,10 +1091,7 @@ mod tests {
         });
 
         // The settled entry is a complete, valid hit …
-        assert!(matches!(
-            engine.load(&dir, &key, &job, false),
-            Lookup::Hit(_)
-        ));
+        assert!(matches!(engine.load(&dir, &key, &job), Lookup::Hit(_)));
         // … and every temp file was consumed by its own rename.
         assert_no_temp_litter(&dir);
         fs::remove_dir_all(&dir).ok();
@@ -1230,8 +1198,8 @@ mod tests {
         assert!(matches!(
             engine.load(&dir, &key, &Job {
                 session: &sessions[0],
-                cell: Cell::Approach(Approach::Ours),
-            }, true),
+                cell: Cell::Observed(Approach::Ours),
+            }),
             Lookup::Absent
         ));
         fs::remove_dir_all(&dir).ok();
@@ -1293,22 +1261,19 @@ mod tests {
     #[test]
     fn cache_key_separates_eta_fault_and_observed() {
         let hash = session_hash(&sessions()[0]);
-        let key = |engine: &SweepEngine, approach, observed| {
-            engine
-                .key_context()
-                .key(&hash, Cell::Approach(approach), observed)
-        };
+        let key = |engine: &SweepEngine, cell| engine.key_context().key(&hash, cell);
+        let ours = Cell::Approach(Approach::Ours);
         let engine = SweepEngine::new(ExperimentRunner::paper());
-        let base = key(&engine, Approach::Ours, false);
-        let changed = |engine: &SweepEngine, approach, observed, what: &str| {
-            assert_ne!(key(engine, approach, observed), base, "{what} must key");
+        let base = key(&engine, ours);
+        let changed = |engine: &SweepEngine, cell, what: &str| {
+            assert_ne!(key(engine, cell), base, "{what} must key");
         };
-        assert_eq!(key(&engine, Approach::Ours, false), base, "keys are stable");
-        changed(&engine, Approach::Ours, true, "observed flag");
-        changed(&engine, Approach::Youtube, false, "controller");
+        assert_eq!(key(&engine, ours), base, "keys are stable");
+        changed(&engine, Cell::Observed(Approach::Ours), "observed flag");
+        changed(&engine, Cell::Approach(Approach::Youtube), "controller");
 
         let other_eta = SweepEngine::new(ExperimentRunner::paper_with_eta(0.9));
-        changed(&other_eta, Approach::Ours, false, "eta");
+        changed(&other_eta, ours, "eta");
 
         let faulty = SweepEngine::new(ExperimentRunner::new(
             ExperimentRunner::paper()
@@ -1317,7 +1282,7 @@ mod tests {
                 .with_faults(FaultSpec::scaled(0.5, 7)),
             0.5,
         ));
-        changed(&faulty, Approach::Ours, false, "fault spec");
+        changed(&faulty, ours, "fault spec");
     }
 
     /// Pins the content hashes every existing cache is named by: a drift
@@ -1343,8 +1308,8 @@ mod tests {
         );
         let key = SweepEngine::new(ExperimentRunner::paper())
             .key_context()
-            .key(&hash, Cell::Approach(Approach::Ours), false);
-        assert_eq!(key, "89682e8e20aab7ae");
+            .key(&hash, Cell::Approach(Approach::Ours));
+        assert_eq!(key, "1029aa7052736a6f");
     }
 
     /// `run_generated` runs each cell inline in its pool job; under every
@@ -1449,6 +1414,94 @@ mod tests {
         assert!(warm.all_hits() && warm.hits == 5, "{warm:?}");
         clear();
         fs::remove_file(&blocker).ok();
+    }
+
+    /// Observed cells take the one cell path. Each stream
+    /// `observed_comparison` returns is what a fresh `MemoryRecorder` run
+    /// of `run_with_probe` records for its pair, under any policy, and
+    /// the summary is the unobserved one. A cached observed entry is the
+    /// header, the result line, then that stream's own lines. One changed
+    /// byte inside the stream (same length) makes the entry corrupt: the
+    /// pair is recomputed to the same stream and the entry repaired.
+    #[test]
+    fn observed_cells_yield_the_recorded_event_streams() {
+        let mut sessions = sessions();
+        sessions.push(
+            SessionGenerator::new(
+                "sweep-test-2",
+                ContextSchedule::constant(Context::MovingVehicle),
+                Seconds::new(20.0),
+                21,
+            )
+            .generate(),
+        );
+        let approaches = [Approach::Youtube, Approach::Ours];
+        let runner = ExperimentRunner::paper();
+        let mut results = Vec::new();
+        let mut reference = Vec::new();
+        for session in &sessions {
+            for approach in &approaches {
+                let recorder = MemoryRecorder::new();
+                results.push(runner.run_with_probe(session, approach, &recorder).0);
+                reference.push(recorder.to_jsonl());
+            }
+        }
+        let plain = SweepEngine::new(ExperimentRunner::paper()).comparison(
+            &sessions,
+            &approaches,
+            &ExecPolicy::Sequential,
+        );
+        let run = |policy: &ExecPolicy| {
+            let engine = SweepEngine::new(ExperimentRunner::paper());
+            let (summary, streams) = engine.observed_comparison(&sessions, &approaches, policy);
+            assert_eq!(summary, plain, "{policy:?}");
+            assert_eq!(streams, reference, "{policy:?}");
+            engine.stats()
+        };
+        for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { jobs: 3 }] {
+            assert_eq!(run(&policy), CacheStats::default());
+        }
+
+        let dir = temp_dir("observed");
+        let policy = ExecPolicy::cached(&dir, ExecPolicy::Parallel { jobs: 2 });
+        let cells = (sessions.len() * (approaches.len() + 1)) as u64;
+        let cold = run(&policy);
+        assert_eq!((cold.hits, cold.misses), (0, cells), "{cold:?}");
+
+        let key = SweepEngine::new(ExperimentRunner::paper())
+            .key_context()
+            .key(&session_hash(&sessions[1]), Cell::Observed(Approach::Ours));
+        let entry = entry_path(&dir, &key);
+        let text = fs::read_to_string(&entry).unwrap();
+        let mut parts = text.splitn(3, '\n');
+        let (_, result, stream) = (
+            parts.next().unwrap(),
+            parts.next().unwrap(),
+            parts.next().unwrap(),
+        );
+        assert_eq!(
+            serde_json::from_str::<SessionResult>(result).unwrap(),
+            results[3]
+        );
+        assert_eq!(stream, reference[3]);
+
+        let at = text.len() - stream.len() + stream.find(|c: char| c.is_ascii_digit()).unwrap();
+        let mut bytes = text.into_bytes();
+        bytes[at] = if bytes[at] == b'9' {
+            b'0'
+        } else {
+            bytes[at] + 1
+        };
+        fs::write(&entry, bytes).unwrap();
+        let tampered = run(&policy);
+        assert_eq!(
+            (tampered.hits, tampered.misses, tampered.corrupt),
+            (cells - 1, 1, 1),
+            "{tampered:?}"
+        );
+        let warm = run(&policy);
+        assert!(warm.all_hits() && warm.hits == cells, "{warm:?}");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -85,8 +85,8 @@ fn different_scenario_changes_manifest_hash() {
 
 #[test]
 fn in_memory_event_streams_are_byte_identical_across_runs() {
-    // The filesystem-free variant: MemoryRecorder serializes through the
-    // same path as JsonlRecorder.
+    // The filesystem-free variant: observed runs publish exactly these
+    // MemoryRecorder streams as their events files.
     let runner = ExperimentRunner::paper();
     let session = scenario().traces.sessions().remove(0);
     let recorder_a = MemoryRecorder::new();

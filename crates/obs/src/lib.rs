@@ -7,8 +7,8 @@
 //!
 //! * [`Probe`] — the instrumentation interface the simulator, controllers
 //!   and runner report into. Implementations: [`NullProbe`] (free, the
-//!   default), [`MemoryRecorder`] (tests, in-process inspection) and
-//!   [`JsonlRecorder`] (one JSON object per line to any writer).
+//!   default) and [`MemoryRecorder`] (tests, in-process inspection and
+//!   observed runs; one JSON object per line).
 //! * [`MetricsRegistry`] — thread-safe counters, gauges, fixed-bucket
 //!   histograms and monotonic span timers, snapshotted into a
 //!   serializable [`MetricsSnapshot`].
@@ -77,7 +77,7 @@ pub use metrics::{
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SpanSnapshot, DEFAULT_BUCKETS,
 };
 pub use probe::{NullProbe, Probe, SpanGuard, NULL_PROBE};
-pub use recorder::{JsonlRecorder, MemoryRecorder};
+pub use recorder::MemoryRecorder;
 
 /// Opens a wall-clock span that records its duration into `$probe`'s
 /// metrics when the enclosing scope ends.

@@ -253,6 +253,10 @@ fn pretty_json_is_pinned() {
             serde_json::from_str::<Value>(&pretty).unwrap(),
             serde_json::from_str::<Value>(&text).unwrap()
         );
+        // A writer receives the same bytes, streamed.
+        let mut written = Vec::new();
+        serde_json::to_writer_pretty(&mut written, value).unwrap();
+        assert_eq!(String::from_utf8(written).unwrap(), pretty);
         pretty
     };
     assert_eq!(pretty(&Vec::<u8>::new()), "[]");
@@ -314,4 +318,38 @@ fn pretty_json_is_pinned() {
   "plain": []
 }"#
     );
+}
+
+/// A writer that accepts `room` bytes, then fails.
+struct Full {
+    room: usize,
+}
+
+impl std::io::Write for Full {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.room == 0 {
+            return Err(std::io::Error::other("disk full"));
+        }
+        let n = buf.len().min(self.room);
+        self.room -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `to_writer_pretty` streams into its writer, so a write fails mid-value:
+/// the caller must see that writer's I/O error, not the bare formatter
+/// error the indenter passes up.
+#[test]
+fn a_failing_pretty_writer_surfaces_its_own_error() {
+    let value = vec![vec![1u64, 2], vec![3]];
+    let total = serde_json::to_string_pretty(&value).unwrap().len();
+    for room in [0, 1, 5, total - 1] {
+        let err = serde_json::to_writer_pretty(Full { room }, &value).unwrap_err();
+        assert_eq!(err.to_string(), "io error: disk full", "room {room}");
+    }
+    serde_json::to_writer_pretty(Full { room: total }, &value).unwrap();
 }

@@ -41,7 +41,7 @@ if [ "$quick" -eq 0 ]; then
     fi
 fi
 
-echo "==> smoke: evaluate --obs (byte-identical uncached twice, cold and warm cached)"
+echo "==> smoke: evaluate --obs (byte-identical uncached twice and at --jobs 1, cold and warm cached, warm at --jobs 1)"
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$obs_dir"' EXIT
 ./target/release/evaluate --obs "$obs_dir/obs_a" > "$obs_dir/obs_a.txt"
@@ -52,23 +52,29 @@ for artifact in manifest.json metrics.txt events timelines; do
     fi
 done
 ./target/release/evaluate --obs "$obs_dir/obs_b" > "$obs_dir/obs_b.txt"
+./target/release/evaluate --obs "$obs_dir/obs_seq" --jobs 1 > "$obs_dir/obs_seq.txt"
 ./target/release/evaluate --obs "$obs_dir/obs_cold" --cache-dir "$obs_dir/obs_cache" \
     > "$obs_dir/obs_cold.txt" 2> "$obs_dir/obs_cold.log"
 ./target/release/evaluate --obs "$obs_dir/obs_warm" --cache-dir "$obs_dir/obs_cache" \
     > "$obs_dir/obs_warm.txt" 2> "$obs_dir/obs_warm.log"
-# metrics.txt holds wall-clock spans; every other artifact must match.
-for run in obs_b obs_cold obs_warm; do
+./target/release/evaluate --obs "$obs_dir/obs_warm_seq" --cache-dir "$obs_dir/obs_cache" --jobs 1 \
+    > "$obs_dir/obs_warm_seq.txt" 2> "$obs_dir/obs_warm_seq.log"
+# metrics.txt holds wall-clock spans; every other artifact must match,
+# whatever the pool width.
+for run in obs_b obs_seq obs_cold obs_warm obs_warm_seq; do
     if ! diff -r -x metrics.txt "$obs_dir/obs_a" "$obs_dir/$run" >&2 \
         || ! cmp -s "$obs_dir/obs_a.txt" "$obs_dir/$run.txt"; then
         echo "evaluate --obs: $run differs from the first uncached run" >&2
         exit 1
     fi
 done
-if ! grep -q 'cache: hits=30 misses=0 corrupt=0' "$obs_dir/obs_warm.log"; then
-    echo "evaluate --obs: the warm run was not served 100% from the cache" >&2
-    cat "$obs_dir/obs_warm.log" >&2
-    exit 1
-fi
+for run in obs_warm obs_warm_seq; do
+    if ! grep -q 'cache: hits=30 misses=0 corrupt=0' "$obs_dir/$run.log"; then
+        echo "evaluate --obs: $run was not served 100% from the cache" >&2
+        cat "$obs_dir/$run.log" >&2
+        exit 1
+    fi
+done
 if find "$obs_dir" -name '*.tmp' | grep . >&2; then
     echo "evaluate --obs: temp files left behind" >&2
     exit 1
