@@ -21,8 +21,8 @@
 
 use std::collections::BTreeMap;
 
-use ecas_obs::perf::PerfStats;
 use ecas_core::types::units::Seconds;
+use ecas_obs::perf::PerfStats;
 use serde::{Deserialize, Serialize};
 
 /// Version tag of the baseline file layout. Bump on any field change;
@@ -160,8 +160,7 @@ impl Baseline {
     ///
     /// Returns the parse or [`Baseline::validate`] error.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let baseline: Baseline =
-            serde_json::from_str(text).map_err(|e| format!("parse: {e}"))?;
+        let baseline: Baseline = serde_json::from_str(text).map_err(|e| format!("parse: {e}"))?;
         baseline.validate()?;
         Ok(baseline)
     }
@@ -208,7 +207,10 @@ impl Baseline {
         }
         for committed in &self.paths {
             let Some(fresh) = measured.path(&committed.name) else {
-                issues.push(format!("hot path {:?} missing from measurement", committed.name));
+                issues.push(format!(
+                    "hot path {:?} missing from measurement",
+                    committed.name
+                ));
                 continue;
             };
             if committed.work != fresh.work {
@@ -323,7 +325,9 @@ mod tests {
         let committed = sample();
 
         let mut drifted = sample();
-        drifted.paths[0].work.insert("sim_loop/work".to_string(), 101);
+        drifted.paths[0]
+            .work
+            .insert("sim_loop/work".to_string(), 101);
         let issues = committed.compare(&drifted, THROUGHPUT_COLLAPSE_FACTOR);
         assert_eq!(issues.len(), 1);
         assert!(issues[0].contains("work drift"), "{issues:?}");

@@ -12,9 +12,12 @@ use ecas_core::viewer::quit_analysis;
 use ecas_core::{Approach, ExperimentRunner};
 
 fn main() {
-    let args = Cli::new("ablation_abandonment", "wasted downloads under early viewer abandonment")
-        .formats()
-        .parse();
+    let args = Cli::new(
+        "ablation_abandonment",
+        "wasted downloads under early viewer abandonment",
+    )
+    .formats()
+    .parse();
     let session = EvalTraceSpec::table_v()[2].generate();
     let runner = ExperimentRunner::paper();
     let tau = Seconds::new(2.0);

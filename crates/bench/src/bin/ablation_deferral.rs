@@ -14,9 +14,12 @@ use ecas_core::trace::videos::EvalTraceSpec;
 use ecas_core::types::ladder::BitrateLadder;
 
 fn main() {
-    let args = Cli::new("ablation_deferral", "signal-aware download deferral on top of each policy")
-        .formats()
-        .parse();
+    let args = Cli::new(
+        "ablation_deferral",
+        "signal-aware download deferral on top of each policy",
+    )
+    .formats()
+    .parse();
     let sessions: Vec<_> = [0usize, 2, 3, 4] // skip the quiet trace 2
         .iter()
         .map(|&i| EvalTraceSpec::table_v()[i].generate())

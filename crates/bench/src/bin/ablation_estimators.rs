@@ -15,9 +15,12 @@ use ecas_core::types::units::Seconds;
 use ecas_core::Approach;
 
 fn main() {
-    let args = Cli::new("ablation_estimators", "bandwidth-estimator prediction error by context")
-        .formats()
-        .parse();
+    let args = Cli::new(
+        "ablation_estimators",
+        "bandwidth-estimator prediction error by context",
+    )
+    .formats()
+    .parse();
     let mut report = Report::new("estimator prediction error on next-segment throughput");
     let mut table = Table::new(vec!["context", "estimator", "MAE (Mbps)", "bias (Mbps)"]);
     for ctx in [Context::QuietRoom, Context::Walking, Context::MovingVehicle] {

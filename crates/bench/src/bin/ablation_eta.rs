@@ -9,9 +9,12 @@ use ecas_core::trace::videos::EvalTraceSpec;
 use ecas_core::{Approach, ExperimentRunner};
 
 fn main() {
-    let args = Cli::new("ablation_eta", "sweep of the Eq. (11) energy/QoE weighting factor eta")
-        .formats()
-        .parse();
+    let args = Cli::new(
+        "ablation_eta",
+        "sweep of the Eq. (11) energy/QoE weighting factor eta",
+    )
+    .formats()
+    .parse();
     let session = EvalTraceSpec::table_v()[2].generate(); // vehicle-heavy trace 3
     let mut report = Report::new(format!(
         "eta sweep on {} ({}s, avg vibration {:.1} m/s^2)",

@@ -13,9 +13,12 @@ use ecas_core::qoe::study::{run_study_and_fit, StudyConfig, SubjectiveStudy};
 use ecas_core::types::units::{Mbps, MetersPerSec2};
 
 fn main() {
-    let args = Cli::new("ablation_study_noise", "rating-noise robustness of the Table III fitting pipeline")
-        .formats()
-        .parse();
+    let args = Cli::new(
+        "ablation_study_noise",
+        "rating-noise robustness of the Table III fitting pipeline",
+    )
+    .formats()
+    .parse();
     let mut report = Report::new("rating-noise sweep of the Table III pipeline (20 subjects)");
     let truth_q = OriginalQuality::paper();
     let truth_i = VibrationImpairment::paper();

@@ -14,9 +14,12 @@ use ecas_core::types::units::Seconds;
 use ecas_core::{Approach, ExperimentRunner};
 
 fn main() {
-    let args = Cli::new("ablation_vbr", "constant- vs variable-bitrate encodings on trace 3")
-        .formats()
-        .parse();
+    let args = Cli::new(
+        "ablation_vbr",
+        "constant- vs variable-bitrate encodings on trace 3",
+    )
+    .formats()
+    .parse();
     let session = EvalTraceSpec::table_v()[2].generate();
     let ladder = BitrateLadder::evaluation();
     let segments = (session.meta().video_length.value() / 2.0).ceil() as usize;

@@ -12,15 +12,15 @@ use ecas_core::trace::videos::EvalTraceSpec;
 use ecas_core::types::ladder::BitrateLadder;
 
 fn main() {
-    let args = Cli::new("ablation_window", "sweep of the bandwidth-estimator window k")
-        .formats()
-        .parse();
+    let args = Cli::new(
+        "ablation_window",
+        "sweep of the bandwidth-estimator window k",
+    )
+    .formats()
+    .parse();
     let session = EvalTraceSpec::table_v()[2].generate();
     let sim = Simulator::paper(BitrateLadder::evaluation());
-    let mut report = Report::new(format!(
-        "estimator-window sweep on {}",
-        session.meta().name
-    ));
+    let mut report = Report::new(format!("estimator-window sweep on {}", session.meta().name));
 
     let mut table = Table::new(vec![
         "window",

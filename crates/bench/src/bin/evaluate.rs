@@ -30,12 +30,21 @@ use ecas_bench::Cli;
 use ecas_core::{observe, render_markdown, ExecPolicy, Scenario};
 
 fn main() -> ExitCode {
-    let args = Cli::new("evaluate", "run a scenario (JSON) and emit a Markdown report")
-        .obs()
-        .grid()
-        .switch("--print-template", "print a template scenario JSON and exit")
-        .optional_positional("scenario", "scenario JSON file (default: the paper evaluation)")
-        .parse();
+    let args = Cli::new(
+        "evaluate",
+        "run a scenario (JSON) and emit a Markdown report",
+    )
+    .obs()
+    .grid()
+    .switch(
+        "--print-template",
+        "print a template scenario JSON and exit",
+    )
+    .optional_positional(
+        "scenario",
+        "scenario JSON file (default: the paper evaluation)",
+    )
+    .parse();
 
     if args.switch("--print-template") {
         let template = Scenario::paper_evaluation();

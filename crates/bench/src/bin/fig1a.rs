@@ -11,7 +11,11 @@ use ecas_core::power::model::PowerModel;
 use ecas_core::types::units::{Dbm, MegaBytes};
 
 fn main() {
-    let _ = Cli::new("fig1a", "energy to download 100 MB vs signal strength (Fig. 1a)").parse();
+    let _ = Cli::new(
+        "fig1a",
+        "energy to download 100 MB vs signal strength (Fig. 1a)",
+    )
+    .parse();
     let model = PowerModel::paper();
     let data = MegaBytes::new(100.0);
 

@@ -6,7 +6,11 @@ use ecas_core::trace::videos::TestVideo;
 use ecas_core::types::ladder::BitrateLadder;
 
 fn main() {
-    let _ = Cli::new("fig2a", "test videos and the study bitrate ladder (Tables I-II, Fig. 2a)").parse();
+    let _ = Cli::new(
+        "fig2a",
+        "test videos and the study bitrate ladder (Tables I-II, Fig. 2a)",
+    )
+    .parse();
     println!("Table I + Fig. 2(a): test videos with spatial/temporal information\n");
     let mut table = Table::new(vec!["genre", "explanation", "SI", "TI"]);
     for v in TestVideo::table_i() {

@@ -8,7 +8,11 @@ use ecas_core::qoe::study::{aggregate_mos, run_study_and_fit, SubjectiveStudy};
 use ecas_core::types::units::Mbps;
 
 fn main() {
-    let _ = Cli::new("fig2b", "quiet-room MOS vs bitrate with the fitted curve (Fig. 2b)").parse();
+    let _ = Cli::new(
+        "fig2b",
+        "quiet-room MOS vs bitrate with the fitted curve (Fig. 2b)",
+    )
+    .parse();
     let study = SubjectiveStudy::paper(42);
     let ratings = study.run();
     println!(

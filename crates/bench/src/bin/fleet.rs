@@ -54,9 +54,17 @@ fn main() {
     .formats()
     .smoke()
     .grid()
-    .option("--users", "n", "fleet size (default: 1000000, or 100000 with --smoke)")
+    .option(
+        "--users",
+        "n",
+        "fleet size (default: 1000000, or 100000 with --smoke)",
+    )
     .option("--seed", "n", "fleet seed (default: 8)")
-    .option("--batch", "n", "users synthesized and simulated per batch (default: 2048)")
+    .option(
+        "--batch",
+        "n",
+        "users synthesized and simulated per batch (default: 2048)",
+    )
     .option(
         "--duration",
         "s",
@@ -65,13 +73,20 @@ fn main() {
     .parse();
     let smoke = args.smoke();
 
-    let users = args.option("--users").map_or(
-        if smoke { SMOKE_USERS } else { FULL_USERS },
-        |v| parse_u64("--users", v),
-    );
-    let seed = args.option("--seed").map_or(DEFAULT_SEED, |v| parse_u64("--seed", v));
+    let users = args
+        .option("--users")
+        .map_or(if smoke { SMOKE_USERS } else { FULL_USERS }, |v| {
+            parse_u64("--users", v)
+        });
+    let seed = args
+        .option("--seed")
+        .map_or(DEFAULT_SEED, |v| parse_u64("--seed", v));
     let duration = args.option("--duration").map_or(
-        if smoke { SMOKE_DURATION_S } else { FULL_DURATION_S },
+        if smoke {
+            SMOKE_DURATION_S
+        } else {
+            FULL_DURATION_S
+        },
         parse_duration,
     );
     let spec = PopulationSpec::new(users, seed).mean_duration(Seconds::new(duration));
@@ -120,7 +135,10 @@ fn emit(fleet: &FleetReport, seed: u64, duration: f64, format: ecas_bench::Forma
         ("stalled share", format!("{:.5}", fleet.stalled_share)),
         ("degraded share", format!("{:.5}", fleet.degraded_share)),
         ("played (s)", format!("{:.0}", fleet.played_s)),
-        ("downloaded (MB)", format!("{:.1}", fleet.downloaded_mb.value())),
+        (
+            "downloaded (MB)",
+            format!("{:.1}", fleet.downloaded_mb.value()),
+        ),
     ] {
         headline.row(vec![metric.to_string(), value]);
     }

@@ -20,10 +20,10 @@
 
 use ecas_bench::{Cli, Report, Table};
 use ecas_core::oracle::Oracle;
+use ecas_core::sim::FaultSpec;
 use ecas_core::trace::synth::context::Context;
 use ecas_core::{Approach, Scenario, TraceSelection};
 use ecas_obs::NULL_PROBE;
-use ecas_core::sim::FaultSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,8 +67,10 @@ impl CaseConfig {
             self.context,
             self.seconds,
             self.eta,
-            self.fault
-                .map_or_else(|| "none".to_string(), |i| format!("{i}@{}", self.fault_seed)),
+            self.fault.map_or_else(
+                || "none".to_string(),
+                |i| format!("{i}@{}", self.fault_seed)
+            ),
             self.base_seed,
         )
     }
@@ -105,12 +107,12 @@ fn run_case(config: &CaseConfig) -> CaseOutcome {
             outcome.objective_checks += 1;
             match oracle.check_objective_against(&session, &result, optimal) {
                 Ok(objective) if objective.holds() => {}
-                Ok(objective) => outcome
-                    .failures
-                    .push(format!("{}: {}", approach.label(), objective.render())),
-                Err(e) => outcome
-                    .failures
-                    .push(format!("{}: {e}", approach.label())),
+                Ok(objective) => {
+                    outcome
+                        .failures
+                        .push(format!("{}: {}", approach.label(), objective.render()))
+                }
+                Err(e) => outcome.failures.push(format!("{}: {e}", approach.label())),
             }
         }
     }
@@ -252,7 +254,10 @@ fn random_corpus(seed: u64, cases: usize) -> Vec<CaseConfig> {
 
 fn parse_seed(raw: &str) -> u64 {
     let trimmed = raw.trim();
-    let parsed = if let Some(hex) = trimmed.strip_prefix("0x").or_else(|| trimmed.strip_prefix("0X")) {
+    let parsed = if let Some(hex) = trimmed
+        .strip_prefix("0x")
+        .or_else(|| trimmed.strip_prefix("0X"))
+    {
         u64::from_str_radix(hex, 16)
     } else {
         trimmed.parse()
@@ -273,8 +278,16 @@ fn main() {
     )
     .formats()
     .smoke()
-    .option("--seed", "hex", "corpus seed, decimal or 0x-hex (default 0xECA5)")
-    .option("--cases", "n", "number of random cases (default 25; ignored with --smoke)")
+    .option(
+        "--seed",
+        "hex",
+        "corpus seed, decimal or 0x-hex (default 0xECA5)",
+    )
+    .option(
+        "--cases",
+        "n",
+        "number of random cases (default 25; ignored with --smoke)",
+    )
     .parse();
     let smoke = args.smoke();
     let seed = args.option("--seed").map_or(DEFAULT_SEED, parse_seed);
@@ -290,7 +303,14 @@ fn main() {
     };
 
     let mut table = Table::new(vec![
-        "case", "context", "secs", "eta", "fault", "replay", "objective", "verdict",
+        "case",
+        "context",
+        "secs",
+        "eta",
+        "fault",
+        "replay",
+        "objective",
+        "verdict",
     ]);
     let mut replay_checks = 0usize;
     let mut objective_checks = 0usize;

@@ -20,8 +20,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use ecas_bench::baseline::{
-    Baseline, HostInfo, HotPath, BENCH_SCHEMA, TARGET_SESS_S_PER_CORE_S,
-    THROUGHPUT_COLLAPSE_FACTOR,
+    Baseline, HostInfo, HotPath, BENCH_SCHEMA, TARGET_SESS_S_PER_CORE_S, THROUGHPUT_COLLAPSE_FACTOR,
 };
 use ecas_bench::{Cli, Report, Table};
 use ecas_core::abr::optimal::OptimalPlanner;
@@ -119,12 +118,18 @@ fn measure_sim_loop(
     let samples = if work_only {
         Vec::new()
     } else {
-        time_path(profiler, names::PERF_PATH_SIM_LOOP, iters, sim_seconds, || {
-            for session in sessions {
-                let mut controller = FixedLevel::highest();
-                let _ = sim.run(session, &mut controller);
-            }
-        })
+        time_path(
+            profiler,
+            names::PERF_PATH_SIM_LOOP,
+            iters,
+            sim_seconds,
+            || {
+                for session in sessions {
+                    let mut controller = FixedLevel::highest();
+                    let _ = sim.run(session, &mut controller);
+                }
+            },
+        )
     };
     Measured {
         name: names::PERF_PATH_SIM_LOOP,
@@ -157,9 +162,15 @@ fn measure_radio_integration(
     let samples = if work_only {
         Vec::new()
     } else {
-        time_path(profiler, names::PERF_PATH_RADIO_INTEGRATION, iters, sim_seconds, || {
-            let _ = integrate_all();
-        })
+        time_path(
+            profiler,
+            names::PERF_PATH_RADIO_INTEGRATION,
+            iters,
+            sim_seconds,
+            || {
+                let _ = integrate_all();
+            },
+        )
     };
     Measured {
         name: names::PERF_PATH_RADIO_INTEGRATION,
@@ -185,11 +196,17 @@ fn measure_optimal_solver(
     let samples = if work_only {
         Vec::new()
     } else {
-        time_path(profiler, names::PERF_PATH_OPTIMAL_SOLVER, iters, sim_seconds, || {
-            for session in sessions {
-                let _ = planner.plan(session);
-            }
-        })
+        time_path(
+            profiler,
+            names::PERF_PATH_OPTIMAL_SOLVER,
+            iters,
+            sim_seconds,
+            || {
+                for session in sessions {
+                    let _ = planner.plan(session);
+                }
+            },
+        )
     };
     Measured {
         name: names::PERF_PATH_OPTIMAL_SOLVER,
@@ -211,7 +228,11 @@ fn main() -> ExitCode {
         "print only the deterministic work counters (byte-stable JSON)",
     )
     .option("--iters", "n", "timed iterations per hot path (default: 5)")
-    .option("--out", "file", "write the measured baseline JSON to <file>")
+    .option(
+        "--out",
+        "file",
+        "write the measured baseline JSON to <file>",
+    )
     .option(
         "--check",
         "file",

@@ -6,9 +6,12 @@ use ecas_core::robustness::table_v_robustness_with_stats;
 use ecas_core::{Approach, ExperimentRunner};
 
 fn main() {
-    let args = Cli::new("robustness", "seed-robustness of the Fig. 5/6 headline metrics")
-        .grid()
-        .parse();
+    let args = Cli::new(
+        "robustness",
+        "seed-robustness of the Fig. 5/6 headline metrics",
+    )
+    .grid()
+    .parse();
     let runner = ExperimentRunner::paper();
     let seeds: Vec<u64> = (0..10).collect();
     println!("Table V evaluation across {} trace re-draws\n", seeds.len());

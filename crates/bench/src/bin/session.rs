@@ -33,69 +33,99 @@ use ecas_bench::cli::Args;
 use ecas_bench::Cli;
 use ecas_core::corpus::{self, CorpusOptions, VerifyOptions};
 use ecas_core::record::{RecordScenario, RecordedSession, SessionRecord};
+use ecas_core::sim::FaultSpec;
 use ecas_core::trace::record::RecordContainer;
 use ecas_core::trace::Context;
-use ecas_core::sim::FaultSpec;
 use ecas_core::Approach;
 
 fn cli() -> Cli {
-    Cli::new("session", "record, replay and verify .ecasr session records")
-        .subcommand(
-            Cli::new("record", "run a scenario and write a session record")
-                .option("--tablev", "id", "use a Table V evaluation trace (1..5)")
-                .option(
-                    "--context",
-                    "ctx",
-                    "synthetic context: quiet | walking | vehicle | commute",
-                )
-                .option("--seconds", "s", "synthetic session duration (default: 60)")
-                .option("--seed", "n", "synthetic generator seed (default: 1)")
-                .option("--approach", "label", "controller under test (default: Ours)")
-                .option("--eta", "f", "energy/QoE weighting factor (default: 0.5)")
-                .option("--fault", "intensity", "fault injection intensity in [0,1]")
-                .option("--fault-seed", "n", "fault-injection seed (default: 1)")
-                .positional("out", "output record path (.ecasr)"),
+    Cli::new(
+        "session",
+        "record, replay and verify .ecasr session records",
+    )
+    .subcommand(
+        Cli::new("record", "run a scenario and write a session record")
+            .option("--tablev", "id", "use a Table V evaluation trace (1..5)")
+            .option(
+                "--context",
+                "ctx",
+                "synthetic context: quiet | walking | vehicle | commute",
+            )
+            .option("--seconds", "s", "synthetic session duration (default: 60)")
+            .option("--seed", "n", "synthetic generator seed (default: 1)")
+            .option(
+                "--approach",
+                "label",
+                "controller under test (default: Ours)",
+            )
+            .option("--eta", "f", "energy/QoE weighting factor (default: 0.5)")
+            .option("--fault", "intensity", "fault injection intensity in [0,1]")
+            .option("--fault-seed", "n", "fault-injection seed (default: 1)")
+            .positional("out", "output record path (.ecasr)"),
+    )
+    .subcommand(
+        Cli::new(
+            "batch-record",
+            "record a fleet into a keyed corpus directory",
         )
-        .subcommand(
-            Cli::new("batch-record", "record a fleet into a keyed corpus directory")
-                .switch("--tablev", "record the five Table V traces instead of a fleet")
-                .option("--users", "n", "fleet size (default: 8)")
-                .option("--seed", "n", "fleet seed (default: 1)")
-                .option("--duration", "s", "nominal session duration (default: 60)")
-                .option("--approach", "label", "controller under test (default: Ours)")
-                .option("--eta", "f", "energy/QoE weighting factor (default: 0.5)")
-                .option("--fault", "intensity", "fault injection intensity in [0,1]")
-                .option("--fault-seed", "n", "fault-injection seed (default: 1)")
-                .option("--jobs", "n", "recording workers (default: auto)")
-                .option("--batch", "n", "scenarios per pool dispatch (default: 256)")
-                .positional("dir", "corpus output directory"),
+        .switch(
+            "--tablev",
+            "record the five Table V traces instead of a fleet",
         )
-        .subcommand(
-            Cli::new("replay", "reconstruct the result from the stored log alone")
-                .positional("record", "record file (.ecasr)"),
+        .option("--users", "n", "fleet size (default: 8)")
+        .option("--seed", "n", "fleet seed (default: 1)")
+        .option("--duration", "s", "nominal session duration (default: 60)")
+        .option(
+            "--approach",
+            "label",
+            "controller under test (default: Ours)",
         )
-        .subcommand(
-            Cli::new("verify", "replay each record and diff against its reference")
-                .option("--jobs", "n", "verification workers (default: auto)")
-                .option("--filter", "substr", "only verify records whose label contains <substr>")
-                .positional("path", "record file (.ecasr) or corpus directory")
-                .trailing("paths", "further record files or corpus directories"),
+        .option("--eta", "f", "energy/QoE weighting factor (default: 0.5)")
+        .option("--fault", "intensity", "fault injection intensity in [0,1]")
+        .option("--fault-seed", "n", "fault-injection seed (default: 1)")
+        .option("--jobs", "n", "recording workers (default: auto)")
+        .option("--batch", "n", "scenarios per pool dispatch (default: 256)")
+        .positional("dir", "corpus output directory"),
+    )
+    .subcommand(
+        Cli::new("replay", "reconstruct the result from the stored log alone")
+            .positional("record", "record file (.ecasr)"),
+    )
+    .subcommand(
+        Cli::new(
+            "verify",
+            "replay each record and diff against its reference",
         )
-        .subcommand(
-            Cli::new("inspect", "print a record's scenario, metrics and timeline")
-                .switch("--json", "emit the machine-readable manifest instead")
-                .positional("record", "record file (.ecasr)"),
+        .option("--jobs", "n", "verification workers (default: auto)")
+        .option(
+            "--filter",
+            "substr",
+            "only verify records whose label contains <substr>",
         )
-        .subcommand(
-            Cli::new("rerecord", "re-run a record's scenario and write the fresh record")
-                .positional("record", "record file (.ecasr)")
-                .positional("out", "output record path (.ecasr)"),
+        .positional("path", "record file (.ecasr) or corpus directory")
+        .trailing("paths", "further record files or corpus directories"),
+    )
+    .subcommand(
+        Cli::new("inspect", "print a record's scenario, metrics and timeline")
+            .switch("--json", "emit the machine-readable manifest instead")
+            .positional("record", "record file (.ecasr)"),
+    )
+    .subcommand(
+        Cli::new(
+            "rerecord",
+            "re-run a record's scenario and write the fresh record",
         )
-        .subcommand(
-            Cli::new("diff", "compare two corpora record-by-record at oracle tolerance")
-                .positional("corpus-a", "first corpus directory")
-                .positional("corpus-b", "second corpus directory"),
+        .positional("record", "record file (.ecasr)")
+        .positional("out", "output record path (.ecasr)"),
+    )
+    .subcommand(
+        Cli::new(
+            "diff",
+            "compare two corpora record-by-record at oracle tolerance",
         )
+        .positional("corpus-a", "first corpus directory")
+        .positional("corpus-b", "second corpus directory"),
+    )
 }
 
 /// How a subcommand failed: `Usage` is the caller's fault (exit 2, with
@@ -299,11 +329,9 @@ fn batch_record(args: &Args) -> Result<ExitCode, CmdError> {
         corpus::fleet_scenarios(users, seed, duration, approach, eta, fault)
     };
     let batch = match args.option("--batch") {
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or_else(|| CmdError::Usage(format!("bad --batch: {v:?} is not a positive count")))?,
+        Some(v) => v.parse::<usize>().ok().filter(|n| *n >= 1).ok_or_else(|| {
+            CmdError::Usage(format!("bad --batch: {v:?} is not a positive count"))
+        })?,
         None => CorpusOptions::default().batch,
     };
     let options = CorpusOptions {
@@ -385,8 +413,8 @@ fn rerecord(args: &Args) -> Result<ExitCode, CmdError> {
     let record = SessionRecord::load(source).map_err(CmdError::fail)?;
     let fresh = record.rerecord().map_err(CmdError::fail)?;
     fresh.save(out).map_err(CmdError::fail)?;
-    let identical = record.to_bytes().map_err(CmdError::fail)?
-        == fresh.to_bytes().map_err(CmdError::fail)?;
+    let identical =
+        record.to_bytes().map_err(CmdError::fail)? == fresh.to_bytes().map_err(CmdError::fail)?;
     println!(
         "rerecorded {} -> {out} ({})",
         record.scenario.label(),

@@ -7,7 +7,11 @@ use ecas_core::qoe::params::QoeParams;
 use ecas_core::qoe::study::table_iii;
 
 fn main() {
-    let _ = Cli::new("table3", "fitted QoE model parameters vs ground truth (Table III)").parse();
+    let _ = Cli::new(
+        "table3",
+        "fitted QoE model parameters vs ground truth (Table III)",
+    )
+    .parse();
     let (fitted, quality_fit, impairment_fit) = table_iii(42).expect("paper design fits");
     let truth = QoeParams::paper();
 

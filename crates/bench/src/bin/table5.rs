@@ -5,7 +5,11 @@ use ecas_bench::{Cli, Table};
 use ecas_core::trace::videos::EvalTraceSpec;
 
 fn main() {
-    let _ = Cli::new("table5", "evaluation trace specs vs regenerated sessions (Table V)").parse();
+    let _ = Cli::new(
+        "table5",
+        "evaluation trace specs vs regenerated sessions (Table V)",
+    )
+    .parse();
     println!("Table V: video traces (spec columns from the paper; measured columns");
     println!("from the regenerated synthetic sessions)\n");
     let mut table = Table::new(vec![

@@ -10,7 +10,11 @@ use ecas_core::types::ladder::BitrateLadder;
 use ecas_core::types::units::Mbps;
 
 fn main() {
-    let _ = Cli::new("table6", "power-model validation against the synthetic monitor (Table VI)").parse();
+    let _ = Cli::new(
+        "table6",
+        "power-model validation against the synthetic monitor (Table VI)",
+    )
+    .parse();
     let model = PowerModel::paper();
     let cfg = ValidationConfig::paper(42);
     let mut bitrates: Vec<Mbps> = BitrateLadder::table_ii()

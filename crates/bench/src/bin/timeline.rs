@@ -30,14 +30,17 @@ fn parse_approach(name: &str) -> Option<Approach> {
 }
 
 fn main() -> ExitCode {
-    let args = Cli::new("timeline", "print the event timeline of one simulated session")
-        .positional("trace-id", "Table V trace id (1..5)")
-        .positional(
-            "approach",
-            "youtube|festive|bba|ours|optimal|bola|mpc|pid|rate|adaptive",
-        )
-        .optional_positional("max-lines", "maximum timeline lines to print (default 60)")
-        .parse();
+    let args = Cli::new(
+        "timeline",
+        "print the event timeline of one simulated session",
+    )
+    .positional("trace-id", "Table V trace id (1..5)")
+    .positional(
+        "approach",
+        "youtube|festive|bba|ours|optimal|bola|mpc|pid|rate|adaptive",
+    )
+    .optional_positional("max-lines", "maximum timeline lines to print (default 60)")
+    .parse();
     let positionals = args.positionals();
     let (trace_id, approach) = (&positionals[0], &positionals[1]);
     let max_lines: usize = match positionals.get(2) {

@@ -44,9 +44,12 @@ fn cli() -> Cli {
                 .positional("trace", "trace file (.json or .bin)"),
         )
         .subcommand(
-            Cli::new("mahimahi", "bin a mahimahi packet log into a throughput series")
-                .positional("packets", "mahimahi packet-times file")
-                .positional("bin-seconds", "bin width in seconds"),
+            Cli::new(
+                "mahimahi",
+                "bin a mahimahi packet log into a throughput series",
+            )
+            .positional("packets", "mahimahi packet-times file")
+            .positional("bin-seconds", "bin width in seconds"),
         )
         .subcommand(
             Cli::new("mpd", "render the paper's DASH manifest")

@@ -99,7 +99,10 @@ impl std::fmt::Display for CliError {
                 flag,
                 value,
                 expected,
-            } => write!(f, "invalid value `{value}` for `{flag}`: expected {expected}"),
+            } => write!(
+                f,
+                "invalid value `{value}` for `{flag}`: expected {expected}"
+            ),
             Self::MissingSubcommand => write!(f, "missing a subcommand"),
             Self::UnknownSubcommand(name) => write!(f, "unknown subcommand `{name}`"),
         }
@@ -148,12 +151,16 @@ impl Cli {
     /// `--cache-dir <dir>` (see [`Args::exec_policy`]).
     #[must_use]
     pub fn grid(self) -> Self {
-        self.option("--jobs", "n", "worker threads for grid execution (default: auto)")
-            .option(
-                "--cache-dir",
-                "dir",
-                "serve grid cells from a result cache in <dir>",
-            )
+        self.option(
+            "--jobs",
+            "n",
+            "worker threads for grid execution (default: auto)",
+        )
+        .option(
+            "--cache-dir",
+            "dir",
+            "serve grid cells from a result cache in <dir>",
+        )
     }
 
     /// Declares a custom valueless switch.
@@ -237,7 +244,10 @@ impl Cli {
             ));
             return out;
         }
-        let mut out = format!("{} — {}\n\nusage: {} [options]", self.name, self.about, self.name);
+        let mut out = format!(
+            "{} — {}\n\nusage: {} [options]",
+            self.name, self.about, self.name
+        );
         for p in &self.positionals {
             if p.required {
                 out.push_str(&format!(" <{}>", p.name));

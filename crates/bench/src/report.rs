@@ -202,7 +202,10 @@ mod tests {
     fn json_roundtrips_through_parser() {
         let json = report().render(Format::Json);
         let value: Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(value.get("title").and_then(Value::as_str), Some("demo sweep"));
+        assert_eq!(
+            value.get("title").and_then(Value::as_str),
+            Some("demo sweep")
+        );
         let tables = value.get("tables").unwrap();
         assert!(matches!(tables, Value::Array(t) if t.len() == 1));
     }

@@ -81,10 +81,24 @@ fn work_counters_are_deterministic_across_same_seed_runs() {
     let session = EvalTraceSpec::table_v()[0].generate();
     let sim = Simulator::paper(BitrateLadder::evaluation());
     let end = session.meta().video_length.value();
-    let a = radio::integrate(session.network(), session.signal(), sim.power(), None, 0.0, end)
-        .expect("integrates");
-    let b = radio::integrate(session.network(), session.signal(), sim.power(), None, 0.0, end)
-        .expect("integrates");
+    let a = radio::integrate(
+        session.network(),
+        session.signal(),
+        sim.power(),
+        None,
+        0.0,
+        end,
+    )
+    .expect("integrates");
+    let b = radio::integrate(
+        session.network(),
+        session.signal(),
+        sim.power(),
+        None,
+        0.0,
+        end,
+    )
+    .expect("integrates");
     assert_eq!(a.chunks, b.chunks);
     assert_eq!(a.energy.to_bits(), b.energy.to_bits());
 }
@@ -114,8 +128,15 @@ fn committed_work_counters_match_fresh_measurement() {
     let session = EvalTraceSpec::table_v()[0].generate();
     let sim = Simulator::paper(BitrateLadder::evaluation());
     let end = session.meta().video_length.value();
-    let out = radio::integrate(session.network(), session.signal(), sim.power(), None, 0.0, end)
-        .expect("integrates");
+    let out = radio::integrate(
+        session.network(),
+        session.signal(),
+        sim.power(),
+        None,
+        0.0,
+        end,
+    )
+    .expect("integrates");
     assert_eq!(
         baseline.path("radio_integration").unwrap().work,
         BTreeMap::from([("radio/integration_chunks".to_string(), out.chunks)]),

@@ -7,11 +7,20 @@ use ecas_bench::Format;
 /// The surface of the `evaluate` binary, redeclared here so the golden
 /// help stays covered even if the binary drifts.
 fn evaluate_cli() -> Cli {
-    Cli::new("evaluate", "run a scenario (JSON) and emit a Markdown report")
-        .obs()
-        .grid()
-        .switch("--print-template", "print a template scenario JSON and exit")
-        .optional_positional("scenario", "scenario JSON file (default: the paper evaluation)")
+    Cli::new(
+        "evaluate",
+        "run a scenario (JSON) and emit a Markdown report",
+    )
+    .obs()
+    .grid()
+    .switch(
+        "--print-template",
+        "print a template scenario JSON and exit",
+    )
+    .optional_positional(
+        "scenario",
+        "scenario JSON file (default: the paper evaluation)",
+    )
 }
 
 #[test]
@@ -49,7 +58,9 @@ fn evaluate_flags_parse() {
 #[test]
 fn format_precedence_matches_the_old_ad_hoc_loops() {
     let cli = Cli::new("fault_sweep", "sweep").formats().smoke();
-    let json = cli.parse_from(&["--json", "--markdown", "--smoke"]).unwrap();
+    let json = cli
+        .parse_from(&["--json", "--markdown", "--smoke"])
+        .unwrap();
     assert_eq!(json.format(), Format::Json);
     assert!(json.smoke());
     let md = cli.parse_from(&["--markdown"]).unwrap();
@@ -62,47 +73,69 @@ fn format_precedence_matches_the_old_ad_hoc_loops() {
 /// so the golden subcommand help and positional enforcement stay
 /// covered even if the binary drifts.
 fn session_cli() -> Cli {
-    Cli::new("session", "record, replay and verify .ecasr session records")
-        .subcommand(
-            Cli::new("record", "run a scenario and write a session record")
-                .option("--tablev", "id", "use a Table V evaluation trace (1..5)")
-                .option("--seconds", "s", "synthetic session duration (default: 60)")
-                .positional("out", "output record path (.ecasr)"),
+    Cli::new(
+        "session",
+        "record, replay and verify .ecasr session records",
+    )
+    .subcommand(
+        Cli::new("record", "run a scenario and write a session record")
+            .option("--tablev", "id", "use a Table V evaluation trace (1..5)")
+            .option("--seconds", "s", "synthetic session duration (default: 60)")
+            .positional("out", "output record path (.ecasr)"),
+    )
+    .subcommand(
+        Cli::new(
+            "batch-record",
+            "record a fleet into a keyed corpus directory",
         )
-        .subcommand(
-            Cli::new("batch-record", "record a fleet into a keyed corpus directory")
-                .switch("--tablev", "record the five Table V traces instead of a fleet")
-                .option("--users", "n", "fleet size (default: 8)")
-                .option("--jobs", "n", "recording workers (default: auto)")
-                .option("--batch", "n", "scenarios per pool dispatch (default: 256)")
-                .positional("dir", "corpus output directory"),
+        .switch(
+            "--tablev",
+            "record the five Table V traces instead of a fleet",
         )
-        .subcommand(
-            Cli::new("replay", "reconstruct the result from the stored log alone")
-                .positional("record", "record file (.ecasr)"),
+        .option("--users", "n", "fleet size (default: 8)")
+        .option("--jobs", "n", "recording workers (default: auto)")
+        .option("--batch", "n", "scenarios per pool dispatch (default: 256)")
+        .positional("dir", "corpus output directory"),
+    )
+    .subcommand(
+        Cli::new("replay", "reconstruct the result from the stored log alone")
+            .positional("record", "record file (.ecasr)"),
+    )
+    .subcommand(
+        Cli::new(
+            "verify",
+            "replay each record and diff against its reference",
         )
-        .subcommand(
-            Cli::new("verify", "replay each record and diff against its reference")
-                .option("--jobs", "n", "verification workers (default: auto)")
-                .option("--filter", "substr", "only verify records whose label contains <substr>")
-                .positional("path", "record file (.ecasr) or corpus directory")
-                .trailing("paths", "further record files or corpus directories"),
+        .option("--jobs", "n", "verification workers (default: auto)")
+        .option(
+            "--filter",
+            "substr",
+            "only verify records whose label contains <substr>",
         )
-        .subcommand(
-            Cli::new("inspect", "print a record's scenario, metrics and timeline")
-                .switch("--json", "emit the machine-readable manifest instead")
-                .positional("record", "record file (.ecasr)"),
+        .positional("path", "record file (.ecasr) or corpus directory")
+        .trailing("paths", "further record files or corpus directories"),
+    )
+    .subcommand(
+        Cli::new("inspect", "print a record's scenario, metrics and timeline")
+            .switch("--json", "emit the machine-readable manifest instead")
+            .positional("record", "record file (.ecasr)"),
+    )
+    .subcommand(
+        Cli::new(
+            "rerecord",
+            "re-run a record's scenario and write the fresh record",
         )
-        .subcommand(
-            Cli::new("rerecord", "re-run a record's scenario and write the fresh record")
-                .positional("record", "record file (.ecasr)")
-                .positional("out", "output record path (.ecasr)"),
+        .positional("record", "record file (.ecasr)")
+        .positional("out", "output record path (.ecasr)"),
+    )
+    .subcommand(
+        Cli::new(
+            "diff",
+            "compare two corpora record-by-record at oracle tolerance",
         )
-        .subcommand(
-            Cli::new("diff", "compare two corpora record-by-record at oracle tolerance")
-                .positional("corpus-a", "first corpus directory")
-                .positional("corpus-b", "second corpus directory"),
-        )
+        .positional("corpus-a", "first corpus directory")
+        .positional("corpus-b", "second corpus directory"),
+    )
 }
 
 #[test]
@@ -155,7 +188,16 @@ fn missing_positionals_are_usage_errors_in_every_subcommand() {
 #[test]
 fn batch_record_and_verify_flags_parse() {
     let args = session_cli()
-        .parse_from(&["batch-record", "--users", "6", "--jobs", "3", "--batch", "2", "corpus"])
+        .parse_from(&[
+            "batch-record",
+            "--users",
+            "6",
+            "--jobs",
+            "3",
+            "--batch",
+            "2",
+            "corpus",
+        ])
         .unwrap();
     let (name, sub) = args.subcommand().unwrap();
     assert_eq!(name, "batch-record");
@@ -166,7 +208,15 @@ fn batch_record_and_verify_flags_parse() {
     assert_eq!(sub.positional(1), None);
 
     let args = session_cli()
-        .parse_from(&["verify", "--jobs", "4", "--filter", "u1-", "corpus", "extra.ecasr"])
+        .parse_from(&[
+            "verify",
+            "--jobs",
+            "4",
+            "--filter",
+            "u1-",
+            "corpus",
+            "extra.ecasr",
+        ])
         .unwrap();
     let (name, sub) = args.subcommand().unwrap();
     assert_eq!(name, "verify");

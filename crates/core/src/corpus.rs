@@ -221,8 +221,8 @@ pub fn batch_record(
         format: INDEX_FORMAT,
         entries,
     };
-    let json = serde_json::to_string_pretty(&index)
-        .map_err(|e| CorpusError::Index(e.to_string()))?;
+    let json =
+        serde_json::to_string_pretty(&index).map_err(|e| CorpusError::Index(e.to_string()))?;
     write_atomic(&dir.join(INDEX_FILE), (json + "\n").as_bytes())?;
     Ok(index)
 }
@@ -237,10 +237,7 @@ pub fn list(dir: &Path) -> Result<Vec<PathBuf>, CorpusError> {
     let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(Result::ok)
         .map(|entry| entry.path())
-        .filter(|path| {
-            path.extension()
-                .is_some_and(|ext| ext == RECORD_EXTENSION)
-        })
+        .filter(|path| path.extension().is_some_and(|ext| ext == RECORD_EXTENSION))
         .collect();
     paths.sort();
     Ok(paths)
@@ -614,8 +611,8 @@ mod tests {
         assert_eq!(CorpusIndex::load(&dir).unwrap(), index);
         assert_eq!(list(&dir).unwrap().len(), 3);
         // Re-recording is deterministic: same files, same manifest.
-        let again = batch_record(&dir, &small_fleet(), &CorpusOptions { jobs: 2, batch: 2 })
-            .unwrap();
+        let again =
+            batch_record(&dir, &small_fleet(), &CorpusOptions { jobs: 2, batch: 2 }).unwrap();
         assert_eq!(again, index);
         fs::remove_dir_all(&dir).ok();
     }
@@ -635,10 +632,22 @@ mod tests {
         let dir = temp_dir("verify");
         batch_record(&dir, &small_fleet(), &CorpusOptions::default()).unwrap();
         let paths = list(&dir).unwrap();
-        let sequential = verify(&paths, &VerifyOptions { jobs: 1, filter: None });
+        let sequential = verify(
+            &paths,
+            &VerifyOptions {
+                jobs: 1,
+                filter: None,
+            },
+        );
         assert_eq!(sequential.records, 3);
         assert_eq!(sequential.failures, 0);
-        let parallel = verify(&paths, &VerifyOptions { jobs: 3, filter: None });
+        let parallel = verify(
+            &paths,
+            &VerifyOptions {
+                jobs: 3,
+                filter: None,
+            },
+        );
         assert_eq!(
             sequential.render(),
             parallel.render(),
@@ -799,7 +808,11 @@ mod tests {
         assert_eq!(fleet.len(), 4);
         assert!(matches!(
             fleet.last().unwrap().session,
-            RecordedSession::Fleet { index: 3, users: 4, .. }
+            RecordedSession::Fleet {
+                index: 3,
+                users: 4,
+                ..
+            }
         ));
         assert!((fleet.first().unwrap().eta - 0.4).abs() < 1e-12);
         let tablev = tablev_scenarios(Approach::Ours, 0.5, None);

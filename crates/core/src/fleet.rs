@@ -221,7 +221,11 @@ impl ClassAgg {
             } else {
                 self.count as f64 / fleet as f64
             },
-            mean_qoe: if self.count == 0 { 0.0 } else { self.qoe_sum / n },
+            mean_qoe: if self.count == 0 {
+                0.0
+            } else {
+                self.qoe_sum / n
+            },
             mean_energy_j: if self.count == 0 {
                 0.0
             } else {
@@ -809,8 +813,7 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.nan_count(), 3);
         let legacy: FixedHistogram =
-            serde_json::from_str(r#"{"lo":0.0,"hi":10.0,"counts":[1,0,0,0,0,0,0,0,0,0]}"#)
-                .unwrap();
+            serde_json::from_str(r#"{"lo":0.0,"hi":10.0,"counts":[1,0,0,0,0,0,0,0,0,0]}"#).unwrap();
         assert_eq!(legacy.nan_count(), 0);
         assert_eq!(legacy.total(), 1);
     }
@@ -821,7 +824,9 @@ mod tests {
         // reports zero — and the render must say so explicitly rather
         // than hide the tally.
         let spec = tiny_spec(3);
-        let mut report = FleetEngine::paper().batch_size(3).run(&spec, &ExecPolicy::Sequential);
+        let mut report = FleetEngine::paper()
+            .batch_size(3)
+            .run(&spec, &ExecPolicy::Sequential);
         assert_eq!(report.qoe_nan, 0);
         assert_eq!(report.energy_nan, 0);
         assert!(report.render().contains("p99=") && report.render().contains(" nan=0"));
@@ -882,20 +887,29 @@ mod tests {
     #[test]
     fn aggregate_is_policy_and_batch_invariant() {
         let spec = tiny_spec(10);
-        let seq = FleetEngine::paper().batch_size(4).run(&spec, &ExecPolicy::Sequential);
+        let seq = FleetEngine::paper()
+            .batch_size(4)
+            .run(&spec, &ExecPolicy::Sequential);
         let par = FleetEngine::paper()
             .batch_size(4)
             .run(&spec, &ExecPolicy::Parallel { jobs: 3 });
         assert_eq!(seq, par, "parallel aggregates must equal sequential");
         assert_eq!(seq.render(), par.render());
-        let other_batch = FleetEngine::paper().batch_size(7).run(&spec, &ExecPolicy::Sequential);
-        assert_eq!(seq, other_batch, "batch size must not leak into the aggregate");
+        let other_batch = FleetEngine::paper()
+            .batch_size(7)
+            .run(&spec, &ExecPolicy::Sequential);
+        assert_eq!(
+            seq, other_batch,
+            "batch size must not leak into the aggregate"
+        );
     }
 
     #[test]
     fn report_is_populated_and_consistent() {
         let spec = tiny_spec(12);
-        let report = FleetEngine::paper().batch_size(5).run(&spec, &ExecPolicy::parallel());
+        let report = FleetEngine::paper()
+            .batch_size(5)
+            .run(&spec, &ExecPolicy::parallel());
         assert_eq!(report.users, 12);
         assert!(report.segments > 0);
         assert!(report.mean_qoe > 0.0);

@@ -48,7 +48,9 @@ use ecas_abr::{ObjectiveWeights, OptimalPlanner};
 use ecas_obs::{names, Probe, NULL_PROBE};
 use ecas_power::task::TaskEnergyModel;
 use ecas_sim::radio;
-use ecas_sim::{EnergyBreakdown, EventLog, FaultPlan, SessionEvent, SessionResult, Simulator, TaskRecord};
+use ecas_sim::{
+    EnergyBreakdown, EventLog, FaultPlan, SessionEvent, SessionResult, Simulator, TaskRecord,
+};
 use ecas_trace::session::SessionTrace;
 use ecas_types::ids::TaskId;
 use ecas_types::ladder::LevelIndex;
@@ -253,7 +255,9 @@ impl<'a> Oracle<'a> {
         let raw_len = session.meta().video_length.value();
         let n = (raw_len / tau).ceil() as usize;
         if n == 0 {
-            return Err(ReplayError::new("session video is shorter than one segment"));
+            return Err(ReplayError::new(
+                "session video is shorter than one segment",
+            ));
         }
         // The simulator rounds the video up to whole segments; mirror it.
         let video_len = n as f64 * tau;
@@ -435,8 +439,7 @@ impl<'a> Oracle<'a> {
             p.outage_seconds_between(Seconds::zero(), Seconds::new(wall))
                 .value()
         });
-        let mean_qoe =
-            QoeScore::new(tasks.iter().map(|t| t.qoe.value()).sum::<f64>() / n as f64);
+        let mean_qoe = QoeScore::new(tasks.iter().map(|t| t.qoe.value()).sum::<f64>() / n as f64);
         let energy = EnergyBreakdown {
             screen: Joules::new(power.screen_power().value() * wall),
             decode: Joules::new(decode_total),
@@ -908,7 +911,9 @@ fn open_task<'t>(
         .last_mut()
         .filter(|t| t.segment == segment && t.download_end.is_none())
         .ok_or_else(|| {
-            ReplayError::new(format!("segment {segment}: {what} outside an open download"))
+            ReplayError::new(format!(
+                "segment {segment}: {what} outside an open download"
+            ))
         })
 }
 
@@ -999,21 +1004,36 @@ pub(crate) fn diff_results(reference: &SessionResult, replayed: &SessionResult) 
     let tol = REPLAY_TOLERANCE;
 
     d.text("trace", &reference.trace, &replayed.trace);
-    d.float("wall_time", reference.wall_time.value(), replayed.wall_time.value(), tol);
+    d.float(
+        "wall_time",
+        reference.wall_time.value(),
+        replayed.wall_time.value(),
+        tol,
+    );
     d.float(
         "startup_delay",
         reference.startup_delay.value(),
         replayed.startup_delay.value(),
         tol,
     );
-    d.float("played", reference.played.value(), replayed.played.value(), tol);
+    d.float(
+        "played",
+        reference.played.value(),
+        replayed.played.value(),
+        tol,
+    );
     d.float(
         "total_rebuffer",
         reference.total_rebuffer.value(),
         replayed.total_rebuffer.value(),
         tol,
     );
-    d.float("mean_qoe", reference.mean_qoe.value(), replayed.mean_qoe.value(), tol);
+    d.float(
+        "mean_qoe",
+        reference.mean_qoe.value(),
+        replayed.mean_qoe.value(),
+        tol,
+    );
     d.float(
         "downloaded",
         reference.downloaded.value(),
@@ -1068,9 +1088,23 @@ pub(crate) fn diff_results(reference: &SessionResult, replayed: &SessionResult) 
 
     for (i, (r, p)) in reference.tasks.iter().zip(&replayed.tasks).enumerate() {
         d.count(&format!("tasks[{i}].task"), r.task.value(), p.task.value());
-        d.count(&format!("tasks[{i}].level"), r.level.value(), p.level.value());
-        d.float(&format!("tasks[{i}].bitrate"), r.bitrate.value(), p.bitrate.value(), tol);
-        d.float(&format!("tasks[{i}].size"), r.size.value(), p.size.value(), tol);
+        d.count(
+            &format!("tasks[{i}].level"),
+            r.level.value(),
+            p.level.value(),
+        );
+        d.float(
+            &format!("tasks[{i}].bitrate"),
+            r.bitrate.value(),
+            p.bitrate.value(),
+            tol,
+        );
+        d.float(
+            &format!("tasks[{i}].size"),
+            r.size.value(),
+            p.size.value(),
+            tol,
+        );
         d.float(
             &format!("tasks[{i}].download_start"),
             r.download_start.value(),
@@ -1089,21 +1123,36 @@ pub(crate) fn diff_results(reference: &SessionResult, replayed: &SessionResult) 
             p.throughput.value(),
             tol,
         );
-        d.float(&format!("tasks[{i}].signal"), r.signal.value(), p.signal.value(), tol);
+        d.float(
+            &format!("tasks[{i}].signal"),
+            r.signal.value(),
+            p.signal.value(),
+            tol,
+        );
         d.float(
             &format!("tasks[{i}].vibration"),
             r.vibration.value(),
             p.vibration.value(),
             tol,
         );
-        d.float(&format!("tasks[{i}].rebuffer"), r.rebuffer.value(), p.rebuffer.value(), tol);
+        d.float(
+            &format!("tasks[{i}].rebuffer"),
+            r.rebuffer.value(),
+            p.rebuffer.value(),
+            tol,
+        );
         d.float(
             &format!("tasks[{i}].radio_energy"),
             r.radio_energy.value(),
             p.radio_energy.value(),
             tol,
         );
-        d.float(&format!("tasks[{i}].qoe"), r.qoe.value(), p.qoe.value(), tol);
+        d.float(
+            &format!("tasks[{i}].qoe"),
+            r.qoe.value(),
+            p.qoe.value(),
+            tol,
+        );
     }
 
     // Accounting identities on the simulator's own result (§ 9).
@@ -1136,7 +1185,11 @@ pub(crate) fn diff_results(reference: &SessionResult, replayed: &SessionResult) 
         reference.tasks.iter().map(|t| t.radio_energy.value()).sum(),
         tol,
     );
-    d.count("identity.retry_per_abort", reference.aborts, reference.retries);
+    d.count(
+        "identity.retry_per_abort",
+        reference.aborts,
+        reference.retries,
+    );
 
     d.finish()
 }
@@ -1163,8 +1216,7 @@ mod tests {
     fn replay_matches_a_logged_run() {
         let runner = ExperimentRunner::paper();
         let s = session(Context::Walking, 60.0, 5);
-        let (result, log) =
-            runner.run_with_probe(&s, &Approach::Ours, &ecas_obs::NULL_PROBE);
+        let (result, log) = runner.run_with_probe(&s, &Approach::Ours, &ecas_obs::NULL_PROBE);
         let oracle = Oracle::new(runner.simulator(), runner.eta());
         let verdict = oracle.check_replay(&s, &result, Some(&log));
         assert!(verdict.is_pass(), "{}", verdict.render());
@@ -1207,8 +1259,7 @@ mod tests {
     fn truncated_log_is_a_structural_failure() {
         let runner = ExperimentRunner::paper();
         let s = session(Context::QuietRoom, 40.0, 3);
-        let (result, log) =
-            runner.run_with_probe(&s, &Approach::Bba, &ecas_obs::NULL_PROBE);
+        let (result, log) = runner.run_with_probe(&s, &Approach::Bba, &ecas_obs::NULL_PROBE);
         // Drop the trailing PlaybackEnd: replay must refuse, not guess.
         let mut truncated = EventLog::new();
         for e in log.iter().take(log.len() - 1) {
@@ -1230,7 +1281,12 @@ mod tests {
             let verdict = oracle
                 .check_objective_against(&s, &result, optimal)
                 .unwrap();
-            assert!(verdict.holds(), "{}: {}", approach.label(), verdict.render());
+            assert!(
+                verdict.holds(),
+                "{}: {}",
+                approach.label(),
+                verdict.render()
+            );
         }
     }
 
@@ -1254,8 +1310,7 @@ mod tests {
     fn probe_counts_verdicts() {
         let runner = ExperimentRunner::paper();
         let s = session(Context::Walking, 30.0, 2);
-        let (result, log) =
-            runner.run_with_probe(&s, &Approach::Ours, &ecas_obs::NULL_PROBE);
+        let (result, log) = runner.run_with_probe(&s, &Approach::Ours, &ecas_obs::NULL_PROBE);
         let oracle = Oracle::new(runner.simulator(), runner.eta());
         let recorder = ecas_obs::MemoryRecorder::new();
         let _ = oracle.check_replay_with_probe(&s, &result, Some(&log), &recorder);

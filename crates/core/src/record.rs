@@ -475,8 +475,7 @@ impl SessionRecord {
     /// Returns [`SessionRecordError::Codec`] on I/O failure or malformed
     /// bytes.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, SessionRecordError> {
-        let bytes =
-            fs::read(path).map_err(|e| SessionRecordError::Codec(RecordError::Io(e)))?;
+        let bytes = fs::read(path).map_err(|e| SessionRecordError::Codec(RecordError::Io(e)))?;
         Self::from_bytes(&bytes)
     }
 
@@ -541,7 +540,8 @@ impl SessionRecord {
         let trace = self.regenerate_trace()?;
         let runner = self.scenario.runner();
         let oracle = Oracle::new(runner.simulator(), self.scenario.eta);
-        let verdict = oracle.check_replay_with_probe(&trace, &self.reference, Some(&self.log), probe);
+        let verdict =
+            oracle.check_replay_with_probe(&trace, &self.reference, Some(&self.log), probe);
         let counter = match &verdict {
             ReplayVerdict::Pass { .. } => names::RECORD_VERIFY_PASS,
             _ => names::RECORD_VERIFY_FAIL,
@@ -698,8 +698,7 @@ mod tests {
     #[test]
     fn verify_counters_reach_the_probe() {
         let recorder = MemoryRecorder::new();
-        let record =
-            SessionRecord::record_with_probe(scenario(), &recorder).unwrap();
+        let record = SessionRecord::record_with_probe(scenario(), &recorder).unwrap();
         let verdict = record.verify_with_probe(&recorder).unwrap();
         assert!(matches!(verdict, ReplayVerdict::Pass { .. }));
         let snapshot = recorder.metrics().snapshot();
@@ -781,8 +780,10 @@ mod tests {
             fault: Some(FaultSpec::moderate(4)),
         };
         let record = SessionRecord::record(scenario).unwrap();
-        assert!(record.reference.retries + record.reference.aborts > 0
-            || record.reference.outage_time.value() > 0.0);
+        assert!(
+            record.reference.retries + record.reference.aborts > 0
+                || record.reference.outage_time.value() > 0.0
+        );
         let bytes = record.to_bytes().unwrap();
         let back = SessionRecord::from_bytes(&bytes).unwrap();
         assert_eq!(record, back);

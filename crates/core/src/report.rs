@@ -390,10 +390,7 @@ mod tests {
 
     #[test]
     fn scenario_with_cache_dir_runs_warm_on_second_pass() {
-        let dir = std::env::temp_dir().join(format!(
-            "ecas-report-cache-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("ecas-report-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let scenario = Scenario::builder("cached-smoke")
             .traces(TraceSelection::Synthetic {

@@ -37,7 +37,10 @@ impl SeedStat {
     fn of(values: &[f64]) -> Self {
         // An empty slice would silently yield NaN mean/std and poison
         // every downstream table; fail loudly at the source instead.
-        assert!(!values.is_empty(), "SeedStat::of requires at least one value");
+        assert!(
+            !values.is_empty(),
+            "SeedStat::of requires at least one value"
+        );
         let n = values.len();
         let mean = values.iter().sum::<f64>() / n as f64;
         let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
@@ -258,10 +261,8 @@ pub fn fault_sweep_with_stats(
     let mut stats = CacheStats::default();
     for &intensity in &levels {
         let spec = FaultSpec::scaled(intensity, seed);
-        let faulty = ExperimentRunner::new(
-            runner.simulator().clone().with_faults(spec),
-            runner.eta(),
-        );
+        let faulty =
+            ExperimentRunner::new(runner.simulator().clone().with_faults(spec), runner.eta());
         let engine = SweepEngine::new(faulty);
         let grid = engine.run_grid(sessions, approaches, policy);
         stats.merge(engine.stats());
@@ -286,20 +287,24 @@ pub fn fault_sweep_with_stats(
                 mean_qoe,
                 qoe_degradation: baseline_qoe.get(ai).copied().unwrap_or(mean_qoe) - mean_qoe,
                 mean_energy: Joules::new(
-                    results.iter().map(|r| r.total_energy().value()).sum::<f64>() / n,
+                    results
+                        .iter()
+                        .map(|r| r.total_energy().value())
+                        .sum::<f64>()
+                        / n,
                 ),
                 mean_rebuffer: Seconds::new(
-                    results.iter().map(|r| r.total_rebuffer.value()).sum::<f64>() / n,
+                    results
+                        .iter()
+                        .map(|r| r.total_rebuffer.value())
+                        .sum::<f64>()
+                        / n,
                 ),
                 retries: results.iter().map(|r| r.retries).sum(),
                 aborts: results.iter().map(|r| r.aborts).sum(),
                 degraded_segments: results.iter().map(|r| r.degraded_segments).sum(),
-                wasted_energy: Joules::new(
-                    results.iter().map(|r| r.wasted_energy.value()).sum(),
-                ),
-                outage_time: Seconds::new(
-                    results.iter().map(|r| r.outage_time.value()).sum(),
-                ),
+                wasted_energy: Joules::new(results.iter().map(|r| r.wasted_energy.value()).sum()),
+                outage_time: Seconds::new(results.iter().map(|r| r.outage_time.value()).sum()),
             });
         }
     }

@@ -928,10 +928,7 @@ mod tests {
         assert_eq!(ExecPolicy::from_options(None, None), ExecPolicy::parallel());
         let cached = ExecPolicy::from_options(Some(1), Some(Path::new("/tmp/c")));
         assert_eq!(cached.cache_dir(), Some(Path::new("/tmp/c")));
-        assert_eq!(
-            cached,
-            ExecPolicy::cached("/tmp/c", ExecPolicy::Sequential)
-        );
+        assert_eq!(cached, ExecPolicy::cached("/tmp/c", ExecPolicy::Sequential));
     }
 
     #[test]
@@ -1196,10 +1193,14 @@ mod tests {
 
         // Observed lookups must never be served from a record.
         assert!(matches!(
-            engine.load(&dir, &key, &Job {
-                session: &sessions[0],
-                cell: Cell::Observed(Approach::Ours),
-            }),
+            engine.load(
+                &dir,
+                &key,
+                &Job {
+                    session: &sessions[0],
+                    cell: Cell::Observed(Approach::Ours),
+                }
+            ),
             Lookup::Absent
         ));
         fs::remove_dir_all(&dir).ok();
@@ -1237,7 +1238,10 @@ mod tests {
         assert_eq!(computed, vec![record.reference.clone()]);
         // The recompute repaired a JSONL entry that serves the next run.
         let warm = SweepEngine::new(ExperimentRunner::paper());
-        assert_eq!(warm.run_grid(&sessions, &[Approach::Ours], &policy), computed);
+        assert_eq!(
+            warm.run_grid(&sessions, &[Approach::Ours], &policy),
+            computed
+        );
         assert!(warm.stats().all_hits());
         assert_eq!(warm.stats().from_record, 0);
 
@@ -1607,8 +1611,7 @@ mod tests {
         let sessions = sessions();
         let approaches = Approach::paper_set();
         let via_engine = engine.comparison(&sessions, &approaches, &ExecPolicy::Sequential);
-        let legacy =
-            ComparisonSummary::evaluate(engine.runner(), &sessions, &approaches);
+        let legacy = ComparisonSummary::evaluate(engine.runner(), &sessions, &approaches);
         assert_eq!(via_engine, legacy);
     }
 }

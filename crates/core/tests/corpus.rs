@@ -37,8 +37,20 @@ fn corpus_round_trip_records_verifies_and_warms_a_fleet_run() {
     // sequential one, regardless of completion order.
     let paths = corpus::list(&dir).unwrap();
     assert_eq!(paths.len(), USERS as usize);
-    let sequential = corpus::verify(&paths, &VerifyOptions { jobs: 1, filter: None });
-    let parallel = corpus::verify(&paths, &VerifyOptions { jobs: 3, filter: None });
+    let sequential = corpus::verify(
+        &paths,
+        &VerifyOptions {
+            jobs: 1,
+            filter: None,
+        },
+    );
+    let parallel = corpus::verify(
+        &paths,
+        &VerifyOptions {
+            jobs: 3,
+            filter: None,
+        },
+    );
     assert_eq!(sequential.failures, 0, "{}", sequential.render());
     assert_eq!(sequential.records, USERS as usize);
     assert_eq!(sequential.render(), parallel.render());

@@ -21,8 +21,12 @@ fn spec(users: u64) -> PopulationSpec {
 #[test]
 fn same_seed_fleet_runs_are_byte_identical() {
     let spec = spec(16);
-    let a = FleetEngine::paper().batch_size(5).run(&spec, &ExecPolicy::parallel());
-    let b = FleetEngine::paper().batch_size(5).run(&spec, &ExecPolicy::parallel());
+    let a = FleetEngine::paper()
+        .batch_size(5)
+        .run(&spec, &ExecPolicy::parallel());
+    let b = FleetEngine::paper()
+        .batch_size(5)
+        .run(&spec, &ExecPolicy::parallel());
     assert_eq!(a, b);
     assert_eq!(a.render(), b.render());
     assert_eq!(
@@ -34,7 +38,9 @@ fn same_seed_fleet_runs_are_byte_identical() {
 #[test]
 fn aggregate_is_independent_of_policy_and_batch_size() {
     let spec = spec(14);
-    let seq = FleetEngine::paper().batch_size(4).run(&spec, &ExecPolicy::Sequential);
+    let seq = FleetEngine::paper()
+        .batch_size(4)
+        .run(&spec, &ExecPolicy::Sequential);
     for (jobs, batch) in [(2, 4), (3, 4), (2, 14), (4, 1)] {
         let par = FleetEngine::paper()
             .batch_size(batch)
@@ -50,8 +56,14 @@ fn aggregate_is_independent_of_policy_and_batch_size() {
 
 #[test]
 fn different_seeds_give_different_fleets() {
-    let a = FleetEngine::paper().run(&PopulationSpec::new(12, 1).mean_duration(Seconds::new(20.0)), &ExecPolicy::Sequential);
-    let b = FleetEngine::paper().run(&PopulationSpec::new(12, 2).mean_duration(Seconds::new(20.0)), &ExecPolicy::Sequential);
+    let a = FleetEngine::paper().run(
+        &PopulationSpec::new(12, 1).mean_duration(Seconds::new(20.0)),
+        &ExecPolicy::Sequential,
+    );
+    let b = FleetEngine::paper().run(
+        &PopulationSpec::new(12, 2).mean_duration(Seconds::new(20.0)),
+        &ExecPolicy::Sequential,
+    );
     assert_ne!(a.render(), b.render(), "seed must drive the population");
 }
 
@@ -133,7 +145,11 @@ fn sharded_reduction_matches_streaming_pass() {
         streaming.absorb(u, r);
     }
     // Three shards over disjoint ranges, merged out of construction order.
-    let mut shards = [FleetReducer::new(), FleetReducer::new(), FleetReducer::new()];
+    let mut shards = [
+        FleetReducer::new(),
+        FleetReducer::new(),
+        FleetReducer::new(),
+    ];
     for (i, (u, r)) in batch.specs().iter().zip(&results).enumerate() {
         shards[i % 3].absorb(u, r);
     }

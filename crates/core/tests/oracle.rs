@@ -113,11 +113,15 @@ fn tampered_fields_are_caught_and_named() {
     let tampered: Vec<(&str, Tamper)> = vec![
         (
             "wall_time",
-            Box::new(|r| r.wall_time = ecas_core::types::units::Seconds::new(r.wall_time.value() + 0.5)),
+            Box::new(|r| {
+                r.wall_time = ecas_core::types::units::Seconds::new(r.wall_time.value() + 0.5)
+            }),
         ),
         (
             "energy.tail",
-            Box::new(|r| r.energy.tail = ecas_core::types::units::Joules::new(r.energy.tail.value() * 1.01)),
+            Box::new(|r| {
+                r.energy.tail = ecas_core::types::units::Joules::new(r.energy.tail.value() * 1.01)
+            }),
         ),
         ("switches", Box::new(|r| r.switches += 1)),
         (
@@ -137,7 +141,10 @@ fn tampered_fields_are_caught_and_named() {
                 assert!(
                     divergences.iter().any(|d| d.field == field),
                     "tampering {field} flagged {:?}",
-                    divergences.iter().map(|d| d.field.clone()).collect::<Vec<_>>()
+                    divergences
+                        .iter()
+                        .map(|d| d.field.clone())
+                        .collect::<Vec<_>>()
                 );
             }
             other => panic!("tampering {field} passed: {}", other.render()),

@@ -72,11 +72,15 @@ fn identical_inputs_hit_but_any_key_change_misses() {
         ecas_core::qoe::model::QoeModel::paper(),
     );
     let reconfigured = ExperimentRunner::new(sim, 0.5);
-    assert_eq!(grid_stats(&reconfigured, 5, &cache), (0, 2), "config change");
+    assert_eq!(
+        grid_stats(&reconfigured, 5, &cache),
+        (0, 2),
+        "config change"
+    );
 
     // A fault spec keys separately from the fault-free grid.
-    let faulty_sim = Simulator::paper(BitrateLadder::evaluation())
-        .with_faults(FaultSpec::scaled(0.5, 7));
+    let faulty_sim =
+        Simulator::paper(BitrateLadder::evaluation()).with_faults(FaultSpec::scaled(0.5, 7));
     let faulty = ExperimentRunner::new(faulty_sim, 0.5);
     assert_eq!(grid_stats(&faulty, 5, &cache), (0, 2), "fault-spec change");
 

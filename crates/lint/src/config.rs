@@ -152,7 +152,9 @@ impl Config {
     /// Whether a workspace-relative path is excluded from scanning.
     #[must_use]
     pub fn is_excluded(&self, rel_path: &str) -> bool {
-        self.exclude.iter().any(|p| rel_path.starts_with(p.as_str()))
+        self.exclude
+            .iter()
+            .any(|p| rel_path.starts_with(p.as_str()))
     }
 
     /// Parses a `lint.toml` document on top of the built-in defaults.
@@ -207,7 +209,13 @@ impl Config {
         Ok(config)
     }
 
-    fn apply(&mut self, section: &str, key: &str, value: &str, lineno: usize) -> Result<(), String> {
+    fn apply(
+        &mut self,
+        section: &str,
+        key: &str,
+        value: &str,
+        lineno: usize,
+    ) -> Result<(), String> {
         match section {
             "rules" => {
                 if !self.defaults.contains_key(key) {
@@ -238,13 +246,17 @@ impl Config {
             "hot-paths" => match key {
                 "functions" => self.hot_paths = parse_array(value, lineno)?,
                 other => {
-                    return Err(format!("lint.toml:{lineno}: unknown hot-paths key `{other}`"));
+                    return Err(format!(
+                        "lint.toml:{lineno}: unknown hot-paths key `{other}`"
+                    ));
                 }
             },
             "obs-names" => match key {
                 "registry" => self.obs_registry = parse_string(value, lineno)?,
                 other => {
-                    return Err(format!("lint.toml:{lineno}: unknown obs-names key `{other}`"));
+                    return Err(format!(
+                        "lint.toml:{lineno}: unknown obs-names key `{other}`"
+                    ));
                 }
             },
             s => {

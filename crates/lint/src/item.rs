@@ -193,9 +193,7 @@ fn walk(
             match ident_at(tokens, i) {
                 Some("async" | "unsafe" | "default") => i += 1,
                 Some("const") if ident_at(tokens, i + 1) == Some("fn") => i += 1,
-                Some("extern")
-                    if !matches!(ident_at(tokens, i + 1), Some("crate")) =>
-                {
+                Some("extern") if !matches!(ident_at(tokens, i + 1), Some("crate")) => {
                     // `extern "C" fn` — the ABI string is stripped by the
                     // scanner, so `extern` directly precedes `fn`.
                     i += 1;
@@ -399,8 +397,14 @@ mod tests {
     #[test]
     fn const_fn_is_a_function_not_a_const() {
         let found = items("pub const fn f() -> u8 { 1 }\npub const G: u8 = 2;\n");
-        assert_eq!(found.iter().find(|i| i.name == "f").unwrap().kind, ItemKind::Fn);
-        assert_eq!(found.iter().find(|i| i.name == "G").unwrap().kind, ItemKind::Const);
+        assert_eq!(
+            found.iter().find(|i| i.name == "f").unwrap().kind,
+            ItemKind::Fn
+        );
+        assert_eq!(
+            found.iter().find(|i| i.name == "G").unwrap().kind,
+            ItemKind::Const
+        );
     }
 
     #[test]

@@ -79,7 +79,10 @@ fn resolve(
     config: &Config,
 ) -> Vec<Diagnostic> {
     let in_test = |line: u32| test_ranges.iter().any(|&(lo, hi)| lo <= line && line <= hi);
-    let raw: Vec<_> = findings.into_iter().filter(|(f, _)| !in_test(f.line)).collect();
+    let raw: Vec<_> = findings
+        .into_iter()
+        .filter(|(f, _)| !in_test(f.line))
+        .collect();
 
     // A trailing directive covers its own line; a standalone directive
     // covers the next non-directive line.
@@ -322,7 +325,8 @@ mod tests {
 
     #[test]
     fn allow_without_reason_fails_and_does_not_suppress() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap() // ecas-lint: allow(panic-safety)\n}\n";
+        let src =
+            "fn f(x: Option<u8>) -> u8 {\n    x.unwrap() // ecas-lint: allow(panic-safety)\n}\n";
         let diags = lint_source("ecas-qoe", "f.rs", src, &Config::default());
         let rules: Vec<_> = diags.iter().map(|d| d.rule).collect();
         assert!(rules.contains(&"panic-safety"), "{diags:?}");
@@ -340,7 +344,8 @@ mod tests {
 
     #[test]
     fn findings_in_test_modules_are_skipped() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t(x: Option<u8>) { x.unwrap(); }\n}\n";
+        let src =
+            "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t(x: Option<u8>) { x.unwrap(); }\n}\n";
         let diags = lint_source("ecas-qoe", "f.rs", src, &Config::default());
         assert!(diags.is_empty(), "{diags:?}");
     }

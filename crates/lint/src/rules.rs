@@ -229,10 +229,7 @@ fn wall_clock(tokens: &[Token], out: &mut Vec<RawFinding>) {
         if t.kind != Kind::Ident {
             continue;
         }
-        if let Some((_, message)) = WALL_CLOCK_TYPES
-            .iter()
-            .find(|(ident, _)| t.is_ident(ident))
-        {
+        if let Some((_, message)) = WALL_CLOCK_TYPES.iter().find(|(ident, _)| t.is_ident(ident)) {
             out.push(RawFinding {
                 line: t.line,
                 rule: "wall-clock",
@@ -345,7 +342,8 @@ fn slice_indexing(tokens: &[Token], out: &mut Vec<RawFinding>) {
 fn float_compare(tokens: &[Token], out: &mut Vec<RawFinding>) {
     for (i, t) in tokens.iter().enumerate() {
         if t.is_punct("==") || t.is_punct("!=") {
-            let prev_float = matches!(tokens.get(i.wrapping_sub(1)), Some(p) if p.is_float_literal());
+            let prev_float =
+                matches!(tokens.get(i.wrapping_sub(1)), Some(p) if p.is_float_literal());
             // Allow one leading sign on the right-hand side (`== -1.0`).
             let mut j = i + 1;
             if matches!(tokens.get(j), Some(n) if n.is_punct("-")) {
@@ -442,7 +440,12 @@ mod tests {
     use crate::scan::scan;
 
     fn findings_for(crate_name: &str, src: &str) -> Vec<RawFinding> {
-        run_all(crate_name, "src/lib.rs", &scan(src).tokens, &Config::default())
+        run_all(
+            crate_name,
+            "src/lib.rs",
+            &scan(src).tokens,
+            &Config::default(),
+        )
     }
 
     #[test]
@@ -478,11 +481,18 @@ mod tests {
 
     #[test]
     fn slice_indexing_skips_attributes_types_and_macros() {
-        assert_eq!(findings_for("ecas-sim", "let v = xs[i];")
-            .iter()
-            .filter(|f| f.rule == "slice-indexing")
-            .count(), 1);
-        for clean in ["#[derive(Debug)] struct S;", "let v: [u8; 4] = make();", "vec![1, 2]"] {
+        assert_eq!(
+            findings_for("ecas-sim", "let v = xs[i];")
+                .iter()
+                .filter(|f| f.rule == "slice-indexing")
+                .count(),
+            1
+        );
+        for clean in [
+            "#[derive(Debug)] struct S;",
+            "let v: [u8; 4] = make();",
+            "vec![1, 2]",
+        ] {
             assert!(
                 findings_for("ecas-qoe", clean)
                     .iter()

@@ -416,9 +416,7 @@ impl Scanner {
     }
 
     fn matches_str(&self, s: &str) -> bool {
-        s.chars()
-            .enumerate()
-            .all(|(i, c)| self.peek(i) == Some(c))
+        s.chars().enumerate().all(|(i, c)| self.peek(i) == Some(c))
     }
 }
 
@@ -694,7 +692,8 @@ mod tests {
 
     #[test]
     fn cfg_test_mod_ranges() {
-        let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() { x.unwrap(); }\n}\nfn c() {}\n";
+        let src =
+            "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() { x.unwrap(); }\n}\nfn c() {}\n";
         let s = scan(src);
         let ranges = test_line_ranges(&s.tokens);
         assert_eq!(ranges, vec![(2, 5)]);

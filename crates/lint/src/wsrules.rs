@@ -82,7 +82,12 @@ pub(crate) fn actual_cycle(model: &WorkspaceModel) -> Option<Vec<String>> {
     let edges: BTreeMap<String, Vec<String>> = model
         .crates
         .iter()
-        .map(|c| (c.name.clone(), c.deps.iter().map(|d| d.name.clone()).collect()))
+        .map(|c| {
+            (
+                c.name.clone(),
+                c.deps.iter().map(|d| d.name.clone()).collect(),
+            )
+        })
         .collect();
     declared_closure(&edges).err()
 }
@@ -132,19 +137,15 @@ fn layering(model: &WorkspaceModel, config: &Config, out: &mut Vec<WsFinding>) {
                 line: 1,
                 rule: "layering",
                 message: format!("crate dependency cycle: {}", cycle.join(" -> ")),
-                hint: "break the cycle: extract the shared part into a lower layer"
-                    .to_string(),
+                hint: "break the cycle: extract the shared part into a lower layer".to_string(),
             },
             cap: None,
         });
     }
 
     for krate in &model.crates {
-        let mut allowed: BTreeSet<&str> = config
-            .layering_common
-            .iter()
-            .map(String::as_str)
-            .collect();
+        let mut allowed: BTreeSet<&str> =
+            config.layering_common.iter().map(String::as_str).collect();
         allowed.extend(
             config
                 .layering
@@ -257,9 +258,7 @@ fn hot_path_alloc(model: &WorkspaceModel, config: &Config, out: &mut Vec<WsFindi
                                 finding: RawFinding {
                                     line: tokens[i].line,
                                     rule: "hot-path-alloc",
-                                    message: format!(
-                                        "{what} inside a loop of hot path `{key}`"
-                                    ),
+                                    message: format!("{what} inside a loop of hot path `{key}`"),
                                     hint: "hoist the allocation out of the loop or reuse a \
                                            preallocated buffer; hot paths are gated by \
                                            BENCH_core.json"

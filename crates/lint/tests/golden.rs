@@ -14,7 +14,12 @@ use ecas_lint::{lint_source, lint_workspace, load_config, Config, Severity};
 
 /// Lints a fixture under `crate_name` with the built-in default config.
 fn lint_fixture(crate_name: &str, fixture: &str) -> Vec<ecas_lint::Diagnostic> {
-    lint_source(crate_name, fixture, fixture_source(fixture), &Config::default())
+    lint_source(
+        crate_name,
+        fixture,
+        fixture_source(fixture),
+        &Config::default(),
+    )
 }
 
 fn fixture_source(fixture: &str) -> &'static str {
@@ -84,7 +89,12 @@ fn panic_safety_fixture_fires() {
 #[test]
 fn panic_safety_skips_binary_targets() {
     let source = fixture_source("bad_panic_safety.rs");
-    let diags = lint_source("ecas-bench", "crates/bench/src/bin/fig5.rs", source, &Config::default());
+    let diags = lint_source(
+        "ecas-bench",
+        "crates/bench/src/bin/fig5.rs",
+        source,
+        &Config::default(),
+    );
     assert!(
         !diags.iter().any(|d| d.rule == "panic-safety"),
         "a CLI main aborting with a message is its error path: {diags:#?}"
@@ -153,7 +163,12 @@ fn bench_cli_fixture_fires_inside_bin_targets_only() {
     assert_fires(&diags, "bench-cli", 4); // std::env::args()
 
     // The same source outside bin/ (e.g. the shared parser) is exempt.
-    let diags = lint_source("ecas-bench", "crates/bench/src/cli.rs", source, &Config::default());
+    let diags = lint_source(
+        "ecas-bench",
+        "crates/bench/src/cli.rs",
+        source,
+        &Config::default(),
+    );
     assert!(
         !diags.iter().any(|d| d.rule == "bench-cli"),
         "bench-cli must be scoped to crates/bench/src/bin/: {diags:#?}"
@@ -163,7 +178,10 @@ fn bench_cli_fixture_fires_inside_bin_targets_only() {
 #[test]
 fn clean_fixture_is_silent() {
     let diags = lint_fixture("ecas-sim", "clean.rs");
-    assert!(diags.is_empty(), "clean fixture must lint clean: {diags:#?}");
+    assert!(
+        diags.is_empty(),
+        "clean fixture must lint clean: {diags:#?}"
+    );
 }
 
 /// The real workspace root (two levels above the lint crate).
@@ -219,8 +237,10 @@ fn layering_fixture_flags_unsanctioned_edge_and_honours_toml_allow() {
 fn layering_cycle_fixture_reports_the_dependency_cycle() {
     let diags = lint_fixture_workspace("ws_layering_cycle");
     assert!(
-        diags.iter().any(|d| d.rule == "layering"
-            && d.message.contains("crate dependency cycle: a -> b -> a")),
+        diags
+            .iter()
+            .any(|d| d.rule == "layering"
+                && d.message.contains("crate dependency cycle: a -> b -> a")),
         "{diags:#?}"
     );
 }
@@ -228,10 +248,17 @@ fn layering_cycle_fixture_reports_the_dependency_cycle() {
 #[test]
 fn hot_path_alloc_fixture_fires_in_hot_loops_only() {
     let diags = lint_fixture_workspace("ws_hot_alloc");
-    let hot: Vec<_> = diags.iter().filter(|d| d.rule == "hot-path-alloc").collect();
+    let hot: Vec<_> = diags
+        .iter()
+        .filter(|d| d.rule == "hot-path-alloc")
+        .collect();
     assert_eq!(hot.len(), 2, "format! and to_vec in hot_loop: {diags:#?}");
-    assert!(hot.iter().any(|d| d.line == 6 && d.message.contains("format!")));
-    assert!(hot.iter().any(|d| d.line == 7 && d.message.contains("to_vec")));
+    assert!(hot
+        .iter()
+        .any(|d| d.line == 6 && d.message.contains("format!")));
+    assert!(hot
+        .iter()
+        .any(|d| d.line == 7 && d.message.contains("to_vec")));
     // cold_loop is not a configured hot path; hot_allowed carries a
     // trailing allow directive.
     assert!(hot.iter().all(|d| d.line < 13), "{diags:#?}");
@@ -256,7 +283,9 @@ fn obs_names_fixture_round_trips_against_its_registry() {
     assert_eq!(rogue[0].file, "crates/emits/src/lib.rs");
     assert_eq!(rogue[0].line, 11);
     assert!(!obs.iter().any(|d| d.message.contains("\"good/counter\"")));
-    assert!(!obs.iter().any(|d| d.message.contains("\"pardoned/counter\"")));
+    assert!(!obs
+        .iter()
+        .any(|d| d.message.contains("\"pardoned/counter\"")));
     let stale: Vec<_> = obs
         .iter()
         .filter(|d| d.message.contains("\"stale/counter\""))
@@ -324,7 +353,10 @@ fn obs_registry_round_trips_on_the_real_workspace() {
 fn hot_path_patterns_match_real_functions() {
     let root = workspace_root();
     let config = load_config(&root).expect("lint.toml parses");
-    assert!(!config.hot_paths.is_empty(), "hot-path scope must be configured");
+    assert!(
+        !config.hot_paths.is_empty(),
+        "hot-path scope must be configured"
+    );
     let model = WorkspaceModel::load(&root, &config).expect("model loads");
     let keys = hot_path_fn_keys(&model);
     for pattern in &config.hot_paths {

@@ -10,8 +10,7 @@ use serde::{Deserialize, Serialize};
 /// sub-millisecond latencies (in seconds) up to hundreds of Mbps. Every
 /// histogram also has an implicit overflow bucket above the last bound.
 pub const DEFAULT_BUCKETS: [f64; 16] = [
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-    100.0,
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
 ];
 
 #[derive(Debug, Clone, PartialEq)]
@@ -151,7 +150,11 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         MetricsSnapshot {
-            counters: inner.counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
+            counters: inner
+                .counters
+                .iter()
+                .map(|(k, &v)| (k.clone(), v))
+                .collect(),
             gauges: inner.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect(),
             histograms: inner
                 .histograms
@@ -179,7 +182,11 @@ impl MetricsRegistry {
     }
 }
 
-fn entry_or_insert<'m, V: Copy>(map: &'m mut BTreeMap<String, V>, name: &str, zero: V) -> &'m mut V {
+fn entry_or_insert<'m, V: Copy>(
+    map: &'m mut BTreeMap<String, V>,
+    name: &str,
+    zero: V,
+) -> &'m mut V {
     map.entry(name.to_string()).or_insert(zero)
 }
 
@@ -201,7 +208,10 @@ impl MetricsSnapshot {
     /// Looks up a counter by name.
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+        self.counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|&(_, v)| v)
     }
 
     /// Looks up a gauge by name.
@@ -318,7 +328,10 @@ mod tests {
         let r = MetricsRegistry::new();
         r.observe("thr", 4.2);
         let s = r.snapshot();
-        assert_eq!(s.histogram("thr").unwrap().bounds.len(), DEFAULT_BUCKETS.len());
+        assert_eq!(
+            s.histogram("thr").unwrap().bounds.len(),
+            DEFAULT_BUCKETS.len()
+        );
     }
 
     #[test]
@@ -344,7 +357,10 @@ mod tests {
         r.record_span("d", 4);
         let snap = r.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
-        assert_eq!(snap, serde_json::from_str::<MetricsSnapshot>(&json).unwrap());
+        assert_eq!(
+            snap,
+            serde_json::from_str::<MetricsSnapshot>(&json).unwrap()
+        );
     }
 
     #[test]

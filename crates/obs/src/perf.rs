@@ -224,7 +224,8 @@ impl PerfStats {
     pub fn from_samples(samples: &[f64]) -> Option<Self> {
         let mut sorted = samples.to_vec();
         float::total_sort(&mut sorted);
-        let pick = |p: f64| float::nearest_rank(sorted.len(), p).and_then(|i| sorted.get(i).copied());
+        let pick =
+            |p: f64| float::nearest_rank(sorted.len(), p).and_then(|i| sorted.get(i).copied());
         Some(Self {
             samples: samples.len() as u64,
             p10: pick(0.10)?,

@@ -146,7 +146,15 @@ pub fn segment_timeline(jsonl: &str) -> String {
         .collect();
     aligned_table(
         &[
-            "seg", "level", "decide(s)", "vib", "buf(s)", "dl-start", "dl-end", "Mbps", "stall(s)",
+            "seg",
+            "level",
+            "decide(s)",
+            "vib",
+            "buf(s)",
+            "dl-start",
+            "dl-end",
+            "Mbps",
+            "stall(s)",
         ],
         &cells,
     )
@@ -197,7 +205,14 @@ pub fn metrics_summary(snapshot: &MetricsSnapshot) -> String {
             })
             .collect();
         out.push_str(&aligned_table(
-            &["span", "count", "total(ms)", "mean(us)", "min(us)", "max(us)"],
+            &[
+                "span",
+                "count",
+                "total(ms)",
+                "mean(us)",
+                "min(us)",
+                "max(us)",
+            ],
             &rows,
         ));
         out.push('\n');
@@ -210,7 +225,8 @@ pub fn metrics_summary(snapshot: &MetricsSnapshot) -> String {
                 "{}: n={} mean={}\n",
                 h.name,
                 h.count,
-                h.mean().map_or_else(|| "-".to_string(), |m| format!("{m:.3}")),
+                h.mean()
+                    .map_or_else(|| "-".to_string(), |m| format!("{m:.3}")),
             ));
             // Only non-empty buckets; empty tails add noise, not signal.
             for (i, &count) in h.counts.iter().enumerate() {
@@ -245,7 +261,10 @@ mod tests {
     fn tagged(variant: &str, fields: Vec<(&str, f64)>) -> Value {
         obj(vec![(
             variant,
-            obj(fields.into_iter().map(|(k, v)| (k, Value::Float(v))).collect()),
+            obj(fields
+                .into_iter()
+                .map(|(k, v)| (k, Value::Float(v)))
+                .collect()),
         )])
     }
 

@@ -252,7 +252,11 @@ mod tests {
         let monitor = PowerMonitor::new(500.0, 0.01, 5);
         let recorder = ecas_obs::MemoryRecorder::new();
         let trace = monitor.measure_with_probe(&p, &recorder);
-        assert_eq!(trace, monitor.measure(&p), "probe must not perturb sampling");
+        assert_eq!(
+            trace,
+            monitor.measure(&p),
+            "probe must not perturb sampling"
+        );
         let snap = recorder.metrics().snapshot();
         assert_eq!(snap.counter("power/measurements"), Some(1));
         assert_eq!(snap.span("power/measure").unwrap().count, 1);

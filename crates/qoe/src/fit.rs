@@ -70,7 +70,11 @@ pub struct FitReport {
 /// # Panics
 ///
 /// Panics if `x.len() != y.len() * cols`.
-pub(crate) fn linear_least_squares(x: &[f64], y: &[f64], cols: usize) -> Result<Vec<f64>, FitError> {
+pub(crate) fn linear_least_squares(
+    x: &[f64],
+    y: &[f64],
+    cols: usize,
+) -> Result<Vec<f64>, FitError> {
     assert_eq!(
         x.len(),
         y.len() * cols,

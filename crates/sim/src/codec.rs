@@ -27,9 +27,7 @@
 //! assert_eq!(codec::decode_log(&bytes).unwrap(), log);
 //! ```
 
-use ecas_trace::record::wire::{
-    get_str, get_varint, put_str, put_varint, F64Delta, Reader,
-};
+use ecas_trace::record::wire::{get_str, get_varint, put_str, put_varint, F64Delta, Reader};
 use ecas_trace::record::RecordError;
 use ecas_types::ids::{SegmentIndex, TaskId};
 use ecas_types::ladder::LevelIndex;
@@ -377,9 +375,7 @@ pub fn decode_result(data: &[u8]) -> Result<SessionResult, RecordError> {
         }
         columns.push(column);
     }
-    let col = |i: usize| -> &[f64] {
-        columns.get(i).map(Vec::as_slice).unwrap_or(&[])
-    };
+    let col = |i: usize| -> &[f64] { columns.get(i).map(Vec::as_slice).unwrap_or(&[]) };
     let mut tasks = Vec::with_capacity(count);
     for (i, (task, level)) in ids.into_iter().enumerate() {
         let get = |c: usize, what: &str| -> Result<f64, RecordError> {

@@ -78,9 +78,12 @@ fn tight_simulator() -> Simulator {
 fn sub_floor_slack_deferral_does_not_panic() {
     let sim = tight_simulator();
     let s = constant_session(Mbps::new(2.0 / 1.98), 20.0);
-    let r = sim.run(&s, &mut AlwaysDefer {
-        wait: Seconds::new(0.5),
-    });
+    let r = sim.run(
+        &s,
+        &mut AlwaysDefer {
+            wait: Seconds::new(0.5),
+        },
+    );
     assert!((r.played.value() - 20.0).abs() < 1e-6);
     assert_eq!(r.tasks.len(), 10);
 }
@@ -95,9 +98,12 @@ fn wait_sweep_never_panics_or_self_stalls() {
         let wait = 2.0 * b * f64::from(i) / 60.0;
         let sim = tight_simulator();
         let s = constant_session(Mbps::new(8.0), 30.0);
-        let r = sim.run(&s, &mut AlwaysDefer {
-            wait: Seconds::new(wait),
-        });
+        let r = sim.run(
+            &s,
+            &mut AlwaysDefer {
+                wait: Seconds::new(wait),
+            },
+        );
         assert!((r.played.value() - 30.0).abs() < 1e-6, "wait={wait}");
         assert!(
             r.total_rebuffer.value() <= 1e-9,
@@ -113,8 +119,11 @@ fn wait_sweep_never_panics_or_self_stalls() {
 fn zero_wait_deferral_terminates() {
     let sim = tight_simulator();
     let s = constant_session(Mbps::new(8.0), 20.0);
-    let r = sim.run(&s, &mut AlwaysDefer {
-        wait: Seconds::zero(),
-    });
+    let r = sim.run(
+        &s,
+        &mut AlwaysDefer {
+            wait: Seconds::zero(),
+        },
+    );
     assert!((r.played.value() - 20.0).abs() < 1e-6);
 }

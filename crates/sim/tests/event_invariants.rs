@@ -122,7 +122,10 @@ fn each_decision_precedes_its_download_start() {
                         .copied()
                         .flatten()
                         .unwrap_or_else(|| panic!("download of {segment} before any decision"));
-                    assert!(decided <= at, "{segment} decided at {decided}, downloaded {at}");
+                    assert!(
+                        decided <= at,
+                        "{segment} decided at {decided}, downloaded {at}"
+                    );
                 }
                 _ => {}
             }

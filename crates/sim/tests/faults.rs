@@ -4,9 +4,9 @@
 
 use ecas_sim::controller::FixedLevel;
 use ecas_sim::{AbortReason, FaultSpec, SessionEvent, Simulator};
+use ecas_trace::session::SessionTrace;
 use ecas_trace::synth::context::{Context, ContextSchedule};
 use ecas_trace::synth::SessionGenerator;
-use ecas_trace::session::SessionTrace;
 use ecas_types::ladder::BitrateLadder;
 use ecas_types::units::Seconds;
 
@@ -74,7 +74,10 @@ fn certain_failure_degrades_every_segment_but_delivers_all() {
     let (r, log) = faulty_sim(spec).run_logged(&s, &mut FixedLevel::highest());
     let n = r.tasks.len();
     assert_eq!(n, 10);
-    assert!((r.played.value() - 20.0).abs() < 1e-6, "all segments deliver");
+    assert!(
+        (r.played.value() - 20.0).abs() < 1e-6,
+        "all segments deliver"
+    );
     // Every segment burns the whole retry budget, then the degraded
     // fallback attempt (exempt from injection) succeeds.
     let budget = ecas_sim::RetryPolicy::paper().max_attempts;

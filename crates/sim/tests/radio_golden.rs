@@ -57,6 +57,9 @@ fn radio_energy_bits(faulty: bool) -> Vec<u64> {
 fn radio_energy_is_bit_identical_to_golden() {
     let fault_free = radio_energy_bits(false);
     let faulted = radio_energy_bits(true);
-    assert_eq!(fault_free, GOLDEN_FAULT_FREE, "fault-free radio energy bits drifted");
+    assert_eq!(
+        fault_free, GOLDEN_FAULT_FREE,
+        "fault-free radio energy bits drifted"
+    );
     assert_eq!(faulted, GOLDEN_FAULTED, "faulted radio energy bits drifted");
 }

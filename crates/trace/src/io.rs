@@ -166,7 +166,11 @@ impl SessionTrace {
     /// # Errors
     ///
     /// Returns [`TraceIoError`] on I/O or serialization failure.
-    pub fn write_to<W: Write>(&self, mut writer: W, format: TraceFormat) -> Result<(), TraceIoError> {
+    pub fn write_to<W: Write>(
+        &self,
+        mut writer: W,
+        format: TraceFormat,
+    ) -> Result<(), TraceIoError> {
         match format {
             TraceFormat::Json => write_json_impl(writer, self),
             TraceFormat::Binary => {

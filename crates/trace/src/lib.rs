@@ -43,11 +43,11 @@ pub mod videos;
 pub use analysis::{ChannelStats, SessionStats};
 pub use io::{TraceFormat, TraceIoError};
 pub use mpd::Manifest;
-pub use record::{RecordContainer, RecordError};
 pub use population::{
     BatteryState, DiurnalProfile, FleetContext, FleetMix, PopulationSpec, SessionBatch, SignalTier,
     UserSpec,
 };
+pub use record::{RecordContainer, RecordError};
 pub use sample::{AccelSample, NetworkSample, PowerSample, SignalSample};
 pub use series::{SeriesError, TimeSeries, Timestamped};
 pub use session::{SessionTrace, TraceMeta};

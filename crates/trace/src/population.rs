@@ -57,7 +57,10 @@ impl fmt::Display for PopulationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PopulationError::InvalidWeights(what) => {
-                write!(f, "{what} weights must be non-negative, finite, and sum > 0")
+                write!(
+                    f,
+                    "{what} weights must be non-negative, finite, and sum > 0"
+                )
             }
         }
     }
@@ -175,7 +178,11 @@ impl BatteryState {
     /// All states, in the order of the [`FleetMix`] weight vector.
     #[must_use]
     pub fn all() -> [BatteryState; 3] {
-        [BatteryState::Charged, BatteryState::Normal, BatteryState::Low]
+        [
+            BatteryState::Charged,
+            BatteryState::Normal,
+            BatteryState::Low,
+        ]
     }
 
     /// Multiplier applied to the user's nominal session duration.
@@ -566,14 +573,17 @@ fn apply_signal_tier(session: SessionTrace, tier: SignalTier) -> SessionTrace {
     let network: Vec<NetworkSample> = network
         .into_inner()
         .into_iter()
-        .map(|s| {
-            NetworkSample::new(s.time, Mbps::new((s.throughput.value() * scale).max(0.05)))
-        })
+        .map(|s| NetworkSample::new(s.time, Mbps::new((s.throughput.value() * scale).max(0.05))))
         .collect();
     let signal: Vec<SignalSample> = signal
         .into_inner()
         .into_iter()
-        .map(|s| SignalSample::new(s.time, Dbm::new((s.dbm.value() + offset).clamp(-130.0, -60.0))))
+        .map(|s| {
+            SignalSample::new(
+                s.time,
+                Dbm::new((s.dbm.value() + offset).clamp(-130.0, -60.0)),
+            )
+        })
         .collect();
     // ecas-lint: allow(panic-safety, reason = "rescaling preserves timestamps and lengths, so the validated channels stay valid")
     let network = TimeSeries::new(network).expect("rescaled network channel stays valid");
@@ -677,9 +687,18 @@ mod tests {
         let mut signals = [0usize; 3];
         for i in 0..spec.users() {
             let u = spec.user(i);
-            contexts[FleetContext::all().iter().position(|c| *c == u.context).unwrap()] += 1;
-            batteries[BatteryState::all().iter().position(|b| *b == u.battery).unwrap()] += 1;
-            signals[SignalTier::all().iter().position(|s| *s == u.signal).unwrap()] += 1;
+            contexts[FleetContext::all()
+                .iter()
+                .position(|c| *c == u.context)
+                .unwrap()] += 1;
+            batteries[BatteryState::all()
+                .iter()
+                .position(|b| *b == u.battery)
+                .unwrap()] += 1;
+            signals[SignalTier::all()
+                .iter()
+                .position(|s| *s == u.signal)
+                .unwrap()] += 1;
         }
         let n = spec.users() as f64;
         // Static dominates the default mix (55% base share, diluted a
@@ -719,9 +738,7 @@ mod tests {
         good.signal = SignalTier::Good;
         let attenuated = poor.synthesize();
         let baseline = good.synthesize();
-        assert!(
-            attenuated.network().mean_throughput() < baseline.network().mean_throughput()
-        );
+        assert!(attenuated.network().mean_throughput() < baseline.network().mean_throughput());
         assert!(attenuated.signal().mean_signal() < baseline.signal().mean_signal());
         // Accelerometer is untouched by the radio tier.
         assert_eq!(attenuated.accel(), baseline.accel());

@@ -273,7 +273,10 @@ impl TimeSeries<NetworkSample> {
         let mut cursor = 0usize;
         for &(start, end) in intervals {
             assert!(end > start, "empty outage interval {start}..{end}");
-            assert!(start.value() >= prev_end, "outage intervals must be sorted and disjoint");
+            assert!(
+                start.value() >= prev_end,
+                "outage intervals must be sorted and disjoint"
+            );
             prev_end = end.value();
             // Original steps strictly before the outage starts.
             while let Some(s) = self.as_slice().get(cursor) {

@@ -86,7 +86,10 @@ pub fn total_min_by_key<T>(
 /// ```
 #[must_use]
 pub fn nearest_rank(n: usize, p: f64) -> Option<usize> {
-    assert!((0.0..=1.0).contains(&p), "quantile must be in [0, 1], got {p}");
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "quantile must be in [0, 1], got {p}"
+    );
     if n == 0 {
         return None;
     }

@@ -20,7 +20,11 @@ fn scenario_json_roundtrip_runs_and_renders() {
             count: 2,
             base_seed: 40,
         })
-        .approaches(vec![Approach::Youtube, Approach::Ours, Approach::AdaptiveEta])
+        .approaches(vec![
+            Approach::Youtube,
+            Approach::Ours,
+            Approach::AdaptiveEta,
+        ])
         .build();
     // A user could write this JSON by hand; it must survive the trip.
     let json = serde_json::to_string_pretty(&scenario).unwrap();
