@@ -355,7 +355,9 @@ pub fn verify(paths: &[PathBuf], options: &VerifyOptions) -> VerifySummary {
 
 /// Compares a corpus directory's `corpus.json` with the record files it
 /// holds. Each indexed key with no `<key>.ecasr`, each record file the
-/// index does not list, and each `label`, `trace_hash` or `events` field
+/// index does not list, each listed record that answers for another key
+/// than its entry's (a corpus recorded before a key change: no cache
+/// lookup reaches it), and each `label`, `trace_hash` or `events` field
 /// of an entry that its record file disagrees with is one `FAIL` line, in
 /// sorted order, for [`VerifySummary::add_findings`]. A record file that
 /// does not load is left to [`verify`]'s own `FAIL` line. A directory
@@ -386,6 +388,14 @@ pub fn index_findings(dir: &Path) -> Result<Vec<String>, CorpusError> {
                 path.display()
             ));
         } else if let Ok(record) = SessionRecord::load(&path) {
+            let key = record_cell_key(&record);
+            if key != entry.key {
+                findings.push(format!(
+                    "FAIL {}: corpus key {} but the record answers for {key}",
+                    path.display(),
+                    entry.key
+                ));
+            }
             findings.extend(stale_fields(&path, entry, &record));
         }
     }
@@ -769,6 +779,40 @@ mod tests {
         );
         let summary = verify(&list(&dir).unwrap(), &VerifyOptions::default());
         assert_eq!((summary.records, summary.failures), (3, 0));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A record that answers for another key than its index entry (here
+    /// re-encoded with another `crate_version` under its old file name,
+    /// as a corpus recorded by an older build looks) is one `FAIL` line,
+    /// although it still replays.
+    #[test]
+    fn index_findings_name_records_that_answer_for_another_key() {
+        let dir = temp_dir("stale-key");
+        let index = batch_record(&dir, &small_fleet(), &CorpusOptions::default()).unwrap();
+        assert!(index_findings(&dir).unwrap().is_empty());
+        let entry = &index.entries[0];
+        let path = record_path(&dir, &entry.key);
+        let mut record = SessionRecord::load(&path).unwrap();
+        record.crate_version = "0.0.0-stale".to_string();
+        record.save(&path).unwrap();
+        let key = record_cell_key(&record);
+        assert_ne!(key, entry.key);
+
+        let findings = index_findings(&dir).unwrap();
+        let line = format!(
+            "FAIL {}: corpus key {} but the record answers for {key}",
+            path.display(),
+            entry.key
+        );
+        assert_eq!(findings, vec![line.clone()]);
+        let mut summary = verify(&list(&dir).unwrap(), &VerifyOptions::default());
+        assert_eq!((summary.records, summary.failures), (3, 0));
+        summary.add_findings(findings);
+        assert_eq!(summary.failures, 1);
+        assert!(summary
+            .render()
+            .ends_with(&format!("{line}\nrecords=3 failures=1\n")));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -81,9 +81,9 @@ impl ExperimentRunner {
 
     /// Like [`Self::run`] but instrumented: the whole run is timed under a
     /// `core/run` span, the controller is wrapped so every decision is
-    /// timed under `abr/decide/<name>`, the simulator streams its events
-    /// and metrics into `probe`, and the session's [`EventLog`] is
-    /// returned alongside the result.
+    /// timed under `abr/decide/<name>`, the simulator streams its metrics
+    /// into `probe`, and the session's [`EventLog`] is returned alongside
+    /// the result.
     #[must_use]
     pub fn run_with_probe(
         &self,
@@ -95,7 +95,7 @@ impl ExperimentRunner {
         let controller = approach.controller_with_eta(&self.simulator, session, self.eta);
         let mut instrumented = InstrumentedBox::new(controller, probe);
         self.simulator
-            .run_logged_with_probe(session, &mut instrumented, probe)
+            .run_with_probe(session, &mut instrumented, probe)
     }
 
     /// The session's *base energy* (Fig. 5c): the energy of streaming
@@ -155,7 +155,10 @@ mod tests {
         let (probed, log) = runner.run_with_probe(&s, &Approach::Ours, &recorder);
         let plain = runner.run(&s, &Approach::Ours);
         assert_eq!(probed, plain);
-        assert_eq!(recorder.len(), log.len());
+        let mut controller =
+            Approach::Ours.controller_with_eta(runner.simulator(), &s, runner.eta());
+        let (_, logged) = runner.simulator().run_logged(&s, controller.as_mut());
+        assert_eq!(log, logged, "the probe must not change the event log");
         let snap = recorder.metrics().snapshot();
         assert_eq!(snap.span("core/run").unwrap().count, 1);
         assert!(snap.span("abr/decide/ours").unwrap().count >= log.decisions().len() as u64);

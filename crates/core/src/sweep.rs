@@ -32,11 +32,11 @@
 //! the cell, which is how fleets stream through the pool without holding
 //! their traces.
 //!
-//! An observed cell is an approach cell run under a [`MemoryRecorder`]:
-//! it yields the pair's JSONL event stream with its result, and its cache
-//! entry stores the stream's lines after the result line. Observed runs
-//! ([`crate::observe`]) are comparison grids of observed cells, so they
-//! take the same path as every other grid.
+//! An observed cell is an approach cell that keeps its run's
+//! [`EventLog`](ecas_sim::EventLog): it yields the log's JSONL with its
+//! result, and its cache entry stores the stream's lines after the
+//! result line. Observed runs ([`crate::observe`]) are comparison grids
+//! of observed cells, so they take the same path as every other grid.
 //!
 //! The cache key covers the complete cell input, so invalidation is
 //! automatic: change the seed, the player config, η or the fault spec and
@@ -201,7 +201,7 @@ impl CacheStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Cell {
     Approach(Approach),
-    /// The approach run under a [`MemoryRecorder`]: the cell yields the
+    /// The approach run with its event log kept: the cell yields the
     /// pair's JSONL event stream with its result.
     Observed(Approach),
     BaseEnergy,
@@ -453,9 +453,10 @@ impl SweepEngine {
 
     /// [`Self::comparison`] with every approach cell observed: returns the
     /// summary with each `(session, approach)` pair's JSONL event stream,
-    /// sessions-major. A miss records the stream live into a
-    /// [`MemoryRecorder`] that shares the engine's registry; a hit serves
-    /// it byte for byte from the cache without running the simulator.
+    /// sessions-major. A miss runs the pair under a [`MemoryRecorder`]
+    /// that shares the engine's registry and renders the stream from the
+    /// run's event log; a hit serves it byte for byte from the cache
+    /// without running the simulator.
     pub(crate) fn observed_comparison(
         &self,
         sessions: &[SessionTrace],
@@ -513,8 +514,8 @@ impl SweepEngine {
                     .map_or_else(MemoryRecorder::new, |r| {
                         MemoryRecorder::with_registry(Arc::clone(r))
                     });
-                let (result, _) = self.runner.run_with_probe(job.session, &a, &recorder);
-                (result, Some(recorder.to_jsonl()))
+                let (result, log) = self.runner.run_with_probe(job.session, &a, &recorder);
+                (result, Some(log.to_jsonl()))
             }
             Cell::BaseEnergy => {
                 let mut lowest = FixedLevel::new(LevelIndex::new(0));
@@ -895,6 +896,7 @@ fn parse_entry(text: &str, key: &str, job: &Job<'_>) -> Option<Outcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecas_obs::NULL_PROBE;
     use ecas_trace::synth::context::{Context, ContextSchedule};
     use ecas_trace::synth::SessionGenerator;
     use ecas_types::units::Seconds;
@@ -1421,9 +1423,9 @@ mod tests {
     }
 
     /// Observed cells take the one cell path. Each stream
-    /// `observed_comparison` returns is what a fresh `MemoryRecorder` run
-    /// of `run_with_probe` records for its pair, under any policy, and
-    /// the summary is the unobserved one. A cached observed entry is the
+    /// `observed_comparison` returns is its pair's event log as JSONL,
+    /// pinned by `(fnv1a_64, lines, bytes)`, under any policy, and the
+    /// summary is the unobserved one. A cached observed entry is the
     /// header, the result line, then that stream's own lines. One changed
     /// byte inside the stream (same length) makes the entry corrupt: the
     /// pair is recomputed to the same stream and the entry repaired.
@@ -1445,11 +1447,25 @@ mod tests {
         let mut reference = Vec::new();
         for session in &sessions {
             for approach in &approaches {
-                let recorder = MemoryRecorder::new();
-                results.push(runner.run_with_probe(session, approach, &recorder).0);
-                reference.push(recorder.to_jsonl());
+                let (result, log) = runner.run_with_probe(session, approach, &NULL_PROBE);
+                results.push(result);
+                reference.push(log.to_jsonl());
             }
         }
+        let pins: Vec<(u64, usize, usize)> = reference
+            .iter()
+            .map(|s| (fnv1a_64(s.as_bytes()), s.lines().count(), s.len()))
+            .collect();
+        assert_eq!(
+            pins,
+            [
+                (0x1fb0_3dfa_0419_201d, 65, 5402),
+                (0xddd6_3612_3970_e437, 67, 5591),
+                (0xec0e_f146_d7e9_2c58, 32, 2597),
+                (0xd232_0fc7_baa9_db76, 32, 2617),
+            ],
+            "the streams' bytes changed"
+        );
         let plain = SweepEngine::new(ExperimentRunner::paper()).comparison(
             &sessions,
             &approaches,

@@ -6,8 +6,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ecas_core::obs::{MemoryRecorder, RunManifest};
+use ecas_core::obs::{fnv1a_64, RunManifest, NULL_PROBE};
+use ecas_core::sim::{FaultSpec, Simulator};
 use ecas_core::trace::synth::context::Context;
+use ecas_core::trace::videos::EvalTraceSpec;
+use ecas_core::types::ladder::BitrateLadder;
 use ecas_core::{observe, Approach, ExperimentRunner, Scenario, TraceSelection};
 
 fn scenario() -> Scenario {
@@ -83,17 +86,41 @@ fn different_scenario_changes_manifest_hash() {
     assert_ne!(base.stable_hash(), other.stable_hash());
 }
 
+/// `(fnv1a_64, lines, bytes)` of a JSONL stream.
+fn pin(jsonl: &str) -> (u64, usize, usize) {
+    (
+        fnv1a_64(jsonl.as_bytes()),
+        jsonl.lines().count(),
+        jsonl.len(),
+    )
+}
+
 #[test]
 fn in_memory_event_streams_are_byte_identical_across_runs() {
     // The filesystem-free variant: observed runs publish exactly these
-    // MemoryRecorder streams as their events files.
+    // rendered event logs as their events files. Both sides of a rerun
+    // render the same way, so each stream is also pinned by its hash,
+    // line count and length: a change in how a log renders fails here.
     let runner = ExperimentRunner::paper();
     let session = scenario().traces.sessions().remove(0);
-    let recorder_a = MemoryRecorder::new();
-    let recorder_b = MemoryRecorder::new();
-    let (result_a, _) = runner.run_with_probe(&session, &Approach::Ours, &recorder_a);
-    let (result_b, _) = runner.run_with_probe(&session, &Approach::Ours, &recorder_b);
+    assert_eq!(session.meta().name, "moving-vehicle-0");
+    let (result_a, log_a) = runner.run_with_probe(&session, &Approach::Ours, &NULL_PROBE);
+    let (result_b, log_b) = runner.run_with_probe(&session, &Approach::Ours, &NULL_PROBE);
     assert_eq!(result_a, result_b);
-    assert_eq!(recorder_a.to_jsonl(), recorder_b.to_jsonl());
-    assert!(!recorder_a.to_jsonl().is_empty());
+    assert_eq!(log_a.to_jsonl(), log_b.to_jsonl());
+    assert_eq!(pin(&log_a.to_jsonl()), (0x80f3_ce84_390f_1adb, 101, 8354));
+
+    // A fault-injected pair: Table V row 1 under the severe spec, whose
+    // stream carries aborts, retries and outages.
+    let faulty = ExperimentRunner::new(
+        Simulator::paper(BitrateLadder::evaluation()).with_faults(FaultSpec::severe(7)),
+        0.5,
+    );
+    let session = EvalTraceSpec::table_v()[0].generate();
+    let (_, log) = faulty.run_with_probe(&session, &Approach::Ours, &NULL_PROBE);
+    let jsonl = log.to_jsonl();
+    for kind in ["DownloadAborted", "Retry", "OutageStart"] {
+        assert!(jsonl.contains(&format!("{{\"{kind}\":")), "no {kind} line");
+    }
+    assert_eq!(pin(&jsonl), (0x652f_ab1e_ddb5_b151, 451, 36966));
 }

@@ -42,7 +42,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "obs-purity",
-        "probe event payloads carry simulation-time data only",
+        "session event payloads carry simulation-time data only",
     ),
     (
         "allow-reason",
@@ -151,7 +151,7 @@ const WALL_CLOCK_TYPES: &[(&str, &str)] = &[
     ("UNIX_EPOCH", "raw wall-clock anchor `UNIX_EPOCH`"),
 ];
 
-/// Identifiers that must never appear inside a probe `emit(...)` payload.
+/// Identifiers that must never appear inside a `SessionEvent` constructor.
 const WALL_CLOCK_IDENTS: &[&str] = &[
     "Instant",
     "SystemTime",
@@ -407,26 +407,33 @@ fn bench_cli(tokens: &[Token], out: &mut Vec<RawFinding>) {
     }
 }
 
+/// Every event reaches the `EventLog` as a `SessionEvent::<Variant>
+/// { .. }` or `( .. )` constructor, so those are the payloads checked.
 fn obs_purity(tokens: &[Token], out: &mut Vec<RawFinding>) {
     for (i, t) in tokens.iter().enumerate() {
-        if !t.is_ident("emit")
-            || !matches!(tokens.get(i.wrapping_sub(1)), Some(p) if p.is_punct("."))
-            || !matches!(tokens.get(i + 1), Some(p) if p.is_punct("("))
+        if !t.is_ident("SessionEvent")
+            || !matches!(tokens.get(i + 1), Some(p) if p.is_punct("::"))
+            || !matches!(tokens.get(i + 2), Some(v) if v.kind == Kind::Ident)
         {
             continue;
         }
-        let close = matching_close(tokens, i + 1, "(", ")");
-        for arg in tokens.get(i + 2..close).unwrap_or(&[]) {
+        let (open, close) = match tokens.get(i + 3) {
+            Some(p) if p.is_punct("{") => ("{", "}"),
+            Some(p) if p.is_punct("(") => ("(", ")"),
+            _ => continue,
+        };
+        let end = matching_close(tokens, i + 3, open, close);
+        for arg in tokens.get(i + 4..end).unwrap_or(&[]) {
             if arg.kind == Kind::Ident && WALL_CLOCK_IDENTS.iter().any(|w| arg.is_ident(w)) {
                 out.push(RawFinding {
                     line: arg.line,
                     rule: "obs-purity",
                     message: format!(
-                        "probe event payload references wall-clock symbol `{}`",
+                        "session event payload references wall-clock symbol `{}`",
                         arg.text
                     ),
-                    hint: "emit() must carry simulation-time data only; wall-clock timing \
-                           belongs in record_span"
+                    hint: "a SessionEvent must carry simulation-time data only; wall-clock \
+                           timing belongs in a probe span (record_span)"
                         .to_string(),
                 });
             }
@@ -569,10 +576,13 @@ mod tests {
     }
 
     #[test]
-    fn obs_purity_checks_emit_payloads() {
-        let bad = "probe.emit(&event(start.elapsed()));";
+    fn obs_purity_checks_session_event_payloads() {
+        let bad = "log.push(SessionEvent::StallStart { at: secs(start.elapsed()) });";
         let hits = findings_for("ecas-obs", bad);
         assert_eq!(hits.iter().filter(|f| f.rule == "obs-purity").count(), 1);
-        assert!(findings_for("ecas-obs", "probe.emit(&value);").is_empty());
+        let tuple = findings_for("ecas-obs", "log.push(SessionEvent::Tick(t.elapsed()));");
+        assert_eq!(tuple.iter().filter(|f| f.rule == "obs-purity").count(), 1);
+        let clean = "log.push(SessionEvent::StallStart { at: Seconds::new(now) });";
+        assert!(findings_for("ecas-obs", clean).is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! Fixture: wall-clock data inside a probe event payload.
-pub fn report(probe: &dyn super::Probe, started: std::time::Instant) {
-    probe.emit(&payload(started.elapsed()));
+//! Fixture: wall-clock data inside a session event payload.
+pub fn report(log: &mut super::EventLog, started: std::time::Instant) {
+    log.push(SessionEvent::StallStart { at: secs(started.elapsed()) });
 }

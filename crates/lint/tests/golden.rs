@@ -132,7 +132,7 @@ fn float_compare_fixture_fires() {
 #[test]
 fn obs_purity_fixture_fires() {
     let diags = lint_fixture("ecas-obs", "bad_obs_purity.rs");
-    assert_fires(&diags, "obs-purity", 3); // emit(.. elapsed ..)
+    assert_fires(&diags, "obs-purity", 3); // SessionEvent { .. elapsed .. }
 }
 
 #[test]

@@ -5,10 +5,10 @@
 //! experiments must be replayable bit-for-bit. This crate provides the
 //! instrumentation substrate for both:
 //!
-//! * [`Probe`] — the instrumentation interface the simulator, controllers
-//!   and runner report into. Implementations: [`NullProbe`] (free, the
+//! * [`Probe`] — the metrics interface the simulator, controllers and
+//!   runner report into. Implementations: [`NullProbe`] (free, the
 //!   default) and [`MemoryRecorder`] (tests, in-process inspection and
-//!   observed runs; one JSON object per line).
+//!   observed runs; a [`MetricsRegistry`]).
 //! * [`MetricsRegistry`] — thread-safe counters, gauges, fixed-bucket
 //!   histograms and monotonic span timers, snapshotted into a
 //!   serializable [`MetricsSnapshot`].
@@ -23,12 +23,15 @@
 //! Instrumentation splits into a *deterministic* stream and a *wall-clock*
 //! stream, and the split is load-bearing:
 //!
-//! * **Events** ([`Probe::emit`]) carry simulation-time records (decisions,
-//!   downloads, stalls). They depend only on the seed and configuration, so
-//!   two runs with the same inputs produce byte-identical JSONL output.
-//! * **Metrics** (spans, counters, gauges, histograms) may carry wall-clock
-//!   timings ([`span!`]). They power profiling summaries and are *not*
-//!   byte-reproducible; they never enter the event stream.
+//! * **Events** carry simulation-time records (decisions, downloads,
+//!   stalls). They never pass through a probe: the simulator keeps them
+//!   in its `EventLog`, which renders them as JSONL. They depend only on
+//!   the seed and configuration, so two runs with the same inputs produce
+//!   byte-identical JSONL output.
+//! * **Metrics** (spans, counters, gauges, histograms) go through a
+//!   [`Probe`] and may carry wall-clock timings ([`span!`]). They power
+//!   profiling summaries and are *not* byte-reproducible; they never enter
+//!   the event stream.
 //!
 //! # Counter conventions
 //!

@@ -1,40 +1,23 @@
 //! The [`Probe`] instrumentation interface and the zero-cost null probe.
 //!
-//! Events reach a probe as `&dyn Serialize`: the emitting site hands over
-//! its typed event, and only a recorder that consumes events serializes
-//! it, straight to compact JSON.
+//! A probe carries metrics only. Session events go to the simulator's
+//! `EventLog`, which renders them as JSONL.
 
 use std::time::Instant;
-
-use serde::Serialize;
 
 /// The instrumentation interface the simulator, controllers, runner and
 /// power accounting report into.
 ///
 /// Call sites hold a `&dyn Probe` and stay agnostic of where the data
-/// goes. The two `*_enabled` methods let hot paths skip serialization and
-/// clock reads entirely when nobody is listening — the default
-/// implementation of everything is a no-op, so [`NullProbe`] costs one
-/// virtual call per site.
+/// goes. [`Probe::metrics_enabled`] lets hot paths skip clock reads
+/// entirely when nobody is listening — the default implementation of
+/// everything is a no-op, so [`NullProbe`] costs one virtual call per
+/// site.
 pub trait Probe: Sync {
-    /// Whether [`Probe::emit`] consumes events. Call sites should skip
-    /// building event payloads when this is `false`.
-    fn events_enabled(&self) -> bool {
-        false
-    }
-
     /// Whether metric recording (spans, counters, gauges, histograms) is
     /// active. [`SpanGuard`] skips reading the clock when `false`.
     fn metrics_enabled(&self) -> bool {
         false
-    }
-
-    /// Records a deterministic, simulation-time event. Events must depend
-    /// only on the run's seed and configuration (never on wall-clock) so
-    /// recorded streams reproduce byte-for-byte. Recorders stream the
-    /// event's compact JSON from [`Serialize::write_json`].
-    fn emit(&self, event: &dyn Serialize) {
-        let _ = event;
     }
 
     /// Records a completed wall-clock span.
@@ -102,14 +85,11 @@ impl Drop for SpanGuard<'_> {
 mod tests {
     use super::*;
     use crate::MemoryRecorder;
-    use serde::Value;
 
     #[test]
     fn null_probe_reports_disabled() {
-        assert!(!NullProbe.events_enabled());
         assert!(!NullProbe.metrics_enabled());
         // And all recording methods are callable no-ops.
-        NullProbe.emit(&Value::Null);
         NullProbe.record_span("x", 1);
         NullProbe.add("x", 1);
         NullProbe.gauge("x", 1.0);

@@ -79,37 +79,40 @@ struct SegmentRow {
 /// buffer level at decision, download window, achieved throughput, and
 /// stall seconds attributed to the download. Unknown event shapes and
 /// lines that do not parse are ignored, so the renderer stays usable on
-/// partial or extended streams.
+/// partial or extended streams. So is an event whose segment index is
+/// not below the stream's line count: the player writes one `Decision`
+/// line per segment, so only a hostile stream has one that far out.
 #[must_use]
 pub fn segment_timeline(jsonl: &str) -> String {
+    let lines = jsonl.lines().count();
     let events: Vec<Value> = jsonl
         .lines()
         .filter_map(|line| serde_json::from_str(line).ok())
         .collect();
     let mut rows: Vec<SegmentRow> = Vec::new();
-    let row = |segment: f64, rows: &mut Vec<SegmentRow>| -> usize {
-        let idx = segment.max(0.0) as usize;
+    let row = |event: &Value, variant: &str, rows: &mut Vec<SegmentRow>| -> Option<usize> {
+        let idx = field(event, variant, "segment")?.max(0.0) as usize;
+        if idx >= lines {
+            return None;
+        }
         if rows.len() <= idx {
             rows.resize(idx + 1, SegmentRow::default());
         }
-        idx
+        Some(idx)
     };
 
     let mut open_segment: Option<usize> = None;
     let mut stall_open: Option<f64> = None;
     for event in &events {
-        if let Some(seg) = field(event, "Decision", "segment") {
-            let idx = row(seg, &mut rows);
+        if let Some(idx) = row(event, "Decision", &mut rows) {
             rows[idx].decide_at = field(event, "Decision", "at");
             rows[idx].level = field(event, "Decision", "level");
             rows[idx].vibration = field(event, "Decision", "vibration");
             rows[idx].buffer = field(event, "Decision", "buffer");
-        } else if let Some(seg) = field(event, "DownloadStart", "segment") {
-            let idx = row(seg, &mut rows);
+        } else if let Some(idx) = row(event, "DownloadStart", &mut rows) {
             rows[idx].dl_start = field(event, "DownloadStart", "at");
             open_segment = Some(idx);
-        } else if let Some(seg) = field(event, "DownloadEnd", "segment") {
-            let idx = row(seg, &mut rows);
+        } else if let Some(idx) = row(event, "DownloadEnd", &mut rows) {
             rows[idx].dl_end = field(event, "DownloadEnd", "at");
             rows[idx].throughput = field(event, "DownloadEnd", "throughput");
             open_segment = None;
@@ -310,6 +313,31 @@ mod tests {
         let table = segment_timeline(&format!("not json\n{}", jsonl(&events)));
         // Segments 0 and 1 render (0 has no data).
         assert_eq!(table.lines().count(), 4);
+    }
+
+    /// An event whose segment lies at or past the stream's line count is
+    /// skipped like an unknown one: a hostile index cannot overflow the
+    /// row arithmetic or size the table.
+    #[test]
+    fn timeline_skips_segments_past_the_stream() {
+        let decision = |segment| {
+            tagged(
+                "Decision",
+                vec![("at", 1.0), ("segment", segment), ("level", 2.0)],
+            )
+        };
+        let stream = format!(
+            "{}{{\"DownloadStart\":{{\"at\":1.0,\"segment\":1e300}}}}\n",
+            jsonl(&[decision(0.0), decision(4.0), decision(2.0)])
+        );
+        let table = segment_timeline(&stream);
+        // Header, rule, then rows 0..=2: segment 4 equals the line count.
+        assert_eq!(table.lines().count(), 5, "{table}");
+        let unknown = obj(vec![("SomethingNew", Value::Null)]);
+        assert_eq!(
+            table,
+            segment_timeline(&jsonl(&[decision(0.0), decision(2.0), unknown]))
+        );
     }
 
     #[test]

@@ -199,6 +199,20 @@ impl EventLog {
         self.events.iter()
     }
 
+    /// The log as JSONL, the bytes an events file holds: each event's
+    /// compact JSON from `Serialize::write_json`, then a newline.
+    #[must_use]
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        for event in &self.events {
+            // A `String` sink never fails, and serialization only
+            // forwards sink errors.
+            let _ = event.write_json(&mut out);
+            out.push('\n');
+        }
+        out
+    }
+
     /// All stall intervals as `(start, end)` pairs. An unterminated stall
     /// (cannot happen in a completed session) is ignored.
     ///
@@ -396,6 +410,22 @@ mod tests {
         assert_eq!(text.lines().count(), 3);
         assert!(text.contains("dl-start"));
         assert!(text.contains("4.00 Mbps"));
+    }
+
+    #[test]
+    fn to_jsonl_writes_one_compact_line_per_event() {
+        assert_eq!(EventLog::new().to_jsonl(), "");
+        let mut log = EventLog::new();
+        log.push(SessionEvent::PlaybackStart { at: t(1.0) });
+        log.push(SessionEvent::DownloadStart {
+            at: t(2.0),
+            segment: SegmentIndex::new(3),
+        });
+        assert_eq!(
+            log.to_jsonl(),
+            "{\"PlaybackStart\":{\"at\":1.0}}\n\
+             {\"DownloadStart\":{\"at\":2.0,\"segment\":3}}\n"
+        );
     }
 
     #[test]

@@ -99,9 +99,6 @@ impl<'p> PlayState<'p> {
     #[inline(never)]
     fn log(&mut self, event: SessionEvent) {
         self.last_event_at = self.last_event_at.max(event.at().value());
-        if self.probe.events_enabled() {
-            self.probe.emit(&event);
-        }
         if let Some(log) = self.events.as_deref_mut() {
             log.push(event);
         }
@@ -339,38 +336,25 @@ impl Simulator {
 
     /// Like [`Self::run`] but also records a timestamped [`EventLog`] of
     /// the whole session (decisions, downloads, stalls, idle waits).
-    ///
-    /// The log is owned by this method and handed to the run by mutable
-    /// borrow, so a logging run can never come back without its log.
     #[must_use]
     pub fn run_logged(
         &self,
         session: &SessionTrace,
         controller: &mut dyn BitrateController,
     ) -> (SessionResult, EventLog) {
-        let mut log = EventLog::new();
-        let result = self.run_inner(session, controller, Some(&mut log), &NULL_PROBE);
-        (result, log)
+        self.run_with_probe(session, controller, &NULL_PROBE)
     }
 
-    /// Like [`Self::run`] but streams instrumentation into `probe`:
-    /// session events (when [`Probe::events_enabled`]), wall-clock spans
-    /// for every decision and download, counters for segments, stalls,
-    /// deferrals, idle waits and level switches, throughput/stall
-    /// histograms, and final per-component energy gauges.
+    /// Like [`Self::run_logged`] but also streams instrumentation into
+    /// `probe`: wall-clock spans for every decision and download, counters
+    /// for segments, stalls, deferrals, idle waits and level switches,
+    /// throughput/stall histograms, and final per-component energy gauges.
+    /// The session's events go only to the returned [`EventLog`].
+    ///
+    /// The log is owned by this method and handed to the run by mutable
+    /// borrow, so a logging run can never come back without its log.
     #[must_use]
     pub fn run_with_probe(
-        &self,
-        session: &SessionTrace,
-        controller: &mut dyn BitrateController,
-        probe: &dyn Probe,
-    ) -> SessionResult {
-        self.run_inner(session, controller, None, probe)
-    }
-
-    /// [`Self::run_logged`] and [`Self::run_with_probe`] combined.
-    #[must_use]
-    pub fn run_logged_with_probe(
         &self,
         session: &SessionTrace,
         controller: &mut dyn BitrateController,
@@ -1011,7 +995,7 @@ mod tests {
     fn probe_collects_metrics_and_events_without_changing_results() {
         let s = session(Context::Walking, 60.0, 13);
         let recorder = ecas_obs::MemoryRecorder::new();
-        let probed = sim().run_with_probe(&s, &mut FixedLevel::highest(), &recorder);
+        let (probed, log) = sim().run_with_probe(&s, &mut FixedLevel::highest(), &recorder);
         let plain = sim().run(&s, &mut FixedLevel::highest());
         assert_eq!(probed, plain, "instrumentation must not perturb the run");
 
@@ -1022,10 +1006,9 @@ mod tests {
         assert_eq!(snapshot.histogram("sim/throughput_mbps").unwrap().count, 30);
         assert!(snapshot.gauge("sim/energy/screen_j").unwrap() > 0.0);
 
-        // Event stream mirrors the event log: same decisions, downloads.
-        let fresh = ecas_obs::MemoryRecorder::new();
-        let (_, log) = sim().run_logged_with_probe(&s, &mut FixedLevel::highest(), &fresh);
-        assert_eq!(fresh.len(), log.len());
+        // The probed run's log is the one an unprobed logging run keeps.
+        let (_, logged) = sim().run_logged(&s, &mut FixedLevel::highest());
+        assert_eq!(log, logged);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 # beyond a stock Rust toolchain.
 #
 # Usage: scripts/ci.sh [--quick]
-#   --quick   skip clippy (build + test + ecas-lint only)
+#   --quick   skip clippy (format check + build + test + ecas-lint only)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,6 +19,13 @@ for arg in "$@"; do
             ;;
     esac
 done
+
+if command -v cargo-fmt >/dev/null 2>&1; then
+    echo "==> rustfmt (check formatting)"
+    cargo fmt --all --check
+else
+    echo "==> rustfmt not installed; skipping format check"
+fi
 
 echo "==> build (release)"
 cargo build --release --workspace
