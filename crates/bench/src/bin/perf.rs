@@ -17,6 +17,8 @@
 //! deterministic counters, byte-identical across same-seed runs.
 
 use std::collections::BTreeMap;
+use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
 
 use ecas_bench::baseline::{
@@ -26,11 +28,12 @@ use ecas_bench::{Cli, Report, Table};
 use ecas_core::abr::optimal::OptimalPlanner;
 use ecas_core::sim::controller::FixedLevel;
 use ecas_core::sim::{radio, Simulator};
+use ecas_core::trace::io::write_atomic;
 use ecas_core::trace::session::SessionTrace;
 use ecas_core::trace::videos::EvalTraceSpec;
 use ecas_core::types::ladder::BitrateLadder;
 use ecas_core::types::units::Seconds;
-use ecas_obs::perf::{session_seconds_per_core_second, PerfStats, Profiler, Stopwatch};
+use ecas_obs::perf::{session_seconds_per_core_second, PerfStats, Stopwatch};
 use ecas_obs::{names, MemoryRecorder};
 
 /// One hot path measured: its deterministic work plus timing samples.
@@ -72,18 +75,9 @@ fn counters_with_prefix(recorder: &MemoryRecorder, prefix: &str) -> BTreeMap<Str
 }
 
 /// Times `iters` repetitions of `body` (which processes `sim_seconds`
-/// simulated seconds per call) under a profiler span, returning
-/// sess-s-per-core-s samples.
-fn time_path(
-    profiler: &Profiler,
-    name: &str,
-    iters: u64,
-    sim_seconds: Seconds,
-    mut body: impl FnMut(),
-) -> Vec<f64> {
-    let _span = profiler.span(name);
-    let total = Stopwatch::start();
-    let samples = (0..iters)
+/// simulated seconds per call), returning sess-s-per-core-s samples.
+fn time_path(iters: u64, sim_seconds: Seconds, mut body: impl FnMut()) -> Vec<f64> {
+    (0..iters)
         .map(|_| {
             let watch = Stopwatch::start();
             body();
@@ -92,21 +86,10 @@ fn time_path(
             let core = Seconds::new(watch.elapsed_seconds().max(1e-9));
             session_seconds_per_core_second(sim_seconds, core)
         })
-        .collect();
-    profiler.record_throughput(
-        name,
-        sim_seconds * iters as f64,
-        Seconds::new(total.elapsed_seconds().max(1e-9)),
-    );
-    samples
+        .collect()
 }
 
-fn measure_sim_loop(
-    profiler: &Profiler,
-    sessions: &[SessionTrace],
-    iters: u64,
-    work_only: bool,
-) -> Measured {
+fn measure_sim_loop(sessions: &[SessionTrace], iters: u64, work_only: bool) -> Measured {
     let sim = Simulator::paper(BitrateLadder::evaluation());
     let recorder = MemoryRecorder::new();
     let mut sim_seconds = Seconds::zero();
@@ -118,18 +101,12 @@ fn measure_sim_loop(
     let samples = if work_only {
         Vec::new()
     } else {
-        time_path(
-            profiler,
-            names::PERF_PATH_SIM_LOOP,
-            iters,
-            sim_seconds,
-            || {
-                for session in sessions {
-                    let mut controller = FixedLevel::highest();
-                    let _ = sim.run(session, &mut controller);
-                }
-            },
-        )
+        time_path(iters, sim_seconds, || {
+            for session in sessions {
+                let mut controller = FixedLevel::highest();
+                let _ = sim.run(session, &mut controller);
+            }
+        })
     };
     Measured {
         name: names::PERF_PATH_SIM_LOOP,
@@ -139,12 +116,7 @@ fn measure_sim_loop(
     }
 }
 
-fn measure_radio_integration(
-    profiler: &Profiler,
-    sessions: &[SessionTrace],
-    iters: u64,
-    work_only: bool,
-) -> Measured {
+fn measure_radio_integration(sessions: &[SessionTrace], iters: u64, work_only: bool) -> Measured {
     let sim = Simulator::paper(BitrateLadder::evaluation());
     let power = sim.power();
     let integrate_all = || {
@@ -162,15 +134,9 @@ fn measure_radio_integration(
     let samples = if work_only {
         Vec::new()
     } else {
-        time_path(
-            profiler,
-            names::PERF_PATH_RADIO_INTEGRATION,
-            iters,
-            sim_seconds,
-            || {
-                let _ = integrate_all();
-            },
-        )
+        time_path(iters, sim_seconds, || {
+            let _ = integrate_all();
+        })
     };
     Measured {
         name: names::PERF_PATH_RADIO_INTEGRATION,
@@ -180,12 +146,7 @@ fn measure_radio_integration(
     }
 }
 
-fn measure_optimal_solver(
-    profiler: &Profiler,
-    sessions: &[SessionTrace],
-    iters: u64,
-    work_only: bool,
-) -> Measured {
+fn measure_optimal_solver(sessions: &[SessionTrace], iters: u64, work_only: bool) -> Measured {
     let planner = OptimalPlanner::paper(BitrateLadder::evaluation());
     let recorder = MemoryRecorder::new();
     let mut sim_seconds = Seconds::zero();
@@ -196,17 +157,11 @@ fn measure_optimal_solver(
     let samples = if work_only {
         Vec::new()
     } else {
-        time_path(
-            profiler,
-            names::PERF_PATH_OPTIMAL_SOLVER,
-            iters,
-            sim_seconds,
-            || {
-                for session in sessions {
-                    let _ = planner.plan(session);
-                }
-            },
-        )
+        time_path(iters, sim_seconds, || {
+            for session in sessions {
+                let _ = planner.plan(session);
+            }
+        })
     };
     Measured {
         name: names::PERF_PATH_OPTIMAL_SOLVER,
@@ -254,11 +209,10 @@ fn main() -> ExitCode {
     let specs = if smoke { &specs[..1] } else { &specs[..] };
     let sessions: Vec<SessionTrace> = specs.iter().map(EvalTraceSpec::generate).collect();
 
-    let profiler = Profiler::new();
     let measured = [
-        measure_sim_loop(&profiler, &sessions, iters, work_only),
-        measure_radio_integration(&profiler, &sessions, iters, work_only),
-        measure_optimal_solver(&profiler, &sessions, iters, work_only),
+        measure_sim_loop(&sessions, iters, work_only),
+        measure_radio_integration(&sessions, iters, work_only),
+        measure_optimal_solver(&sessions, iters, work_only),
     ];
     let baseline = Baseline {
         schema: BENCH_SCHEMA.to_string(),
@@ -278,7 +232,10 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = args.option("--out") {
-        if let Err(e) = std::fs::write(path, baseline.to_json()) {
+        let written = write_atomic(Path::new(path), |out| {
+            out.write_all(baseline.to_json().as_bytes())
+        });
+        if let Err(e) = written {
             eprintln!("perf: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }

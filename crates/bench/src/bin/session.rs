@@ -368,12 +368,12 @@ fn verify(args: &Args) -> Result<ExitCode, CmdError> {
     let mut inputs: Vec<&str> = vec![positional(args, 0, "path")?];
     inputs.extend(args.trailing().iter().map(String::as_str));
     let mut paths: Vec<PathBuf> = Vec::with_capacity(inputs.len());
-    let mut findings = Vec::new();
+    let mut dirs = Vec::new();
     for input in inputs {
         let path = PathBuf::from(input);
         if path.is_dir() {
             paths.extend(corpus::list(&path).map_err(CmdError::fail)?);
-            findings.extend(corpus::index_findings(&path).map_err(CmdError::fail)?);
+            dirs.push(path);
         } else {
             paths.push(path);
         }
@@ -383,6 +383,10 @@ fn verify(args: &Args) -> Result<ExitCode, CmdError> {
         filter: args.option("--filter").map(str::to_string),
     };
     let mut summary = corpus::verify(&paths, &options);
+    let mut findings = Vec::new();
+    for dir in &dirs {
+        findings.extend(corpus::index_findings(dir, &summary).map_err(CmdError::fail)?);
+    }
     summary.add_findings(findings);
     print!("{}", summary.render());
     Ok(if summary.failures == 0 {

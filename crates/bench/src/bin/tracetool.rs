@@ -13,12 +13,13 @@
 //! ([`TraceFormat::from_path`]).
 
 use std::fs::File;
-use std::io::Read;
+use std::io::{Read, Write};
+use std::path::Path;
 use std::process::ExitCode;
 
 use ecas_bench::Cli;
 use ecas_core::trace::analysis::SessionStats;
-use ecas_core::trace::io::{read_mahimahi, TraceFormat};
+use ecas_core::trace::io::{read_mahimahi, write_atomic, TraceFormat};
 use ecas_core::trace::session::SessionTrace;
 use ecas_core::trace::synth::context::{Context, ContextSchedule};
 use ecas_core::trace::synth::SessionGenerator;
@@ -154,7 +155,8 @@ fn mpd(seconds: &str, out: Option<&String>) -> Result<(), String> {
     let xml = manifest.to_xml();
     match out {
         Some(path) => {
-            std::fs::write(path, &xml).map_err(|e| e.to_string())?;
+            write_atomic(Path::new(path), |out| out.write_all(xml.as_bytes()))
+                .map_err(|e| e.to_string())?;
             println!("wrote {path} ({} representations)", manifest.ladder.len());
         }
         None => print!("{xml}"),

@@ -29,21 +29,6 @@ pub enum Format {
     Json,
 }
 
-impl Format {
-    /// Picks the format from command-line arguments: `--json`, then
-    /// `--markdown`, else text.
-    #[must_use]
-    pub fn from_args<S: AsRef<str>>(args: &[S]) -> Self {
-        if args.iter().any(|a| a.as_ref() == "--json") {
-            Format::Json
-        } else if args.iter().any(|a| a.as_ref() == "--markdown") {
-            Format::Markdown
-        } else {
-            Format::Text
-        }
-    }
-}
-
 impl Report {
     /// Creates an empty report.
     pub fn new(title: impl Into<String>) -> Self {
@@ -208,12 +193,5 @@ mod tests {
         );
         let tables = value.get("tables").unwrap();
         assert!(matches!(tables, Value::Array(t) if t.len() == 1));
-    }
-
-    #[test]
-    fn format_selection_prefers_json() {
-        assert_eq!(Format::from_args(&["--json", "--markdown"]), Format::Json);
-        assert_eq!(Format::from_args(&["--markdown"]), Format::Markdown);
-        assert_eq!(Format::from_args::<&str>(&[]), Format::Text);
     }
 }

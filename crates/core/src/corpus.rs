@@ -14,9 +14,10 @@
 //!   parallel with an order-stable summary — byte-identical across
 //!   `--jobs` widths — and an optional substring filter on scenario
 //!   labels. [`index_findings`] checks a directory against its
-//!   `corpus.json`: an indexed record that is missing, a record the
-//!   index does not list, or an indexed label, trace hash or event count
-//!   the record file disagrees with is a failure too.
+//!   `corpus.json`, from the entries `verify` kept while decoding each
+//!   record: an indexed record that is missing, a record the index does
+//!   not list, or an indexed key, label, trace hash or event count the
+//!   record file disagrees with is a failure too.
 //! * Because corpus files are named by their sweep cache key, a corpus
 //!   directory doubles as a warm result cache: `SweepEngine`'s cached
 //!   policy serves unobserved cells straight from the recorded
@@ -45,10 +46,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use ecas_sim::{FaultSpec, SessionResult};
+use ecas_trace::io::write_atomic;
 use ecas_trace::record::RECORD_EXTENSION;
 use serde::{Deserialize, Serialize};
 
@@ -56,7 +58,7 @@ use crate::approach::Approach;
 use crate::oracle::{self, ReplayVerdict};
 use crate::pool;
 use crate::record::{RecordScenario, RecordedSession, SessionRecord, SessionRecordError};
-use crate::sweep::{record_cell_key, record_path, write_atomic};
+use crate::sweep::{record_cell_key, record_path};
 
 /// File name of the index manifest written next to the records.
 // ecas-lint: allow(pub-surface, reason = "corpus on-disk contract documented in DESIGN.md section 14")
@@ -132,7 +134,6 @@ impl Default for CorpusOptions {
 /// One line of the index manifest: where a record lives and what it
 /// holds, without re-reading the record itself.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-// ecas-lint: allow(pub-surface, reason = "exposed through CorpusIndex::entries, part of the corpus.json schema")
 pub struct CorpusEntry {
     /// The sweep cache key — also the record's file stem.
     pub key: String,
@@ -142,6 +143,19 @@ pub struct CorpusEntry {
     pub trace_hash: u64,
     /// Number of events in the recorded log.
     pub events: usize,
+}
+
+impl CorpusEntry {
+    /// The entry `record` answers for: its sweep cache key and the fields
+    /// the index lists.
+    fn of(record: &SessionRecord) -> Self {
+        Self {
+            key: record_cell_key(record),
+            label: record.scenario.label(),
+            trace_hash: record.trace_hash,
+            events: record.log.len(),
+        }
+    }
 }
 
 /// The `corpus.json` manifest: every record in the directory, sorted by
@@ -205,14 +219,9 @@ pub fn batch_record(
         });
         for item in recorded {
             let (record, bytes) = item?;
-            let key = record_cell_key(&record);
-            write_atomic(&record_path(dir, &key), &bytes)?;
-            entries.push(CorpusEntry {
-                key,
-                label: record.scenario.label(),
-                trace_hash: record.trace_hash,
-                events: record.log.len(),
-            });
+            let entry = CorpusEntry::of(&record);
+            write_atomic(&record_path(dir, &entry.key), |out| out.write_all(&bytes))?;
+            entries.push(entry);
         }
     }
     entries.sort_by(|a, b| a.key.cmp(&b.key));
@@ -223,7 +232,7 @@ pub fn batch_record(
     };
     let json =
         serde_json::to_string_pretty(&index).map_err(|e| CorpusError::Index(e.to_string()))?;
-    write_atomic(&dir.join(INDEX_FILE), (json + "\n").as_bytes())?;
+    write_atomic(&dir.join(INDEX_FILE), |out| writeln!(out, "{json}"))?;
     Ok(index)
 }
 
@@ -270,6 +279,10 @@ pub struct VerifySummary {
     /// Records excluded by [`VerifyOptions::filter`].
     pub skipped: usize,
     lines: Vec<String>,
+    /// The entry each record that decoded answers for, by path, skipped
+    /// records included: what [`index_findings`] compares the index
+    /// against, so it reads no record again.
+    decoded: BTreeMap<PathBuf, CorpusEntry>,
 }
 
 impl VerifySummary {
@@ -308,35 +321,42 @@ impl VerifySummary {
 /// Replays every record against its stored reference through the
 /// worker pool, preserving input order in the summary. Load and parse
 /// failures are `FAIL` lines, not errors — a corpus with one rotten
-/// record still reports the other ones.
+/// record still reports the other ones. Each record is read and decoded
+/// once; the summary keeps the [`CorpusEntry`] it answers for.
 #[must_use]
 pub fn verify(paths: &[PathBuf], options: &VerifyOptions) -> VerifySummary {
     let outcomes = pool::run_ordered(paths, options.jobs, |path| {
         let shown = path.display();
         let record = match SessionRecord::load(path) {
             Ok(record) => record,
-            Err(e) => return VerifyOutcome::Fail(format!("FAIL {shown}: {e}")),
+            Err(e) => return (VerifyOutcome::Fail(format!("FAIL {shown}: {e}")), None),
         };
+        let entry = CorpusEntry::of(&record);
         if let Some(filter) = &options.filter {
-            if !record.scenario.label().contains(filter.as_str()) {
-                return VerifyOutcome::Skip;
+            if !entry.label.contains(filter.as_str()) {
+                return (VerifyOutcome::Skip, Some(entry));
             }
         }
-        match record.verify() {
+        let outcome = match record.verify() {
             Ok(ReplayVerdict::Pass { checks }) => {
                 VerifyOutcome::Pass(format!("PASS {shown} ({checks} checks)"))
             }
             Ok(verdict) => VerifyOutcome::Fail(format!("FAIL {shown}: {}", verdict.render())),
             Err(e) => VerifyOutcome::Fail(format!("FAIL {shown}: {e}")),
-        }
+        };
+        (outcome, Some(entry))
     });
     let mut summary = VerifySummary {
         records: 0,
         failures: 0,
         skipped: 0,
         lines: Vec::new(),
+        decoded: BTreeMap::new(),
     };
-    for outcome in outcomes {
+    for (path, (outcome, entry)) in paths.iter().zip(outcomes) {
+        if let Some(entry) = entry {
+            summary.decoded.insert(path.clone(), entry);
+        }
         match outcome {
             VerifyOutcome::Pass(line) => {
                 summary.records += 1;
@@ -359,15 +379,18 @@ pub fn verify(paths: &[PathBuf], options: &VerifyOptions) -> VerifySummary {
 /// than its entry's (a corpus recorded before a key change: no cache
 /// lookup reaches it), and each `label`, `trace_hash` or `events` field
 /// of an entry that its record file disagrees with is one `FAIL` line, in
-/// sorted order, for [`VerifySummary::add_findings`]. A record file that
-/// does not load is left to [`verify`]'s own `FAIL` line. A directory
-/// with no index has nothing to compare; an index that cannot be read or
-/// parsed is one finding.
+/// sorted order, for [`VerifySummary::add_findings`].
+///
+/// The records are not read again: `verified` is the [`verify`] summary
+/// over the directory's records, and the comparison uses the entries it
+/// kept. A record file it did not decode is left to its own `FAIL` line.
+/// A directory with no index has nothing to compare; an index that
+/// cannot be read or parsed is one finding.
 ///
 /// # Errors
 ///
 /// Returns [`CorpusError::Io`] when the directory cannot be listed.
-pub fn index_findings(dir: &Path) -> Result<Vec<String>, CorpusError> {
+pub fn index_findings(dir: &Path, verified: &VerifySummary) -> Result<Vec<String>, CorpusError> {
     let index = match CorpusIndex::load(dir) {
         Ok(index) => index,
         Err(CorpusError::Io(e)) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -387,16 +410,16 @@ pub fn index_findings(dir: &Path) -> Result<Vec<String>, CorpusError> {
                 "FAIL {}: listed in {INDEX_FILE} but missing",
                 path.display()
             ));
-        } else if let Ok(record) = SessionRecord::load(&path) {
-            let key = record_cell_key(&record);
-            if key != entry.key {
+        } else if let Some(decoded) = verified.decoded.get(&path) {
+            if decoded.key != entry.key {
                 findings.push(format!(
-                    "FAIL {}: corpus key {} but the record answers for {key}",
+                    "FAIL {}: corpus key {} but the record answers for {}",
                     path.display(),
-                    entry.key
+                    entry.key,
+                    decoded.key
                 ));
             }
-            findings.extend(stale_fields(&path, entry, &record));
+            findings.extend(stale_fields(&path, entry, decoded));
         }
     }
     findings.extend(
@@ -408,24 +431,24 @@ pub fn index_findings(dir: &Path) -> Result<Vec<String>, CorpusError> {
     Ok(findings)
 }
 
-/// One `FAIL` line per field of `entry` that `record` (the file at
-/// `path`) disagrees with.
-fn stale_fields(path: &Path, entry: &CorpusEntry, record: &SessionRecord) -> Vec<String> {
+/// One `FAIL` line per field of `entry` that `decoded` (the entry the
+/// record file at `path` answers for) disagrees with.
+fn stale_fields(path: &Path, entry: &CorpusEntry, decoded: &CorpusEntry) -> Vec<String> {
     let fields = [
         (
             "label",
             format!("{:?}", entry.label),
-            format!("{:?}", record.scenario.label()),
+            format!("{:?}", decoded.label),
         ),
         (
             "trace_hash",
             entry.trace_hash.to_string(),
-            record.trace_hash.to_string(),
+            decoded.trace_hash.to_string(),
         ),
         (
             "events",
             entry.events.to_string(),
-            record.log.len().to_string(),
+            decoded.events.to_string(),
         ),
     ];
     fields
@@ -603,6 +626,13 @@ mod tests {
         fleet_scenarios(3, 11, 20.0, Approach::Ours, 0.5, None)
     }
 
+    /// Verifies every record of `dir`, then checks it against its index.
+    fn verify_dir(dir: &Path) -> (VerifySummary, Vec<String>) {
+        let summary = verify(&list(dir).unwrap(), &VerifyOptions::default());
+        let findings = index_findings(dir, &summary).unwrap();
+        (summary, findings)
+    }
+
     #[test]
     fn batch_record_builds_a_keyed_indexed_corpus() {
         let dir = temp_dir("batch");
@@ -703,11 +733,14 @@ mod tests {
     fn index_findings_flag_records_the_index_disagrees_with() {
         let dir = temp_dir("findings");
         let index = batch_record(&dir, &small_fleet(), &CorpusOptions::default()).unwrap();
-        assert!(index_findings(&dir).unwrap().is_empty());
+        assert!(verify_dir(&dir).1.is_empty());
         let moved = record_path(&dir, &index.entries.first().unwrap().key);
         let renamed = record_path(&dir, "0000000000000000");
         fs::rename(&moved, &renamed).unwrap();
-        let findings = index_findings(&dir).unwrap();
+        // Every record still replays on its own; only the index check
+        // sees the rename.
+        let (mut summary, findings) = verify_dir(&dir);
+        assert_eq!((summary.records, summary.failures), (3, 0));
         assert_eq!(
             findings,
             vec![
@@ -718,10 +751,6 @@ mod tests {
                 ),
             ]
         );
-        // Every record still replays on its own; only the index check
-        // sees the rename.
-        let mut summary = verify(&list(&dir).unwrap(), &VerifyOptions::default());
-        assert_eq!((summary.records, summary.failures), (3, 0));
         summary.add_findings(findings.clone());
         assert_eq!(summary.failures, 2);
         let rendered = summary.render();
@@ -732,13 +761,13 @@ mod tests {
 
         fs::write(dir.join(INDEX_FILE), "{").unwrap();
         assert_eq!(
-            index_findings(&dir).unwrap().len(),
+            verify_dir(&dir).1.len(),
             1,
             "a malformed index is a finding"
         );
         fs::remove_file(dir.join(INDEX_FILE)).unwrap();
         assert!(
-            index_findings(&dir).unwrap().is_empty(),
+            verify_dir(&dir).1.is_empty(),
             "no index, nothing to compare"
         );
         fs::remove_dir_all(&dir).ok();
@@ -761,8 +790,10 @@ mod tests {
         fs::write(dir.join(INDEX_FILE), json + "\n").unwrap();
 
         let shown = path.display();
+        let (summary, findings) = verify_dir(&dir);
+        assert_eq!((summary.records, summary.failures), (3, 0));
         assert_eq!(
-            index_findings(&dir).unwrap(),
+            findings,
             vec![
                 format!(
                     "FAIL {shown}: corpus.json events {} but the record has {events}",
@@ -777,8 +808,6 @@ mod tests {
                 ),
             ]
         );
-        let summary = verify(&list(&dir).unwrap(), &VerifyOptions::default());
-        assert_eq!((summary.records, summary.failures), (3, 0));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -790,7 +819,7 @@ mod tests {
     fn index_findings_name_records_that_answer_for_another_key() {
         let dir = temp_dir("stale-key");
         let index = batch_record(&dir, &small_fleet(), &CorpusOptions::default()).unwrap();
-        assert!(index_findings(&dir).unwrap().is_empty());
+        assert!(verify_dir(&dir).1.is_empty());
         let entry = &index.entries[0];
         let path = record_path(&dir, &entry.key);
         let mut record = SessionRecord::load(&path).unwrap();
@@ -799,20 +828,58 @@ mod tests {
         let key = record_cell_key(&record);
         assert_ne!(key, entry.key);
 
-        let findings = index_findings(&dir).unwrap();
+        let (mut summary, findings) = verify_dir(&dir);
         let line = format!(
             "FAIL {}: corpus key {} but the record answers for {key}",
             path.display(),
             entry.key
         );
         assert_eq!(findings, vec![line.clone()]);
-        let mut summary = verify(&list(&dir).unwrap(), &VerifyOptions::default());
         assert_eq!((summary.records, summary.failures), (3, 0));
         summary.add_findings(findings);
         assert_eq!(summary.failures, 1);
         assert!(summary
             .render()
             .ends_with(&format!("{line}\nrecords=3 failures=1\n")));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The index check reads no record: it compares `corpus.json` with
+    /// the entries `verify` kept, those of records the filter skipped
+    /// included. With every record file overwritten by garbage after
+    /// `verify`, it still returns the same findings.
+    #[test]
+    fn index_findings_read_no_record_after_verify() {
+        let dir = temp_dir("decode-once");
+        let mut index = batch_record(&dir, &small_fleet(), &CorpusOptions::default()).unwrap();
+        let moved = record_path(&dir, &index.entries[0].key);
+        fs::rename(&moved, record_path(&dir, "0000000000000000")).unwrap();
+        let label = index.entries[2].label.clone();
+        index.entries[2].label = format!("{label}-stale");
+        let json = serde_json::to_string_pretty(&index).unwrap();
+        fs::write(dir.join(INDEX_FILE), json + "\n").unwrap();
+
+        let summary = verify(
+            &list(&dir).unwrap(),
+            &VerifyOptions {
+                jobs: 2,
+                filter: Some(index.entries[1].label.clone()),
+            },
+        );
+        assert_eq!((summary.records, summary.skipped), (1, 2));
+        let findings = index_findings(&dir, &summary).unwrap();
+        assert_eq!(findings.len(), 3, "{findings:?}");
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.ends_with(&format!("but the record has {label:?}"))),
+            "{findings:?}"
+        );
+
+        for path in list(&dir).unwrap() {
+            fs::write(path, b"not a record").unwrap();
+        }
+        assert_eq!(index_findings(&dir, &summary).unwrap(), findings);
         fs::remove_dir_all(&dir).ok();
     }
 

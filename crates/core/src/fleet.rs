@@ -4,10 +4,9 @@
 //! ROADMAP north star is a deployment serving millions of users. This
 //! module closes that gap without ever holding a fleet in memory:
 //!
-//! 1. a [`PopulationSpec`](ecas_trace::population::PopulationSpec)
-//!    describes the fleet intensively (diurnal arrivals, context /
-//!    battery / signal mix) — user `i` is a pure function of the fleet
-//!    seed, so no per-user state exists up front;
+//! 1. a [`PopulationSpec`] describes the fleet intensively (diurnal
+//!    arrivals, context / battery / signal mix) — user `i` is a pure
+//!    function of the fleet seed, so no per-user state exists up front;
 //! 2. [`FleetEngine::run`] walks the fleet in bounded-size batches of
 //!    user indices. Each user is one job of [`SweepEngine`]'s
 //!    work-stealing pool ([`SweepEngine::run_generated`]): the worker
@@ -36,9 +35,9 @@
 //! engine's own streaming path never relies on merge — it folds one
 //! reducer in order precisely to keep the byte-identity guarantee).
 //!
-//! Percentile tails use the workspace's shared
-//! [`nearest_rank`](ecas_types::float::nearest_rank) convention over
-//! the histogram's cumulative counts, reported at bin midpoints.
+//! Percentile tails use the workspace's shared [`nearest_rank`]
+//! convention over the histogram's cumulative counts, reported at bin
+//! midpoints.
 
 use std::sync::Arc;
 

@@ -20,19 +20,20 @@
 //! from the cache; every file is published through `write_atomic`.
 
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 use ecas_obs::render::{metrics_summary, segment_timeline};
 use ecas_obs::{stable_hash, MetricsRegistry, RunManifest, TraceRef};
+use ecas_trace::io::write_atomic;
 use ecas_trace::videos::EvalTraceSpec;
 use ecas_types::ladder::LevelIndex;
 
 use crate::metrics::ComparisonSummary;
 use crate::report::{Scenario, TraceSelection};
 use crate::runner::ExperimentRunner;
-use crate::sweep::{write_atomic, CacheStats, ExecPolicy, SweepEngine};
+use crate::sweep::{CacheStats, ExecPolicy, SweepEngine};
 
 /// Builds the [`RunManifest`] describing a scenario run under `runner`.
 #[must_use]
@@ -146,10 +147,9 @@ pub fn run_observed_with(
     fs::create_dir_all(&timelines_dir)?;
 
     let manifest = manifest(scenario, &runner);
-    write_atomic(
-        &dir.join("manifest.json"),
-        format!("{}\n", manifest.to_json_pretty()).as_bytes(),
-    )?;
+    write_atomic(&dir.join("manifest.json"), |out| {
+        writeln!(out, "{}", manifest.to_json_pretty())
+    })?;
 
     let registry = Arc::new(MetricsRegistry::new());
     let engine = SweepEngine::new(runner).with_registry(Arc::clone(&registry));
@@ -163,17 +163,17 @@ pub fn run_observed_with(
             .map(move |approach| pair_stem(name, approach.label()))
     });
     for (stem, events) in stems.zip(&streams) {
-        write_atomic(&events_dir.join(format!("{stem}.jsonl")), events.as_bytes())?;
-        write_atomic(
-            &timelines_dir.join(format!("{stem}.txt")),
-            segment_timeline(events).as_bytes(),
-        )?;
+        write_atomic(&events_dir.join(format!("{stem}.jsonl")), |out| {
+            out.write_all(events.as_bytes())
+        })?;
+        write_atomic(&timelines_dir.join(format!("{stem}.txt")), |out| {
+            out.write_all(segment_timeline(events).as_bytes())
+        })?;
     }
 
-    write_atomic(
-        &dir.join("metrics.txt"),
-        metrics_summary(&registry.snapshot()).as_bytes(),
-    )?;
+    write_atomic(&dir.join("metrics.txt"), |out| {
+        out.write_all(metrics_summary(&registry.snapshot()).as_bytes())
+    })?;
     Ok((summary, engine.stats()))
 }
 

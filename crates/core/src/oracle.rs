@@ -184,7 +184,7 @@ pub struct ObjectiveVerdict {
     pub online: f64,
     /// Objective of the shortest-path optimal plan for the same session.
     pub optimal: f64,
-    /// Slack granted to the comparison ([`OBJECTIVE_TOLERANCE`]).
+    /// Slack granted to the comparison (`OBJECTIVE_TOLERANCE`).
     pub tolerance: f64,
 }
 

@@ -16,7 +16,7 @@
 //! The on-disk form is the versioned `ECASR` container of
 //! [`ecas_trace::record`]: scenario header as canonical JSON in section
 //! 1, the event log and result in the compact `ecas-sim`
-//! [`codec`](ecas_sim::codec) in sections 2 and 3. Records carry no
+//! [`codec`] in sections 2 and 3. Records carry no
 //! timestamps or host details, so re-recording a scenario reproduces the
 //! committed artifact byte for byte — the property the golden corpus
 //! under `golden/` pins in CI (see `scripts/golden.sh` and DESIGN.md
@@ -46,11 +46,13 @@
 
 use std::fmt;
 use std::fs;
+use std::io::Write;
 use std::path::Path;
 
 use ecas_obs::{names, Probe, NULL_PROBE};
 use ecas_sim::codec;
 use ecas_sim::{EventLog, FaultSpec, SessionResult, Simulator};
+use ecas_trace::io::write_atomic;
 use ecas_trace::population::PopulationSpec;
 use ecas_trace::record::{RecordContainer, RecordError};
 use ecas_trace::synth::context::{Context, ContextSchedule};
@@ -64,7 +66,6 @@ use serde::{Deserialize, Serialize};
 use crate::approach::Approach;
 use crate::oracle::{Oracle, ReplayError, ReplayVerdict};
 use crate::runner::ExperimentRunner;
-use crate::sweep::write_atomic;
 
 /// Section tag of the scenario header (canonical JSON).
 pub const SECTION_SCENARIO: u8 = 1;
@@ -464,7 +465,7 @@ impl SessionRecord {
     /// failure.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), SessionRecordError> {
         let bytes = self.to_bytes()?;
-        write_atomic(path.as_ref(), &bytes)
+        write_atomic(path.as_ref(), |out| out.write_all(&bytes))
             .map_err(|e| SessionRecordError::Codec(RecordError::Io(e)))
     }
 

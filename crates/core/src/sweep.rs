@@ -8,29 +8,28 @@
 //! * [`ExecPolicy::Parallel`] — a work-stealing worker pool (`jobs = 0`
 //!   means one worker per available core) with deterministic,
 //!   sessions-major output ordering regardless of completion order;
-//! * [`ExecPolicy::Cached`] — serve each cell from an on-disk JSONL cache
-//!   keyed by a stable FNV-1a content hash of everything that determines
-//!   the result (simulator config, ladder, η, fault spec, the session
-//!   trace's [`content_hash`](SessionTrace::content_hash) over its `.bin`
-//!   bytes, the controller), falling back to the wrapped policy for
-//!   misses. Cache entries are versioned and *never trusted*: the header
-//!   carries an FNV-1a hash of the entry's body, and any parse, hash or
-//!   validation failure counts as [`CacheStats::corrupt`] and the cell is
-//!   recomputed and rewritten.
+//! * [`ExecPolicy::Cached`] — the same pool over one on-disk JSONL cache
+//!   directory, keyed by a stable FNV-1a content hash of everything that
+//!   determines the result (simulator config, ladder, η, fault spec, the
+//!   session trace's [`content_hash`](SessionTrace::content_hash) over its
+//!   `.bin` bytes, the controller); misses are computed and stored. Cache
+//!   entries are versioned and *never trusted*: the header carries an
+//!   FNV-1a hash of the entry's body, and any parse, hash or validation
+//!   failure counts as [`CacheStats::corrupt`] and the cell is recomputed
+//!   and rewritten.
 //!
-//! Every policy runs on one path. The policy is flattened once into a
-//! chain of cache directories and a pool width; each cell is one pool
-//! job that walks the chain (a lookup per directory, a store in each
-//! one that missed) or, with no cache, just computes. A `Sequential`
-//! policy is the same pool one worker wide.
+//! Every policy runs on one path. The policy names at most one cache
+//! directory and a pool width; each cell is one pool job that looks its
+//! key up, and on a miss computes and stores the cell, or, with no
+//! cache, just computes. A `Sequential` policy is the same pool one
+//! worker wide.
 //!
-//! [`SweepEngine::run_grid`], [`SweepEngine::comparison`] and
-//! [`SweepEngine::base_energy`] run cells over sessions the caller
-//! already holds, hashing each distinct session once in the pool before
-//! the cells start; [`SweepEngine::run_generated`] builds each session
-//! inside its pool job from an index → trace factory and drops it after
-//! the cell, which is how fleets stream through the pool without holding
-//! their traces.
+//! [`SweepEngine::run_grid`] and [`SweepEngine::comparison`] run cells
+//! over sessions the caller already holds, hashing each distinct session
+//! once in the pool before the cells start;
+//! [`SweepEngine::run_generated`] builds each session inside its pool job
+//! from an index → trace factory and drops it after the cell, which is
+//! how fleets stream through the pool without holding their traces.
 //!
 //! An observed cell is an approach cell that keeps its run's
 //! [`EventLog`](ecas_sim::EventLog): it yields the log's JSONL with its
@@ -48,18 +47,18 @@
 //! [`ecas_obs::names`] `sweep/cache_*` counters.
 
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use ecas_obs::{fnv1a_64, names, perf, stable_hash, MemoryRecorder, MetricsRegistry};
 use ecas_sim::controller::FixedLevel;
 use ecas_sim::result::SessionResult;
 use ecas_sim::FaultSpec;
+use ecas_trace::io::write_atomic;
 use ecas_trace::session::SessionTrace;
 use ecas_types::ladder::LevelIndex;
-use ecas_types::units::{Joules, Seconds};
+use ecas_types::units::Seconds;
 use serde::{Deserialize, Serialize};
 
 use crate::approach::Approach;
@@ -89,13 +88,14 @@ pub enum ExecPolicy {
         /// Worker count; `0` means one worker per available core.
         jobs: usize,
     },
-    /// Serve cells from `dir`; misses fall through to `policy`, whose
-    /// worker count sets the pool width for lookups and misses alike.
+    /// Serve cells from `dir` and store the misses there; lookups and
+    /// misses alike run in a pool `jobs` wide.
     Cached {
         /// The cache directory (created on first use).
         dir: PathBuf,
-        /// The policy that serves or computes cache misses.
-        policy: Box<ExecPolicy>,
+        /// Worker count; `0` means one worker per available core, `1`
+        /// the caller's thread.
+        jobs: usize,
     },
 }
 
@@ -106,12 +106,13 @@ impl ExecPolicy {
         ExecPolicy::Parallel { jobs: 0 }
     }
 
-    /// Cached execution over `dir`, computing misses under `inner`.
+    /// Cached execution over `dir` at `inner`'s pool width (an inner
+    /// `Cached` policy lends its width, not its directory).
     #[must_use]
     pub fn cached(dir: impl Into<PathBuf>, inner: ExecPolicy) -> Self {
         ExecPolicy::Cached {
             dir: dir.into(),
-            policy: Box::new(inner),
+            jobs: inner.jobs(),
         }
     }
 
@@ -132,12 +133,20 @@ impl ExecPolicy {
         }
     }
 
-    /// The outermost cache directory, if this policy caches.
+    /// The cache directory, if this policy caches.
     #[must_use]
     pub fn cache_dir(&self) -> Option<&Path> {
         match self {
             ExecPolicy::Cached { dir, .. } => Some(dir),
             _ => None,
+        }
+    }
+
+    /// The pool width: one worker for `Sequential`, otherwise `jobs`.
+    fn jobs(&self) -> usize {
+        match self {
+            ExecPolicy::Sequential => 1,
+            ExecPolicy::Parallel { jobs } | ExecPolicy::Cached { jobs, .. } => *jobs,
         }
     }
 }
@@ -380,7 +389,7 @@ impl SweepEngine {
     /// Each index is one pool job: the worker builds the session, runs
     /// the cell inline (cache lookup and store included when `policy`
     /// caches) and drops the trace, so at most one trace per worker is
-    /// alive. Pool width, cache-key context and cache directories are
+    /// alive. Pool width, cache-key context and cache directory are
     /// settled once per call, and the call records one `sweep/execute`
     /// span.
     #[must_use]
@@ -396,8 +405,8 @@ impl SweepEngine {
         F: Fn(usize) -> (T, SessionTrace) + Sync,
     {
         let watch = self.registry.as_ref().map(|_| perf::Stopwatch::start());
-        let (caches, width) = self.plan(policy);
-        let ctx = (!caches.is_empty()).then(|| self.key_context());
+        let (cache, width) = self.plan(policy);
+        let ctx = cache.is_some().then(|| self.key_context());
         let cell = Cell::Approach(*approach);
         let indices: Vec<usize> = (0..count).collect();
         let done = pool::run_ordered(&indices, width, |&i| {
@@ -409,7 +418,7 @@ impl SweepEngine {
                 session: &session,
                 cell,
             };
-            let (result, _) = self.run_cell(&caches, key.as_deref(), &job);
+            let (result, _) = self.run_cell(cache, key.as_deref(), &job);
             (tag, result, session.meta().video_length)
         });
         if let Some(watch) = watch {
@@ -438,17 +447,6 @@ impl SweepEngine {
         policy: &ExecPolicy,
     ) -> ComparisonSummary {
         self.compare(sessions, approaches, Cell::Approach, policy).0
-    }
-
-    /// The session's base energy (Fig. 5c), served through the cache when
-    /// `policy` caches.
-    #[must_use]
-    pub fn base_energy(&self, session: &SessionTrace, policy: &ExecPolicy) -> Joules {
-        self.execute(std::slice::from_ref(session), &[Cell::BaseEnergy], policy)
-            .into_iter()
-            .next()
-            .map(|(r, _)| r.total_energy())
-            .unwrap_or_else(|| self.runner.base_energy(session))
     }
 
     /// [`Self::comparison`] with every approach cell observed: returns the
@@ -525,12 +523,12 @@ impl SweepEngine {
     }
 
     /// Runs every `(session, cell)` pair, sessions-major, as one pool job
-    /// each. The pool width and cache chain come from [`Self::plan`];
+    /// each. The pool width and cache directory come from [`Self::plan`];
     /// when the policy caches, each distinct session is content-hashed
-    /// once, as one pool job at that width before the cells start, and
-    /// every cell job walks the chain through [`Self::run_cell`] — the
-    /// per-cell path fleet users take too. An empty grid returns before
-    /// `plan`, so it creates no directory and counts nothing.
+    /// once, as one pool job at that width before the cells start. Every
+    /// cell job goes through [`Self::run_cell`] — the per-cell path fleet
+    /// users take too. An empty grid returns before `plan`, so it creates
+    /// no directory and counts nothing.
     fn execute(
         &self,
         sessions: &[SessionTrace],
@@ -546,8 +544,8 @@ impl SweepEngine {
         // core-second throughput gauge. Metrics only — the deterministic
         // event stream never sees the clock.
         let watch = self.registry.as_ref().map(|_| perf::Stopwatch::start());
-        let (caches, width) = self.plan(policy);
-        let ctx = (!caches.is_empty()).then(|| self.key_context());
+        let (cache, width) = self.plan(policy);
+        let ctx = cache.is_some().then(|| self.key_context());
         let hashes = match ctx {
             Some(_) => pool::run_ordered(sessions, width, session_hash),
             None => Vec::new(),
@@ -563,7 +561,7 @@ impl SweepEngine {
             }
         }
         let results = pool::run_ordered(&jobs, width, |(job, key)| {
-            self.run_cell(&caches, key.as_deref(), job)
+            self.run_cell(cache, key.as_deref(), job)
         });
         if let Some(watch) = watch {
             let sim = jobs
@@ -587,36 +585,26 @@ impl SweepEngine {
         }
     }
 
-    /// Splits `policy` into its cache directories, outermost first, and
-    /// the pool width every cell runs at (the innermost policy's worker
-    /// count). Each directory is created here; one that cannot be costs
-    /// a single write error and is skipped, so every cell misses it.
-    fn plan<'p>(&self, policy: &'p ExecPolicy) -> (Vec<(&'p Path, bool)>, usize) {
-        let mut caches = Vec::new();
-        let mut policy = policy;
-        loop {
-            match policy {
-                ExecPolicy::Sequential => return (caches, 1),
-                ExecPolicy::Parallel { jobs } => return (caches, *jobs),
-                ExecPolicy::Cached { dir, policy: inner } => {
-                    let usable = fs::create_dir_all(dir).is_ok();
-                    if !usable {
-                        self.note_write_error();
-                    }
-                    caches.push((dir.as_path(), usable));
-                    policy = inner;
-                }
+    /// The policy's cache directory, with whether it is usable, and the
+    /// pool width every cell runs at. The directory is created here; one
+    /// that cannot be costs a single write error, and every cell misses
+    /// it.
+    fn plan<'p>(&self, policy: &'p ExecPolicy) -> (Option<(&'p Path, bool)>, usize) {
+        let cache = policy.cache_dir().map(|dir| {
+            let usable = fs::create_dir_all(dir).is_ok();
+            if !usable {
+                self.note_write_error();
             }
-        }
+            (dir, usable)
+        });
+        (cache, policy.jobs())
     }
 
-    /// One cell of a planned execution. With a cache `key`,
-    /// it walks the cache directories `caches` (outermost first): the
-    /// first hit serves it, otherwise it is computed and stored in every
-    /// usable directory that missed. With no key — the policy does not
-    /// cache — or an exhausted chain, it is computed.
-    fn run_cell(&self, caches: &[(&Path, bool)], key: Option<&str>, job: &Job<'_>) -> Outcome {
-        let (Some(key), Some((&(dir, usable), inner))) = (key, caches.split_first()) else {
+    /// One cell of a planned execution. With a cache and its `key`, a hit
+    /// in the directory serves the cell; otherwise it is computed and, if
+    /// the directory is usable, stored. With no cache it is computed.
+    fn run_cell(&self, cache: Option<(&Path, bool)>, key: Option<&str>, job: &Job<'_>) -> Outcome {
+        let (Some((dir, usable)), Some(key)) = (cache, key) else {
             return self.compute(job);
         };
         if usable {
@@ -625,7 +613,7 @@ impl SweepEngine {
             }
         }
         self.note_miss();
-        let outcome = self.run_cell(inner, Some(key), job);
+        let outcome = self.compute(job);
         if usable && self.store(dir, key, job, &outcome).is_err() {
             self.note_write_error();
         }
@@ -731,7 +719,7 @@ impl SweepEngine {
         if let Some(stream) = stream {
             body.push_str(stream);
         }
-        let header = CacheHeader {
+        let header = to_json(&CacheHeader {
             format: CACHE_FORMAT,
             key: key.to_string(),
             crate_version: env!("CARGO_PKG_VERSION").to_string(),
@@ -739,11 +727,12 @@ impl SweepEngine {
             trace: job.session.meta().name.clone(),
             observed: job.cell.observed(),
             body: fnv1a_64(body.as_bytes()),
-        };
-        let mut text = to_json(&header)?;
-        text.push('\n');
-        text.push_str(&body);
-        write_atomic(&entry_path(dir, key), text.as_bytes())
+        })?;
+        write_atomic(&entry_path(dir, key), |out| {
+            out.write_all(header.as_bytes())?;
+            out.write_all(b"\n")?;
+            out.write_all(body.as_bytes())
+        })
     }
 
     // ---------------------------------------------------------------- //
@@ -800,32 +789,6 @@ impl SweepEngine {
     }
 }
 
-/// Publishes `bytes` at `path` via a temp file in the same directory and
-/// a `rename`, so a concurrent reader sees the old file or the new one,
-/// never a torn write. Every file the cache reads is written this way.
-///
-/// The temp name embeds the process id and a process-wide counter: two
-/// writers racing on one path (threads, or processes sharing a
-/// directory) each write their own temp file, and the `rename` is
-/// atomic, so the published file is always one writer's complete bytes.
-/// A failed write removes its temp file.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(
-        ".{}.{}.tmp",
-        std::process::id(),
-        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = PathBuf::from(tmp);
-    let written = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path));
-    if written.is_err() {
-        // Best effort: the write error is what the caller needs to see.
-        let _ = fs::remove_file(&tmp);
-    }
-    written
-}
-
 fn entry_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("{key}.jsonl"))
 }
@@ -845,18 +808,17 @@ pub(crate) fn record_path(dir: &Path, key: &str) -> PathBuf {
 /// nobody asks for instead of masquerading as current.
 pub(crate) fn record_cell_key(record: &SessionRecord) -> String {
     let runner = record.scenario.runner();
-    let key = CellKey {
-        format: CACHE_FORMAT,
+    let ctx = KeyContext {
         crate_version: record.crate_version.clone(),
         eta: record.scenario.eta,
         config_hash: format!("{:016x}", stable_hash(runner.simulator().config())),
-        ladder_mbps: record.ladder_mbps.clone(),
+        ladder: record.ladder_mbps.clone(),
         fault: record.scenario.fault,
-        controller: record.scenario.approach.label().to_string(),
-        session: format!("{:016x}", record.trace_hash),
-        observed: false,
     };
-    format!("{:016x}", stable_hash(&key))
+    ctx.key(
+        &format!("{:016x}", record.trace_hash),
+        Cell::Approach(record.scenario.approach),
+    )
 }
 
 fn to_json<T: Serialize + ?Sized>(value: &T) -> io::Result<String> {
@@ -931,6 +893,13 @@ mod tests {
         let cached = ExecPolicy::from_options(Some(1), Some(Path::new("/tmp/c")));
         assert_eq!(cached.cache_dir(), Some(Path::new("/tmp/c")));
         assert_eq!(cached, ExecPolicy::cached("/tmp/c", ExecPolicy::Sequential));
+        assert_eq!(
+            ExecPolicy::from_options(Some(3), Some(Path::new("/tmp/c"))),
+            ExecPolicy::Cached {
+                dir: PathBuf::from("/tmp/c"),
+                jobs: 3
+            }
+        );
     }
 
     #[test]
@@ -1319,10 +1288,10 @@ mod tests {
     }
 
     /// `run_generated` runs each cell inline in its pool job; under every
-    /// policy — nested caches and an unusable cache directory included —
-    /// it must return what `run_grid` returns over the same sessions and
-    /// leave the same cache stats behind. Base-energy cells take the same
-    /// path through `comparison`.
+    /// policy — an unusable cache directory included — it must return
+    /// what `run_grid` returns over the same sessions and leave the same
+    /// cache stats behind. Base-energy cells take the same path through
+    /// `comparison`.
     #[test]
     fn generated_cells_match_grid_cells_under_every_policy() {
         let make = |i: usize| {
@@ -1335,20 +1304,21 @@ mod tests {
             .generate()
         };
         let sessions: Vec<SessionTrace> = (0..5).map(make).collect();
-        let outer = temp_dir("gen-outer");
-        let inner = temp_dir("gen-inner");
+        let dir = temp_dir("gen-cache");
         let blocker = temp_dir("gen-blocker");
         fs::write(&blocker, "a file, so no directory can be created below it").unwrap();
         let policies = [
             ExecPolicy::Sequential,
             ExecPolicy::Parallel { jobs: 2 },
-            ExecPolicy::cached(&outer, ExecPolicy::Parallel { jobs: 3 }),
-            ExecPolicy::cached(&outer, ExecPolicy::cached(&inner, ExecPolicy::Sequential)),
+            ExecPolicy::cached(&dir, ExecPolicy::Parallel { jobs: 3 }),
+            ExecPolicy::Cached {
+                dir: dir.clone(),
+                jobs: 1,
+            },
             ExecPolicy::cached(blocker.join("cache"), ExecPolicy::Parallel { jobs: 2 }),
         ];
         let clear = || {
-            let _ = fs::remove_dir_all(&outer);
-            let _ = fs::remove_dir_all(&inner);
+            let _ = fs::remove_dir_all(&dir);
         };
         let approaches = [Approach::Youtube, Approach::Ours];
         let reference = SweepEngine::new(ExperimentRunner::paper()).comparison(
@@ -1397,27 +1367,6 @@ mod tests {
             };
             assert_eq!(comparison(), warm, "{policy:?}");
         }
-        // A cold nested pass stores every cell in both directories. With
-        // the outer one gone, the inner one serves every cell and the
-        // outer one is refilled, so the pass after that is all hits.
-        clear();
-        let nested = &policies[3];
-        let pass = || {
-            let engine = SweepEngine::new(ExperimentRunner::paper());
-            let _ =
-                engine.run_generated(sessions.len(), &Approach::Ours, nested, |i| ((), make(i)));
-            engine.stats()
-        };
-        pass();
-        fs::remove_dir_all(&outer).unwrap();
-        let inner_served = pass();
-        assert_eq!(
-            (inner_served.hits, inner_served.misses),
-            (5, 5),
-            "{inner_served:?}"
-        );
-        let warm = pass();
-        assert!(warm.all_hits() && warm.hits == 5, "{warm:?}");
         clear();
         fs::remove_file(&blocker).ok();
     }
@@ -1558,20 +1507,17 @@ mod tests {
     }
 
     /// One grid call is one execution: it records exactly one
-    /// `sweep/execute` span however deep its cache chain is.
+    /// `sweep/execute` span, cached or not.
     #[test]
     fn one_grid_call_records_one_execute_span() {
         let sessions = sessions();
-        let outer = temp_dir("span-outer");
-        let inner = temp_dir("span-inner");
+        let dir = temp_dir("span-cache");
         let policies = [
             ExecPolicy::Sequential,
-            ExecPolicy::cached(&outer, ExecPolicy::Parallel { jobs: 2 }),
-            ExecPolicy::cached(&outer, ExecPolicy::cached(&inner, ExecPolicy::Sequential)),
+            ExecPolicy::cached(&dir, ExecPolicy::Parallel { jobs: 2 }),
         ];
         for policy in &policies {
-            let _ = fs::remove_dir_all(&outer);
-            let _ = fs::remove_dir_all(&inner);
+            let _ = fs::remove_dir_all(&dir);
             let registry = Arc::new(MetricsRegistry::new());
             let engine =
                 SweepEngine::new(ExperimentRunner::paper()).with_registry(Arc::clone(&registry));
@@ -1582,8 +1528,7 @@ mod tests {
                 .map(|span| span.count);
             assert_eq!(spans, Some(1), "{policy:?}");
         }
-        fs::remove_dir_all(&outer).ok();
-        fs::remove_dir_all(&inner).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     /// An empty grid does no work: it returns nothing, creates no cache

@@ -234,8 +234,8 @@ fn wall_clock(tokens: &[Token], out: &mut Vec<RawFinding>) {
                 line: t.line,
                 rule: "wall-clock",
                 message: (*message).to_string(),
-                hint: "time through ecas_obs::perf (Stopwatch/Profiler) so spans and \
-                       throughput gauges share one monotonic-clock seam"
+                hint: "time through ecas_obs::perf::Stopwatch so spans and throughput \
+                       gauges share one monotonic-clock seam"
                     .to_string(),
             });
         }

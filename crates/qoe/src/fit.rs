@@ -8,7 +8,7 @@
 //! * [`fit_impairment`] fits the power-law surface by log-linearization:
 //!   `ln I = ln k + p·ln v + q·ln r` is linear in `(ln k, p, q)` and is
 //!   solved via the normal equations.
-//! * [`linear_least_squares`] is the shared dense solver (normal equations
+//! * `linear_least_squares` is the shared dense solver (normal equations
 //!   with Gaussian elimination and partial pivoting) — small and exact
 //!   enough for the ≤ 4-parameter problems in this crate.
 

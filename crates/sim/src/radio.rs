@@ -15,8 +15,8 @@
 //!   same chunks over each attempt window to reconstruct the session's
 //!   radio energy from its event log alone.
 //!
-//! Keeping the per-chunk state lookup ([`step_at`]), the per-chunk energy
-//! term ([`chunk_energy`]) and the windowed integral ([`integrate`]) in
+//! Keeping the per-chunk state lookup (`step_at`), the per-chunk energy
+//! term (`chunk_energy`) and the windowed integral ([`integrate`]) in
 //! one place guarantees the two accumulate in the same order over the
 //! same boundaries, so replay identity holds to the last bit (pinned by
 //! `tests/radio_golden.rs`).
@@ -139,7 +139,7 @@ pub struct Integration {
 
 /// Integrates radio power over `[start, end)` with the simulator's exact
 /// chunking. Interior chunk boundaries in the download loop are exactly
-/// the [`RadioStep::boundary`] times (attempt endpoints — completion,
+/// the `RadioStep::boundary` times (attempt endpoints — completion,
 /// abort, timeout — are the window bounds themselves), so summing whole
 /// chunks over each attempt window reproduces the run's accumulation
 /// order bit-for-bit.

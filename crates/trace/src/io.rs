@@ -25,11 +25,17 @@
 //!
 //! Reader/writer functions take `R: Read` / `W: Write` by value; pass
 //! `&mut reader` when the caller needs to keep using the stream afterwards.
+//!
+//! [`write_atomic`] is the one way the workspace publishes a file: the
+//! bytes stream into a temp file that is then renamed over the target,
+//! so a reader never sees a torn write. `save` goes through it, as do
+//! cache entries, records, corpus indexes and the bench tools' outputs.
 
 use std::fmt;
-use std::fs::File;
+use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecas_obs::FnvHasher;
 use ecas_types::units::{Dbm, Mbps, MegaBytes, MetersPerSec2, Seconds, Watts};
@@ -218,8 +224,8 @@ impl SessionTrace {
         Self::read_from(BufReader::new(file), format)
     }
 
-    /// Saves the trace to `path`, autodetecting the format from the
-    /// extension ([`TraceFormat::from_path`]).
+    /// Saves the trace to `path` through [`write_atomic`], autodetecting
+    /// the format from the extension ([`TraceFormat::from_path`]).
     ///
     /// # Errors
     ///
@@ -227,12 +233,52 @@ impl SessionTrace {
     /// written.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), TraceIoError> {
         let format = TraceFormat::from_path(&path);
-        let file = File::create(path)?;
-        let mut writer = BufWriter::new(file);
-        self.write_to(&mut writer, format)?;
-        writer.flush()?;
-        Ok(())
+        write_atomic(path.as_ref(), |out| self.write_to(out, format))
     }
+}
+
+/// Publishes the bytes `write` puts into a temp file in `path`'s
+/// directory by renaming it to `path`, so a concurrent reader sees the
+/// old file or the new one, never a torn write. Every file the workspace
+/// writes goes through here. `write` gets a buffered writer over the temp
+/// file, so large outputs stream instead of being built in memory.
+///
+/// The temp name embeds the process id and a process-wide counter: two
+/// writers racing on one path (threads, or processes sharing a
+/// directory) each write their own temp file, and the `rename` is
+/// atomic, so the published file is always one writer's complete bytes.
+/// A failed write, `write`'s own error included, removes its temp file
+/// and leaves `path` as it was.
+///
+/// # Errors
+///
+/// Returns `write`'s error, or the I/O error of creating, flushing or
+/// renaming the temp file.
+pub fn write_atomic<E: From<io::Error>>(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), E>,
+) -> Result<(), E> {
+    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let written = File::create(&tmp)
+        .map_err(E::from)
+        .and_then(|file| {
+            let mut out = BufWriter::new(file);
+            write(&mut out)?;
+            out.flush().map_err(E::from)
+        })
+        .and_then(|()| fs::rename(&tmp, path).map_err(E::from));
+    if written.is_err() {
+        // Best effort: the write error is what the caller needs to see.
+        let _ = fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// A sample that can be encoded to / decoded from a CSV row.
@@ -643,6 +689,34 @@ mod tests {
     fn load_missing_file_is_io_error() {
         let err = SessionTrace::load("/nonexistent/ecas-io-test.json").unwrap_err();
         assert!(matches!(err, TraceIoError::Io(_)));
+    }
+
+    /// A writer that fails after writing some bytes publishes nothing:
+    /// the old file keeps its bytes and no temp file is left behind. A
+    /// writer that succeeds replaces the file whole.
+    #[test]
+    fn a_failed_atomic_write_leaves_the_old_file() {
+        let dir = std::env::temp_dir().join(format!("ecas-io-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.json");
+        write_atomic(&path, |out| out.write_all(b"old bytes\n")).unwrap();
+
+        let failed = write_atomic(&path, |out| {
+            out.write_all(&[b'x'; 20_000])?;
+            Err(io::Error::other("the writer gave up"))
+        });
+        assert_eq!(failed.unwrap_err().to_string(), "the writer gave up");
+        assert_eq!(std::fs::read(&path).unwrap(), b"old bytes\n");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["out.json"], "temp litter left behind");
+
+        write_atomic(&path, |out| out.write_all(b"new")).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (cell-center, cell-edge, handover dips); within a regime throughput
 //! fluctuates around a mean and the signal strength random-walks around a
 //! regime level. We model this with a per-context discrete-time Markov
-//! chain over [`LinkState`] sampled at 1 Hz, an AR(1)-smoothed lognormal
+//! chain over `LinkState` sampled at 1 Hz, an AR(1)-smoothed lognormal
 //! throughput process, and an AR(1) signal-strength process — the standard
 //! structure used to emulate LTE traces in ABR studies.
 //!

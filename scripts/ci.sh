@@ -4,7 +4,8 @@
 # beyond a stock Rust toolchain.
 #
 # Usage: scripts/ci.sh [--quick]
-#   --quick   skip clippy (format check + build + test + ecas-lint only)
+#   --quick   skip clippy, the rustdoc gate and the perfbench self-tests
+#             (format check + build + test + ecas-lint only)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,6 +47,15 @@ if [ "$quick" -eq 0 ]; then
     else
         echo "==> clippy not installed; skipping lint step"
     fi
+
+    echo "==> rustdoc (deny warnings: no dead or redundant intra-doc links)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
+
+    # perfbench/ is its own Cargo workspace over the public ecas-core API;
+    # nothing else compiles it, so an API change that breaks the benchmark
+    # fails here instead of when the benchmark next runs.
+    echo "==> perfbench (build the benchmark, run its self-tests)"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 echo "==> smoke: evaluate --obs (byte-identical uncached twice and at --jobs 1, cold and warm cached, warm at --jobs 1)"
