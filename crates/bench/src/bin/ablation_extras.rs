@@ -2,8 +2,7 @@
 //! five approaches, over the full Table V set.
 
 use ecas_bench::{Cli, Report, Table};
-use ecas_core::trace::videos::EvalTraceSpec;
-use ecas_core::{Approach, ComparisonSummary, ExperimentRunner};
+use ecas_core::{Approach, Scenario};
 
 fn main() {
     let args = Cli::new(
@@ -13,16 +12,15 @@ fn main() {
     .formats()
     .grid()
     .parse();
-    let sessions: Vec<_> = EvalTraceSpec::table_v()
-        .iter()
-        .map(EvalTraceSpec::generate)
-        .collect();
-    let runner = ExperimentRunner::paper();
-    let approaches = Approach::all();
+    let scenario = Scenario {
+        name: "ablation-extras".to_string(),
+        approaches: Approach::all().to_vec(),
+        ..Scenario::paper_evaluation()
+    };
     let policy = args.exec_policy();
-    let (summary, stats) =
-        ComparisonSummary::evaluate_with_stats(&runner, &sessions, &approaches, &policy);
+    let (summary, stats) = scenario.run(&policy).expect("the scenario is valid");
     ecas_bench::report_cache_stats(&policy, &stats);
+    let approaches = scenario.approaches;
 
     let mut report = Report::new("Extensions: all implemented approaches over the Table V traces");
     let mut table = Table::new(vec![

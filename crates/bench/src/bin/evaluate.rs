@@ -10,6 +10,11 @@
 //! evaluate --print-template     # print a template scenario JSON to edit
 //! ```
 //!
+//! A scenario lists its traces as record recipes (`{"TableV":{"id":1}}`,
+//! …), as `--print-template` shows. A file that does not parse, or that
+//! `Scenario::sessions` rejects, prints `error: bad scenario <path>: …`
+//! and exits 1 before any cell runs.
+//!
 //! With `--obs <dir>`, the run is fully instrumented: `<dir>/manifest.json`
 //! records seeds, ladder and configuration hash; `<dir>/events/` holds one
 //! deterministic JSONL event stream per `(trace, approach)` pair;
@@ -23,11 +28,10 @@
 //! byte-identically without executing the simulator.
 
 use std::fs::File;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ecas_bench::Cli;
-use ecas_core::{observe, render_markdown, ExecPolicy, Scenario};
+use ecas_core::{observe, render_markdown, Scenario, ScenarioError};
 
 fn main() -> ExitCode {
     let args = Cli::new(
@@ -55,7 +59,8 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let scenario: Scenario = match args.positionals().first() {
+    let source = args.positionals().first();
+    let scenario: Scenario = match source {
         None => Scenario::paper_evaluation(),
         Some(path) => {
             let file = match File::open(path) {
@@ -74,13 +79,7 @@ fn main() -> ExitCode {
             }
         }
     };
-
-    // Command-line flags refine the scenario's own execution policy:
-    // --cache-dir overrides its cache directory, --jobs its parallelism.
-    let cache_dir = args
-        .cache_dir()
-        .or_else(|| scenario.cache_dir.as_deref().map(PathBuf::from));
-    let policy = ExecPolicy::from_options(args.jobs(), cache_dir.as_deref());
+    let policy = args.exec_policy();
 
     eprintln!(
         "running scenario {:?}: {} approaches, eta = {}",
@@ -88,22 +87,29 @@ fn main() -> ExitCode {
         scenario.approaches.len(),
         scenario.eta
     );
+    let shown = source.map_or(scenario.name.as_str(), String::as_str);
+    let bad_scenario = |e: ScenarioError| {
+        eprintln!("error: bad scenario {shown}: {e}");
+        ExitCode::FAILURE
+    };
     let (summary, stats) = match args.obs_dir() {
-        Some(dir) => match observe::run_observed_with(&scenario, &dir, &policy) {
+        Some(dir) => match observe::run_observed(&scenario, &dir, &policy) {
             Ok(out) => {
                 eprintln!("observability artifacts written to {}", dir.display());
                 out
             }
-            Err(e) => {
+            Err(ScenarioError::Io(e)) => {
                 eprintln!("error: cannot write artifacts to {}: {e}", dir.display());
                 return ExitCode::FAILURE;
             }
+            Err(e) => return bad_scenario(e),
         },
-        None => scenario.run_with(&policy),
+        None => match scenario.run(&policy) {
+            Ok(out) => out,
+            Err(e) => return bad_scenario(e),
+        },
     };
-    if policy.cache_dir().is_some() {
-        eprintln!("{}", stats.render());
-    }
+    ecas_bench::report_cache_stats(&policy, &stats);
     println!("{}", render_markdown(&scenario.name, &summary));
     ExitCode::SUCCESS
 }

@@ -7,7 +7,7 @@
 //! across runs. `--json` / `--markdown` select the output format.
 
 use ecas_bench::{Cli, Report, Table};
-use ecas_core::robustness::fault_sweep_with_stats;
+use ecas_core::robustness::fault_sweep;
 use ecas_core::trace::videos::EvalTraceSpec;
 use ecas_core::{Approach, ExperimentRunner};
 
@@ -41,7 +41,7 @@ fn main() {
     };
 
     let policy = args.exec_policy();
-    let (cells, stats) = fault_sweep_with_stats(
+    let (cells, stats) = fault_sweep(
         &runner,
         &sessions,
         &approaches,

@@ -6,23 +6,19 @@
 //! * (c) base vs extra energy for trace 1.
 
 use ecas_bench::{Cli, Table};
-use ecas_core::trace::videos::EvalTraceSpec;
-use ecas_core::{Approach, ComparisonSummary, ExperimentRunner};
+use ecas_core::Scenario;
 
 fn main() {
     let args = Cli::new("fig5", "energy comparison over the Table V traces (Fig. 5)")
         .grid()
         .parse();
-    let sessions: Vec<_> = EvalTraceSpec::table_v()
-        .iter()
-        .map(EvalTraceSpec::generate)
-        .collect();
-    let runner = ExperimentRunner::paper();
-    let approaches = Approach::paper_set();
+    let scenario = Scenario::paper_evaluation();
     let policy = args.exec_policy();
-    let (summary, stats) =
-        ComparisonSummary::evaluate_with_stats(&runner, &sessions, &approaches, &policy);
+    let (summary, stats) = scenario
+        .run(&policy)
+        .expect("the paper evaluation is valid");
     ecas_bench::report_cache_stats(&policy, &stats);
+    let approaches = scenario.approaches;
 
     println!("Fig. 5(a): total energy (J) per trace\n");
     let mut header = vec!["trace".to_string()];

@@ -7,29 +7,19 @@
 //! ratio (see EXPERIMENTS.md for the divergence discussion).
 
 use ecas_bench::{Cli, Table};
-use ecas_core::trace::videos::EvalTraceSpec;
-use ecas_core::{Approach, ComparisonSummary, ExperimentRunner};
+use ecas_core::Scenario;
 
 fn main() {
     let args = Cli::new("fig7", "energy-saving over QoE-degradation ratio (Fig. 7)")
         .grid()
         .parse();
-    let sessions: Vec<_> = EvalTraceSpec::table_v()
-        .iter()
-        .map(EvalTraceSpec::generate)
-        .collect();
-    let runner = ExperimentRunner::paper();
-    let approaches = [
-        Approach::Youtube,
-        Approach::Festive,
-        Approach::Bba,
-        Approach::Ours,
-        Approach::Optimal,
-    ];
+    let scenario = Scenario::paper_evaluation();
     let policy = args.exec_policy();
-    let (summary, stats) =
-        ComparisonSummary::evaluate_with_stats(&runner, &sessions, &approaches, &policy);
+    let (summary, stats) = scenario
+        .run(&policy)
+        .expect("the paper evaluation is valid");
     ecas_bench::report_cache_stats(&policy, &stats);
+    let approaches = scenario.approaches;
 
     println!("Fig. 7: energy saving / QoE degradation (with components)\n");
     let mut table = Table::new(vec![

@@ -1,7 +1,7 @@
 //! Scenario fuzzer for the session replay oracle.
 //!
 //! Samples random scenario configurations (context × session length × η ×
-//! fault intensity × trace seed) through `Scenario::builder`, runs a set
+//! fault intensity × trace seed) as `Scenario`s, runs a set
 //! of approaches on each, and holds every run to the oracle's two
 //! guarantees (see `ecas_core::oracle` and `DESIGN.md` § 9):
 //!
@@ -20,9 +20,10 @@
 
 use ecas_bench::{Cli, Report, Table};
 use ecas_core::oracle::Oracle;
+use ecas_core::record::RecordedSession;
 use ecas_core::sim::FaultSpec;
 use ecas_core::trace::synth::context::Context;
-use ecas_core::{Approach, Scenario, TraceSelection};
+use ecas_core::{Approach, Scenario};
 use ecas_obs::NULL_PROBE;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,19 +47,19 @@ struct CaseConfig {
 
 impl CaseConfig {
     fn scenario(&self) -> Scenario {
-        let mut builder = Scenario::builder("oracle-fuzz")
-            .traces(TraceSelection::Synthetic {
+        Scenario {
+            name: "oracle-fuzz".to_string(),
+            traces: vec![RecordedSession::Synthetic {
                 context: self.context,
                 seconds: self.seconds,
-                count: 1,
-                base_seed: self.base_seed,
-            })
-            .approaches(vec![Approach::Youtube, Approach::Ours, Approach::Optimal])
-            .eta(self.eta);
-        if let Some(intensity) = self.fault {
-            builder = builder.fault(FaultSpec::scaled(intensity, self.fault_seed));
+                seed: self.base_seed,
+            }],
+            approaches: vec![Approach::Youtube, Approach::Ours, Approach::Optimal],
+            eta: self.eta,
+            fault: self
+                .fault
+                .map(|intensity| FaultSpec::scaled(intensity, self.fault_seed)),
         }
-        builder.build()
     }
 
     fn describe(&self) -> String {
@@ -93,7 +94,7 @@ fn run_case(config: &CaseConfig) -> CaseOutcome {
         objective_checks: 0,
         failures: Vec::new(),
     };
-    for session in scenario.traces.sessions() {
+    for session in scenario.sessions().expect("sampled cases are valid") {
         let optimal = oracle.optimal_objective(&session);
         for approach in &scenario.approaches {
             let (result, log) = runner.run_with_probe(&session, approach, &NULL_PROBE);
@@ -148,30 +149,29 @@ fn shrink(mut config: CaseConfig) -> CaseConfig {
 
 /// A ready-to-commit regression test for a shrunk failing case.
 fn regression_test(config: &CaseConfig) -> String {
-    let fault_line = config.fault.map_or_else(String::new, |intensity| {
-        format!(
-            "        .fault(FaultSpec::scaled({intensity:?}, {}))\n",
-            config.fault_seed
-        )
-    });
+    let seed = config.fault_seed;
+    let fault = match config.fault {
+        Some(intensity) => format!("Some(FaultSpec::scaled({intensity:?}, {seed}))"),
+        None => "None".to_string(),
+    };
     format!(
         "// Found by oracle_fuzz; add to crates/core/tests/oracle.rs.\n\
          #[test]\n\
          fn oracle_fuzz_regression() {{\n\
-         \x20   let scenario = Scenario::builder(\"oracle-fuzz-regression\")\n\
-         \x20       .traces(TraceSelection::Synthetic {{\n\
+         \x20   let scenario = Scenario {{\n\
+         \x20       name: \"oracle-fuzz-regression\".to_string(),\n\
+         \x20       traces: vec![RecordedSession::Synthetic {{\n\
          \x20           context: Context::{:?},\n\
          \x20           seconds: {:?},\n\
-         \x20           count: 1,\n\
-         \x20           base_seed: {},\n\
-         \x20       }})\n\
-         \x20       .approaches(vec![Approach::Youtube, Approach::Ours, Approach::Optimal])\n\
-         \x20       .eta({:?})\n\
-         {fault_line}\
-         \x20       .build();\n\
+         \x20           seed: {},\n\
+         \x20       }}],\n\
+         \x20       approaches: vec![Approach::Youtube, Approach::Ours, Approach::Optimal],\n\
+         \x20       eta: {:?},\n\
+         \x20       fault: {fault},\n\
+         \x20   }};\n\
          \x20   let runner = scenario.runner();\n\
          \x20   let oracle = Oracle::new(runner.simulator(), runner.eta());\n\
-         \x20   for session in scenario.traces.sessions() {{\n\
+         \x20   for session in scenario.sessions().unwrap() {{\n\
          \x20       for approach in &scenario.approaches {{\n\
          \x20           let (result, log) = runner.run_with_probe(&session, approach, &NULL_PROBE);\n\
          \x20           let verdict = oracle.check_replay(&session, &result, Some(&log));\n\

@@ -2,7 +2,7 @@
 //! under many seeds and report mean ± std of the Fig. 5/6 metrics.
 
 use ecas_bench::{Cli, Table};
-use ecas_core::robustness::table_v_robustness_with_stats;
+use ecas_core::robustness::table_v_robustness;
 use ecas_core::{Approach, ExperimentRunner};
 
 fn main() {
@@ -17,8 +17,7 @@ fn main() {
     println!("Table V evaluation across {} trace re-draws\n", seeds.len());
 
     let policy = args.exec_policy();
-    let (rows, stats) =
-        table_v_robustness_with_stats(&runner, &Approach::paper_set(), &seeds, &policy);
+    let (rows, stats) = table_v_robustness(&runner, &Approach::paper_set(), &seeds, &policy);
     ecas_bench::report_cache_stats(&policy, &stats);
     let mut table = Table::new(vec![
         "approach",

@@ -58,12 +58,12 @@ pub use approach::Approach;
 pub use corpus::{CorpusDiff, CorpusIndex, CorpusOptions, VerifyOptions, VerifySummary};
 pub use fleet::{FixedHistogram, FleetEngine, FleetReducer, FleetReport};
 pub use metrics::{ComparisonSummary, TraceComparison};
-pub use observe::{run_observed, run_observed_with};
+pub use observe::run_observed;
 pub use oracle::{Divergence, ObjectiveVerdict, Oracle, ReplayError, ReplayVerdict};
 pub use record::{
     RecordManifest, RecordScenario, RecordedSession, SessionRecord, SessionRecordError,
 };
-pub use report::{render_markdown, Scenario, ScenarioBuilder, TraceSelection};
+pub use report::{render_markdown, Scenario, ScenarioError};
 pub use robustness::{fault_sweep, table_v_robustness, FaultSweepCell, RobustnessRow, SeedStat};
 pub use runner::ExperimentRunner;
 pub use sweep::{CacheStats, ExecPolicy, SweepEngine};

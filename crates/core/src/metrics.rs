@@ -15,9 +15,6 @@ use ecas_types::units::{Joules, Seconds};
 use serde::{Deserialize, Serialize};
 
 use crate::approach::Approach;
-use crate::runner::ExperimentRunner;
-use crate::sweep::{CacheStats, ExecPolicy, SweepEngine};
-use ecas_trace::session::SessionTrace;
 
 /// Per-approach metrics on one trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,7 +53,6 @@ impl ApproachMetrics {
 
 /// All approaches compared on one trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// ecas-lint: allow(pub-surface, reason = "re-exported metrics-comparison type; part of the crate's published surface")
 pub struct TraceComparison {
     /// Trace name ("trace1" … "trace5").
     pub trace: String,
@@ -143,37 +139,6 @@ pub struct ComparisonSummary {
 }
 
 impl ComparisonSummary {
-    /// Runs the full evaluation grid for `approaches` over `sessions` on
-    /// an auto-sized worker pool. Sugar for [`Self::evaluate_with_stats`]
-    /// under [`ExecPolicy::parallel`].
-    #[must_use]
-    pub fn evaluate(
-        runner: &ExperimentRunner,
-        sessions: &[SessionTrace],
-        approaches: &[Approach],
-    ) -> Self {
-        Self::evaluate_with_stats(runner, sessions, approaches, &ExecPolicy::parallel()).0
-    }
-
-    /// Runs the full evaluation grid under an explicit [`ExecPolicy`] and
-    /// returns the engine's [`CacheStats`] as well, so callers running
-    /// under a cached policy can report cache activity (the bench
-    /// binaries print it to stderr). The per-session base-energy runs go
-    /// through the same pool and cache as the approach cells (see
-    /// [`SweepEngine::comparison`]).
-    #[must_use]
-    pub fn evaluate_with_stats(
-        runner: &ExperimentRunner,
-        sessions: &[SessionTrace],
-        approaches: &[Approach],
-        policy: &ExecPolicy,
-    ) -> (Self, CacheStats) {
-        let engine = SweepEngine::new(runner.clone());
-        let summary = engine.comparison(sessions, approaches, policy);
-        let stats = engine.stats();
-        (summary, stats)
-    }
-
     /// Mean whole-phone energy saving of `approach` across traces.
     #[must_use]
     pub fn mean_energy_saving(&self, approach: Approach) -> f64 {
@@ -223,6 +188,9 @@ impl ComparisonSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ExperimentRunner;
+    use crate::sweep::{ExecPolicy, SweepEngine};
+    use ecas_trace::session::SessionTrace;
     use ecas_trace::synth::context::{Context, ContextSchedule};
     use ecas_trace::synth::SessionGenerator;
     use ecas_types::units::Seconds;
@@ -237,20 +205,25 @@ mod tests {
         .generate()
     }
 
+    /// The paper's five approaches compared on one vehicle session.
+    fn paper_summary(seed: u64) -> ComparisonSummary {
+        SweepEngine::new(ExperimentRunner::paper()).comparison(
+            &[vehicle_session(seed)],
+            &Approach::paper_set(),
+            &ExecPolicy::parallel(),
+        )
+    }
+
     #[test]
     fn youtube_has_zero_saving_and_degradation() {
-        let runner = ExperimentRunner::paper();
-        let sessions = vec![vehicle_session(1)];
-        let summary = ComparisonSummary::evaluate(&runner, &sessions, &Approach::paper_set());
+        let summary = paper_summary(1);
         assert!(summary.mean_energy_saving(Approach::Youtube).abs() < 1e-12);
         assert!(summary.mean_qoe_degradation(Approach::Youtube).abs() < 1e-12);
     }
 
     #[test]
     fn ours_saves_energy_on_vehicle_traces() {
-        let runner = ExperimentRunner::paper();
-        let sessions = vec![vehicle_session(2)];
-        let summary = ComparisonSummary::evaluate(&runner, &sessions, &Approach::paper_set());
+        let summary = paper_summary(2);
         let saving = summary.mean_energy_saving(Approach::Ours);
         assert!(saving > 0.1, "ours saved only {saving}");
         let degradation = summary.mean_qoe_degradation(Approach::Ours);
@@ -259,9 +232,7 @@ mod tests {
 
     #[test]
     fn extra_saving_exceeds_whole_phone_saving() {
-        let runner = ExperimentRunner::paper();
-        let sessions = vec![vehicle_session(3)];
-        let summary = ComparisonSummary::evaluate(&runner, &sessions, &Approach::paper_set());
+        let summary = paper_summary(3);
         let whole = summary.mean_energy_saving(Approach::Ours);
         let extra = summary.mean_extra_energy_saving(Approach::Ours);
         assert!(

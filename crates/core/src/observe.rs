@@ -20,24 +20,42 @@
 //! from the cache; every file is published through `write_atomic`.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
 use ecas_obs::render::{metrics_summary, segment_timeline};
 use ecas_obs::{stable_hash, MetricsRegistry, RunManifest, TraceRef};
 use ecas_trace::io::write_atomic;
-use ecas_trace::videos::EvalTraceSpec;
+use ecas_trace::session::SessionTrace;
 use ecas_types::ladder::LevelIndex;
 
 use crate::metrics::ComparisonSummary;
-use crate::report::{Scenario, TraceSelection};
+use crate::report::{Scenario, ScenarioError};
 use crate::runner::ExperimentRunner;
 use crate::sweep::{CacheStats, ExecPolicy, SweepEngine};
 
-/// Builds the [`RunManifest`] describing a scenario run under `runner`.
+/// Builds the [`RunManifest`] describing a scenario run under `runner`,
+/// naming the scenario's generated traces and their seeds.
+///
+/// # Panics
+///
+/// Panics if [`Scenario::sessions`] rejects the scenario.
 #[must_use]
 pub fn manifest(scenario: &Scenario, runner: &ExperimentRunner) -> RunManifest {
+    match scenario.sessions() {
+        Ok(sessions) => manifest_of(scenario, runner, &sessions),
+        // ecas-lint: allow(panic-safety, reason = "documented # Panics contract: a manifest describes a runnable scenario")
+        Err(e) => panic!("scenario {:?} has no manifest: {e}", scenario.name),
+    }
+}
+
+/// The manifest of `scenario` over its already generated `sessions`.
+fn manifest_of(
+    scenario: &Scenario,
+    runner: &ExperimentRunner,
+    sessions: &[SessionTrace],
+) -> RunManifest {
     let ladder = runner.simulator().ladder();
     RunManifest {
         scenario: scenario.name.clone(),
@@ -47,7 +65,14 @@ pub fn manifest(scenario: &Scenario, runner: &ExperimentRunner) -> RunManifest {
             .map(|i| ladder.bitrate(LevelIndex::new(i)).value())
             .collect(),
         config_hash: format!("{:016x}", stable_hash(runner.simulator().config())),
-        traces: trace_refs(&scenario.traces),
+        traces: sessions
+            .iter()
+            .map(|session| TraceRef {
+                name: session.meta().name.clone(),
+                // Every recipe generates a seeded trace.
+                seed: session.meta().seed.unwrap_or_default(),
+            })
+            .collect(),
         approaches: scenario
             .approaches
             .iter()
@@ -56,111 +81,53 @@ pub fn manifest(scenario: &Scenario, runner: &ExperimentRunner) -> RunManifest {
     }
 }
 
-/// The `(name, seed)` pairs a selection generates, without materializing
-/// the traces.
-fn trace_refs(selection: &TraceSelection) -> Vec<TraceRef> {
-    let spec_ref = |s: &EvalTraceSpec| TraceRef {
-        name: format!("trace{}", s.id),
-        seed: s.seed,
-    };
-    match selection {
-        TraceSelection::TableV => EvalTraceSpec::table_v().iter().map(spec_ref).collect(),
-        TraceSelection::TableVSubset(ids) => {
-            let specs = EvalTraceSpec::table_v();
-            ids.iter()
-                .map(|id| {
-                    spec_ref(
-                        specs
-                            .iter()
-                            .find(|s| s.id == *id)
-                            // ecas-lint: allow(panic-safety, reason = "an unknown trace id is a caller bug in a fixed experiment spec; abort loudly")
-                            .unwrap_or_else(|| panic!("no Table V trace with id {id}")),
-                    )
-                })
-                .collect()
-        }
-        TraceSelection::Synthetic {
-            context,
-            count,
-            base_seed,
-            ..
-        } => (0..*count)
-            .map(|i| TraceRef {
-                name: format!("{context}-{i}"),
-                seed: base_seed + u64::from(i),
-            })
-            .collect(),
-    }
-}
-
-/// `<trace>__<approach>` file stem for per-pair artifacts.
-fn pair_stem(trace: &str, approach_label: &str) -> String {
-    format!("{trace}__{}", approach_label.to_lowercase())
-}
-
-/// Runs a scenario with full instrumentation, writing the manifest, one
-/// JSONL event file and one timeline table per `(trace, approach)` pair,
-/// and an aggregate metrics summary into `dir`.
+/// Runs a scenario with full instrumentation under `policy`, writing the
+/// manifest, one JSONL event file and one timeline table per
+/// `(trace, approach)` pair, and an aggregate metrics summary into `dir`.
 ///
-/// Returns the same [`ComparisonSummary`] as [`Scenario::run`] — built
-/// from the instrumented runs themselves, so nothing executes twice.
+/// Returns the same summary and [`CacheStats`] as [`Scenario::run`],
+/// built from the instrumented runs themselves, so nothing executes
+/// twice. The pairs and the base-energy runs are one comparison grid at
+/// the policy's pool width; when the policy caches, every pair, its event
+/// JSONL included, and every base-energy run is served from the cache on
+/// a warm rerun, producing byte-identical event files without executing
+/// the simulator. On a warm run the `sim/*` metrics stay at zero and the
+/// `sweep/cache_*` counters in `metrics.txt` tell the story instead (see
+/// [`ecas_obs::names`]). Counters aggregate over the pairs; the
+/// per-session `sim/*` gauges hold whichever pair finished last.
 ///
 /// # Errors
 ///
-/// Returns the I/O error if any artifact cannot be written.
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`Scenario::run`].
-pub fn run_observed(scenario: &Scenario, dir: &Path) -> io::Result<ComparisonSummary> {
-    run_observed_with(scenario, dir, &scenario.policy()).map(|(summary, _)| summary)
-}
-
-/// [`run_observed`] under an explicit [`ExecPolicy`]. The pairs and the
-/// base-energy runs are one comparison grid at the policy's pool width;
-/// when the policy caches, every pair — its event JSONL included — and
-/// every base-energy run is served from the cache on a warm rerun,
-/// producing byte-identical event files without executing the simulator.
-///
-/// Returns the summary together with the run's [`CacheStats`]. On a warm
-/// run the `sim/*` metrics stay at zero — the `sweep/cache_*` counters in
-/// `metrics.txt` tell the story instead (see [`ecas_obs::names`]).
-/// Counters aggregate over the pairs; the per-session `sim/*` gauges
-/// hold whichever pair finished last.
-///
-/// # Errors
-///
-/// Returns the I/O error if any artifact cannot be written.
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`Scenario::run`].
-pub fn run_observed_with(
+/// Returns [`ScenarioError::Invalid`] for a scenario
+/// [`Scenario::sessions`] rejects, before anything is written, and
+/// [`ScenarioError::Io`] if an artifact cannot be written.
+pub fn run_observed(
     scenario: &Scenario,
     dir: &Path,
     policy: &ExecPolicy,
-) -> io::Result<(ComparisonSummary, CacheStats)> {
+) -> Result<(ComparisonSummary, CacheStats), ScenarioError> {
+    let sessions = scenario.sessions()?;
     let runner = scenario.runner();
     let events_dir = dir.join("events");
     let timelines_dir = dir.join("timelines");
     fs::create_dir_all(&events_dir)?;
     fs::create_dir_all(&timelines_dir)?;
 
-    let manifest = manifest(scenario, &runner);
+    let manifest = manifest_of(scenario, &runner, &sessions);
     write_atomic(&dir.join("manifest.json"), |out| {
         writeln!(out, "{}", manifest.to_json_pretty())
     })?;
 
     let registry = Arc::new(MetricsRegistry::new());
     let engine = SweepEngine::new(runner).with_registry(Arc::clone(&registry));
-    let sessions = scenario.traces.sessions();
     let (summary, streams) = engine.observed_comparison(&sessions, &scenario.approaches, policy);
+    // One `<trace>__<approach>` file stem per pair, sessions-major.
     let stems = sessions.iter().flat_map(|session| {
         let name = &session.meta().name;
         scenario
             .approaches
             .iter()
-            .map(move |approach| pair_stem(name, approach.label()))
+            .map(move |approach| format!("{name}__{}", approach.label().to_lowercase()))
     });
     for (stem, events) in stems.zip(&streams) {
         write_atomic(&events_dir.join(format!("{stem}.jsonl")), |out| {
@@ -181,18 +148,20 @@ pub fn run_observed_with(
 mod tests {
     use super::*;
     use crate::approach::Approach;
+    use crate::record::RecordedSession;
     use ecas_trace::synth::context::Context;
 
     fn tiny_scenario() -> Scenario {
-        Scenario::builder("observe-test")
-            .traces(TraceSelection::Synthetic {
+        Scenario {
+            name: "observe-test".to_string(),
+            traces: vec![RecordedSession::Synthetic {
                 context: Context::Walking,
                 seconds: 30.0,
-                count: 1,
-                base_seed: 11,
-            })
-            .approaches(vec![Approach::Youtube, Approach::Ours])
-            .build()
+                seed: 11,
+            }],
+            approaches: vec![Approach::Youtube, Approach::Ours],
+            ..Scenario::paper_evaluation()
+        }
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -208,6 +177,7 @@ mod tests {
         let m = manifest(&scenario, &runner);
         assert_eq!(m.traces.len(), 5);
         assert_eq!(m.traces[0].name, "trace1");
+        assert_eq!(m.traces[0].seed, 0xECA5_0901);
         assert_eq!(m.approaches.len(), scenario.approaches.len());
         assert_eq!(m.ladder_mbps.len(), runner.simulator().ladder().len());
         assert_eq!(m.config_hash.len(), 16);
@@ -217,10 +187,11 @@ mod tests {
     fn observed_run_writes_all_artifacts_and_matches_plain_run() {
         let scenario = tiny_scenario();
         let dir = temp_dir("artifacts");
-        let summary = run_observed(&scenario, &dir).unwrap();
+        let policy = ExecPolicy::parallel();
+        let (summary, _) = run_observed(&scenario, &dir, &policy).unwrap();
         assert_eq!(summary.traces.len(), 1);
         // Matches the uninstrumented path.
-        assert_eq!(summary, scenario.run());
+        assert_eq!(summary, scenario.run(&policy).unwrap().0);
 
         let manifest =
             RunManifest::from_json(&fs::read_to_string(dir.join("manifest.json")).unwrap())
@@ -232,7 +203,7 @@ mod tests {
         assert!(metrics.contains("sim/download"), "{metrics}");
 
         for approach in ["youtube", "ours"] {
-            let stem = format!("walking-0__{approach}");
+            let stem = format!("walking-30s-seed11__{approach}");
             let events =
                 fs::read_to_string(dir.join("events").join(format!("{stem}.jsonl"))).unwrap();
             assert!(events.lines().count() > 15, "{stem} too short");
@@ -253,10 +224,10 @@ mod tests {
         let scenario = tiny_scenario();
         let reference_dir = temp_dir("obs-reference");
         let (reference, _) =
-            run_observed_with(&scenario, &reference_dir, &scenario.policy()).unwrap();
+            run_observed(&scenario, &reference_dir, &ExecPolicy::parallel()).unwrap();
         let same_artifacts = |dir: &Path| {
             for approach in ["youtube", "ours"] {
-                let stem = format!("walking-0__{approach}");
+                let stem = format!("walking-30s-seed11__{approach}");
                 for (sub, ext) in [("events", "jsonl"), ("timelines", "txt")] {
                     let name = format!("{stem}.{ext}");
                     let a = fs::read(reference_dir.join(sub).join(&name)).unwrap();
@@ -276,17 +247,17 @@ mod tests {
             let warm_dir = temp_dir(&format!("obs-warm-{tag}"));
 
             let (uncached, uncached_stats) =
-                run_observed_with(&scenario, &uncached_dir, &inner).unwrap();
+                run_observed(&scenario, &uncached_dir, &inner).unwrap();
             assert_eq!(uncached, reference, "{inner:?}");
             assert_eq!(uncached_stats, CacheStats::default(), "{inner:?}");
 
             let policy = ExecPolicy::cached(&cache, inner);
-            let (cold, cold_stats) = run_observed_with(&scenario, &cold_dir, &policy).unwrap();
+            let (cold, cold_stats) = run_observed(&scenario, &cold_dir, &policy).unwrap();
             // Two observed pairs + one base-energy cell, all misses.
             assert_eq!(cold_stats.misses, 3);
             assert_eq!(cold_stats.hits, 0);
 
-            let (warm, warm_stats) = run_observed_with(&scenario, &warm_dir, &policy).unwrap();
+            let (warm, warm_stats) = run_observed(&scenario, &warm_dir, &policy).unwrap();
             assert_eq!(warm, cold);
             assert!(warm_stats.all_hits(), "{warm_stats:?}");
             assert_eq!(warm_stats.hits, 3);

@@ -51,7 +51,7 @@ use std::path::Path;
 
 use ecas_obs::{names, Probe, NULL_PROBE};
 use ecas_sim::codec;
-use ecas_sim::{EventLog, FaultSpec, SessionResult, Simulator};
+use ecas_sim::{EventLog, FaultSpec, SessionResult};
 use ecas_trace::io::write_atomic;
 use ecas_trace::population::PopulationSpec;
 use ecas_trace::record::{RecordContainer, RecordError};
@@ -59,13 +59,12 @@ use ecas_trace::synth::context::{Context, ContextSchedule};
 use ecas_trace::synth::SessionGenerator;
 use ecas_trace::videos::EvalTraceSpec;
 use ecas_trace::SessionTrace;
-use ecas_types::ladder::BitrateLadder;
 use ecas_types::units::Seconds;
 use serde::{Deserialize, Serialize};
 
 use crate::approach::Approach;
 use crate::oracle::{Oracle, ReplayError, ReplayVerdict};
-use crate::runner::ExperimentRunner;
+use crate::runner::{check_paper_inputs, paper_runner, ExperimentRunner};
 
 /// Section tag of the scenario header (canonical JSON).
 pub const SECTION_SCENARIO: u8 = 1;
@@ -84,7 +83,8 @@ pub enum SessionRecordError {
     /// The container or a section payload was malformed.
     Codec(RecordError),
     /// The scenario header describes a session this build cannot
-    /// regenerate (unknown Table V id, non-positive duration, …).
+    /// regenerate or run (unknown Table V id, non-positive duration, η
+    /// outside `[0, 1]`, an invalid fault spec, …).
     Scenario(String),
     /// The regenerated trace does not hash to the recorded value — the
     /// trace generators drifted since the record was written.
@@ -223,21 +223,13 @@ impl RecordedSession {
         match self {
             RecordedSession::TableV { id } => {
                 let specs = EvalTraceSpec::table_v();
-                let index = usize::from(*id)
-                    .checked_sub(1)
-                    .filter(|i| *i < specs.len())
-                    .ok_or_else(|| {
-                        SessionRecordError::Scenario(format!(
-                            "table v trace id {id} is out of range 1..={}",
-                            specs.len()
-                        ))
-                    })?;
-                specs
-                    .get(index)
-                    .map(EvalTraceSpec::generate)
-                    .ok_or_else(|| {
-                        SessionRecordError::Scenario(format!("table v index {index} vanished"))
-                    })
+                let spec = specs.iter().find(|spec| spec.id == *id).ok_or_else(|| {
+                    let rows = specs.len();
+                    SessionRecordError::Scenario(format!(
+                        "table v trace id {id} is out of range 1..={rows}"
+                    ))
+                })?;
+                Ok(spec.generate())
             }
             RecordedSession::Synthetic {
                 context,
@@ -309,14 +301,16 @@ pub struct RecordScenario {
 impl RecordScenario {
     /// The runner this scenario executes under — always the paper
     /// simulator (14-level evaluation ladder) plus this scenario's η and
-    /// fault spec, mirroring [`crate::report::Scenario::runner`].
+    /// fault spec, like [`crate::Scenario::runner`]. Panics on an η or
+    /// fault spec that [`SessionRecord::from_bytes`] rejects.
     #[must_use]
     pub fn runner(&self) -> ExperimentRunner {
-        let mut simulator = Simulator::paper(BitrateLadder::evaluation());
-        if let Some(fault) = self.fault {
-            simulator = simulator.with_faults(fault);
-        }
-        ExperimentRunner::new(simulator, self.eta)
+        paper_runner(self.eta, self.fault)
+    }
+
+    /// The η and fault-spec check every runner's inputs pass.
+    fn check(&self) -> Result<(), SessionRecordError> {
+        check_paper_inputs(self.eta, self.fault.as_ref()).map_err(SessionRecordError::Scenario)
     }
 
     /// A short label: `<session>-<approach>[-fault]`.
@@ -370,7 +364,8 @@ impl SessionRecord {
     /// # Errors
     ///
     /// Returns [`SessionRecordError::Scenario`] when the scenario cannot
-    /// be regenerated.
+    /// be regenerated or run: an unknown recipe, η outside `[0, 1]` or an
+    /// invalid fault spec.
     pub fn record(scenario: RecordScenario) -> Result<Self, SessionRecordError> {
         Self::record_with_probe(scenario, &NULL_PROBE)
     }
@@ -385,6 +380,7 @@ impl SessionRecord {
         scenario: RecordScenario,
         probe: &dyn Probe,
     ) -> Result<Self, SessionRecordError> {
+        scenario.check()?;
         let trace = scenario.session.generate()?;
         let runner = scenario.runner();
         let (reference, log) = runner.run_with_probe(&trace, &scenario.approach, probe);
@@ -431,12 +427,15 @@ impl SessionRecord {
     }
 
     /// Parses a record from its container bytes, validating magic,
-    /// version and content hash before any section is touched.
+    /// version and content hash before any section is touched, then the
+    /// header's η and fault spec.
     ///
     /// # Errors
     ///
     /// Returns [`SessionRecordError::Codec`] for every malformed-bytes
-    /// failure mode (typed per [`RecordError`]).
+    /// failure mode (typed per [`RecordError`]), and
+    /// [`SessionRecordError::Scenario`] for a header whose η lies outside
+    /// `[0, 1]` or whose fault spec is invalid.
     pub fn from_bytes(data: &[u8]) -> Result<Self, SessionRecordError> {
         let container = RecordContainer::decode(data)?;
         let header_bytes = container.require(SECTION_SCENARIO)?;
@@ -444,6 +443,7 @@ impl SessionRecord {
             .map_err(|e| RecordError::Corrupt(format!("scenario header: {e}")))?;
         let header: Header = serde_json::from_str(header_str)
             .map_err(|e| RecordError::Corrupt(format!("scenario header: {e}")))?;
+        header.scenario.check()?;
         let log = codec::decode_log(container.require(SECTION_EVENT_LOG)?)?;
         let reference = codec::decode_result(container.require(SECTION_RESULT)?)?;
         Ok(Self {
@@ -755,6 +755,25 @@ mod tests {
             ));
         }
         assert!(RecordedSession::TableV { id: 1 }.generate().is_ok());
+    }
+
+    /// A header whose η or fault spec no runner accepts is a typed error
+    /// at decode time, not a panic when the record is replayed; recording
+    /// such a scenario fails the same way.
+    #[test]
+    fn hostile_eta_and_fault_headers_are_typed_errors() {
+        let mut record = SessionRecord::record(scenario()).unwrap();
+        let mut bad_fault = FaultSpec::moderate(1);
+        bad_fault.failure_probability = 2.0;
+        for (eta, fault) in [(1.5, None), (0.5, Some(bad_fault))] {
+            record.scenario.eta = eta;
+            record.scenario.fault = fault;
+            let decoded = SessionRecord::from_bytes(&record.to_bytes().unwrap());
+            let recorded = SessionRecord::record(record.scenario.clone());
+            for outcome in [decoded, recorded] {
+                assert!(matches!(outcome, Err(SessionRecordError::Scenario(_))));
+            }
+        }
     }
 
     #[test]

@@ -1,123 +1,104 @@
 //! Experiment configuration and report rendering.
 //!
 //! [`Scenario`] is a serializable description of an experiment (which
-//! traces, which approaches, which η) that can be stored as JSON and
-//! replayed; [`render_markdown`] turns a [`ComparisonSummary`] into a
+//! trace recipes, which approaches, which η) that can be stored as JSON
+//! and replayed; [`render_markdown`] turns a [`ComparisonSummary`] into a
 //! paste-ready Markdown report.
 
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::fmt;
+use std::io;
 
-use ecas_sim::{FaultSpec, Simulator};
+use ecas_sim::FaultSpec;
 use ecas_trace::session::SessionTrace;
-use ecas_trace::synth::context::{Context, ContextSchedule};
-use ecas_trace::synth::SessionGenerator;
-use ecas_trace::videos::EvalTraceSpec;
-use ecas_types::ladder::BitrateLadder;
-use ecas_types::units::Seconds;
 use serde::{Deserialize, Serialize};
 
 use crate::approach::Approach;
 use crate::metrics::ComparisonSummary;
-use crate::runner::ExperimentRunner;
+use crate::record::RecordedSession;
+use crate::runner::{check_paper_inputs, paper_runner, ExperimentRunner};
 use crate::sweep::{CacheStats, ExecPolicy, SweepEngine};
 
-/// Where a scenario's session traces come from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum TraceSelection {
-    /// The five Table V traces.
-    TableV,
-    /// A subset of Table V by 1-based id.
-    TableVSubset(Vec<u8>),
-    /// Synthetic single-context sessions.
-    Synthetic {
-        /// The watching context.
-        context: Context,
-        /// Session length in seconds.
-        seconds: f64,
-        /// Number of sessions (seeds `base_seed..base_seed + count`).
-        count: u32,
-        /// First RNG seed.
-        base_seed: u64,
-    },
-}
-
-impl TraceSelection {
-    /// Materializes the session traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a requested Table V id does not exist.
-    #[must_use]
-    pub fn sessions(&self) -> Vec<SessionTrace> {
-        match self {
-            TraceSelection::TableV => EvalTraceSpec::table_v()
-                .iter()
-                .map(EvalTraceSpec::generate)
-                .collect(),
-            TraceSelection::TableVSubset(ids) => {
-                let specs = EvalTraceSpec::table_v();
-                ids.iter()
-                    .map(|id| {
-                        specs
-                            .iter()
-                            .find(|s| s.id == *id)
-                            // ecas-lint: allow(panic-safety, reason = "an unknown trace id is a caller bug in a fixed experiment spec; abort loudly")
-                            .unwrap_or_else(|| panic!("no Table V trace with id {id}"))
-                            .generate()
-                    })
-                    .collect()
-            }
-            TraceSelection::Synthetic {
-                context,
-                seconds,
-                count,
-                base_seed,
-            } => (0..*count)
-                .map(|i| {
-                    SessionGenerator::new(
-                        format!("{context}-{i}"),
-                        ContextSchedule::constant(*context),
-                        Seconds::new(*seconds),
-                        base_seed + u64::from(i),
-                    )
-                    .generate()
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A complete, replayable experiment description.
+/// A complete, replayable experiment: every trace recipe × every approach
+/// on the paper simulator at η, under the fault spec when one is set.
+///
+/// The fields are public, and `..Scenario::paper_evaluation()` fills in
+/// the paper's defaults. Nothing is checked until [`Self::sessions`],
+/// which every run calls first.
+///
+/// # Examples
+///
+/// ```
+/// use ecas_core::record::RecordedSession;
+/// use ecas_core::{Approach, ExecPolicy, Scenario};
+///
+/// let scenario = Scenario {
+///     traces: vec![RecordedSession::TableV { id: 1 }],
+///     approaches: vec![Approach::Youtube, Approach::Ours],
+///     eta: 0.7,
+///     ..Scenario::paper_evaluation()
+/// };
+/// let (summary, _) = scenario.run(&ExecPolicy::Sequential).unwrap();
+/// assert_eq!(summary.traces[0].trace, "trace1");
+/// assert!(Scenario { eta: 1.5, ..scenario }.sessions().is_err());
+/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Human-readable scenario name.
     pub name: String,
-    /// The traces to replay.
-    pub traces: TraceSelection,
-    /// The approaches to compare.
+    /// The trace recipes, in report order. Their traces need distinct
+    /// names.
+    pub traces: Vec<RecordedSession>,
+    /// The approaches to compare; Youtube, the baseline, among them.
     pub approaches: Vec<Approach>,
-    /// The Eq. (11) weighting factor.
+    /// The Eq. (11) weighting factor, in `[0, 1]`.
     pub eta: f64,
     /// Deterministic link faults to inject, if any.
     #[serde(default)]
     pub fault: Option<FaultSpec>,
-    /// Result-cache directory (UTF-8 path) for [`Self::policy`], if any.
-    #[serde(default)]
-    pub cache_dir: Option<String>,
+}
+
+/// Why a [`Scenario`] did not run.
+#[derive(Debug)]
+pub enum ScenarioError {
+    /// The scenario describes no runnable grid: η outside `[0, 1]`, an
+    /// invalid fault spec, no Youtube among the approaches, no traces, a
+    /// recipe that cannot generate its trace, or two traces with one
+    /// name. Found before any cell runs.
+    Invalid(String),
+    /// An observed run could not write an artifact.
+    Io(io::Error),
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioError::Invalid(msg) => f.write_str(msg),
+            ScenarioError::Io(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
+
+impl From<io::Error> for ScenarioError {
+    fn from(e: io::Error) -> Self {
+        ScenarioError::Io(e)
+    }
 }
 
 impl Scenario {
-    /// The paper's evaluation: Table V × the five approaches at η = 0.5.
+    /// The paper's evaluation: the five Table V traces × the five paper
+    /// approaches at η = 0.5, fault-free.
     #[must_use]
     pub fn paper_evaluation() -> Self {
-        Self::builder("paper-evaluation").build()
-    }
-
-    /// Starts a builder with the paper defaults (Table V traces, the five
-    /// paper approaches, η = 0.5, no faults, no cache).
-    #[must_use]
-    pub fn builder(name: impl Into<String>) -> ScenarioBuilder {
-        ScenarioBuilder::new(name)
+        Self {
+            name: "paper-evaluation".to_string(),
+            traces: (1..=5).map(|id| RecordedSession::TableV { id }).collect(),
+            approaches: Approach::paper_set().to_vec(),
+            eta: 0.5,
+            fault: None,
+        }
     }
 
     /// The runner this scenario describes: the paper's simulator at the
@@ -125,148 +106,62 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if `eta` is outside `[0, 1]`.
+    /// Panics on an η or a fault spec that [`Self::sessions`] rejects.
     #[must_use]
     pub fn runner(&self) -> ExperimentRunner {
-        let mut simulator = Simulator::paper(BitrateLadder::evaluation());
-        if let Some(fault) = self.fault {
-            simulator = simulator.with_faults(fault);
+        paper_runner(self.eta, self.fault)
+    }
+
+    /// Checks the scenario and generates its traces, each once, in
+    /// recipe order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::Invalid`] when η lies outside `[0, 1]`,
+    /// the fault spec is invalid, the approaches omit Youtube, there are
+    /// no traces, a recipe cannot generate its trace, or two traces share
+    /// a name (their events files would collide).
+    pub fn sessions(&self) -> Result<Vec<SessionTrace>, ScenarioError> {
+        use ScenarioError::Invalid;
+        check_paper_inputs(self.eta, self.fault.as_ref()).map_err(Invalid)?;
+        if !self.approaches.contains(&Approach::Youtube) {
+            let msg = "the approaches must include Youtube, the comparison baseline";
+            return Err(Invalid(msg.to_string()));
         }
-        ExperimentRunner::new(simulator, self.eta)
+        if self.traces.is_empty() {
+            return Err(Invalid("a scenario needs at least one trace".to_string()));
+        }
+        let mut names = BTreeSet::new();
+        let mut sessions = Vec::with_capacity(self.traces.len());
+        for recipe in &self.traces {
+            let session = recipe
+                .generate()
+                .map_err(|e| Invalid(format!("trace {}: {e}", recipe.label())))?;
+            let name = &session.meta().name;
+            if !names.insert(name.clone()) {
+                return Err(Invalid(format!("two traces are named {name}")));
+            }
+            sessions.push(session);
+        }
+        Ok(sessions)
     }
 
-    /// The default execution policy: an auto-sized pool, wrapped in a
-    /// cache when [`Self::cache_dir`] is set.
-    #[must_use]
-    pub fn policy(&self) -> ExecPolicy {
-        ExecPolicy::from_options(None, self.cache_dir.as_deref().map(Path::new))
-    }
-
-    /// Runs the scenario under its default [`Self::policy`].
+    /// Runs the comparison grid under `policy` and returns the summary
+    /// with the run's [`CacheStats`] (all zero when the policy does not
+    /// cache).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `eta` is outside `[0, 1]` or the approach list omits the
-    /// Youtube baseline (required by the comparison metrics).
-    #[must_use]
-    pub fn run(&self) -> ComparisonSummary {
-        self.run_with(&self.policy()).0
-    }
-
-    /// Runs the scenario under an explicit policy, returning the summary
-    /// together with the cache statistics of the run (all-zero when the
-    /// policy does not cache).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same invalid inputs as [`Self::run`].
-    #[must_use]
-    pub fn run_with(&self, policy: &ExecPolicy) -> (ComparisonSummary, CacheStats) {
+    /// Returns [`ScenarioError::Invalid`], before any cell runs, for a
+    /// scenario [`Self::sessions`] rejects.
+    pub fn run(
+        &self,
+        policy: &ExecPolicy,
+    ) -> Result<(ComparisonSummary, CacheStats), ScenarioError> {
+        let sessions = self.sessions()?;
         let engine = SweepEngine::new(self.runner());
-        let sessions = self.traces.sessions();
         let summary = engine.comparison(&sessions, &self.approaches, policy);
-        (summary, engine.stats())
-    }
-}
-
-/// Builds a [`Scenario`] without struct literals or JSON round-trips.
-///
-/// # Examples
-///
-/// ```
-/// use ecas_core::{Approach, Scenario, TraceSelection};
-///
-/// let scenario = Scenario::builder("eta-sweep")
-///     .traces(TraceSelection::TableVSubset(vec![1]))
-///     .approaches(vec![Approach::Youtube, Approach::Ours])
-///     .eta(0.7)
-///     .build();
-/// assert_eq!(scenario.eta, 0.7);
-/// assert!(scenario.fault.is_none());
-/// ```
-#[derive(Debug, Clone)]
-// ecas-lint: allow(pub-surface, reason = "re-exported scenario surface; used by integration tests and future experiment scripts")
-pub struct ScenarioBuilder {
-    name: String,
-    traces: TraceSelection,
-    approaches: Vec<Approach>,
-    eta: f64,
-    fault: Option<FaultSpec>,
-    cache_dir: Option<String>,
-}
-
-impl ScenarioBuilder {
-    fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            traces: TraceSelection::TableV,
-            approaches: Approach::paper_set().to_vec(),
-            eta: 0.5,
-            fault: None,
-            cache_dir: None,
-        }
-    }
-
-    /// Sets the trace selection (default: the five Table V traces).
-    #[must_use]
-    pub fn traces(mut self, traces: TraceSelection) -> Self {
-        self.traces = traces;
-        self
-    }
-
-    /// Sets the approach list (default: the paper's five).
-    #[must_use]
-    pub fn approaches(mut self, approaches: Vec<Approach>) -> Self {
-        self.approaches = approaches;
-        self
-    }
-
-    /// Sets the Eq. (11) weighting factor (default: 0.5).
-    #[must_use]
-    pub fn eta(mut self, eta: f64) -> Self {
-        self.eta = eta;
-        self
-    }
-
-    /// Injects deterministic link faults (default: none).
-    #[must_use]
-    pub fn fault(mut self, fault: FaultSpec) -> Self {
-        self.fault = Some(fault);
-        self
-    }
-
-    /// Enables result caching under `dir` for [`Scenario::policy`]
-    /// (default: no cache).
-    #[must_use]
-    pub fn cache_dir(mut self, dir: impl Into<String>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Finalizes the scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eta` is outside `[0, 1]` or the approach list is empty.
-    #[must_use]
-    pub fn build(self) -> Scenario {
-        assert!(
-            (0.0..=1.0).contains(&self.eta),
-            "eta must be in [0, 1], got {}",
-            self.eta
-        );
-        assert!(
-            !self.approaches.is_empty(),
-            "a scenario needs at least one approach"
-        );
-        Scenario {
-            name: self.name,
-            traces: self.traces,
-            approaches: self.approaches,
-            eta: self.eta,
-            fault: self.fault,
-            cache_dir: self.cache_dir,
-        }
+        Ok((summary, engine.stats()))
     }
 }
 
@@ -317,100 +212,96 @@ pub fn render_markdown(title: &str, summary: &ComparisonSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecas_trace::synth::context::Context;
+
+    /// The paper evaluation over `traces`.
+    fn with_traces(traces: Vec<RecordedSession>) -> Scenario {
+        Scenario {
+            traces,
+            ..Scenario::paper_evaluation()
+        }
+    }
 
     #[test]
     fn synthetic_selection_generates_count_sessions() {
-        let sel = TraceSelection::Synthetic {
-            context: Context::Walking,
-            seconds: 30.0,
-            count: 3,
-            base_seed: 7,
-        };
-        let sessions = sel.sessions();
+        let context = Context::Walking;
+        let traces = (7..10)
+            .map(|seed| RecordedSession::Synthetic {
+                context,
+                seconds: 30.0,
+                seed,
+            })
+            .collect();
+        let sessions = with_traces(traces).sessions().unwrap();
         assert_eq!(sessions.len(), 3);
-        assert_eq!(sessions[0].meta().name, "walking-0");
+        // Synthetic traces take their recipes' record labels as names.
+        assert_eq!(sessions[0].meta().name, "walking-30s-seed7");
         assert_ne!(sessions[0], sessions[1]);
     }
 
     #[test]
     fn table_v_subset_selects_by_id() {
-        let sel = TraceSelection::TableVSubset(vec![2, 5]);
-        let sessions = sel.sessions();
-        assert_eq!(sessions.len(), 2);
-        assert_eq!(sessions[0].meta().name, "trace2");
-        assert_eq!(sessions[1].meta().name, "trace5");
+        let traces = [2, 5].map(|id| RecordedSession::TableV { id }).to_vec();
+        let sessions = with_traces(traces).sessions().unwrap();
+        let names: Vec<&str> = sessions.iter().map(|s| s.meta().name.as_str()).collect();
+        assert_eq!(names, ["trace2", "trace5"]);
+    }
+
+    /// The message of the [`ScenarioError::Invalid`] that `scenario` is.
+    fn invalid(scenario: &Scenario) -> String {
+        match scenario.run(&ExecPolicy::Sequential) {
+            Err(ScenarioError::Invalid(msg)) => {
+                assert!(scenario.sessions().is_err());
+                msg
+            }
+            other => panic!("expected an invalid scenario, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "no Table V trace")]
-    fn unknown_id_panics() {
-        let _ = TraceSelection::TableVSubset(vec![9]).sessions();
+    fn out_of_range_eta_is_a_typed_error() {
+        for eta in [1.5, -0.1, f64::NAN] {
+            let scenario = Scenario {
+                eta,
+                ..Scenario::paper_evaluation()
+            };
+            assert_eq!(invalid(&scenario), format!("eta {eta} is outside [0, 1]"));
+        }
+    }
+
+    #[test]
+    fn unknown_table_v_id_is_a_typed_error() {
+        let traces = [1, 9].map(|id| RecordedSession::TableV { id }).to_vec();
+        let msg = invalid(&with_traces(traces));
+        assert!(msg.starts_with("trace tablev9: "), "{msg}");
+        assert!(msg.contains("trace id 9 is out of range"), "{msg}");
     }
 
     #[test]
     fn scenario_roundtrips_through_json() {
         let s = Scenario::paper_evaluation();
         let json = serde_json::to_string(&s).unwrap();
+        assert!(json.contains(r#""traces":[{"TableV":{"id":1}},"#), "{json}");
         assert_eq!(s, serde_json::from_str::<Scenario>(&json).unwrap());
     }
 
     #[test]
     fn scenario_runs_and_renders() {
-        let scenario = Scenario::builder("smoke")
-            .traces(TraceSelection::Synthetic {
+        let scenario = Scenario {
+            name: "smoke".to_string(),
+            approaches: vec![Approach::Youtube, Approach::Ours],
+            ..with_traces(vec![RecordedSession::Synthetic {
                 context: Context::MovingVehicle,
                 seconds: 40.0,
-                count: 1,
-                base_seed: 3,
-            })
-            .approaches(vec![Approach::Youtube, Approach::Ours])
-            .build();
-        let summary = scenario.run();
+                seed: 3,
+            }])
+        };
+        let (summary, stats) = scenario.run(&ExecPolicy::parallel()).unwrap();
+        assert_eq!(stats, CacheStats::default());
         let md = render_markdown("smoke", &summary);
         assert!(md.contains("# smoke"));
         assert!(md.contains("| Youtube |") || md.contains(" Youtube |"));
         assert!(md.contains("Ours"));
         assert!(md.lines().count() > 8);
-    }
-
-    #[test]
-    fn builder_defaults_match_paper_evaluation() {
-        let built = Scenario::builder("paper-evaluation").build();
-        assert_eq!(built, Scenario::paper_evaluation());
-        assert_eq!(built.traces, TraceSelection::TableV);
-        assert_eq!(built.approaches, Approach::paper_set().to_vec());
-        assert!(built.policy().cache_dir().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "eta must be in [0, 1]")]
-    fn builder_rejects_out_of_range_eta() {
-        let _ = Scenario::builder("bad").eta(1.5).build();
-    }
-
-    #[test]
-    fn scenario_with_cache_dir_runs_warm_on_second_pass() {
-        let dir = std::env::temp_dir().join(format!("ecas-report-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let scenario = Scenario::builder("cached-smoke")
-            .traces(TraceSelection::Synthetic {
-                context: Context::Walking,
-                seconds: 30.0,
-                count: 1,
-                base_seed: 9,
-            })
-            .approaches(vec![Approach::Youtube, Approach::Ours])
-            .cache_dir(dir.to_string_lossy().into_owned())
-            .build();
-        assert_eq!(scenario.policy().cache_dir(), Some(dir.as_path()));
-
-        let (cold, cold_stats) = scenario.run_with(&scenario.policy());
-        // One base-energy cell + two approach cells.
-        assert_eq!(cold_stats.misses, 3);
-        let (warm, warm_stats) = scenario.run_with(&scenario.policy());
-        assert_eq!(warm, cold);
-        assert!(warm_stats.all_hits(), "{warm_stats:?}");
-        assert_eq!(warm_stats.hits, 3);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

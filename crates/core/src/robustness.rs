@@ -66,16 +66,20 @@ pub struct RobustnessRow {
     pub qoe_degradation: SeedStat,
 }
 
-/// Runs the Table V evaluation across `seeds` trace re-draws.
+/// Runs the Table V evaluation across `seeds` trace re-draws under
+/// `policy`, returning the rows with the run's [`CacheStats`]. With a
+/// cached policy every seed re-draw is memoized across invocations; one
+/// engine serves the whole run, so the stats cover all seeds.
 ///
 /// # Examples
 ///
 /// ```
 /// use ecas_core::robustness::table_v_robustness;
-/// use ecas_core::{Approach, ExperimentRunner};
+/// use ecas_core::{Approach, ExecPolicy, ExperimentRunner};
 ///
 /// let runner = ExperimentRunner::paper();
-/// let rows = table_v_robustness(&runner, &[Approach::Youtube], &[0]);
+/// let (rows, _) =
+///     table_v_robustness(&runner, &[Approach::Youtube], &[0], &ExecPolicy::parallel());
 /// assert_eq!(rows[0].energy_saving.mean, 0.0); // Youtube is the baseline
 /// ```
 ///
@@ -88,23 +92,6 @@ pub struct RobustnessRow {
 /// Panics if `seeds` is empty or `approaches` omits the Youtube baseline.
 #[must_use]
 pub fn table_v_robustness(
-    runner: &ExperimentRunner,
-    approaches: &[Approach],
-    seeds: &[u64],
-) -> Vec<RobustnessRow> {
-    table_v_robustness_with_stats(runner, approaches, seeds, &ExecPolicy::parallel()).0
-}
-
-/// [`table_v_robustness`] under an explicit [`ExecPolicy`], returning the
-/// accumulated [`CacheStats`] as well. With a cached policy every seed
-/// re-draw is memoized across invocations; one engine serves the whole
-/// run, so the stats cover all seeds.
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`table_v_robustness`].
-#[must_use]
-pub fn table_v_robustness_with_stats(
     runner: &ExperimentRunner,
     approaches: &[Approach],
     seeds: &[u64],
@@ -173,28 +160,36 @@ pub struct FaultSweepCell {
     pub outage_time: Seconds,
 }
 
-/// Sweeps approaches across fault intensities, producing one degradation
-/// curve per approach (cells are intensity-major, `approaches`-minor —
-/// the same order as nested `for intensity { for approach }` loops).
+/// Sweeps approaches across fault intensities under `policy`, producing
+/// one degradation curve per approach (cells are intensity-major,
+/// `approaches`-minor — the same order as nested
+/// `for intensity { for approach }` loops), with the merged
+/// [`CacheStats`] of the run.
 ///
 /// Intensity `0.0` is always evaluated (and prepended if absent) because
 /// every cell's [`FaultSweepCell::qoe_degradation`] is measured against
 /// the same approach on the fault-free link.
+///
+/// Each intensity runs its grid through its own [`SweepEngine`], because
+/// the fault spec is part of the runner; the spec participates in the
+/// cache key, so cached sweeps stay correct across intensities, and the
+/// engines' stats are folded together with [`CacheStats::merge`].
 ///
 /// # Examples
 ///
 /// ```
 /// use ecas_core::robustness::fault_sweep;
 /// use ecas_core::trace::videos::EvalTraceSpec;
-/// use ecas_core::{Approach, ExperimentRunner};
+/// use ecas_core::{Approach, ExecPolicy, ExperimentRunner};
 ///
 /// let sessions = vec![EvalTraceSpec::table_v()[0].generate()];
-/// let cells = fault_sweep(
+/// let (cells, _) = fault_sweep(
 ///     &ExperimentRunner::paper(),
 ///     &sessions,
 ///     &[Approach::Youtube],
 ///     &[0.5],
 ///     7,
+///     &ExecPolicy::parallel(),
 /// );
 /// assert_eq!(cells.len(), 2); // intensity 0.0 prepended
 /// assert!(cells[0].qoe_degradation.abs() < 1e-12);
@@ -206,35 +201,6 @@ pub struct FaultSweepCell {
 /// intensity lies outside `[0, 1]`.
 #[must_use]
 pub fn fault_sweep(
-    runner: &ExperimentRunner,
-    sessions: &[SessionTrace],
-    approaches: &[Approach],
-    intensities: &[f64],
-    seed: u64,
-) -> Vec<FaultSweepCell> {
-    fault_sweep_with_stats(
-        runner,
-        sessions,
-        approaches,
-        intensities,
-        seed,
-        &ExecPolicy::parallel(),
-    )
-    .0
-}
-
-/// [`fault_sweep`] under an explicit [`ExecPolicy`], returning the merged
-/// [`CacheStats`] as well. Each intensity runs its grid through its own
-/// [`SweepEngine`], because the fault spec is part of the runner; the
-/// spec participates in the cache key, so cached sweeps stay correct
-/// across intensities, and the engines' stats are folded together with
-/// [`CacheStats::merge`].
-///
-/// # Panics
-///
-/// Panics on the same invalid inputs as [`fault_sweep`].
-#[must_use]
-pub fn fault_sweep_with_stats(
     runner: &ExperimentRunner,
     sessions: &[SessionTrace],
     approaches: &[Approach],
@@ -329,7 +295,7 @@ mod tests {
     fn robustness_over_two_seeds_is_stable() {
         let runner = ExperimentRunner::paper();
         let approaches = [Approach::Youtube, Approach::Ours];
-        let rows = table_v_robustness(&runner, &approaches, &[0, 1]);
+        let (rows, _) = table_v_robustness(&runner, &approaches, &[0, 1], &ExecPolicy::parallel());
         assert_eq!(rows.len(), 2);
         let ours = &rows[1];
         assert_eq!(ours.approach, Approach::Ours);
@@ -349,7 +315,7 @@ mod tests {
     #[should_panic(expected = "at least one seed")]
     fn rejects_empty_seed_list() {
         let runner = ExperimentRunner::paper();
-        let _ = table_v_robustness(&runner, &[Approach::Youtube], &[]);
+        let _ = table_v_robustness(&runner, &[Approach::Youtube], &[], &ExecPolicy::parallel());
     }
 
     #[test]
@@ -375,8 +341,9 @@ mod tests {
         let runner = ExperimentRunner::paper();
         let sessions = sweep_sessions();
         let approaches = [Approach::Youtube, Approach::Ours];
-        let a = fault_sweep(&runner, &sessions, &approaches, &[0.6], 3);
-        let b = fault_sweep(&runner, &sessions, &approaches, &[0.6], 3);
+        let policy = ExecPolicy::parallel();
+        let a = fault_sweep(&runner, &sessions, &approaches, &[0.6], 3, &policy).0;
+        let b = fault_sweep(&runner, &sessions, &approaches, &[0.6], 3, &policy).0;
         assert_eq!(a, b, "same seed and spec must reproduce exactly");
         // Two intensities (0.0 prepended) x two approaches.
         assert_eq!(a.len(), 4);
@@ -392,7 +359,8 @@ mod tests {
     fn fault_sweep_hostile_link_causes_retries() {
         let runner = ExperimentRunner::paper();
         let sessions = sweep_sessions();
-        let cells = fault_sweep(&runner, &sessions, &[Approach::Youtube], &[1.0], 5);
+        let policy = ExecPolicy::parallel();
+        let (cells, _) = fault_sweep(&runner, &sessions, &[Approach::Youtube], &[1.0], 5, &policy);
         let severe = cells.last().unwrap();
         assert_eq!(severe.intensity, 1.0);
         assert!(
@@ -407,6 +375,7 @@ mod tests {
     fn fault_sweep_rejects_empty_intensities() {
         let runner = ExperimentRunner::paper();
         let sessions = sweep_sessions();
-        let _ = fault_sweep(&runner, &sessions, &[Approach::Youtube], &[], 1);
+        let policy = ExecPolicy::parallel();
+        let _ = fault_sweep(&runner, &sessions, &[Approach::Youtube], &[], 1, &policy);
     }
 }

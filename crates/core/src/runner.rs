@@ -5,7 +5,7 @@ use ecas_obs::{names, Probe, SpanGuard};
 use ecas_sim::controller::FixedLevel;
 use ecas_sim::events::EventLog;
 use ecas_sim::result::SessionResult;
-use ecas_sim::Simulator;
+use ecas_sim::{FaultSpec, Simulator};
 use ecas_trace::session::SessionTrace;
 use ecas_types::ladder::{BitrateLadder, LevelIndex};
 use ecas_types::units::Joules;
@@ -107,6 +107,29 @@ impl ExperimentRunner {
         let mut lowest = FixedLevel::new(LevelIndex::new(0));
         self.simulator.run(session, &mut lowest).total_energy()
     }
+}
+
+/// The one check of [`paper_runner`]'s inputs, which it would panic on:
+/// η in `[0, 1]` and a fault spec that passes [`FaultSpec::is_valid`].
+pub(crate) fn check_paper_inputs(eta: f64, fault: Option<&FaultSpec>) -> Result<(), String> {
+    if !(0.0..=1.0).contains(&eta) {
+        return Err(format!("eta {eta} is outside [0, 1]"));
+    }
+    match fault {
+        Some(spec) if !spec.is_valid() => Err(format!("invalid fault spec: {spec:?}")),
+        _ => Ok(()),
+    }
+}
+
+/// The runner a [`crate::Scenario`] or a [`crate::RecordScenario`]
+/// describes: the paper simulator at `eta`, with `fault` injected when
+/// present. Panics on inputs [`check_paper_inputs`] rejects.
+pub(crate) fn paper_runner(eta: f64, fault: Option<FaultSpec>) -> ExperimentRunner {
+    let mut simulator = Simulator::paper(BitrateLadder::evaluation());
+    if let Some(fault) = fault {
+        simulator = simulator.with_faults(fault);
+    }
+    ExperimentRunner::new(simulator, eta)
 }
 
 #[cfg(test)]

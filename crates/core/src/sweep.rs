@@ -431,9 +431,9 @@ impl SweepEngine {
     }
 
     /// Runs the full comparison grid — one base-energy cell plus one cell
-    /// per approach, per session — and aggregates it exactly like
-    /// [`ComparisonSummary::evaluate`]. Base-energy runs go through the
-    /// same pool and cache as the approach cells.
+    /// per approach, per session — and aggregates each session's row
+    /// through [`TraceComparison::from_results`]. Base-energy runs go
+    /// through the same pool and cache as the approach cells.
     ///
     /// # Panics
     ///
@@ -470,8 +470,8 @@ impl SweepEngine {
 
     /// The comparison grid with approach cells built by `cell`: one
     /// base-energy cell plus `cell(approach)` per approach, per session,
-    /// aggregated like [`ComparisonSummary::evaluate`], with the event
-    /// streams of the observed cells, sessions-major.
+    /// aggregated like [`Self::comparison`], with the event streams of
+    /// the observed cells, sessions-major.
     fn compare(
         &self,
         sessions: &[SessionTrace],
@@ -1216,21 +1216,28 @@ mod tests {
         assert!(warm.stats().all_hits());
         assert_eq!(warm.stats().from_record, 0);
 
-        // A valid record renamed under a foreign key is rejected too.
-        let stale_dir = temp_dir("record-stale");
-        fs::create_dir_all(&stale_dir).unwrap();
+        // A valid record renamed under a foreign key is rejected too, and
+        // so is one whose header holds an η no runner accepts: it fails to
+        // decode, where replaying it used to panic.
         let mut stale = record.clone();
         stale.crate_version = "0.0.0-stale".to_string();
         assert_ne!(record_cell_key(&stale), key, "version must key");
-        stale.save(record_path(&stale_dir, &key)).unwrap();
-        let stale_engine = SweepEngine::new(ExperimentRunner::paper());
-        let stale_policy = ExecPolicy::cached(&stale_dir, ExecPolicy::Sequential);
-        let results = stale_engine.run_grid(&sessions, &[Approach::Ours], &stale_policy);
-        assert_eq!(results, computed);
-        assert_eq!(stale_engine.stats().corrupt, 1);
-        assert_eq!(stale_engine.stats().from_record, 0);
+        let mut hostile = record.clone();
+        hostile.scenario.eta = 1.5;
+        for (tag, bad) in [("stale", stale), ("hostile", hostile)] {
+            let bad_dir = temp_dir(&format!("record-{tag}"));
+            fs::create_dir_all(&bad_dir).unwrap();
+            bad.save(record_path(&bad_dir, &key)).unwrap();
+            let engine = SweepEngine::new(ExperimentRunner::paper());
+            let policy = ExecPolicy::cached(&bad_dir, ExecPolicy::Sequential);
+            let results = engine.run_grid(&sessions, &[Approach::Ours], &policy);
+            assert_eq!(results, computed, "{tag}");
+            let stats = engine.stats();
+            let counts = (stats.misses, stats.corrupt, stats.from_record);
+            assert_eq!(counts, (1, 1, 0), "{tag}: {stats:?}");
+            fs::remove_dir_all(&bad_dir).ok();
+        }
         fs::remove_dir_all(&dir).ok();
-        fs::remove_dir_all(&stale_dir).ok();
     }
 
     #[test]
@@ -1566,13 +1573,21 @@ mod tests {
         assert_eq!(seq, two);
     }
 
+    /// The engine's comparison equals one built without it: direct
+    /// `ExperimentRunner::run` and `base_energy` calls, folded through
+    /// `TraceComparison::from_results`.
     #[test]
     fn comparison_matches_legacy_evaluate() {
         let engine = SweepEngine::new(ExperimentRunner::paper());
-        let sessions = sessions();
+        let (runner, sessions) = (engine.runner(), sessions());
         let approaches = Approach::paper_set();
+        let results: Vec<_> = approaches
+            .iter()
+            .map(|a| runner.run(&sessions[0], a))
+            .collect();
+        let base = runner.base_energy(&sessions[0]);
+        let trace = TraceComparison::from_results("sweep-test", base, &approaches, &results);
         let via_engine = engine.comparison(&sessions, &approaches, &ExecPolicy::Sequential);
-        let legacy = ComparisonSummary::evaluate(engine.runner(), &sessions, &approaches);
-        assert_eq!(via_engine, legacy);
+        assert_eq!(via_engine.traces, [trace]);
     }
 }

@@ -7,22 +7,28 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use ecas_core::obs::{fnv1a_64, RunManifest, NULL_PROBE};
+use ecas_core::record::RecordedSession;
 use ecas_core::sim::{FaultSpec, Simulator};
 use ecas_core::trace::synth::context::Context;
 use ecas_core::trace::videos::EvalTraceSpec;
 use ecas_core::types::ladder::BitrateLadder;
-use ecas_core::{observe, Approach, ExperimentRunner, Scenario, TraceSelection};
+use ecas_core::{observe, Approach, ExecPolicy, ExperimentRunner, Scenario};
+
+fn vehicle(seed: u64) -> RecordedSession {
+    RecordedSession::Synthetic {
+        context: Context::MovingVehicle,
+        seconds: 60.0,
+        seed,
+    }
+}
 
 fn scenario() -> Scenario {
-    Scenario::builder("determinism")
-        .traces(TraceSelection::Synthetic {
-            context: Context::MovingVehicle,
-            seconds: 60.0,
-            count: 2,
-            base_seed: 23,
-        })
-        .approaches(vec![Approach::Youtube, Approach::Ours, Approach::Festive])
-        .build()
+    Scenario {
+        name: "determinism".to_string(),
+        traces: vec![vehicle(23), vehicle(24)],
+        approaches: vec![Approach::Youtube, Approach::Ours, Approach::Festive],
+        ..Scenario::paper_evaluation()
+    }
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -45,8 +51,9 @@ fn same_seed_observed_runs_are_byte_identical() {
     let scenario = scenario();
     let dir_a = temp_dir("a");
     let dir_b = temp_dir("b");
-    let summary_a = observe::run_observed(&scenario, &dir_a).unwrap();
-    let summary_b = observe::run_observed(&scenario, &dir_b).unwrap();
+    let policy = ExecPolicy::parallel();
+    let summary_a = observe::run_observed(&scenario, &dir_a, &policy).unwrap();
+    let summary_b = observe::run_observed(&scenario, &dir_b, &policy).unwrap();
     assert_eq!(summary_a, summary_b);
 
     // Equal manifest hashes: same seeds, ladder, config, version.
@@ -76,12 +83,7 @@ fn different_scenario_changes_manifest_hash() {
     let runner = ExperimentRunner::paper();
     let base = observe::manifest(&scenario(), &runner);
     let mut changed = scenario();
-    changed.traces = TraceSelection::Synthetic {
-        context: Context::MovingVehicle,
-        seconds: 60.0,
-        count: 2,
-        base_seed: 24, // one seed off
-    };
+    changed.traces = vec![vehicle(24), vehicle(25)]; // one seed off
     let other = observe::manifest(&changed, &runner);
     assert_ne!(base.stable_hash(), other.stable_hash());
 }
@@ -102,8 +104,8 @@ fn in_memory_event_streams_are_byte_identical_across_runs() {
     // render the same way, so each stream is also pinned by its hash,
     // line count and length: a change in how a log renders fails here.
     let runner = ExperimentRunner::paper();
-    let session = scenario().traces.sessions().remove(0);
-    assert_eq!(session.meta().name, "moving-vehicle-0");
+    let session = scenario().sessions().unwrap().remove(0);
+    assert_eq!(session.meta().name, "vehicle-60s-seed23");
     let (result_a, log_a) = runner.run_with_probe(&session, &Approach::Ours, &NULL_PROBE);
     let (result_b, log_b) = runner.run_with_probe(&session, &Approach::Ours, &NULL_PROBE);
     assert_eq!(result_a, result_b);

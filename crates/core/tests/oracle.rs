@@ -4,9 +4,10 @@
 //! extends the same checks over randomized scenarios.
 
 use ecas_core::oracle::{Oracle, ReplayVerdict};
+use ecas_core::record::RecordedSession;
 use ecas_core::trace::synth::context::Context;
 use ecas_core::trace::videos::EvalTraceSpec;
-use ecas_core::{Approach, ExperimentRunner, Scenario, TraceSelection};
+use ecas_core::{Approach, ExperimentRunner, Scenario};
 use ecas_obs::NULL_PROBE;
 use ecas_sim::FaultSpec;
 
@@ -50,20 +51,22 @@ fn table_v_replays_and_respects_the_optimal_bound() {
 /// the event log.
 #[test]
 fn moderate_faults_replay_exactly() {
-    let scenario = Scenario::builder("oracle-moderate-faults")
-        .traces(TraceSelection::Synthetic {
-            context: Context::MovingVehicle,
-            seconds: 90.0,
-            count: 2,
-            base_seed: 7,
-        })
-        .approaches(Approach::paper_set().to_vec())
-        .fault(FaultSpec::moderate(42))
-        .build();
+    let scenario = Scenario {
+        name: "oracle-moderate-faults".to_string(),
+        traces: (7..9)
+            .map(|seed| RecordedSession::Synthetic {
+                context: Context::MovingVehicle,
+                seconds: 90.0,
+                seed,
+            })
+            .collect(),
+        fault: Some(FaultSpec::moderate(42)),
+        ..Scenario::paper_evaluation()
+    };
     let runner = scenario.runner();
     let oracle = Oracle::new(runner.simulator(), runner.eta());
     let mut faulted_sessions = 0usize;
-    for session in scenario.traces.sessions() {
+    for session in scenario.sessions().unwrap() {
         for approach in &scenario.approaches {
             let (result, log) = runner.run_with_probe(&session, approach, &NULL_PROBE);
             if result.retries > 0 || result.outage_time.value() > 0.0 {

@@ -12,7 +12,7 @@ use ecas_core::trace::synth::context::{Context, ContextSchedule};
 use ecas_core::trace::synth::SessionGenerator;
 use ecas_core::types::ladder::BitrateLadder;
 use ecas_core::types::units::Seconds;
-use ecas_core::{Approach, ComparisonSummary, ExperimentRunner};
+use ecas_core::{Approach, ExperimentRunner};
 
 fn session(seed: u64) -> ecas_core::trace::session::SessionTrace {
     SessionGenerator::new(
@@ -95,17 +95,15 @@ fn parallel_and_sequential_summaries_are_identical() {
     let runner = ExperimentRunner::paper();
     let sessions = vec![session(1), session(2), session(3)];
     let approaches = [Approach::Youtube, Approach::Festive, Approach::Ours];
-    let sequential = ComparisonSummary::evaluate_with_stats(
-        &runner,
-        &sessions,
-        &approaches,
-        &ExecPolicy::Sequential,
+    let summary = |policy: &ExecPolicy| {
+        let engine = SweepEngine::new(runner.clone());
+        (
+            engine.comparison(&sessions, &approaches, policy),
+            engine.stats(),
+        )
+    };
+    assert_eq!(
+        summary(&ExecPolicy::Sequential),
+        summary(&ExecPolicy::Parallel { jobs: 4 })
     );
-    let parallel = ComparisonSummary::evaluate_with_stats(
-        &runner,
-        &sessions,
-        &approaches,
-        &ExecPolicy::Parallel { jobs: 4 },
-    );
-    assert_eq!(sequential, parallel);
 }

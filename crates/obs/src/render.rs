@@ -5,8 +5,11 @@ use serde::Value;
 
 use crate::metrics::MetricsSnapshot;
 
-/// Renders an aligned fixed-width text table.
-fn aligned_table(header: &[&str], rows: &[Vec<String>]) -> String {
+/// Renders an aligned fixed-width text table: right-aligned columns two
+/// spaces apart, a dashed rule under the header. Every row must have the
+/// header's arity.
+#[must_use]
+pub fn aligned_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {

@@ -6,22 +6,23 @@
 //! cargo run --release --example policy_shootout
 //! ```
 
-use ecas::trace::videos::EvalTraceSpec;
-use ecas::{Approach, ComparisonSummary, ExperimentRunner};
+use ecas::{Approach, ExecPolicy, Scenario};
 
 fn main() {
-    let sessions: Vec<_> = EvalTraceSpec::table_v()
-        .iter()
-        .map(EvalTraceSpec::generate)
-        .collect();
+    let scenario = Scenario {
+        name: "policy-shootout".to_string(),
+        approaches: Approach::all().to_vec(),
+        ..Scenario::paper_evaluation()
+    };
     println!(
         "running {} approaches x {} traces in parallel...\n",
-        Approach::all().len(),
-        sessions.len()
+        scenario.approaches.len(),
+        scenario.traces.len()
     );
 
-    let runner = ExperimentRunner::paper();
-    let summary = ComparisonSummary::evaluate(&runner, &sessions, &Approach::all());
+    let (summary, _) = scenario
+        .run(&ExecPolicy::parallel())
+        .expect("the scenario is valid");
 
     println!(
         "{:<8} {:>10} {:>9} {:>14} {:>13} {:>10}",

@@ -161,6 +161,28 @@ if grep -Rn 'env::args' crates/bench/src/bin/; then
     exit 1
 fi
 
+echo "==> smoke: figure binaries (cold and warm through a cache, uncached at --jobs 1: same stdout)"
+for bin in fig5 fig6 fig7 ablation_extras robustness; do
+    fig_cache="$obs_dir/fig_cache_$bin"
+    ./target/release/$bin --cache-dir "$fig_cache" \
+        > "$obs_dir/${bin}_cold.txt" 2> "$obs_dir/${bin}_cold.log"
+    ./target/release/$bin --cache-dir "$fig_cache" \
+        > "$obs_dir/${bin}_warm.txt" 2> "$obs_dir/${bin}_warm.log"
+    ./target/release/$bin --jobs 1 > "$obs_dir/${bin}_seq.txt"
+    for run in warm seq; do
+        if ! cmp -s "$obs_dir/${bin}_cold.txt" "$obs_dir/${bin}_$run.txt"; then
+            echo "$bin: the $run run's output differs from the cold cached run" >&2
+            diff "$obs_dir/${bin}_cold.txt" "$obs_dir/${bin}_$run.txt" >&2 || true
+            exit 1
+        fi
+    done
+    if ! grep -Eq 'cache: hits=[1-9][0-9]* misses=0 corrupt=0' "$obs_dir/${bin}_warm.log"; then
+        echo "$bin: the warm run was not served 100% from the cache" >&2
+        cat "$obs_dir/${bin}_warm.log" >&2
+        exit 1
+    fi
+done
+
 echo "==> smoke: fault injection (determinism + liveness)"
 ./target/release/fault_sweep --smoke > "$obs_dir/fault_sweep_1.txt"
 ./target/release/fault_sweep --smoke > "$obs_dir/fault_sweep_2.txt"

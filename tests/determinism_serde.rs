@@ -41,12 +41,11 @@ fn session_results_serde_roundtrip() {
 
 #[test]
 fn comparison_summary_serde_roundtrip() {
-    let sessions: Vec<_> = EvalTraceSpec::table_v()[..1]
-        .iter()
-        .map(EvalTraceSpec::generate)
-        .collect();
-    let runner = ExperimentRunner::paper();
-    let summary = ecas::ComparisonSummary::evaluate(&runner, &sessions, &Approach::paper_set());
+    let scenario = Scenario {
+        traces: vec![RecordedSession::TableV { id: 1 }],
+        ..Scenario::paper_evaluation()
+    };
+    let (summary, _) = scenario.run(&ExecPolicy::parallel()).unwrap();
     let json = serde_json::to_string(&summary).unwrap();
     let back: ecas::ComparisonSummary = serde_json::from_str(&json).unwrap();
     assert_eq!(summary, back);

@@ -2,15 +2,13 @@
 //! qualitative results (the "shape" criteria listed in DESIGN.md §3).
 
 use ecas::trace::videos::EvalTraceSpec;
-use ecas::{Approach, ComparisonSummary, ExperimentRunner};
+use ecas::{Approach, ComparisonSummary, ExecPolicy, ExperimentRunner, Scenario};
 
 fn summary() -> ComparisonSummary {
-    let sessions: Vec<_> = EvalTraceSpec::table_v()
-        .iter()
-        .map(EvalTraceSpec::generate)
-        .collect();
-    let runner = ExperimentRunner::paper();
-    ComparisonSummary::evaluate(&runner, &sessions, &Approach::paper_set())
+    Scenario::paper_evaluation()
+        .run(&ExecPolicy::parallel())
+        .unwrap()
+        .0
 }
 
 #[test]
