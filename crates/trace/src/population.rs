@@ -671,6 +671,42 @@ mod tests {
         assert_ne!(spec.user(7), other.user(7));
     }
 
+    /// Drift guard: the users of one fleet, and the `.bin` content hash
+    /// of a few of their traces, captured before the mix and arrival
+    /// weights became constants. Any change to the population draw or
+    /// to session synthesis fails it.
+    #[test]
+    fn fleet_users_are_pinned() {
+        let spec = PopulationSpec::new(1000, 7).mean_duration(Seconds::new(60.0));
+        let mut bytes = Vec::new();
+        for i in 0..spec.users() {
+            let user = spec.user(i);
+            bytes.extend(user.seed.to_le_bytes());
+            bytes.extend(user.hour.to_bits().to_le_bytes());
+            bytes.extend(user.duration.value().to_bits().to_le_bytes());
+            bytes.extend(format!("{}/{}/{}", user.context, user.battery, user.signal).bytes());
+        }
+        assert_eq!(ecas_obs::fnv1a_64(&bytes), 0xd9de_4531_ce03_2c14);
+
+        for (index, class, hash) in [
+            (0, "static/normal/good", 0xdb54_57bc_9c67_7562),
+            (1, "walking/charged/good", 0x88aa_aa71_a460_ba3b),
+            (2, "static/low/fair", 0x1e67_bc7c_3007_a610),
+            (7, "vehicle/normal/fair", 0xbfc3_cf7c_47d4_b2bd),
+            (10, "commute/charged/good", 0xddf4_ecb7_98f6_433a),
+            (27, "commute/charged/poor", 0xd481_b8bb_2885_10c2),
+        ] {
+            let user = spec.user(index);
+            let shown = format!("{}/{}/{}", user.context, user.battery, user.signal);
+            assert_eq!(shown, class, "user {index}");
+            assert_eq!(
+                user.synthesize().content_hash(),
+                hash,
+                "user {index} ({class})"
+            );
+        }
+    }
+
     #[test]
     fn synthesis_is_deterministic() {
         let spec = PopulationSpec::new(100, 9);
