@@ -1,8 +1,9 @@
 //! Fleet-scale population simulation: stream a synthetic user
-//! population (diurnal arrivals, context / battery / signal mix) through
-//! the sweep pool in bounded-memory batches and print the streaming
-//! aggregate — QoE and energy means and tails, energy-per-GB, rebuffer
-//! and degradation rates, arrivals profile and per-class slices.
+//! population (the fixed diurnal arrivals and context / battery / signal
+//! mix) through the sweep pool in bounded-memory batches under the
+//! paper's controller and print the streaming aggregate — QoE and energy
+//! means and tails, energy-per-GB, rebuffer and degradation rates,
+//! arrivals profile and per-class slices.
 //!
 //! `--smoke` runs the CI configuration: 100 000 users with short
 //! sessions, small enough to finish in seconds yet large enough that the
@@ -12,8 +13,8 @@
 //! `--jobs 1`) and byte-compares the outputs: same fleet, same bytes,
 //! whatever the execution policy.
 //!
-//! `--users`, `--seed`, `--batch` and `--duration` override the fleet
-//! shape; `--json` / `--markdown` select the output format.
+//! `--users`, `--seed` and `--duration` override the fleet shape;
+//! `--json` / `--markdown` select the output format.
 
 use ecas_bench::{Cli, Report, Table};
 use ecas_core::fleet::{FleetEngine, FleetReport};
@@ -61,11 +62,6 @@ fn main() {
     )
     .option("--seed", "n", "fleet seed (default: 8)")
     .option(
-        "--batch",
-        "n",
-        "users synthesized and simulated per batch (default: 2048)",
-    )
-    .option(
         "--duration",
         "s",
         "mean session duration in seconds (default: 120, or 24 with --smoke)",
@@ -91,16 +87,7 @@ fn main() {
     );
     let spec = PopulationSpec::new(users, seed).mean_duration(Seconds::new(duration));
 
-    let mut engine = FleetEngine::paper();
-    if let Some(batch) = args.option("--batch") {
-        let batch = parse_u64("--batch", batch);
-        if batch == 0 {
-            eprintln!("fleet: invalid --batch 0 (expected 1 or more)");
-            std::process::exit(2);
-        }
-        engine = engine.batch_size(batch as usize);
-    }
-
+    let engine = FleetEngine::paper();
     let policy = args.exec_policy();
     let fleet = engine.run(&spec, &policy);
     ecas_bench::report_cache_stats(&policy, &engine.stats());

@@ -271,6 +271,16 @@ fn parse_seed(raw: &str) -> u64 {
     }
 }
 
+fn parse_cases(raw: &str) -> usize {
+    match raw.trim().parse() {
+        Ok(cases) if cases > 0 => cases,
+        _ => {
+            eprintln!("oracle_fuzz: invalid --cases {raw:?} (expected a count of 1 or more)");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args = Cli::new(
         "oracle_fuzz",
@@ -291,10 +301,7 @@ fn main() {
     .parse();
     let smoke = args.smoke();
     let seed = args.option("--seed").map_or(DEFAULT_SEED, parse_seed);
-    let cases = args
-        .option("--cases")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_CASES);
+    let cases = args.option("--cases").map_or(DEFAULT_CASES, parse_cases);
 
     let corpus = if smoke {
         smoke_corpus(seed)

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! session record       [scenario flags] <out.ecasr>
-//! session batch-record [fleet flags] [--jobs n] [--batch n] <dir>
+//! session batch-record [fleet flags] [--jobs n] <dir>
 //! session replay       <record.ecasr>
 //! session verify       [--jobs n] [--filter substr] <path>...
 //! session inspect      [--json] <record.ecasr>
@@ -13,15 +13,16 @@
 //! ```
 //!
 //! `record` runs a scenario and writes the record; `batch-record` runs
-//! a whole fleet (or the Table V set) through the worker pool into a
-//! content-addressable corpus directory; `replay` reconstructs the
-//! result from the stored event log alone through the replay oracle;
-//! `verify` diffs that reconstruction against the stored reference for
-//! every given record file or corpus directory (exit 1 on any
-//! divergence; a directory also fails on each indexed record that is
-//! missing and each record its `corpus.json` does not list) — the
-//! golden-corpus CI gate drives it over `golden/**/*.ecasr`; `diff`
-//! compares two corpora record-by-record.
+//! a whole fleet (or the Table V set) through the worker pool, each
+//! worker writing the records it makes into a content-addressable
+//! corpus directory; `replay` reconstructs the result from the stored
+//! event log alone through the replay oracle; `verify` diffs that
+//! reconstruction against the stored reference for every given record
+//! file or corpus directory (exit 1 on any divergence; a directory also
+//! fails on each indexed record that is missing and each record its
+//! `corpus.json` does not list) — the golden-corpus CI gate drives it
+//! over `golden/**/*.ecasr`; `diff` compares two corpora
+//! record-by-record.
 //!
 //! Exit codes: 0 success, 1 failed verification/divergence or runtime
 //! error, 2 usage error (bad flag value, conflicting flags).
@@ -84,7 +85,6 @@ fn cli() -> Cli {
         .option("--fault", "intensity", "fault injection intensity in [0,1]")
         .option("--fault-seed", "n", "fault-injection seed (default: 1)")
         .option("--jobs", "n", "recording workers (default: auto)")
-        .option("--batch", "n", "scenarios per pool dispatch (default: 256)")
         .positional("dir", "corpus output directory"),
     )
     .subcommand(
@@ -328,15 +328,8 @@ fn batch_record(args: &Args) -> Result<ExitCode, CmdError> {
         let duration = parse_f64(args, "--duration", 60.0)?;
         corpus::fleet_scenarios(users, seed, duration, approach, eta, fault)
     };
-    let batch = match args.option("--batch") {
-        Some(v) => v.parse::<usize>().ok().filter(|n| *n >= 1).ok_or_else(|| {
-            CmdError::Usage(format!("bad --batch: {v:?} is not a positive count"))
-        })?,
-        None => CorpusOptions::default().batch,
-    };
     let options = CorpusOptions {
         jobs: args.jobs().unwrap_or(0),
-        batch,
     };
     let index = corpus::batch_record(&dir, &scenarios, &options).map_err(CmdError::fail)?;
     println!(

@@ -166,6 +166,9 @@ fn mpd(seconds: &str, out: Option<&String>) -> Result<(), String> {
 
 fn mahimahi(path: &str, bin: &str) -> Result<(), String> {
     let bin: f64 = bin.parse().map_err(|e| format!("bad bin width: {e}"))?;
+    if !(bin.is_finite() && bin > 0.0) {
+        return Err(format!("bad bin width {bin}: expected finite seconds > 0"));
+    }
     let mut file = File::open(path).map_err(|e| e.to_string())?;
     let mut text = String::new();
     file.read_to_string(&mut text).map_err(|e| e.to_string())?;

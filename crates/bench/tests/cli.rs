@@ -94,7 +94,6 @@ fn session_cli() -> Cli {
         )
         .option("--users", "n", "fleet size (default: 8)")
         .option("--jobs", "n", "recording workers (default: auto)")
-        .option("--batch", "n", "scenarios per pool dispatch (default: 256)")
         .positional("dir", "corpus output directory"),
     )
     .subcommand(
@@ -188,22 +187,12 @@ fn missing_positionals_are_usage_errors_in_every_subcommand() {
 #[test]
 fn batch_record_and_verify_flags_parse() {
     let args = session_cli()
-        .parse_from(&[
-            "batch-record",
-            "--users",
-            "6",
-            "--jobs",
-            "3",
-            "--batch",
-            "2",
-            "corpus",
-        ])
+        .parse_from(&["batch-record", "--users", "6", "--jobs", "3", "corpus"])
         .unwrap();
     let (name, sub) = args.subcommand().unwrap();
     assert_eq!(name, "batch-record");
     assert_eq!(sub.option("--users"), Some("6"));
     assert_eq!(sub.jobs(), Some(3));
-    assert_eq!(sub.option("--batch"), Some("2"));
     assert_eq!(sub.positional(0), Some("corpus"));
     assert_eq!(sub.positional(1), None);
 

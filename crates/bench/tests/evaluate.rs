@@ -52,6 +52,16 @@ fn unrunnable_scenarios_are_typed_errors() {
     let user_3 =
         |seed| format!(r#"{{"Fleet":{{"users":9,"seed":{seed},"index":3,"mean_duration_s":30}}}}"#);
     let twins = format!("[{},{}]", user_3(1), user_3(2));
+    // A well-formed fault spec under a misspelled key, and a key the
+    // format no longer has: neither may be ignored.
+    let fault = bad_fault.replace(
+        r#""failure_probability":2.0"#,
+        r#""failure_probability":0.2"#,
+    );
+    let with_key = |key: &str, value: &str| {
+        let base = scenario(row_1, pair, 0.5, "null");
+        format!("{},\"{key}\":{value}}}", base.strip_suffix('}').unwrap())
+    };
     let files = [
         scenario(row_1, pair, 1.5, "null"),
         scenario(r#"[{"TableV":{"id":9}}]"#, pair, 0.5, "null"),
@@ -61,6 +71,8 @@ fn unrunnable_scenarios_are_typed_errors() {
         scenario(short, pair, 0.5, "null"),
         scenario(&twins, pair, 0.5, "null"),
         scenario("[]", pair, 0.5, "null"),
+        with_key("faults", &fault),
+        with_key("cache_dir", r#""cache""#),
     ];
     // What stderr must name, file by file.
     let expected = [
@@ -72,6 +84,8 @@ fn unrunnable_scenarios_are_typed_errors() {
         "session duration 1 s",
         "two traces are named u3",
         "at least one trace",
+        "unknown field `faults` in Scenario",
+        "unknown field `cache_dir` in Scenario",
     ];
     let dir = temp_dir("bad");
     for (i, (json, expected)) in files.iter().zip(expected).enumerate() {

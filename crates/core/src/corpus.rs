@@ -5,9 +5,9 @@
 //! simulation to fleets. This module joins the two layers:
 //!
 //! * [`batch_record`] runs a batch of [`RecordScenario`]s through the
-//!   shared worker pool (in bounded batches) and writes each record
-//!   into a **content-addressable corpus directory**: the file name is
-//!   the record's sweep cache key (`<key>.ecasr`, the same FNV-1a
+//!   shared worker pool, each job writing its own record into a
+//!   **content-addressable corpus directory**: the file name is the
+//!   record's sweep cache key (`<key>.ecasr`, the same FNV-1a
 //!   stable-hash convention as the result cache), plus a sorted
 //!   `corpus.json` index manifest.
 //! * [`verify`] streams `session verify` over a whole corpus in
@@ -113,22 +113,10 @@ impl From<SessionRecordError> for CorpusError {
 }
 
 /// Knobs for [`batch_record`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CorpusOptions {
     /// Worker count for the recording pool (`0` = one per core).
     pub jobs: usize,
-    /// Scenarios recorded (and held in memory) per pool dispatch — the
-    /// memory bound of a large batch-record run.
-    pub batch: usize,
-}
-
-impl Default for CorpusOptions {
-    fn default() -> Self {
-        Self {
-            jobs: 0,
-            batch: 256,
-        }
-    }
 }
 
 /// One line of the index manifest: where a record lives and what it
@@ -192,9 +180,10 @@ impl CorpusIndex {
 
 /// Records every scenario into `dir` as `<key>.ecasr` — the key being
 /// the sweep cache key the record answers for — and writes the sorted
-/// [`CorpusIndex`] manifest. Scenarios are dispatched through the
-/// shared worker pool in batches of [`CorpusOptions::batch`], so memory
-/// stays bounded for corpus-scale inputs.
+/// [`CorpusIndex`] manifest. Each scenario is one job of the shared
+/// worker pool: the job records, encodes and atomically writes its own
+/// record and hands back only its index entry, so memory holds at most
+/// one record per worker whatever the corpus size.
 ///
 /// Two scenarios that hash to the same key (true duplicates — the
 /// records are deterministic, so their bytes are identical) collapse to
@@ -202,28 +191,23 @@ impl CorpusIndex {
 ///
 /// # Errors
 ///
-/// Returns the first recording or I/O failure. Partial output may
-/// remain in `dir`; re-running overwrites it deterministically.
+/// Returns the recording or I/O failure of the first failing scenario,
+/// in scenario order. The other scenarios still run, so partial output
+/// may remain in `dir`; re-running overwrites it deterministically.
 pub fn batch_record(
     dir: &Path,
     scenarios: &[RecordScenario],
     options: &CorpusOptions,
 ) -> Result<CorpusIndex, CorpusError> {
     fs::create_dir_all(dir)?;
-    let mut entries: Vec<CorpusEntry> = Vec::with_capacity(scenarios.len());
-    for chunk in scenarios.chunks(options.batch.max(1)) {
-        let recorded = pool::run_ordered(chunk, options.jobs, |scenario| {
-            let record = SessionRecord::record(scenario.clone())?;
-            let bytes = record.to_bytes()?;
-            Ok::<(SessionRecord, Vec<u8>), SessionRecordError>((record, bytes))
-        });
-        for item in recorded {
-            let (record, bytes) = item?;
-            let entry = CorpusEntry::of(&record);
-            write_atomic(&record_path(dir, &entry.key), |out| out.write_all(&bytes))?;
-            entries.push(entry);
-        }
-    }
+    let recorded = pool::run_ordered(scenarios, options.jobs, |scenario| {
+        let record = SessionRecord::record(scenario.clone())?;
+        let bytes = record.to_bytes()?;
+        let entry = CorpusEntry::of(&record);
+        write_atomic(&record_path(dir, &entry.key), |out| out.write_all(&bytes))?;
+        Ok::<CorpusEntry, CorpusError>(entry)
+    });
+    let mut entries = recorded.into_iter().collect::<Result<Vec<_>, _>>()?;
     entries.sort_by(|a, b| a.key.cmp(&b.key));
     entries.dedup();
     let index = CorpusIndex {
@@ -566,8 +550,8 @@ pub fn diff(a: &Path, b: &Path) -> Result<CorpusDiff, CorpusError> {
 }
 
 /// The scenarios of one fleet slice: every user of a
-/// [`PopulationSpec`](ecas_trace::population::PopulationSpec)-style
-/// population (default mix and diurnal profile) under one approach, η
+/// [`PopulationSpec`](ecas_trace::population::PopulationSpec)
+/// population (fixed mix and diurnal profile) under one approach, η
 /// and fault spec — the input [`batch_record`] turns into a corpus that
 /// can warm a [`FleetEngine`](crate::fleet::FleetEngine) run.
 #[must_use]
@@ -636,7 +620,7 @@ mod tests {
     #[test]
     fn batch_record_builds_a_keyed_indexed_corpus() {
         let dir = temp_dir("batch");
-        let index = batch_record(&dir, &small_fleet(), &CorpusOptions::default()).unwrap();
+        let index = batch_record(&dir, &small_fleet(), &CorpusOptions { jobs: 1 }).unwrap();
         assert_eq!(index.entries.len(), 3);
         let keys: Vec<&String> = index.entries.iter().map(|e| &e.key).collect();
         let mut sorted = keys.clone();
@@ -650,11 +634,30 @@ mod tests {
         }
         assert_eq!(CorpusIndex::load(&dir).unwrap(), index);
         assert_eq!(list(&dir).unwrap().len(), 3);
-        // Re-recording is deterministic: same files, same manifest.
-        let again =
-            batch_record(&dir, &small_fleet(), &CorpusOptions { jobs: 2, batch: 2 }).unwrap();
+        // The pool width changes neither the index nor a byte of any
+        // file, and leaves nothing else behind.
+        let wide = temp_dir("batch-wide");
+        let again = batch_record(&wide, &small_fleet(), &CorpusOptions { jobs: 3 }).unwrap();
         assert_eq!(again, index);
+        let files = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
+            let mut files: Vec<_> = fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|p| {
+                    (
+                        p.strip_prefix(dir).unwrap().to_path_buf(),
+                        fs::read(&p).unwrap(),
+                    )
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let narrow = files(&dir);
+        assert_eq!(narrow.len(), 4, "three records and the index");
+        assert_eq!(files(&wide), narrow);
         fs::remove_dir_all(&dir).ok();
+        fs::remove_dir_all(&wide).ok();
     }
 
     #[test]

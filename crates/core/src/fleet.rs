@@ -23,17 +23,12 @@
 //!
 //! **Determinism.** `SweepEngine::run_generated` returns results in
 //! user-index order regardless of [`ExecPolicy`], and the reducer folds
-//! them in that order across batches, so the aggregate report is
-//! byte-identical for `Sequential` and `Parallel { jobs }` execution
+//! them in that order across batches, so the aggregate report is equal,
+//! field for field, for `Sequential` and `Parallel { jobs }` execution
 //! *and* invariant to the batch size (the floating-point sums
-//! accumulate in the same global order either way). CI asserts both.
-//!
-//! **Shards.** [`FleetReducer::merge`] combines independently built
-//! reducers. Integer state (counters, histograms) merges exactly;
-//! floating-point sums merge associatively up to the usual rounding, so
-//! sharded and single-pass runs agree to within f64 round-off (the
-//! engine's own streaming path never relies on merge — it folds one
-//! reducer in order precisely to keep the byte-identity guarantee).
+//! accumulate in the same global order either way). CI byte-compares
+//! the `fleet` binary's output across pool widths; the tests check
+//! batch-size invariance.
 //!
 //! Percentile tails use the workspace's shared [`nearest_rank`]
 //! convention over the histogram's cumulative counts, reported at bin
@@ -71,17 +66,15 @@ const ENERGY_BINS: usize = 64;
 /// A fixed-range, fixed-width histogram with saturating edge bins.
 ///
 /// The bounded-memory backbone of the fleet reducer: recording is O(1),
-/// merging is element-wise `u64` addition (exact), and percentile tails
-/// come from the cumulative counts via the shared `nearest_rank`
-/// convention, reported at bin midpoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// and percentile tails come from the cumulative counts via the shared
+/// `nearest_rank` convention, reported at bin midpoints.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FixedHistogram {
     lo: f64,
     hi: f64,
     counts: Vec<u64>,
     /// NaN samples, counted apart from the bins so they can be reported
     /// explicitly instead of silently polluting the lowest bin.
-    #[serde(default)]
     nan: u64,
 }
 
@@ -145,24 +138,6 @@ impl FixedHistogram {
         self.nan
     }
 
-    /// Adds `other`'s counts into `self` (exact).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histograms have different shapes.
-    pub fn merge(&mut self, other: &FixedHistogram) {
-        assert!(
-            self.counts.len() == other.counts.len()
-                && self.lo.to_bits() == other.lo.to_bits()
-                && self.hi.to_bits() == other.hi.to_bits(),
-            "cannot merge differently-shaped histograms"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.nan += other.nan;
-    }
-
     /// The `p`-quantile (0 ≤ p ≤ 1) of the **finite** samples under the
     /// workspace nearest-rank convention, reported as the midpoint of
     /// the bin holding the ranked sample. `None` when no finite sample
@@ -191,7 +166,7 @@ impl FixedHistogram {
 /// Sub-aggregate for one population class (a context, battery state or
 /// signal tier): enough to report the class share and its mean QoE and
 /// energy without per-session state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct ClassAgg {
     count: u64,
     qoe_sum: f64,
@@ -203,12 +178,6 @@ impl ClassAgg {
         self.count += 1;
         self.qoe_sum += qoe;
         self.energy_sum += energy;
-    }
-
-    fn merge(&mut self, other: &ClassAgg) {
-        self.count += other.count;
-        self.qoe_sum += other.qoe_sum;
-        self.energy_sum += other.energy_sum;
     }
 
     fn report(&self, class: &str, fleet: u64) -> ClassReport {
@@ -237,10 +206,6 @@ impl ClassAgg {
 /// The streaming fleet aggregator: absorbs one `(user, result)` pair at
 /// a time and keeps only O(1) state — counters, sums, fixed-bin
 /// histograms, per-class sub-aggregates and the arrivals profile.
-///
-/// Reducers built over disjoint user ranges can be combined with
-/// [`FleetReducer::merge`] (exact for all integer state; floating-point
-/// sums combine up to f64 rounding).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReducer {
     users: u64,
@@ -367,43 +332,6 @@ impl FleetReducer {
         }
         self.qoe_hist.record(qoe);
         self.energy_hist.record(energy);
-    }
-
-    /// Combines `other` (built over a disjoint user range) into `self`.
-    /// Counters and histograms add exactly; floating-point sums add with
-    /// the usual f64 rounding.
-    pub fn merge(&mut self, other: &FleetReducer) {
-        self.users += other.users;
-        self.segments += other.segments;
-        self.switches += other.switches;
-        self.retries += other.retries;
-        self.aborts += other.aborts;
-        self.degraded += other.degraded;
-        self.stalled_sessions += other.stalled_sessions;
-        self.qoe_sum += other.qoe_sum;
-        self.energy_sum += other.energy_sum;
-        self.screen_sum += other.screen_sum;
-        self.decode_sum += other.decode_sum;
-        self.radio_sum += other.radio_sum;
-        self.tail_sum += other.tail_sum;
-        self.rebuffer_sum += other.rebuffer_sum;
-        self.wall_sum += other.wall_sum;
-        self.played_sum += other.played_sum;
-        self.downloaded += other.downloaded;
-        for (a, b) in self.arrivals.iter_mut().zip(&other.arrivals) {
-            *a += b;
-        }
-        for (a, b) in self.by_context.iter_mut().zip(&other.by_context) {
-            a.merge(b);
-        }
-        for (a, b) in self.by_battery.iter_mut().zip(&other.by_battery) {
-            a.merge(b);
-        }
-        for (a, b) in self.by_signal.iter_mut().zip(&other.by_signal) {
-            a.merge(b);
-        }
-        self.qoe_hist.merge(&other.qoe_hist);
-        self.energy_hist.merge(&other.energy_hist);
     }
 
     /// Freezes the aggregate into a serializable report.
@@ -546,11 +474,9 @@ pub struct FleetReport {
     pub energy_tail: Tail,
     /// Sessions whose QoE came back NaN (excluded from the QoE tails;
     /// nonzero means a model bug upstream, so the report says so).
-    #[serde(default)]
     pub qoe_nan: u64,
     /// Sessions whose energy came back NaN (excluded from the energy
     /// tails).
-    #[serde(default)]
     pub energy_nan: u64,
     /// Session arrivals per local hour (24 entries).
     pub arrivals_by_hour: Vec<u64>,
@@ -562,73 +488,10 @@ pub struct FleetReport {
     pub by_signal: Vec<ClassReport>,
 }
 
-impl FleetReport {
-    /// Renders the report as stable plain text. Contains no timing,
-    /// policy or host information, so two runs of the same fleet under
-    /// any execution policy print byte-identical text — CI diffs it.
-    #[must_use]
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        // ecas-lint: allow(panic-safety, reason = "writing to a String cannot fail")
-        let mut w = |line: String| writeln!(out, "{line}").expect("String write cannot fail");
-        w(format!("fleet users={}", self.users));
-        w(format!(
-            "sessions segments={} switches={} retries={} aborts={} degraded={} stalled={}",
-            self.segments,
-            self.switches,
-            self.retries,
-            self.aborts,
-            self.degraded_segments,
-            self.stalled_sessions
-        ));
-        w(format!(
-            "qoe mean={:.6} p50={:.3} p90={:.3} p99={:.3} nan={}",
-            self.mean_qoe, self.qoe_tail.p50, self.qoe_tail.p90, self.qoe_tail.p99, self.qoe_nan
-        ));
-        w(format!(
-            "energy mean_j={:.6} p50_j={:.1} p90_j={:.1} p99_j={:.1} per_gb_j={:.3} nan={}",
-            self.mean_energy_j,
-            self.energy_tail.p50,
-            self.energy_tail.p90,
-            self.energy_tail.p99,
-            self.energy_per_gb_j,
-            self.energy_nan
-        ));
-        w(format!(
-            "energy_split screen_j={:.3} decode_j={:.3} radio_j={:.3} tail_j={:.3}",
-            self.energy_screen_j, self.energy_decode_j, self.energy_radio_j, self.energy_tail_j
-        ));
-        w(format!(
-            "playback rebuffer_ratio={:.6} stalled_share={:.6} degraded_share={:.6} played_s={:.1} downloaded_mb={:.3}",
-            self.rebuffer_ratio,
-            self.stalled_share,
-            self.degraded_share,
-            self.played_s,
-            self.downloaded_mb.value()
-        ));
-        let hours: Vec<String> = self.arrivals_by_hour.iter().map(u64::to_string).collect();
-        w(format!("arrivals_by_hour {}", hours.join(",")));
-        let groups = [
-            ("context", &self.by_context),
-            ("battery", &self.by_battery),
-            ("signal", &self.by_signal),
-        ];
-        for (title, classes) in groups {
-            for c in classes.iter() {
-                w(format!(
-                    "{title}/{} share={:.6} mean_qoe={:.6} mean_energy_j={:.6}",
-                    c.class, c.share, c.mean_qoe, c.mean_energy_j
-                ));
-            }
-        }
-        out
-    }
-}
-
 /// The fleet population engine: streams a [`PopulationSpec`] through a
 /// [`SweepEngine`]'s pool, one user per job, in bounded-memory batches
-/// and reduces on the fly.
+/// and reduces on the fly. Every user runs the paper's controller
+/// ([`Approach::Ours`]) on the paper's simulator configuration.
 ///
 /// # Examples
 ///
@@ -643,12 +506,11 @@ impl FleetReport {
 /// let seq = engine.run(&spec, &ExecPolicy::Sequential);
 /// let par = engine.run(&spec, &ExecPolicy::parallel());
 /// assert_eq!(seq.users, 8);
-/// // The aggregate is execution-policy independent, byte for byte.
-/// assert_eq!(seq.render(), par.render());
+/// // The aggregate is execution-policy independent, field for field.
+/// assert_eq!(seq, par);
 /// ```
 pub struct FleetEngine {
     sweep: SweepEngine,
-    approach: Approach,
     batch: usize,
     registry: Option<Arc<MetricsRegistry>>,
 }
@@ -659,29 +521,14 @@ impl FleetEngine {
     /// small.
     pub const DEFAULT_BATCH: usize = 2048;
 
-    /// Creates an engine around a configured runner, evaluating the
-    /// paper's controller ([`Approach::Ours`]).
-    #[must_use]
-    pub fn new(runner: ExperimentRunner) -> Self {
-        Self {
-            sweep: SweepEngine::new(runner),
-            approach: Approach::Ours,
-            batch: Self::DEFAULT_BATCH,
-            registry: None,
-        }
-    }
-
     /// An engine over the paper's simulator configuration.
     #[must_use]
     pub fn paper() -> Self {
-        Self::new(ExperimentRunner::paper())
-    }
-
-    /// Evaluates `approach` instead of the default [`Approach::Ours`].
-    #[must_use]
-    pub fn approach(mut self, approach: Approach) -> Self {
-        self.approach = approach;
-        self
+        Self {
+            sweep: SweepEngine::new(ExperimentRunner::paper()),
+            batch: Self::DEFAULT_BATCH,
+            registry: None,
+        }
     }
 
     /// Overrides the batch size (the memory bound of a fleet run).
@@ -719,8 +566,7 @@ impl FleetEngine {
     /// session; `Sequential` is the same loop one worker wide. Memory:
     /// one batch of `batch_size` results plus one trace per worker —
     /// never the fleet. The fold order is the global user order for
-    /// every policy and batch size, so the report (and its
-    /// [`FleetReport::render`] text) is byte-identical across
+    /// every policy and batch size, so the report is equal across
     /// `Sequential` / `Parallel { jobs }` and across batch-size choices.
     #[must_use]
     pub fn run(&self, spec: &PopulationSpec, policy: &ExecPolicy) -> FleetReport {
@@ -730,7 +576,7 @@ impl FleetEngine {
         while start < spec.users() {
             let len = usize::try_from(spec.users() - start)
                 .map_or(self.batch, |rest| rest.min(self.batch));
-            let results = self.sweep.run_generated(len, &self.approach, policy, |i| {
+            let results = self.sweep.run_generated(len, &Approach::Ours, policy, |i| {
                 let user = spec.user(start + i as u64);
                 let session = user.synthesize();
                 (user, session)
@@ -804,46 +650,26 @@ mod tests {
         let mut only_nan = FixedHistogram::new(0.0, 1.0, 4);
         only_nan.record(f64::NAN);
         assert_eq!(only_nan.percentile(0.5), None, "no finite sample, no rank");
-
-        // Merge carries the tally; old serialized shapes (no `nan`
-        // field) still deserialize.
-        let mut other = FixedHistogram::new(0.0, 10.0, 10);
-        other.record(f64::NAN);
-        h.merge(&other);
-        assert_eq!(h.nan_count(), 3);
-        let legacy: FixedHistogram =
-            serde_json::from_str(r#"{"lo":0.0,"hi":10.0,"counts":[1,0,0,0,0,0,0,0,0,0]}"#).unwrap();
-        assert_eq!(legacy.nan_count(), 0);
-        assert_eq!(legacy.total(), 1);
     }
 
     #[test]
     fn nan_sessions_surface_in_the_fleet_report() {
         // The unit types reject NaN at construction, so a healthy run
-        // reports zero — and the render must say so explicitly rather
-        // than hide the tally.
+        // reports zero — and says so explicitly rather than hide the
+        // tally.
         let spec = tiny_spec(3);
-        let mut report = FleetEngine::paper()
+        let report = FleetEngine::paper()
             .batch_size(3)
             .run(&spec, &ExecPolicy::Sequential);
         assert_eq!(report.qoe_nan, 0);
         assert_eq!(report.energy_nan, 0);
-        assert!(report.render().contains("p99=") && report.render().contains(" nan=0"));
-        // If a NaN ever slips through (a model bug), the report calls
-        // it out on the affected line.
-        report.qoe_nan = 1;
-        let text = report.render();
-        let qoe_line = text.lines().find(|l| l.starts_with("qoe ")).unwrap();
-        assert!(qoe_line.ends_with("nan=1"), "{qoe_line}");
-        let energy_line = text.lines().find(|l| l.starts_with("energy ")).unwrap();
-        assert!(energy_line.ends_with("nan=0"), "{energy_line}");
+        let json = serde_json::to_string(&report).unwrap();
+        assert!(json.contains(r#""qoe_nan":0"#) && json.contains(r#""energy_nan":0"#));
     }
 
     #[test]
-    fn reducer_merge_matches_single_pass_on_integer_state() {
+    fn engine_matches_a_hand_fold_in_user_order() {
         let spec = tiny_spec(6);
-        let engine = FleetEngine::paper().batch_size(6);
-        // Build session results once via the engine's own sweep path.
         let mut batch = SessionBatch::with_capacity(6);
         batch.refill(&spec, 0, 6);
         let results = SweepEngine::new(ExperimentRunner::paper()).run_grid(
@@ -851,36 +677,15 @@ mod tests {
             &[Approach::Ours],
             &ExecPolicy::Sequential,
         );
-
-        let mut single = FleetReducer::new();
+        let mut reducer = FleetReducer::new();
         for (u, r) in batch.specs().iter().zip(&results) {
-            single.absorb(u, r);
+            reducer.absorb(u, r);
         }
-        let mut left = FleetReducer::new();
-        let mut right = FleetReducer::new();
-        for (i, (u, r)) in batch.specs().iter().zip(&results).enumerate() {
-            if i < 3 {
-                left.absorb(u, r);
-            } else {
-                right.absorb(u, r);
-            }
-        }
-        left.merge(&right);
-
-        let a = single.finalize();
-        let b = left.finalize();
-        assert_eq!(a.users, b.users);
-        assert_eq!(a.segments, b.segments);
-        assert_eq!(a.arrivals_by_hour, b.arrivals_by_hour);
-        assert_eq!(a.qoe_tail, b.qoe_tail, "histograms merge exactly");
-        assert_eq!(a.energy_tail, b.energy_tail);
-        // Floating-point sums agree up to round-off.
-        assert!((a.mean_qoe - b.mean_qoe).abs() < 1e-9);
-        assert!((a.mean_energy_j - b.mean_energy_j).abs() < 1e-6);
-        // Engine smoke: the full run agrees with the hand fold exactly
-        // (same order, same batches).
-        let via_engine = engine.run(&spec, &ExecPolicy::Sequential);
-        assert_eq!(via_engine, a);
+        // The full run agrees with the hand fold exactly (same order).
+        let via_engine = FleetEngine::paper()
+            .batch_size(6)
+            .run(&spec, &ExecPolicy::Sequential);
+        assert_eq!(via_engine, reducer.finalize());
     }
 
     #[test]
@@ -893,7 +698,6 @@ mod tests {
             .batch_size(4)
             .run(&spec, &ExecPolicy::Parallel { jobs: 3 });
         assert_eq!(seq, par, "parallel aggregates must equal sequential");
-        assert_eq!(seq.render(), par.render());
         let other_batch = FleetEngine::paper()
             .batch_size(7)
             .run(&spec, &ExecPolicy::Sequential);
@@ -921,9 +725,6 @@ mod tests {
             let share: f64 = classes.iter().map(|c| c.share).sum();
             assert!((share - 1.0).abs() < 1e-9, "class shares sum to 1");
         }
-        let text = report.render();
-        assert!(text.contains("fleet users=12"));
-        assert!(text.contains("arrivals_by_hour"));
         // Round-trips through JSON.
         let json = serde_json::to_string(&report).unwrap();
         let back: FleetReport = serde_json::from_str(&json).unwrap();

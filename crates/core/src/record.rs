@@ -165,7 +165,7 @@ pub enum RecordedSession {
     },
     /// One user's session out of a PR 8 fleet population — the record
     /// corpus bridge between the fleet and record layers. Regenerates
-    /// via [`PopulationSpec::user`] under the default mix and diurnal
+    /// via [`PopulationSpec::user`] under the fixed mix and diurnal
     /// profile, which is pure in `(seed, mean_duration_s, index)` (the
     /// fleet size only bounds the index), so the trace is reproducible
     /// from these four numbers alone.

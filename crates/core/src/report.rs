@@ -24,7 +24,8 @@ use crate::sweep::{CacheStats, ExecPolicy, SweepEngine};
 ///
 /// The fields are public, and `..Scenario::paper_evaluation()` fills in
 /// the paper's defaults. Nothing is checked until [`Self::sessions`],
-/// which every run calls first.
+/// which every run calls first. A JSON key the struct does not declare
+/// (a misspelled `fault`, the retired `cache_dir`) fails to parse.
 ///
 /// # Examples
 ///
@@ -43,6 +44,7 @@ use crate::sweep::{CacheStats, ExecPolicy, SweepEngine};
 /// assert!(Scenario { eta: 1.5, ..scenario }.sessions().is_err());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Scenario {
     /// Human-readable scenario name.
     pub name: String,

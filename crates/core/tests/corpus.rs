@@ -24,7 +24,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn record_fleet(dir: &Path) -> CorpusIndex {
     let scenarios = corpus::fleet_scenarios(USERS, SEED, DURATION_S, Approach::Ours, 0.5, None);
-    corpus::batch_record(dir, &scenarios, &CorpusOptions { jobs: 2, batch: 2 }).unwrap()
+    corpus::batch_record(dir, &scenarios, &CorpusOptions { jobs: 2 }).unwrap()
 }
 
 #[test]
@@ -78,7 +78,6 @@ fn corpus_round_trip_records_verifies_and_warms_a_fleet_run() {
     assert!(stats.all_hits(), "{stats:?}");
     assert_eq!(stats.from_record, USERS, "{stats:?}");
     assert_eq!(warm, uncached, "recorded references must reproduce the run");
-    assert_eq!(warm.render(), uncached.render());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,18 +1,18 @@
 //! Fleet-engine guarantees through the public API: same-seed runs are
 //! byte-identical, the aggregate is independent of execution policy,
-//! batch size and the result cache, metrics flow into an attached
-//! registry, and sharded reducers agree with the streaming single pass.
+//! batch size and the result cache, and metrics flow into an attached
+//! registry.
 
 #![allow(clippy::float_cmp)] // exact equality is the property under test
 
 use std::fs;
 use std::sync::Arc;
 
-use ecas_core::fleet::{FleetEngine, FleetReducer};
+use ecas_core::fleet::FleetEngine;
 use ecas_core::obs::{names, MetricsRegistry};
-use ecas_core::trace::population::{PopulationSpec, SessionBatch};
+use ecas_core::trace::population::PopulationSpec;
 use ecas_core::types::units::Seconds;
-use ecas_core::{Approach, ExecPolicy, ExperimentRunner, SweepEngine};
+use ecas_core::ExecPolicy;
 
 fn spec(users: u64) -> PopulationSpec {
     PopulationSpec::new(users, 0xF1EE7).mean_duration(Seconds::new(20.0))
@@ -28,7 +28,6 @@ fn same_seed_fleet_runs_are_byte_identical() {
         .batch_size(5)
         .run(&spec, &ExecPolicy::parallel());
     assert_eq!(a, b);
-    assert_eq!(a.render(), b.render());
     assert_eq!(
         serde_json::to_string(&a).unwrap(),
         serde_json::to_string(&b).unwrap()
@@ -46,11 +45,9 @@ fn aggregate_is_independent_of_policy_and_batch_size() {
             .batch_size(batch)
             .run(&spec, &ExecPolicy::Parallel { jobs });
         assert_eq!(
-            seq.render(),
-            par.render(),
-            "jobs={jobs} batch={batch} must match sequential byte-for-byte"
+            seq, par,
+            "jobs={jobs} batch={batch} must match sequential field for field"
         );
-        assert_eq!(seq, par);
     }
 }
 
@@ -64,7 +61,7 @@ fn different_seeds_give_different_fleets() {
         &PopulationSpec::new(12, 2).mean_duration(Seconds::new(20.0)),
         &ExecPolicy::Sequential,
     );
-    assert_ne!(a.render(), b.render(), "seed must drive the population");
+    assert_ne!(a, b, "seed must drive the population");
 }
 
 #[test]
@@ -117,7 +114,7 @@ fn cached_parallel_fleet_matches_uncached_sequential() {
 
     let json = serde_json::to_string(&reference).unwrap();
     for (run, report) in [("cold", &cold), ("warm", &warm)] {
-        assert_eq!(report.render(), reference.render(), "{run} render");
+        assert_eq!(*report, reference, "{run} report");
         assert_eq!(serde_json::to_string(report).unwrap(), json, "{run} json");
     }
     let litter: Vec<_> = fs::read_dir(&dir)
@@ -127,47 +124,4 @@ fn cached_parallel_fleet_matches_uncached_sequential() {
         .collect();
     assert!(litter.is_empty(), "temp files left behind: {litter:?}");
     fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn sharded_reduction_matches_streaming_pass() {
-    let spec = spec(8);
-    let mut batch = SessionBatch::with_capacity(8);
-    batch.refill(&spec, 0, 8);
-    let results = SweepEngine::new(ExperimentRunner::paper()).run_grid(
-        batch.sessions(),
-        &[Approach::Ours],
-        &ExecPolicy::Sequential,
-    );
-
-    let mut streaming = FleetReducer::new();
-    for (u, r) in batch.specs().iter().zip(&results) {
-        streaming.absorb(u, r);
-    }
-    // Three shards over disjoint ranges, merged out of construction order.
-    let mut shards = [
-        FleetReducer::new(),
-        FleetReducer::new(),
-        FleetReducer::new(),
-    ];
-    for (i, (u, r)) in batch.specs().iter().zip(&results).enumerate() {
-        shards[i % 3].absorb(u, r);
-    }
-    let [mut merged, mid, last] = shards;
-    merged.merge(&last);
-    merged.merge(&mid);
-
-    let a = streaming.finalize();
-    let b = merged.finalize();
-    assert_eq!(a.users, b.users);
-    assert_eq!(a.segments, b.segments);
-    assert_eq!(a.switches, b.switches);
-    assert_eq!(a.stalled_sessions, b.stalled_sessions);
-    assert_eq!(a.arrivals_by_hour, b.arrivals_by_hour);
-    assert_eq!(a.qoe_tail, b.qoe_tail, "histogram merge is exact");
-    assert_eq!(a.energy_tail, b.energy_tail);
-    // f64 sums are associative only up to round-off.
-    assert!((a.mean_qoe - b.mean_qoe).abs() < 1e-9);
-    assert!((a.mean_energy_j - b.mean_energy_j).abs() < 1e-6);
-    assert!((a.rebuffer_ratio - b.rebuffer_ratio).abs() < 1e-12);
 }

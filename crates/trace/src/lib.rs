@@ -44,8 +44,7 @@ pub use analysis::{ChannelStats, SessionStats};
 pub use io::{TraceFormat, TraceIoError};
 pub use mpd::Manifest;
 pub use population::{
-    BatteryState, DiurnalProfile, FleetContext, FleetMix, PopulationSpec, SessionBatch, SignalTier,
-    UserSpec,
+    BatteryState, FleetContext, PopulationSpec, SessionBatch, SignalTier, UserSpec,
 };
 pub use record::{RecordContainer, RecordError};
 pub use sample::{AccelSample, NetworkSample, PowerSample, SignalSample};

@@ -4,16 +4,17 @@
 //! sessions; a deployment claim needs distributions over a *fleet*. This
 //! module models the demand side of that fleet:
 //!
-//! * [`DiurnalProfile`] — a seeded 24-hour arrival process (piecewise-
-//!   constant hourly rates, inverse-CDF sampled), so load peaks at
-//!   commute hours and in the evening the way mobile-video demand does;
-//! * [`FleetMix`] — the device/context mix: shares of static / walking /
-//!   vehicle / commuting viewers (commute share is boosted at rush
-//!   hours), plus battery-state and signal-quality distributions;
-//! * [`PopulationSpec`] — the whole population as a *pure function*: the
-//!   spec for user `i` of a fleet seeded with `s` is derived by counter-
-//!   based seeding, so any batch of users can be synthesized
-//!   independently, in any order, without materializing O(fleet) state;
+//! * [`PopulationSpec`] — the whole population as a *pure function* of
+//!   three numbers (fleet size, seed, mean session duration): the spec
+//!   for user `i` of a fleet seeded with `s` is derived by counter-based
+//!   seeding, so any batch of users can be synthesized independently, in
+//!   any order, without materializing O(fleet) state. Every fleet shares
+//!   one fixed mix and arrival profile: a 24-hour arrival process
+//!   (piecewise-constant hourly rates, inverse-CDF sampled) that peaks at
+//!   commute hours and in the evening the way mobile-video demand does,
+//!   shares of static / walking / vehicle / commuting viewers (the
+//!   commute share is boosted at rush hours), and battery-state and
+//!   signal-quality distributions;
 //! * [`UserSpec::synthesize`] — per-user session synthesis on top of
 //!   [`SessionGenerator`], with the user's [`SignalTier`] applied as a
 //!   cell-center/cell-edge rescaling of the link channels;
@@ -46,34 +47,8 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Error returned when constructing an invalid population component.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PopulationError {
-    /// A weight vector was negative, non-finite, or summed to zero.
-    InvalidWeights(&'static str),
-}
-
-impl fmt::Display for PopulationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PopulationError::InvalidWeights(what) => {
-                write!(
-                    f,
-                    "{what} weights must be non-negative, finite, and sum > 0"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for PopulationError {}
-
-fn weights_ok(weights: &[f64]) -> bool {
-    weights.iter().all(|w| w.is_finite() && *w >= 0.0) && weights.iter().sum::<f64>() > 0.0
-}
-
-/// Picks an index from `weights` (validated non-degenerate by the
-/// callers' constructors) proportionally to its weight.
+/// Picks an index from `weights` (one of the non-degenerate weight
+/// vectors below) proportionally to its weight.
 fn pick(weights: &[f64], rng: &mut SmallRng) -> usize {
     let total: f64 = weights.iter().sum();
     let mut u = rng.gen_range(0.0..total);
@@ -86,77 +61,49 @@ fn pick(weights: &[f64], rng: &mut SmallRng) -> usize {
     weights.len() - 1
 }
 
-// ------------------------------------------------------------- arrivals
+// ------------------------------------------------- the fleet's constants
 
-/// A 24-hour diurnal arrival profile: one relative rate per local hour.
-///
-/// Session start times are drawn by inverse-CDF sampling over the
-/// piecewise-constant hourly density (uniform within the hour), so a
-/// fleet's arrivals reproduce the profile's shape exactly in
-/// expectation.
-///
-/// # Examples
-///
-/// ```
-/// use ecas_trace::population::DiurnalProfile;
-///
-/// let profile = DiurnalProfile::mobile_video();
-/// // Evening prime time outdraws the dead of night.
-/// assert!(profile.weight_at(20) > 5.0 * profile.weight_at(3));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiurnalProfile {
-    weights: [f64; 24],
-}
+/// Relative session-arrival rate per local hour: a deep night trough,
+/// morning and evening commute bumps, and an evening prime-time peak.
+/// Shapes follow published mobile-traffic diurnal cycles; only the
+/// relative proportions matter. An arrival time is drawn by inverse-CDF
+/// sampling over this piecewise-constant hourly density (uniform within
+/// the hour).
+const ARRIVAL_WEIGHTS: [f64; 24] = [
+    1.5, 0.9, 0.6, 0.4, 0.4, 0.7, // 00-05: night trough
+    1.8, 3.5, 4.0, 2.8, 2.4, 2.6, // 06-11: morning commute bump
+    3.2, 3.0, 2.6, 2.8, 3.4, 4.4, // 12-17: day plateau into evening commute
+    5.2, 6.5, 7.0, 6.2, 4.6, 2.8, // 18-23: prime-time peak
+];
 
-impl DiurnalProfile {
-    /// Builds a profile from 24 hourly relative rates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PopulationError::InvalidWeights`] if any rate is
-    /// negative or non-finite, or all rates are zero.
-    pub fn new(weights: [f64; 24]) -> Result<Self, PopulationError> {
-        if !weights_ok(&weights) {
-            return Err(PopulationError::InvalidWeights("diurnal"));
-        }
-        Ok(Self { weights })
+/// Base context shares, in the order of [`FleetContext::all`]: mostly
+/// stationary viewers with walking, vehicle and commute minorities.
+const CONTEXT_SHARES: [f64; 4] = [0.55, 0.15, 0.15, 0.15];
+
+/// Battery-state weights, in the order of [`BatteryState::all`]: mostly
+/// charged or mid-charge.
+const BATTERY_WEIGHTS: [f64; 3] = [0.30, 0.55, 0.15];
+
+/// Signal-tier weights, in the order of [`SignalTier::all`]: a
+/// good / fair / poor cell-position split.
+const SIGNAL_WEIGHTS: [f64; 3] = [0.50, 0.35, 0.15];
+
+/// Context shares effective at local `hour` (fractional, 0–24): the
+/// base shares with the commute share boosted 3× at rush hours (07–09,
+/// 16–19), renormalized, so the context mix co-varies with the arrival
+/// process the way real demand does.
+fn context_shares_at(hour: f64) -> [f64; 4] {
+    let h = hour.rem_euclid(24.0);
+    let rush = (7.0..9.0).contains(&h) || (16.0..19.0).contains(&h);
+    let mut shares = CONTEXT_SHARES;
+    if rush {
+        shares[3] *= 3.0;
     }
-
-    /// The canonical mobile-video demand curve: a deep night trough,
-    /// morning and evening commute bumps, and an evening prime-time
-    /// peak. Shapes follow published mobile-traffic diurnal cycles;
-    /// only the relative proportions matter.
-    #[must_use]
-    pub fn mobile_video() -> Self {
-        // Hours 0..24, relative session-arrival rates.
-        let weights = [
-            1.5, 0.9, 0.6, 0.4, 0.4, 0.7, // 00-05: night trough
-            1.8, 3.5, 4.0, 2.8, 2.4, 2.6, // 06-11: morning commute bump
-            3.2, 3.0, 2.6, 2.8, 3.4, 4.4, // 12-17: day plateau into evening commute
-            5.2, 6.5, 7.0, 6.2, 4.6, 2.8, // 18-23: prime-time peak
-        ];
-        // ecas-lint: allow(panic-safety, reason = "the static demand curve above is finite, non-negative and non-zero")
-        Self::new(weights).expect("static diurnal profile is valid")
+    let total: f64 = shares.iter().sum();
+    for s in &mut shares {
+        *s /= total;
     }
-
-    /// The relative arrival rate during local hour `hour` (0–23).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hour >= 24`.
-    #[must_use]
-    pub fn weight_at(&self, hour: usize) -> f64 {
-        assert!(hour < 24, "hour out of range: {hour}");
-        self.weights[hour]
-    }
-
-    /// Draws an arrival time in `[0, 24)` hours from the profile.
-    #[must_use]
-    pub fn sample_hour(&self, rng: &mut SmallRng) -> f64 {
-        let hour = pick(&self.weights, rng);
-        hour as f64 + rng.gen_range(0.0..1.0)
-    }
+    shares
 }
 
 // ------------------------------------------------------- mix components
@@ -175,7 +122,7 @@ pub enum BatteryState {
 }
 
 impl BatteryState {
-    /// All states, in the order of the [`FleetMix`] weight vector.
+    /// All states, in the order of the population's battery weights.
     #[must_use]
     pub fn all() -> [BatteryState; 3] {
         [
@@ -220,7 +167,7 @@ pub enum SignalTier {
 }
 
 impl SignalTier {
-    /// All tiers, in the order of the [`FleetMix`] weight vector.
+    /// All tiers, in the order of the population's signal weights.
     #[must_use]
     pub fn all() -> [SignalTier; 3] {
         [SignalTier::Good, SignalTier::Fair, SignalTier::Poor]
@@ -272,7 +219,7 @@ pub enum FleetContext {
 }
 
 impl FleetContext {
-    /// All contexts, in the order of the [`FleetMix`] weight vector.
+    /// All contexts, in the order of the population's context shares.
     #[must_use]
     pub fn all() -> [FleetContext; 4] {
         [
@@ -306,103 +253,6 @@ impl fmt::Display for FleetContext {
     }
 }
 
-// ---------------------------------------------------------------- mix
-
-/// The device/context mix of a fleet: context shares (static / walking
-/// / vehicle / commute), battery-state distribution and signal-quality
-/// distribution.
-///
-/// Context shares are *base* shares; at rush hours (07–09, 16–19 local)
-/// the commute share is boosted 3× before normalization, so the context
-/// mix co-varies with the arrival process the way real demand does.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetMix {
-    context: [f64; 4],
-    battery: [f64; 3],
-    signal: [f64; 3],
-}
-
-impl FleetMix {
-    /// Builds a mix from context shares (order of [`FleetContext::all`]),
-    /// battery weights (order of [`BatteryState::all`]) and signal
-    /// weights (order of [`SignalTier::all`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PopulationError::InvalidWeights`] if any vector has a
-    /// negative or non-finite entry, or sums to zero.
-    pub fn new(
-        context: [f64; 4],
-        battery: [f64; 3],
-        signal: [f64; 3],
-    ) -> Result<Self, PopulationError> {
-        if !weights_ok(&context) {
-            return Err(PopulationError::InvalidWeights("context"));
-        }
-        if !weights_ok(&battery) {
-            return Err(PopulationError::InvalidWeights("battery"));
-        }
-        if !weights_ok(&signal) {
-            return Err(PopulationError::InvalidWeights("signal"));
-        }
-        Ok(Self {
-            context,
-            battery,
-            signal,
-        })
-    }
-
-    /// The default mix: mostly stationary viewers with meaningful
-    /// walking/vehicle/commute minorities, a mostly-charged battery
-    /// distribution, and a good/fair/poor cell-position split.
-    #[must_use]
-    pub fn paper_default() -> Self {
-        Self::new(
-            [0.55, 0.15, 0.15, 0.15], // static / walking / vehicle / commute
-            [0.30, 0.55, 0.15],       // charged / normal / low
-            [0.50, 0.35, 0.15],       // good / fair / poor
-        )
-        // ecas-lint: allow(panic-safety, reason = "the static default mix above is finite, non-negative and non-zero")
-        .expect("static default mix is valid")
-    }
-
-    /// Context shares effective at local `hour` (fractional, 0–24):
-    /// base shares with the commute share boosted 3× at rush hours,
-    /// renormalized.
-    #[must_use]
-    pub fn context_shares_at(&self, hour: f64) -> [f64; 4] {
-        let h = hour.rem_euclid(24.0);
-        let rush = (7.0..9.0).contains(&h) || (16.0..19.0).contains(&h);
-        let mut shares = self.context;
-        if rush {
-            shares[3] *= 3.0;
-        }
-        let total: f64 = shares.iter().sum();
-        for s in &mut shares {
-            *s /= total;
-        }
-        shares
-    }
-
-    /// Draws a context for a session starting at local `hour`.
-    #[must_use]
-    pub fn sample_context(&self, hour: f64, rng: &mut SmallRng) -> FleetContext {
-        FleetContext::all()[pick(&self.context_shares_at(hour), rng)]
-    }
-
-    /// Draws a battery state.
-    #[must_use]
-    pub fn sample_battery(&self, rng: &mut SmallRng) -> BatteryState {
-        BatteryState::all()[pick(&self.battery, rng)]
-    }
-
-    /// Draws a signal tier.
-    #[must_use]
-    pub fn sample_signal(&self, rng: &mut SmallRng) -> SignalTier {
-        SignalTier::all()[pick(&self.signal, rng)]
-    }
-}
-
 // ------------------------------------------------------------ the spec
 
 /// A whole fleet population, described intensively: user `i`'s
@@ -426,37 +276,19 @@ impl FleetMix {
 pub struct PopulationSpec {
     users: u64,
     seed: u64,
-    mix: FleetMix,
-    profile: DiurnalProfile,
     mean_duration: Seconds,
 }
 
 impl PopulationSpec {
-    /// A population of `users` viewers under the default mix, diurnal
-    /// profile, and a 120-second nominal session duration.
+    /// A population of `users` viewers with a 120-second nominal session
+    /// duration.
     #[must_use]
     pub fn new(users: u64, seed: u64) -> Self {
         Self {
             users,
             seed,
-            mix: FleetMix::paper_default(),
-            profile: DiurnalProfile::mobile_video(),
             mean_duration: Seconds::new(120.0),
         }
-    }
-
-    /// Replaces the device/context mix.
-    #[must_use]
-    pub fn mix(mut self, mix: FleetMix) -> Self {
-        self.mix = mix;
-        self
-    }
-
-    /// Replaces the arrival profile.
-    #[must_use]
-    pub fn profile(mut self, profile: DiurnalProfile) -> Self {
-        self.profile = profile;
-        self
     }
 
     /// Replaces the nominal (pre-battery-scaling) session duration.
@@ -484,7 +316,8 @@ impl PopulationSpec {
     }
 
     /// Derives the spec for user `index` (0-based). Pure: depends only
-    /// on the population parameters and `index`.
+    /// on the fleet seed, the mean duration and `index` (the fleet size
+    /// is only a bound).
     ///
     /// # Panics
     ///
@@ -494,10 +327,10 @@ impl PopulationSpec {
         assert!(index < self.users, "user index {index} out of range");
         let user_seed = splitmix64(self.seed ^ splitmix64(index));
         let mut rng = SmallRng::seed_from_u64(user_seed);
-        let hour = self.profile.sample_hour(&mut rng);
-        let context = self.mix.sample_context(hour, &mut rng);
-        let battery = self.mix.sample_battery(&mut rng);
-        let signal = self.mix.sample_signal(&mut rng);
+        let hour = pick(&ARRIVAL_WEIGHTS, &mut rng) as f64 + rng.gen_range(0.0..1.0);
+        let context = FleetContext::all()[pick(&context_shares_at(hour), &mut rng)];
+        let battery = BatteryState::all()[pick(&BATTERY_WEIGHTS, &mut rng)];
+        let signal = SignalTier::all()[pick(&SIGNAL_WEIGHTS, &mut rng)];
         // Log-normal-ish duration jitter (σ = 0.35 in log space) around
         // the battery-scaled nominal duration, clamped so even extreme
         // draws stay playable and bounded.
@@ -736,16 +569,32 @@ mod tests {
                 .position(|s| *s == u.signal)
                 .unwrap()] += 1;
         }
-        let n = spec.users() as f64;
-        // Static dominates the default mix (55% base share, diluted a
-        // little by the rush-hour commute boost).
-        assert!(contexts[0] as f64 / n > 0.45, "{contexts:?}");
-        // Each minority context is present in force.
-        for &c in &contexts[1..] {
-            assert!(c as f64 / n > 0.08, "{contexts:?}");
+        // Context shares are the base shares under each hour's rush
+        // boost, weighted by that hour's arrival rate; battery and signal
+        // are drawn apart from the hour.
+        let arrivals: f64 = ARRIVAL_WEIGHTS.iter().sum();
+        let mut expected = [0.0; 4];
+        for (hour, weight) in ARRIVAL_WEIGHTS.iter().enumerate() {
+            let shares = context_shares_at(hour as f64 + 0.5);
+            for (e, share) in expected.iter_mut().zip(shares) {
+                *e += weight / arrivals * share;
+            }
         }
-        assert!(batteries[1] > batteries[2], "{batteries:?}");
-        assert!(signals[0] > signals[2], "{signals:?}");
+        let n = spec.users() as f64;
+        for (counts, weights) in [
+            (&contexts[..], &expected[..]),
+            (&batteries[..], &BATTERY_WEIGHTS[..]),
+            (&signals[..], &SIGNAL_WEIGHTS[..]),
+        ] {
+            let total: f64 = weights.iter().sum();
+            for (count, weight) in counts.iter().zip(weights) {
+                let share = *count as f64 / n;
+                assert!(
+                    (share - weight / total).abs() < 0.03,
+                    "{counts:?} vs {weights:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -757,8 +606,14 @@ mod tests {
             assert!((0.0..24.0).contains(&h));
             by_hour[h as usize] += 1;
         }
-        // Prime time (20h) must clearly outdraw the night trough (03h).
+        // Prime time (20h) must clearly outdraw the night trough (03h),
+        // and every hour draws its share of the arrival weights.
         assert!(by_hour[20] > 4 * by_hour[3], "{by_hour:?}");
+        let total: f64 = ARRIVAL_WEIGHTS.iter().sum();
+        for (count, weight) in by_hour.iter().zip(ARRIVAL_WEIGHTS) {
+            let share = *count as f64 / spec.users() as f64;
+            assert!((share - weight / total).abs() < 0.015, "{by_hour:?}");
+        }
     }
 
     #[test]
@@ -769,7 +624,7 @@ mod tests {
         let poor = (0..spec.users())
             .map(|i| spec.user(i))
             .find(|u| u.signal == SignalTier::Poor)
-            .expect("default mix produces poor-signal users");
+            .expect("the fleet mix produces poor-signal users");
         let mut good = poor.clone();
         good.signal = SignalTier::Good;
         let attenuated = poor.synthesize();
@@ -804,22 +659,10 @@ mod tests {
 
     #[test]
     fn rush_hour_boosts_commute_share() {
-        let mix = FleetMix::paper_default();
-        let rush = mix.context_shares_at(8.0);
-        let calm = mix.context_shares_at(13.0);
+        let rush = context_shares_at(8.0);
+        let calm = context_shares_at(13.0);
         assert!(rush[3] > 2.0 * calm[3], "{rush:?} vs {calm:?}");
         assert!((rush.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn invalid_weights_are_rejected() {
-        assert_eq!(
-            DiurnalProfile::new([0.0; 24]),
-            Err(PopulationError::InvalidWeights("diurnal"))
-        );
-        assert!(FleetMix::new([0.0; 4], [1.0; 3], [1.0; 3]).is_err());
-        assert!(FleetMix::new([1.0, 1.0, 1.0, -0.1], [1.0; 3], [1.0; 3]).is_err());
-        assert!(FleetMix::new([1.0; 4], [f64::NAN, 1.0, 1.0], [1.0; 3]).is_err());
     }
 
     #[test]

@@ -251,9 +251,15 @@ if ! grep -q 'cache: hits=1000 misses=0 corrupt=0' "$obs_dir/fleet_warm.log"; th
     exit 1
 fi
 
-echo "==> smoke: record corpus (batch-record + order-stable verify + self-diff + index check)"
+echo "==> smoke: record corpus (batch-record at two widths + order-stable verify + self-diff + index check)"
 corpus_dir="$obs_dir/corpus"
-./target/release/session batch-record --users 6 --seed 7 --duration 20 --batch 4 "$corpus_dir" >/dev/null
+./target/release/session batch-record --users 6 --seed 7 --duration 20 --jobs 1 "$corpus_dir" >/dev/null
+./target/release/session batch-record --users 6 --seed 7 --duration 20 --jobs 4 "$obs_dir/corpus_wide" >/dev/null
+# Pool workers write the records: the pool width must change no file.
+if ! diff -r "$corpus_dir" "$obs_dir/corpus_wide" >&2; then
+    echo "corpus recorded at --jobs 4 differs from --jobs 1" >&2
+    exit 1
+fi
 ./target/release/session verify --jobs 4 "$corpus_dir" > "$obs_dir/corpus_par.txt"
 ./target/release/session verify --jobs 1 "$corpus_dir" > "$obs_dir/corpus_seq.txt"
 if ! cmp -s "$obs_dir/corpus_par.txt" "$obs_dir/corpus_seq.txt"; then
