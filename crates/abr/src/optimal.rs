@@ -18,10 +18,15 @@
 //! the `n × m` (tasks × levels) table finds the same argmin with no graph,
 //! heap or shift. The unit tests keep the paper's Dijkstra as the
 //! reference the program is checked against.
+//!
+//! Only the switch penalty of an edge depends on the level it leaves. The
+//! energy and QoE models are therefore evaluated once per (task, level),
+//! `n·m` times in all, and each of the `m` edges into that node adds only
+//! the switch term ([`QoeModel::switched_qoe`]).
 
 use ecas_obs::{names, Probe, NULL_PROBE};
 use ecas_power::task::{TaskConditions, TaskEnergyModel};
-use ecas_qoe::model::QoeModel;
+use ecas_qoe::model::{LevelQoe, QoeModel};
 use ecas_sensors::vibration::vibration_level_in_window;
 use ecas_sim::config::PlayerConfig;
 use ecas_sim::controller::{BitrateController, DecisionContext};
@@ -57,6 +62,15 @@ struct TaskContext {
     vibration: MetersPerSec2,
     e_max: f64,
     q_max: f64,
+}
+
+/// The Eq. (11) terms of one task at one level that do not depend on the
+/// previous level.
+struct LevelTerms {
+    /// The normalized energy term `η·E/E_max`.
+    energy: f64,
+    /// Eq. (1) without its switch penalty.
+    qoe: LevelQoe,
 }
 
 impl OptimalPlanner {
@@ -171,17 +185,25 @@ impl OptimalPlanner {
             .collect()
     }
 
-    /// Eq. (11) cost of choosing `level` for task `ctx` coming from
-    /// `prev`.
-    fn cost(&self, ctx: &TaskContext, level: LevelIndex, prev: Option<LevelIndex>) -> f64 {
+    /// The terms of choosing `level` for task `ctx`: the planner's only
+    /// evaluation of the energy and QoE models.
+    fn level_terms(&self, ctx: &TaskContext, level: LevelIndex) -> LevelTerms {
         let bitrate = self.ladder.bitrate(level);
         let energy = self.energy_model.energy(bitrate, ctx.conditions);
-        let prev_bitrate = prev.map(|l| self.ladder.bitrate(l));
-        let qoe = self
-            .qoe_model
-            .segment_qoe(bitrate, ctx.vibration, prev_bitrate, energy.rebuffer);
-        self.weights.eta() * (energy.total.value() / ctx.e_max)
-            - (1.0 - self.weights.eta()) * (qoe.value() / ctx.q_max)
+        LevelTerms {
+            energy: self.weights.eta() * (energy.total.value() / ctx.e_max),
+            qoe: self
+                .qoe_model
+                .level_qoe(bitrate, ctx.vibration, energy.rebuffer),
+        }
+    }
+
+    /// Eq. (11) cost of a level with terms `terms` on task `ctx`, entered
+    /// from a level of original quality `prev_original` (`None` for the
+    /// first task).
+    fn cost(&self, ctx: &TaskContext, terms: &LevelTerms, prev_original: Option<f64>) -> f64 {
+        let qoe = self.qoe_model.switched_qoe(&terms.qoe, prev_original);
+        terms.energy - (1.0 - self.weights.eta()) * (qoe.value() / ctx.q_max)
     }
 
     /// Computes the optimal plan via the Fig. 4 shortest-path mapping.
@@ -217,9 +239,11 @@ impl OptimalPlanner {
     /// The shortest path through the Fig. 4 lattice as a forward dynamic
     /// program. `best[j]` holds the cheapest Eq. (11) cost of the tasks so
     /// far ending at level `j`, and `back[i·m + j]` the level of task
-    /// `i − 1` on that path. Previous levels and the final argmin are
-    /// scanned in ascending order with a strict `<`, so an exact tie keeps
-    /// the lowest level. The objective is accumulated in task order, as
+    /// `i − 1` on that path. `terms[j]` holds the current task's
+    /// [`LevelTerms`], so the scan over previous levels adds only their
+    /// switch penalty. Previous levels and the final argmin are scanned in
+    /// ascending order with a strict `<`, so an exact tie keeps the lowest
+    /// level. The objective is accumulated in task order, as
     /// [`OptimalPlanner::objective_of`] does, so the two agree exactly.
     fn forward_dp(&self, contexts: &[TaskContext]) -> OptimalPlan {
         let m = self.ladder.len();
@@ -227,17 +251,25 @@ impl OptimalPlanner {
         let mut best = vec![f64::INFINITY; m];
         let mut next = vec![f64::INFINITY; m];
         let mut back = vec![0_usize; n * m];
+        let mut terms = Vec::with_capacity(m);
         if let Some(first) = contexts.first() {
-            for (j, cell) in best.iter_mut().enumerate() {
-                *cell = self.cost(first, LevelIndex::new(j), None);
+            terms.extend(
+                self.ladder
+                    .levels()
+                    .map(|level| self.level_terms(first, level)),
+            );
+            for (cell, t) in best.iter_mut().zip(&terms) {
+                *cell = self.cost(first, t, None);
             }
         }
         for (ctx, row) in contexts.iter().zip(back.chunks_exact_mut(m)).skip(1) {
-            for (j, (cell, from)) in next.iter_mut().zip(row.iter_mut()).enumerate() {
-                let level = LevelIndex::new(j);
+            for (t, level) in terms.iter_mut().zip(self.ladder.levels()) {
+                *t = self.level_terms(ctx, level);
+            }
+            for ((cell, from), t) in next.iter_mut().zip(row.iter_mut()).zip(&terms) {
                 (*cell, *from) = (f64::INFINITY, 0);
-                for (jp, &prev_cost) in best.iter().enumerate() {
-                    let c = prev_cost + self.cost(ctx, level, Some(LevelIndex::new(jp)));
+                for (jp, (&prev_cost, prev)) in best.iter().zip(&terms).enumerate() {
+                    let c = prev_cost + self.cost(ctx, t, Some(prev.qoe.original()));
                     assert!(!c.is_nan(), "Eq. (11) cost must not be NaN");
                     if c < *cell {
                         (*cell, *from) = (c, jp);
@@ -278,10 +310,11 @@ impl OptimalPlanner {
             contexts.len()
         );
         let mut total = 0.0;
-        let mut prev: Option<LevelIndex> = None;
+        let mut prev_original = None;
         for (ctx, &level) in contexts.iter().zip(levels) {
-            total += self.cost(ctx, level, prev);
-            prev = Some(level);
+            let terms = self.level_terms(ctx, level);
+            total += self.cost(ctx, &terms, prev_original);
+            prev_original = Some(terms.qoe.original());
         }
         total
     }
@@ -396,14 +429,16 @@ mod tests {
         let node = |i: usize, j: usize| 1 + i * m + j;
         let sink = 1 + n * m;
         let mut adj: Vec<Vec<(usize, f64)>> = vec![Vec::new(); sink + 1];
+        let terms = |ctx, j| planner.level_terms(ctx, LevelIndex::new(j));
         for j in 0..m {
-            let w = planner.cost(&contexts[0], LevelIndex::new(j), None);
+            let w = planner.cost(&contexts[0], &terms(&contexts[0], j), None);
             adj[0].push((node(0, j), w));
         }
         for (i, ctx) in contexts.iter().enumerate().skip(1) {
             for jp in 0..m {
+                let prev_original = terms(&contexts[i - 1], jp).qoe.original();
                 for j in 0..m {
-                    let w = planner.cost(ctx, LevelIndex::new(j), Some(LevelIndex::new(jp)));
+                    let w = planner.cost(ctx, &terms(ctx, j), Some(prev_original));
                     adj[node(i - 1, jp)].push((node(i, j), w));
                 }
             }

@@ -18,6 +18,7 @@
 
 use ecas_bench::{Cli, Report, Table};
 use ecas_core::fleet::{FleetEngine, FleetReport};
+use ecas_core::record::MAX_SESSION_S;
 use ecas_core::trace::population::PopulationSpec;
 use ecas_core::types::units::Seconds;
 
@@ -31,17 +32,21 @@ fn parse_u64(flag: &str, raw: &str) -> u64 {
     match raw.trim().parse() {
         Ok(value) => value,
         Err(_) => {
-            eprintln!("fleet: invalid {flag} {raw:?} (expected a non-negative integer)");
+            eprintln!("error: invalid {flag} {raw:?} (expected a non-negative integer)");
             std::process::exit(2);
         }
     }
 }
 
+/// A mean session duration in `(0, MAX_SESSION_S]`: the same upper bound
+/// a fleet record's recipe must meet, checked before any synthesis.
 fn parse_duration(raw: &str) -> f64 {
     match raw.trim().parse::<f64>() {
-        Ok(value) if value.is_finite() && value > 0.0 => value,
+        Ok(value) if value > 0.0 && value <= MAX_SESSION_S => value,
         _ => {
-            eprintln!("fleet: invalid --duration {raw:?} (expected seconds > 0)");
+            eprintln!(
+                "error: invalid --duration {raw:?} (expected seconds in (0, {MAX_SESSION_S}])"
+            );
             std::process::exit(2);
         }
     }

@@ -49,3 +49,64 @@ fn oracle_fuzz_cases_must_be_a_positive_count() {
         assert!(out.stdout.is_empty(), "--cases {cases} ran a corpus");
     }
 }
+
+/// Asserts `out` is one typed `error:` report with exit `code` that names
+/// `what`, and that nothing panicked.
+fn assert_typed_error(out: &Output, code: i32, what: &str, case: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{case}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+    assert!(stderr.contains("error: "), "{case}: {stderr}");
+    assert!(stderr.contains(what), "{case}: {stderr}");
+}
+
+/// Session durations stop at an hour. Past it, synthesis used to panic
+/// (`1e308`) or abort on a failed allocation (`1e9`); each binary now
+/// rejects the value before it synthesizes anything.
+#[test]
+fn session_durations_beyond_an_hour_are_typed_errors() {
+    let fleet = env!("CARGO_BIN_EXE_fleet");
+    for duration in ["1e308", "1e9", "3600.5"] {
+        let out = run(fleet, &["--users", "3", "--duration", duration]);
+        assert_typed_error(
+            &out,
+            2,
+            "--duration",
+            &format!("fleet --duration {duration}"),
+        );
+        assert!(out.stdout.is_empty(), "fleet --duration {duration} ran");
+    }
+
+    let session = env!("CARGO_BIN_EXE_session");
+    let dir = std::env::temp_dir().join(format!("ecas-long-session-{}", std::process::id()));
+    let record = dir.join("long.ecasr");
+    for seconds in ["1e308", "86400"] {
+        let out = run(
+            session,
+            &["record", "--seconds", seconds, record.to_str().unwrap()],
+        );
+        let case = format!("session record --seconds {seconds}");
+        assert_typed_error(&out, 1, "session duration", &case);
+        assert!(!record.exists(), "{case} wrote a record");
+    }
+
+    let corpus = dir.join("corpus");
+    for duration in ["1e308", "86400"] {
+        let out = run(
+            session,
+            &[
+                "batch-record",
+                "--users",
+                "1",
+                "--duration",
+                duration,
+                corpus.to_str().unwrap(),
+            ],
+        );
+        let case = format!("session batch-record --duration {duration}");
+        assert_typed_error(&out, 1, "session duration", &case);
+        let written = fs::read_dir(&corpus).map_or(0, |entries| entries.count());
+        assert_eq!(written, 0, "{case} wrote into the corpus");
+    }
+    fs::remove_dir_all(&dir).ok();
+}

@@ -217,8 +217,8 @@ impl RecordedSession {
     /// # Errors
     ///
     /// Returns [`SessionRecordError::Scenario`] when the parameters are
-    /// out of range (unknown Table V id, non-positive or non-finite
-    /// duration).
+    /// out of range (unknown Table V id, a duration that is not finite or
+    /// lies outside 4 s ..= [`MAX_SESSION_S`]).
     pub fn generate(&self) -> Result<SessionTrace, SessionRecordError> {
         match self {
             RecordedSession::TableV { id } => {
@@ -274,10 +274,19 @@ impl RecordedSession {
     }
 }
 
+/// Shortest session a recipe may ask for: two 2-second segments.
+const MIN_SESSION_S: f64 = 4.0;
+
+/// Longest session (or fleet mean session) a recipe may ask for. A fleet
+/// user's session reaches at most 5 × its mean + 10 s, so an hour's mean
+/// keeps one synthesized trace near 29 MB of accelerometer samples.
+pub const MAX_SESSION_S: f64 = 3600.0;
+
 fn checked_duration(seconds: f64) -> Result<Seconds, SessionRecordError> {
-    if !seconds.is_finite() || seconds < 4.0 {
+    if !(MIN_SESSION_S..=MAX_SESSION_S).contains(&seconds) {
         return Err(SessionRecordError::Scenario(format!(
-            "session duration {seconds} s is not a finite value >= 4 s (two segments)"
+            "session duration {seconds} s is outside [{MIN_SESSION_S}, {MAX_SESSION_S}] s \
+             (two segments to an hour)"
         )));
     }
     Seconds::try_new(seconds).map_err(|e| SessionRecordError::Scenario(e.to_string()))
@@ -778,7 +787,16 @@ mod tests {
 
     #[test]
     fn hostile_durations_are_rejected() {
-        for bad in [f64::NAN, f64::INFINITY, -5.0, 0.0, 3.9] {
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            -5.0,
+            0.0,
+            3.9,
+            3600.5,
+            86_400.0,
+            1e308,
+        ] {
             let session = RecordedSession::Commute {
                 seconds: bad,
                 seed: 1,

@@ -2,7 +2,7 @@
 //! record → serialize → parse → replay → verify loop across scenarios,
 //! plus hostile-bytes behaviour at the whole-record level.
 
-use ecas_core::record::{RecordScenario, RecordedSession, SessionRecord};
+use ecas_core::record::{RecordScenario, RecordedSession, SessionRecord, SessionRecordError};
 use ecas_core::sim::FaultSpec;
 use ecas_core::trace::Context;
 use ecas_core::{Approach, ReplayVerdict};
@@ -84,6 +84,41 @@ fn every_byte_flip_is_detected_or_benign() {
             SessionRecord::from_bytes(&tampered).is_err(),
             "flip at byte {i} of {} went undetected",
             bytes.len()
+        );
+    }
+}
+
+/// A record whose header asks for a day-long session decodes, but every
+/// use of it that regenerates the trace is a typed scenario error: no
+/// synthesis of 86 400 s runs.
+#[test]
+fn day_long_header_is_a_typed_error() {
+    let mut record = SessionRecord::record(RecordScenario {
+        session: RecordedSession::Synthetic {
+            context: Context::Walking,
+            seconds: 20.0,
+            seed: 11,
+        },
+        approach: Approach::Ours,
+        eta: 0.5,
+        fault: None,
+    })
+    .unwrap();
+    record.scenario.session = RecordedSession::Synthetic {
+        context: Context::Walking,
+        seconds: 86_400.0,
+        seed: 11,
+    };
+    let back = SessionRecord::from_bytes(&record.to_bytes().unwrap()).unwrap();
+    for outcome in [
+        back.verify().map(|_| ()),
+        back.replay().map(|_| ()),
+        back.rerecord().map(|_| ()),
+    ] {
+        let err = outcome.unwrap_err();
+        assert!(
+            matches!(err, SessionRecordError::Scenario(ref msg) if msg.contains("86400")),
+            "{err}"
         );
     }
 }

@@ -109,16 +109,43 @@ impl QoeModel {
         prev_bitrate: Option<Mbps>,
         rebuffer: Seconds,
     ) -> QoeScore {
-        let base = self.quality.at(bitrate).value();
-        let impairment = self.impairment.at(vibration, bitrate);
-        let switch = match prev_bitrate {
-            Some(prev) => {
-                self.params.penalty.switch_mu * (base - self.quality.at(prev).value()).abs()
-            }
+        let level = self.level_qoe(bitrate, vibration, rebuffer);
+        self.switched_qoe(
+            &level,
+            prev_bitrate.map(|prev| self.quality.at(prev).value()),
+        )
+    }
+
+    /// The terms of Eq. (1) that do not depend on the previous segment,
+    /// for a segment at `bitrate` under `vibration` that stalls for
+    /// `rebuffer`. [`QoeModel::switched_qoe`] adds the switch penalty;
+    /// together they are [`QoeModel::segment_qoe`], bit for bit.
+    #[must_use]
+    pub fn level_qoe(
+        &self,
+        bitrate: Mbps,
+        vibration: MetersPerSec2,
+        rebuffer: Seconds,
+    ) -> LevelQoe {
+        let original = self.quality.at(bitrate).value();
+        LevelQoe {
+            original,
+            impaired: original - self.impairment.at(vibration, bitrate),
+            stall: self.params.penalty.rebuffer_lambda * rebuffer.value(),
+        }
+    }
+
+    /// Eq. (1) QoE of a segment with terms `level`, entered from a segment
+    /// whose original quality `q0` is `prev_original` (`None` for the first
+    /// segment: no switch penalty). The terms combine left to right,
+    /// `((q0 − I) − μ·|q0 − q0_prev|) − λ·T_rebuf`, then clamp to `[0, 5]`.
+    #[must_use]
+    pub fn switched_qoe(&self, level: &LevelQoe, prev_original: Option<f64>) -> QoeScore {
+        let switch = match prev_original {
+            Some(prev) => self.params.penalty.switch_mu * (level.original - prev).abs(),
             None => 0.0,
         };
-        let stall = self.params.penalty.rebuffer_lambda * rebuffer.value();
-        QoeScore::new((base - impairment - switch - stall).clamp(0.0, 5.0))
+        QoeScore::new((level.impaired - switch - level.stall).clamp(0.0, 5.0))
     }
 
     /// The QoE of streaming the whole session at the ladder maximum with no
@@ -126,6 +153,26 @@ impl QoeModel {
     #[must_use]
     pub fn max_segment_qoe(&self, max_bitrate: Mbps, vibration: MetersPerSec2) -> QoeScore {
         self.context_quality(max_bitrate, vibration)
+    }
+}
+
+/// The terms of Eq. (1) that do not depend on the previous segment's
+/// bitrate: `q0(r)`, `q0(r) − I(v, r)` and `λ·T_rebuf`. A planner that
+/// prices one segment against every possible predecessor computes these
+/// once per bitrate and pays only the switch penalty per predecessor.
+#[derive(Debug, Clone, Copy)]
+pub struct LevelQoe {
+    original: f64,
+    impaired: f64,
+    stall: f64,
+}
+
+impl LevelQoe {
+    /// The original quality `q0(r)`: what the next segment's switch
+    /// penalty compares against.
+    #[must_use]
+    pub fn original(&self) -> f64 {
+        self.original
     }
 }
 
@@ -197,6 +244,48 @@ mod tests {
         let lambda = model.params().penalty.rebuffer_lambda;
         assert!((q0 - q1 - lambda).abs() < 1e-9);
         assert!((q1 - q2 - lambda).abs() < 1e-9);
+    }
+
+    /// The split Eq. (1), level terms then switch term, keeps every bit of
+    /// the formula written as one expression, with and without a previous
+    /// segment.
+    #[test]
+    fn split_eq1_matches_the_whole_formula_bit_for_bit() {
+        let model = m();
+        let penalty = model.params().penalty;
+        let q0 = |r: f64| model.quality().at(Mbps::new(r)).value();
+        for r in [0.1, 0.375, 0.75, 1.5, 2.3, 3.0, 4.3, 5.8] {
+            for v in [0.0, 0.3, 1.0, 3.0, 6.0, 9.5] {
+                for stall in [0.0, 0.25, 1.0, 2.0, 7.5, 100.0] {
+                    for prev in [None, Some(0.1), Some(1.5), Some(r), Some(5.8)] {
+                        let (bitrate, vibration) = (Mbps::new(r), MetersPerSec2::new(v));
+                        let switch =
+                            prev.map_or(0.0, |p| penalty.switch_mu * (q0(r) - q0(p)).abs());
+                        let whole = (q0(r)
+                            - model.impairment().at(vibration, bitrate)
+                            - switch
+                            - penalty.rebuffer_lambda * stall)
+                            .clamp(0.0, 5.0);
+                        let level = model.level_qoe(bitrate, vibration, Seconds::new(stall));
+                        assert_eq!(level.original().to_bits(), q0(r).to_bits());
+                        let split = model.switched_qoe(&level, prev.map(q0));
+                        let segment = model.segment_qoe(
+                            bitrate,
+                            vibration,
+                            prev.map(Mbps::new),
+                            Seconds::new(stall),
+                        );
+                        for qoe in [split, segment] {
+                            assert_eq!(
+                                qoe.value().to_bits(),
+                                whole.to_bits(),
+                                "r {r} v {v} stall {stall} prev {prev:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -594,7 +594,13 @@ impl Simulator {
                         let target_mb = fail_floor_mb
                             .map_or(remaining_mb, |floor| remaining_mb - floor)
                             .max(0.0);
-                        let finish = t + target_mb / mbps_in_mbytes;
+                        // Late in a long session the last few bytes can
+                        // take less than half an ulp of `t`, so `t + dt`
+                        // rounds back to `t` and the chunk would never
+                        // advance. They move over the next representable
+                        // instant instead; any other chunk already ends
+                        // there or later.
+                        let finish = (t + target_mb / mbps_in_mbytes).max(t.next_up());
                         finish.min(step.boundary).min(hard_stop)
                     } else {
                         // Outage: zero goodput until the link or the

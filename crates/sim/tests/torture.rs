@@ -6,6 +6,8 @@ use ecas_sim::{PlayerConfig, Simulator};
 use ecas_trace::sample::{AccelSample, NetworkSample, SignalSample};
 use ecas_trace::series::TimeSeries;
 use ecas_trace::session::{SessionTrace, TraceMeta};
+use ecas_trace::synth::context::{Context, ContextSchedule};
+use ecas_trace::synth::SessionGenerator;
 use ecas_types::ladder::{BitrateLadder, LevelIndex};
 use ecas_types::units::{Dbm, Mbps, MegaBytes, MetersPerSec2, Seconds};
 
@@ -43,6 +45,24 @@ fn near_zero_throughput_still_terminates() {
     assert!((r.played.value() - 20.0).abs() < 1e-6);
     assert!(r.total_rebuffer.value() > 5.0);
     assert!(r.wall_time > r.played);
+}
+
+/// An hour-long session: past t ≈ 2048 s one ulp of the clock outlasts
+/// the last bytes of a fast download, so `t + dt` rounded back to `t` and
+/// the download loop spun forever on this trace.
+#[test]
+fn hour_long_session_terminates() {
+    let s = SessionGenerator::new(
+        "hour",
+        ContextSchedule::constant(Context::QuietRoom),
+        Seconds::new(3600.0),
+        1,
+    )
+    .generate();
+    let sim = Simulator::paper(BitrateLadder::evaluation());
+    let r = sim.run(&s, &mut FixedLevel::highest());
+    assert_eq!(r.tasks.len(), 1800);
+    assert!((r.played.value() - 3600.0).abs() < 1e-6);
 }
 
 #[test]

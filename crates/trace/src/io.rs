@@ -998,15 +998,21 @@ pub const MAX_MAHIMAHI_BINS: usize = 2_000_000;
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::Corrupt`] on unparsable lines, an empty
-/// payload, or a trace whose horizon would require more than
-/// [`MAX_MAHIMAHI_BINS`] bins — a single far-future timestamp must not
-/// translate into a multi-gigabyte allocation.
+/// Returns [`TraceIoError::Corrupt`] for a `bin` width that is zero or
+/// not finite, on unparsable lines, an empty payload, or a trace whose
+/// horizon would require more than [`MAX_MAHIMAHI_BINS`] bins — a single
+/// far-future timestamp must not translate into a multi-gigabyte
+/// allocation.
 pub fn read_mahimahi<R: Read>(
     mut reader: R,
     bin: Seconds,
 ) -> Result<TimeSeries<NetworkSample>, TraceIoError> {
-    assert!(!bin.is_zero(), "bin width must be positive");
+    if bin.is_zero() || !bin.value().is_finite() {
+        return Err(TraceIoError::Corrupt(format!(
+            "mahimahi bin width {} s is not finite and positive",
+            bin.value()
+        )));
+    }
     let mut text = String::new();
     reader.read_to_string(&mut text)?;
     let mut stamps_ms: Vec<f64> = Vec::new();
@@ -1101,6 +1107,19 @@ mod mahimahi_tests {
         let text = "2500\n100\n1700\n900\n";
         let series = read_mahimahi(text.as_bytes(), Seconds::new(1.0)).unwrap();
         assert_eq!(series.len(), 3);
+    }
+
+    /// A zero width divides the horizon by zero and an infinite one starts
+    /// bin 0 at `0 × ∞ = NaN`: both are typed errors, not panics.
+    #[test]
+    fn zero_and_infinite_bin_widths_are_corrupt() {
+        for bin in [Seconds::zero(), Seconds::new(f64::INFINITY)] {
+            let err = read_mahimahi("0\n1000\n".as_bytes(), bin).unwrap_err();
+            assert!(
+                matches!(&err, TraceIoError::Corrupt(msg) if msg.contains("bin width")),
+                "width {bin:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
