@@ -20,12 +20,16 @@ use ecas_types::units::MetersPerSec2;
 use crate::objective::ObjectiveWeights;
 use crate::online::Online;
 
+/// η in a quiet room.
+const ETA_MIN: f64 = 0.35;
+/// η at and above the reference vibration.
+const ETA_MAX: f64 = 0.55;
+/// Reference vibration `v_ref` (m/s²).
+const V_REF: f64 = 6.0;
+
 /// Algorithm 1 with a vibration-modulated η.
 #[derive(Debug, Clone)]
 pub struct AdaptiveEta {
-    eta_min: f64,
-    eta_max: f64,
-    v_ref: f64,
     inner: Online,
 }
 
@@ -37,37 +41,16 @@ impl AdaptiveEta {
     /// quiet-room QoE recovers quickly.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_range(0.35, 0.55, 6.0)
-    }
-
-    /// Creates an adaptive selector with explicit bounds and reference
-    /// vibration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are outside `[0, 1]`, inverted, or `v_ref` is
-    /// not positive.
-    #[must_use]
-    pub fn with_range(eta_min: f64, eta_max: f64, v_ref: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&eta_min) && (0.0..=1.0).contains(&eta_max),
-            "eta bounds must be in [0, 1]"
-        );
-        assert!(eta_min <= eta_max, "eta_min must not exceed eta_max");
-        assert!(v_ref > 0.0, "reference vibration must be positive");
         Self {
-            eta_min,
-            eta_max,
-            v_ref,
-            inner: Online::with_eta(eta_min),
+            inner: Online::with_eta(ETA_MIN),
         }
     }
 
     /// The η used for a given vibration level.
     #[must_use]
     pub fn eta_for(&self, vibration: MetersPerSec2) -> f64 {
-        let x = (vibration.value() / self.v_ref).clamp(0.0, 1.0);
-        self.eta_min + (self.eta_max - self.eta_min) * x
+        let x = (vibration.value() / V_REF).clamp(0.0, 1.0);
+        ETA_MIN + (ETA_MAX - ETA_MIN) * x
     }
 }
 
@@ -151,11 +134,5 @@ mod tests {
             adaptive.total_energy(),
             fixed.total_energy()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "eta_min must not exceed")]
-    fn rejects_inverted_bounds() {
-        let _ = AdaptiveEta::with_range(0.8, 0.2, 6.0);
     }
 }

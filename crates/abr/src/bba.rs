@@ -9,7 +9,14 @@
 use ecas_net::{BandwidthEstimator, HarmonicMean};
 use ecas_sim::controller::{BitrateController, DecisionContext};
 use ecas_types::ladder::LevelIndex;
-use ecas_types::units::{Mbps, Seconds};
+use ecas_types::units::Mbps;
+
+/// Buffer level below which BBA requests the lowest bitrate (s).
+const RESERVOIR_S: f64 = 5.0;
+
+/// Fraction of the buffer threshold above which BBA requests the highest
+/// bitrate.
+const CUSHION_FRACTION: f64 = 0.75;
 
 /// The BBA controller.
 ///
@@ -22,8 +29,6 @@ use ecas_types::units::{Mbps, Seconds};
 /// two baselines.
 #[derive(Debug, Clone)]
 pub struct Bba {
-    reservoir: Seconds,
-    cushion_fraction: f64,
     startup_estimator: HarmonicMean,
     history_len: usize,
     steady: bool,
@@ -33,24 +38,7 @@ impl Bba {
     /// Creates BBA with the default reservoir (5 s) and cushion (0.75·B).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_map(Seconds::new(5.0), 0.75)
-    }
-
-    /// Creates BBA with a custom reservoir and cushion fraction of the
-    /// buffer threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cushion_fraction` is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_map(reservoir: Seconds, cushion_fraction: f64) -> Self {
-        assert!(
-            cushion_fraction > 0.0 && cushion_fraction <= 1.0,
-            "cushion fraction must be in (0, 1], got {cushion_fraction}"
-        );
         Self {
-            reservoir,
-            cushion_fraction,
             startup_estimator: HarmonicMean::new(5),
             history_len: 0,
             steady: false,
@@ -76,7 +64,7 @@ impl BitrateController for Bba {
         }
         self.history_len = ctx.history.len();
 
-        let cushion = ctx.buffer_threshold.value() * self.cushion_fraction;
+        let cushion = ctx.buffer_threshold.value() * CUSHION_FRACTION;
         let buffer = ctx.buffer_level.value();
 
         // Enter the steady state once the buffer first crosses the
@@ -96,7 +84,7 @@ impl BitrateController for Bba {
         // Steady state: linear buffer -> rate map.
         let r_min = ctx.ladder.lowest().bitrate().value();
         let r_max = ctx.ladder.highest().bitrate().value();
-        let reservoir = self.reservoir.value();
+        let reservoir = RESERVOIR_S;
         let rate = if buffer <= reservoir {
             r_min
         } else if buffer >= cushion {
@@ -124,7 +112,7 @@ mod tests {
     use ecas_sim::controller::ThroughputObservation;
     use ecas_types::ids::SegmentIndex;
     use ecas_types::ladder::BitrateLadder;
-    use ecas_types::units::Dbm;
+    use ecas_types::units::{Dbm, Seconds};
 
     fn ctx<'a>(
         ladder: &'a BitrateLadder,
@@ -223,11 +211,5 @@ mod tests {
         b.reset();
         // Fresh startup with no history: lowest level.
         assert_eq!(b.select(&ctx(&ladder, &[], 1.0)), ladder.lowest_level());
-    }
-
-    #[test]
-    #[should_panic(expected = "cushion fraction")]
-    fn rejects_bad_cushion() {
-        let _ = Bba::with_map(Seconds::new(5.0), 0.0);
     }
 }

@@ -11,6 +11,9 @@
 use ecas_sim::controller::{BitrateController, DecisionContext};
 use ecas_types::ladder::LevelIndex;
 
+/// Rebuffer-avoidance utility slope `γ`.
+const GAMMA: f64 = 0.5;
+
 /// The BOLA-BASIC controller.
 ///
 /// # Examples
@@ -27,34 +30,13 @@ use ecas_types::ladder::LevelIndex;
 /// assert!(result.total_rebuffer.value() < 30.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bola {
-    /// Lyapunov trade-off parameter; derived from the buffer threshold at
-    /// the first decision when `None`.
-    v: Option<f64>,
-    /// Rebuffer-avoidance utility slope.
-    gamma: f64,
-}
+pub struct Bola;
 
 impl Bola {
     /// BOLA with parameters derived from the player's buffer threshold.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            v: None,
-            gamma: 0.5,
-        }
-    }
-
-    /// BOLA with explicit `V` and `γ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` or `gamma` is not positive.
-    #[must_use]
-    pub fn with_params(v: f64, gamma: f64) -> Self {
-        assert!(v > 0.0, "V must be positive");
-        assert!(gamma > 0.0, "gamma must be positive");
-        Self { v: Some(v), gamma }
+        Self
     }
 }
 
@@ -73,9 +55,7 @@ impl BitrateController for Bola {
         // Derive V so the full buffer maps to the highest utility:
         // at Q = B the best score must still be attainable at the top
         // level: V*(u_max + gamma*tau) ≈ B.
-        let v = self
-            .v
-            .unwrap_or(ctx.buffer_threshold.value() / (u_max + self.gamma * tau));
+        let v = ctx.buffer_threshold.value() / (u_max + GAMMA * tau);
 
         let q = ctx.buffer_level.value();
         let mut best = ctx.ladder.lowest_level();
@@ -84,7 +64,7 @@ impl BitrateController for Bola {
         for level in ctx.ladder.levels() {
             let size = ctx.ladder.bitrate(level).value() * tau / 8.0;
             let utility = (size / s_min).ln();
-            let score = (v * (utility + self.gamma * tau) - q) / size;
+            let score = (v * (utility + GAMMA * tau) - q) / size;
             if score >= 0.0 {
                 any_positive = true;
                 if score > best_score {
@@ -163,21 +143,5 @@ mod tests {
         let mut b = Bola::new();
         let level = b.select(&ctx(&ladder, 29.0));
         assert!(level.value() >= ladder.len() - 2, "full buffer got {level}");
-    }
-
-    #[test]
-    fn explicit_params_are_respected() {
-        let ladder = BitrateLadder::evaluation();
-        // A tiny V collapses all activation points: even small buffers sit
-        // past them, forcing the max-utility fallback.
-        let mut b = Bola::with_params(0.01, 0.5);
-        let level = b.select(&ctx(&ladder, 20.0));
-        assert_eq!(level, ladder.highest_level());
-    }
-
-    #[test]
-    #[should_panic(expected = "V must be positive")]
-    fn rejects_bad_v() {
-        let _ = Bola::with_params(0.0, 0.5);
     }
 }

@@ -13,6 +13,13 @@ use ecas_sim::controller::{BitrateController, Decision, DecisionContext};
 use ecas_types::ladder::LevelIndex;
 use ecas_types::units::{Dbm, Seconds};
 
+/// Signal strength below which a download is deferred (dBm).
+const THRESHOLD_DBM: f64 = -104.0;
+/// Fraction of the buffer threshold that must remain buffered to defer.
+const RESERVE_FRACTION: f64 = 0.6;
+/// How long one deferral waits (s).
+const WAIT_S: f64 = 2.0;
+
 /// Opportunistic deferral wrapper.
 ///
 /// # Examples
@@ -34,9 +41,6 @@ use ecas_types::units::{Dbm, Seconds};
 #[derive(Debug, Clone)]
 pub struct SignalDeferral<C> {
     inner: C,
-    threshold: Dbm,
-    reserve_fraction: f64,
-    wait: Seconds,
 }
 
 impl<C: BitrateController> SignalDeferral<C> {
@@ -45,33 +49,7 @@ impl<C: BitrateController> SignalDeferral<C> {
     /// (the reserve must outlast a worst-case fade-priced download).
     #[must_use]
     pub fn wrap(inner: C) -> Self {
-        Self::with_policy(inner, Dbm::new(-104.0), 0.6, Seconds::new(2.0))
-    }
-
-    /// Wraps `inner` with an explicit deferral policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reserve_fraction` is outside `(0, 1)` or `wait` is zero.
-    #[must_use]
-    pub fn with_policy(inner: C, threshold: Dbm, reserve_fraction: f64, wait: Seconds) -> Self {
-        assert!(
-            reserve_fraction > 0.0 && reserve_fraction < 1.0,
-            "reserve fraction must be in (0, 1)"
-        );
-        assert!(!wait.is_zero(), "wait must be positive");
-        Self {
-            inner,
-            threshold,
-            reserve_fraction,
-            wait,
-        }
-    }
-
-    /// The wrapped controller.
-    #[must_use]
-    pub fn inner(&self) -> &C {
-        &self.inner
+        Self { inner }
     }
 }
 
@@ -81,10 +59,12 @@ impl<C: BitrateController> BitrateController for SignalDeferral<C> {
     }
 
     fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
-        let reserve = ctx.buffer_threshold.value() * self.reserve_fraction;
-        if ctx.playback_started && ctx.signal < self.threshold && ctx.buffer_level.value() > reserve
+        let reserve = ctx.buffer_threshold.value() * RESERVE_FRACTION;
+        if ctx.playback_started
+            && ctx.signal < Dbm::new(THRESHOLD_DBM)
+            && ctx.buffer_level.value() > reserve
         {
-            Decision::Defer(self.wait)
+            Decision::Defer(Seconds::new(WAIT_S))
         } else {
             Decision::Download(self.inner.select(ctx))
         }
@@ -220,16 +200,5 @@ mod tests {
     fn name_reflects_wrapping() {
         let d = SignalDeferral::wrap(Online::paper());
         assert_eq!(d.name(), "ours+defer");
-    }
-
-    #[test]
-    #[should_panic(expected = "reserve fraction")]
-    fn rejects_bad_reserve() {
-        let _ = SignalDeferral::with_policy(
-            FixedLevel::highest(),
-            Dbm::new(-100.0),
-            1.5,
-            Seconds::new(1.0),
-        );
     }
 }

@@ -1,72 +1,23 @@
 //! Wall-clock instrumentation for any [`BitrateController`].
 //!
-//! [`Instrumented`] wraps a controller and times every `select`/`decide`
-//! call with a span named `abr/decide/<controller name>`, so profiling
-//! summaries show how long each algorithm deliberates — the planner's
-//! shortest-path search versus the online algorithm's closed form. The
-//! wrapper is transparent: same decisions, same reported name.
+//! [`InstrumentedBox`] wraps a boxed controller and times every
+//! `select`/`decide` call with a span named `abr/decide/<controller name>`,
+//! so profiling summaries show how long each algorithm deliberates — the
+//! planner's shortest-path search versus the online algorithm's closed
+//! form. The wrapper is transparent: same decisions, same reported name.
 
 use ecas_obs::{Probe, SpanGuard};
 use ecas_sim::controller::{BitrateController, Decision, DecisionContext};
 use ecas_types::ladder::LevelIndex;
 
 /// A [`BitrateController`] decorator that reports decision latency to a
-/// [`Probe`].
-pub struct Instrumented<'p, C: BitrateController> {
-    inner: C,
-    probe: &'p dyn Probe,
-    /// Cached span label (`abr/decide/<name>`), built once per wrap so the
-    /// hot path never allocates.
-    span_name: String,
-}
-
-impl<'p, C: BitrateController> Instrumented<'p, C> {
-    /// Wraps `inner`, reporting to `probe`.
-    pub fn new(inner: C, probe: &'p dyn Probe) -> Self {
-        let span_name = format!("abr/decide/{}", inner.name());
-        Self {
-            inner,
-            probe,
-            span_name,
-        }
-    }
-
-    /// Unwraps the inner controller.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-
-    /// The inner controller.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-}
-
-impl<C: BitrateController> BitrateController for Instrumented<'_, C> {
-    fn select(&mut self, ctx: &DecisionContext<'_>) -> LevelIndex {
-        let _span = SpanGuard::new(self.probe, &self.span_name);
-        self.inner.select(ctx)
-    }
-
-    fn decide(&mut self, ctx: &DecisionContext<'_>) -> Decision {
-        let _span = SpanGuard::new(self.probe, &self.span_name);
-        self.inner.decide(ctx)
-    }
-
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
-/// [`Instrumented`] over a boxed controller, for call sites that only
-/// hold a `Box<dyn BitrateController>` (e.g. the experiment runner).
+/// [`Probe`], over the `Box<dyn BitrateController>` the experiment runner
+/// holds.
 pub struct InstrumentedBox<'p> {
     inner: Box<dyn BitrateController>,
     probe: &'p dyn Probe,
+    /// Cached span label (`abr/decide/<name>`), built once per wrap so the
+    /// hot path never allocates.
     span_name: String,
 }
 
@@ -132,7 +83,7 @@ mod tests {
     fn wrapper_is_transparent() {
         let ladder = BitrateLadder::evaluation();
         let mut plain = FixedLevel::highest();
-        let mut wrapped = Instrumented::new(FixedLevel::highest(), &NULL_PROBE);
+        let mut wrapped = InstrumentedBox::new(Box::new(FixedLevel::highest()), &NULL_PROBE);
         assert_eq!(wrapped.name(), plain.name());
         assert_eq!(wrapped.select(&ctx(&ladder)), plain.select(&ctx(&ladder)));
         assert_eq!(wrapped.decide(&ctx(&ladder)), plain.decide(&ctx(&ladder)));
@@ -142,7 +93,7 @@ mod tests {
     fn spans_are_recorded_per_decision() {
         let ladder = BitrateLadder::evaluation();
         let recorder = MemoryRecorder::new();
-        let mut wrapped = Instrumented::new(FixedLevel::highest(), &recorder);
+        let mut wrapped = InstrumentedBox::new(Box::new(FixedLevel::highest()), &recorder);
         for _ in 0..3 {
             let _ = wrapped.decide(&ctx(&ladder));
         }

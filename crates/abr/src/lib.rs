@@ -41,7 +41,7 @@ pub use bola::Bola;
 pub use deferral::SignalDeferral;
 pub use ecas_sim::controller::FixedLevel;
 pub use festive::Festive;
-pub use instrument::{Instrumented, InstrumentedBox};
+pub use instrument::InstrumentedBox;
 pub use mpc::Mpc;
 pub use objective::ObjectiveWeights;
 pub use online::Online;

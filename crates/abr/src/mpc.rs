@@ -19,10 +19,12 @@ use ecas_sim::controller::{BitrateController, DecisionContext};
 use ecas_types::ladder::LevelIndex;
 use ecas_types::units::{Mbps, MetersPerSec2, Seconds};
 
+/// Lookahead horizon in segments.
+const HORIZON: usize = 5;
+
 /// The simplified MPC controller.
 #[derive(Debug, Clone)]
 pub struct Mpc {
-    horizon: usize,
     qoe_model: QoeModel,
     estimator: HarmonicMean,
     history_len: usize,
@@ -32,19 +34,7 @@ impl Mpc {
     /// Creates MPC with the standard 5-segment horizon.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_horizon(5)
-    }
-
-    /// Creates MPC with a custom horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is zero.
-    #[must_use]
-    pub fn with_horizon(horizon: usize) -> Self {
-        assert!(horizon > 0, "horizon must be positive");
         Self {
-            horizon,
             qoe_model: QoeModel::paper(),
             estimator: HarmonicMean::new(5),
             history_len: 0,
@@ -61,7 +51,7 @@ impl Mpc {
         let mut buffer = ctx.buffer_level.value();
         let mut score = 0.0;
         let mut prev = ctx.prev_level.map(|l| ctx.ladder.bitrate(l));
-        for _ in 0..self.horizon {
+        for _ in 0..HORIZON {
             let stall = (dl_time - buffer).max(0.0);
             buffer = (buffer - dl_time).max(0.0) + tau;
             buffer = buffer.min(ctx.buffer_threshold.value());
@@ -74,7 +64,7 @@ impl Mpc {
             score += qoe.value();
             prev = Some(bitrate);
         }
-        score / self.horizon as f64
+        score / HORIZON as f64
     }
 }
 
@@ -211,11 +201,5 @@ mod tests {
         // The jump amortizes its one-time switch penalty over the horizon;
         // both must be finite and the comparison meaningful.
         assert!(jump.is_finite() && stay.is_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "horizon must be positive")]
-    fn rejects_zero_horizon() {
-        let _ = Mpc::with_horizon(0);
     }
 }

@@ -14,6 +14,10 @@
 use ecas_types::units::{Joules, QoeScore};
 use serde::{Deserialize, Serialize};
 
+/// Floor of the QoE normalizer `Q_max`, so the QoE term stays finite when
+/// the top bitrate's Eq. (1) score is (near) zero.
+const MIN_Q_MAX: f64 = 1e-6;
+
 /// The weighting factor `η` of Eq. (11).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ObjectiveWeights {
@@ -48,16 +52,41 @@ impl ObjectiveWeights {
         self.eta
     }
 
-    /// The Eq. (11) per-task cost. Lower is better.
+    /// The Eq. (11) per-task cost. Lower is better. `q_max` is floored
+    /// at 1e-6.
     ///
     /// # Panics
     ///
-    /// Panics if either normalizer is zero.
+    /// Panics if the energy normalizer is zero.
     #[must_use]
     pub fn cost(&self, energy: Joules, e_max: Joules, qoe: QoeScore, q_max: QoeScore) -> f64 {
+        self.combine(
+            self.energy_term(energy, e_max),
+            qoe,
+            Self::qoe_normalizer(q_max),
+        )
+    }
+
+    /// The normalized energy term `η · E / E_max`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e_max` is zero.
+    pub(crate) fn energy_term(&self, energy: Joules, e_max: Joules) -> f64 {
         assert!(!e_max.is_zero(), "energy normalizer must be positive");
-        assert!(!q_max.is_zero(), "QoE normalizer must be positive");
-        self.eta * (energy / e_max) - (1.0 - self.eta) * (qoe / q_max)
+        self.eta * (energy / e_max)
+    }
+
+    /// The divisor of the QoE term: `Q_max`, floored at 1e-6.
+    pub(crate) fn qoe_normalizer(q_max: QoeScore) -> f64 {
+        q_max.value().max(MIN_Q_MAX)
+    }
+
+    /// The Eq. (11) combination of an [`Self::energy_term`] with a QoE
+    /// score: `energy_term − (1 − η) · Q / q_normalizer`, where
+    /// `q_normalizer` comes from [`Self::qoe_normalizer`].
+    pub(crate) fn combine(&self, energy_term: f64, qoe: QoeScore, q_normalizer: f64) -> f64 {
+        energy_term - (1.0 - self.eta) * (qoe.value() / q_normalizer)
     }
 }
 
@@ -115,6 +144,21 @@ mod tests {
     #[should_panic(expected = "eta must be in")]
     fn rejects_bad_eta() {
         let _ = ObjectiveWeights::new(1.5);
+    }
+
+    #[test]
+    fn zero_qoe_normalizer_is_floored() {
+        let w = ObjectiveWeights::paper();
+        let e_max = Joules::new(10.0);
+        let cost = w.cost(Joules::new(5.0), e_max, QoeScore::zero(), QoeScore::zero());
+        assert_eq!(cost, 0.25);
+        let cost = w.cost(
+            Joules::new(5.0),
+            e_max,
+            QoeScore::new(1e-7),
+            QoeScore::zero(),
+        );
+        assert_eq!(cost, 0.25 - 0.5 * (1e-7 / 1e-6));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use ecas_sim::config::PlayerConfig;
 use ecas_sim::controller::{BitrateController, DecisionContext};
 use ecas_trace::session::SessionTrace;
 use ecas_types::ladder::{BitrateLadder, LevelIndex};
-use ecas_types::units::{Mbps, MetersPerSec2, Seconds};
+use ecas_types::units::{Joules, Mbps, MetersPerSec2, Seconds};
 
 use crate::objective::ObjectiveWeights;
 
@@ -60,7 +60,8 @@ pub struct OptimalPlanner {
 struct TaskContext {
     conditions: TaskConditions,
     vibration: MetersPerSec2,
-    e_max: f64,
+    e_max: Joules,
+    /// `Q_max` as [`ObjectiveWeights::qoe_normalizer`] floors it.
     q_max: f64,
 }
 
@@ -166,15 +167,10 @@ impl OptimalPlanner {
                     signal,
                     buffer_ahead: self.config.buffer_threshold,
                 };
-                let e_max = self
-                    .energy_model
-                    .max_energy(max_bitrate, conditions)
-                    .value();
-                let q_max = self
-                    .qoe_model
-                    .max_segment_qoe(max_bitrate, vibration)
-                    .value()
-                    .max(1e-6);
+                let e_max = self.energy_model.max_energy(max_bitrate, conditions);
+                let q_max = ObjectiveWeights::qoe_normalizer(
+                    self.qoe_model.max_segment_qoe(max_bitrate, vibration),
+                );
                 TaskContext {
                     conditions,
                     vibration,
@@ -191,7 +187,7 @@ impl OptimalPlanner {
         let bitrate = self.ladder.bitrate(level);
         let energy = self.energy_model.energy(bitrate, ctx.conditions);
         LevelTerms {
-            energy: self.weights.eta() * (energy.total.value() / ctx.e_max),
+            energy: self.weights.energy_term(energy.total, ctx.e_max),
             qoe: self
                 .qoe_model
                 .level_qoe(bitrate, ctx.vibration, energy.rebuffer),
@@ -203,7 +199,7 @@ impl OptimalPlanner {
     /// first task).
     fn cost(&self, ctx: &TaskContext, terms: &LevelTerms, prev_original: Option<f64>) -> f64 {
         let qoe = self.qoe_model.switched_qoe(&terms.qoe, prev_original);
-        terms.energy - (1.0 - self.weights.eta()) * (qoe.value() / ctx.q_max)
+        self.weights.combine(terms.energy, qoe, ctx.q_max)
     }
 
     /// Computes the optimal plan via the Fig. 4 shortest-path mapping.
@@ -324,7 +320,6 @@ impl OptimalPlanner {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedController {
     levels: Vec<LevelIndex>,
-    label: String,
 }
 
 impl PlannedController {
@@ -333,16 +328,6 @@ impl PlannedController {
     pub fn new(plan: &OptimalPlan) -> Self {
         Self {
             levels: plan.levels.clone(),
-            label: "optimal".to_string(),
-        }
-    }
-
-    /// Wraps an arbitrary level sequence with a custom label.
-    #[must_use]
-    pub fn from_levels(levels: Vec<LevelIndex>, label: impl Into<String>) -> Self {
-        Self {
-            levels,
-            label: label.into(),
         }
     }
 }
@@ -358,7 +343,7 @@ impl BitrateController for PlannedController {
     }
 
     fn name(&self) -> String {
-        self.label.clone()
+        "optimal".to_string()
     }
 }
 
@@ -583,8 +568,9 @@ mod tests {
     fn short_plan_falls_back_to_lowest() {
         let s = session(Context::Walking, 20.0, 7);
         let ladder = BitrateLadder::evaluation();
-        let mut ctrl =
-            PlannedController::from_levels(vec![ladder.highest_level(); 2], "short-plan");
+        let mut ctrl = PlannedController {
+            levels: vec![ladder.highest_level(); 2],
+        };
         let sim = ecas_sim::Simulator::paper(ladder.clone());
         let result = sim.run(&s, &mut ctrl);
         assert_eq!(result.tasks.len(), 10);

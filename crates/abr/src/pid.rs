@@ -12,15 +12,19 @@
 use ecas_net::{BandwidthEstimator, HarmonicMean};
 use ecas_sim::controller::{BitrateController, DecisionContext};
 use ecas_types::ladder::LevelIndex;
-use ecas_types::units::Seconds;
+
+/// Buffer setpoint the loop regulates toward (s).
+const SETPOINT_S: f64 = 20.0;
+/// Proportional gain.
+const KP: f64 = 0.06;
+/// Integral gain.
+const KI: f64 = 0.002;
+/// Derivative gain.
+const KD: f64 = 0.08;
 
 /// Discrete PID buffer-tracking controller.
 #[derive(Debug, Clone)]
 pub struct Pid {
-    setpoint: Seconds,
-    kp: f64,
-    ki: f64,
-    kd: f64,
     integral: f64,
     prev_error: Option<f64>,
     estimator: HarmonicMean,
@@ -32,37 +36,12 @@ impl Pid {
     /// conservative gains.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_gains(Seconds::new(20.0), 0.06, 0.002, 0.08)
-    }
-
-    /// Creates a PID controller with explicit setpoint and gains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the setpoint is zero or any gain is negative.
-    #[must_use]
-    pub fn with_gains(setpoint: Seconds, kp: f64, ki: f64, kd: f64) -> Self {
-        assert!(!setpoint.is_zero(), "setpoint must be positive");
-        assert!(
-            kp >= 0.0 && ki >= 0.0 && kd >= 0.0,
-            "gains must be non-negative"
-        );
         Self {
-            setpoint,
-            kp,
-            ki,
-            kd,
             integral: 0.0,
             prev_error: None,
             estimator: HarmonicMean::new(5),
             history_len: 0,
         }
-    }
-
-    /// The buffer setpoint.
-    #[must_use]
-    pub fn setpoint(&self) -> Seconds {
-        self.setpoint
     }
 }
 
@@ -90,7 +69,7 @@ impl BitrateController for Pid {
 
         // Error > 0 when the buffer is below the setpoint (need to refill
         // by requesting below the link rate).
-        let error = self.setpoint.value() - ctx.buffer_level.value();
+        let error = SETPOINT_S - ctx.buffer_level.value();
         self.integral = (self.integral + error).clamp(-200.0, 200.0);
         let derivative = match self.prev_error {
             Some(prev) => error - prev,
@@ -98,7 +77,7 @@ impl BitrateController for Pid {
         };
         self.prev_error = Some(error);
 
-        let control = self.kp * error + self.ki * self.integral + self.kd * derivative;
+        let control = KP * error + KI * self.integral + KD * derivative;
         // Map the control into a bandwidth multiplier in [0.2, 1.3]:
         // zero error -> request ~95% of the estimate.
         let multiplier = (0.95 - control).clamp(0.2, 1.3);
@@ -124,7 +103,7 @@ mod tests {
     use ecas_sim::controller::ThroughputObservation;
     use ecas_types::ids::SegmentIndex;
     use ecas_types::ladder::BitrateLadder;
-    use ecas_types::units::{Dbm, Mbps};
+    use ecas_types::units::{Dbm, Mbps, Seconds};
 
     fn ctx<'a>(
         ladder: &'a BitrateLadder,
@@ -216,11 +195,5 @@ mod tests {
             let _ = pid.select(&ctx(&ladder, &history, 0.0));
         }
         assert!(pid.integral.abs() <= 200.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "setpoint must be positive")]
-    fn rejects_zero_setpoint() {
-        let _ = Pid::with_gains(Seconds::zero(), 0.1, 0.0, 0.0);
     }
 }

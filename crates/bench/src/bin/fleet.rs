@@ -18,7 +18,7 @@
 
 use ecas_bench::{Cli, Report, Table};
 use ecas_core::fleet::{FleetEngine, FleetReport};
-use ecas_core::record::MAX_SESSION_S;
+use ecas_core::record::{MAX_SESSION_S, MIN_SESSION_S};
 use ecas_core::trace::population::PopulationSpec;
 use ecas_core::types::units::Seconds;
 
@@ -38,14 +38,15 @@ fn parse_u64(flag: &str, raw: &str) -> u64 {
     }
 }
 
-/// A mean session duration in `(0, MAX_SESSION_S]`: the same upper bound
-/// a fleet record's recipe must meet, checked before any synthesis.
+/// A mean session duration in `[MIN_SESSION_S, MAX_SESSION_S]`: the
+/// range a fleet record's recipe must meet, checked before any synthesis.
 fn parse_duration(raw: &str) -> f64 {
     match raw.trim().parse::<f64>() {
-        Ok(value) if value > 0.0 && value <= MAX_SESSION_S => value,
+        Ok(value) if (MIN_SESSION_S..=MAX_SESSION_S).contains(&value) => value,
         _ => {
             eprintln!(
-                "error: invalid --duration {raw:?} (expected seconds in (0, {MAX_SESSION_S}])"
+                "error: invalid --duration {raw:?} \
+                 (expected seconds in [{MIN_SESSION_S}, {MAX_SESSION_S}])"
             );
             std::process::exit(2);
         }

@@ -60,13 +60,15 @@ fn assert_typed_error(out: &Output, code: i32, what: &str, case: &str) {
     assert!(stderr.contains(what), "{case}: {stderr}");
 }
 
-/// Session durations stop at an hour. Past it, synthesis used to panic
-/// (`1e308`) or abort on a failed allocation (`1e9`); each binary now
-/// rejects the value before it synthesizes anything.
+/// Session durations run from 4 s (two segments) to an hour. Past an
+/// hour, synthesis used to panic (`1e308`) or abort on a failed
+/// allocation (`1e9`); below 4 s, `fleet` ran a fleet no corpus could
+/// record. Each binary now rejects the value before it synthesizes
+/// anything.
 #[test]
-fn session_durations_beyond_an_hour_are_typed_errors() {
+fn session_durations_outside_four_seconds_to_an_hour_are_typed_errors() {
     let fleet = env!("CARGO_BIN_EXE_fleet");
-    for duration in ["1e308", "1e9", "3600.5"] {
+    for duration in ["1e308", "1e9", "3600.5", "2", "3.9"] {
         let out = run(fleet, &["--users", "3", "--duration", duration]);
         assert_typed_error(
             &out,
@@ -76,6 +78,12 @@ fn session_durations_beyond_an_hour_are_typed_errors() {
         );
         assert!(out.stdout.is_empty(), "fleet --duration {duration} ran");
     }
+    let out = run(fleet, &["--users", "3", "--duration", "4"]);
+    assert!(out.status.success(), "fleet --duration 4: {out:?}");
+    assert!(
+        !out.stdout.is_empty(),
+        "fleet --duration 4 printed no report"
+    );
 
     let session = env!("CARGO_BIN_EXE_session");
     let dir = std::env::temp_dir().join(format!("ecas-long-session-{}", std::process::id()));

@@ -67,7 +67,7 @@ pub use report::{render_markdown, Scenario, ScenarioError};
 pub use robustness::{fault_sweep, table_v_robustness, FaultSweepCell, RobustnessRow, SeedStat};
 pub use runner::ExperimentRunner;
 pub use sweep::{CacheStats, ExecPolicy, SweepEngine};
-pub use viewer::{expected_waste, quit_analysis, QuitAnalysis};
+pub use viewer::{quit_analysis, QuitAnalysis};
 
 pub use ecas_abr as abr;
 pub use ecas_net as net;

@@ -152,12 +152,6 @@ impl ReplayVerdict {
         matches!(self, ReplayVerdict::Pass { .. })
     }
 
-    /// Whether the check ran and found a divergence.
-    #[must_use]
-    pub fn is_fail(&self) -> bool {
-        matches!(self, ReplayVerdict::Fail { .. })
-    }
-
     /// A human-readable summary (multi-line on failure).
     #[must_use]
     pub fn render(&self) -> String {
@@ -591,31 +585,6 @@ impl<'a> Oracle<'a> {
             optimal,
             tolerance: OBJECTIVE_TOLERANCE,
         })
-    }
-
-    /// [`Oracle::check_objective`], emitting one `oracle/objective_pass`
-    /// or `oracle/objective_fail` counter into `probe`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ReplayError`] when the result's task count does not
-    /// match the session's segment count (no counter is emitted).
-    pub fn check_objective_with_probe(
-        &self,
-        session: &SessionTrace,
-        result: &SessionResult,
-        probe: &dyn Probe,
-    ) -> Result<ObjectiveVerdict, ReplayError> {
-        let verdict = self.check_objective(session, result)?;
-        probe.add(
-            if verdict.holds() {
-                names::ORACLE_OBJECTIVE_PASS
-            } else {
-                names::ORACLE_OBJECTIVE_FAIL
-            },
-            1,
-        );
-        Ok(verdict)
     }
 
     /// The planner used by the differential check: the simulator's own
@@ -1231,7 +1200,7 @@ mod tests {
         let verdict = oracle.check_replay(&s, &result, None);
         assert!(matches!(verdict, ReplayVerdict::Skipped { .. }));
         assert!(!verdict.is_pass());
-        assert!(!verdict.is_fail());
+        assert!(!matches!(verdict, ReplayVerdict::Fail { .. }));
     }
 
     #[test]
@@ -1267,7 +1236,11 @@ mod tests {
         }
         let oracle = Oracle::new(runner.simulator(), runner.eta());
         let verdict = oracle.check_replay(&s, &result, Some(&truncated));
-        assert!(verdict.is_fail(), "{}", verdict.render());
+        assert!(
+            matches!(verdict, ReplayVerdict::Fail { .. }),
+            "{}",
+            verdict.render()
+        );
     }
 
     #[test]
@@ -1315,11 +1288,9 @@ mod tests {
         let recorder = ecas_obs::MemoryRecorder::new();
         let _ = oracle.check_replay_with_probe(&s, &result, Some(&log), &recorder);
         let _ = oracle.check_replay_with_probe(&s, &result, None, &recorder);
-        let _ = oracle.check_objective_with_probe(&s, &result, &recorder);
         let snap = recorder.metrics().snapshot();
         assert_eq!(snap.counter(names::ORACLE_REPLAY_PASS), Some(1));
         assert_eq!(snap.counter(names::ORACLE_REPLAY_SKIP), Some(1));
-        assert_eq!(snap.counter(names::ORACLE_OBJECTIVE_PASS), Some(1));
     }
 
     #[test]

@@ -274,8 +274,9 @@ impl RecordedSession {
     }
 }
 
-/// Shortest session a recipe may ask for: two 2-second segments.
-const MIN_SESSION_S: f64 = 4.0;
+/// Shortest session (or fleet mean session) a recipe may ask for: two
+/// 2-second segments.
+pub const MIN_SESSION_S: f64 = 4.0;
 
 /// Longest session (or fleet mean session) a recipe may ask for. A fleet
 /// user's session reaches at most 5 × its mean + 10 s, so an hour's mean

@@ -165,7 +165,6 @@ pub struct CacheStats {
     pub write_errors: u64,
     /// Hits served from a recorded `.ecasr` reference instead of a
     /// JSONL entry (every such hit is also counted in `hits`).
-    #[serde(default)]
     pub from_record: u64,
 }
 
@@ -997,6 +996,49 @@ mod tests {
             "the edit must change the stored answer"
         );
         fs::write(&entry, tampered).unwrap();
+
+        let engine = SweepEngine::new(ExperimentRunner::paper());
+        assert_eq!(engine.run_grid(&sessions, &approaches, &policy), uncached);
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.corrupt),
+            (0, 1, 1),
+            "{stats:?}"
+        );
+
+        let warm = SweepEngine::new(ExperimentRunner::paper());
+        assert_eq!(warm.run_grid(&sessions, &approaches, &policy), uncached);
+        assert!(warm.stats().all_hits(), "{:?}", warm.stats());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A result line with a field missing is corrupt even when the
+    /// header's body hash matches it: every field is required, so an
+    /// entry without `retries` is recomputed, not served with a default.
+    #[test]
+    fn a_result_line_missing_a_field_is_corrupt() {
+        let dir = temp_dir("missing-field");
+        let sessions = sessions();
+        let approaches = [Approach::Ours];
+        let policy = ExecPolicy::cached(&dir, ExecPolicy::Sequential);
+        let cold = SweepEngine::new(ExperimentRunner::paper());
+        let uncached = cold.run_grid(&sessions, &approaches, &policy);
+
+        let entry = entry_path(
+            &dir,
+            &cold
+                .key_context()
+                .key(&session_hash(&sessions[0]), Cell::Approach(Approach::Ours)),
+        );
+        let text = fs::read_to_string(&entry).unwrap();
+        let (header, body) = text.split_once('\n').unwrap();
+        let field = body.find("\"retries\":").unwrap();
+        let end = field + body[field..].find(',').unwrap() + 1;
+        let body = format!("{}{}", &body[..field], &body[end..]);
+        let mut header: CacheHeader = serde_json::from_str(header).unwrap();
+        header.body = fnv1a_64(body.as_bytes());
+        let header = to_json(&header).unwrap();
+        fs::write(&entry, format!("{header}\n{body}")).unwrap();
 
         let engine = SweepEngine::new(ExperimentRunner::paper());
         assert_eq!(engine.run_grid(&sessions, &approaches, &policy), uncached);

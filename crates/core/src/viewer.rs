@@ -98,44 +98,6 @@ pub fn quit_analysis(
     }
 }
 
-/// Expected waste under a quit-time distribution: averages
-/// [`quit_analysis`] over quits at the given wall-clock fractions of the
-/// session.
-///
-/// # Panics
-///
-/// Panics if `quit_fractions` is empty or contains values outside `[0, 1]`.
-#[must_use]
-// ecas-lint: allow(pub-surface, reason = "re-exported viewer-model API (Sec. V quit analysis); exercised by unit tests")
-pub fn expected_waste(
-    result: &SessionResult,
-    segment_duration: Seconds,
-    quit_fractions: &[f64],
-) -> QuitAnalysis {
-    assert!(!quit_fractions.is_empty(), "no quit fractions given");
-    let wall = result.wall_time.value();
-    let mut watched = 0.0;
-    let mut segments = 0usize;
-    let mut data = 0.0;
-    let mut energy = 0.0;
-    for &f in quit_fractions {
-        assert!((0.0..=1.0).contains(&f), "quit fraction {f} outside [0, 1]");
-        let q = quit_analysis(result, segment_duration, Seconds::new(wall * f));
-        watched += q.watched.value();
-        segments += q.wasted_segments;
-        data += q.wasted_data.value();
-        energy += q.wasted_radio_energy.value();
-    }
-    let n = quit_fractions.len() as f64;
-    QuitAnalysis {
-        quit_at: Seconds::new(wall * quit_fractions.iter().sum::<f64>() / n),
-        watched: Seconds::new(watched / n),
-        wasted_segments: (segments as f64 / n).round() as usize,
-        wasted_data: MegaBytes::new(data / n),
-        wasted_radio_energy: Joules::new(energy / n),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,20 +166,5 @@ mod tests {
             q_ours.wasted_data,
             q_youtube.wasted_data
         );
-    }
-
-    #[test]
-    fn expected_waste_averages() {
-        let r = run(Approach::Youtube);
-        let e = expected_waste(&r, Seconds::new(2.0), &[0.25, 0.5, 0.75]);
-        assert!(e.wasted_segments > 0);
-        assert!(e.watched.value() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn rejects_bad_fraction() {
-        let r = run(Approach::Youtube);
-        let _ = expected_waste(&r, Seconds::new(2.0), &[1.5]);
     }
 }

@@ -158,12 +158,6 @@ impl RunManifest {
         stable_hash(self)
     }
 
-    /// [`RunManifest::stable_hash`] as a fixed-width hex string.
-    #[must_use]
-    pub fn hash_hex(&self) -> String {
-        format!("{:016x}", self.stable_hash())
-    }
-
     /// Serializes the manifest as pretty JSON.
     ///
     /// # Panics
@@ -221,8 +215,6 @@ mod tests {
     #[test]
     fn equal_manifests_hash_equal() {
         assert_eq!(manifest().stable_hash(), manifest().stable_hash());
-        assert_eq!(manifest().hash_hex(), manifest().hash_hex());
-        assert_eq!(manifest().hash_hex().len(), 16);
     }
 
     #[test]

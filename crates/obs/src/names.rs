@@ -66,12 +66,6 @@ pub const ORACLE_REPLAY_PASS: &str = "oracle/replay_pass";
 pub const ORACLE_REPLAY_FAIL: &str = "oracle/replay_fail";
 /// A replay check was skipped because no event log was recorded.
 pub const ORACLE_REPLAY_SKIP: &str = "oracle/replay_skip";
-/// A differential check confirmed the online objective never beats
-/// the shortest-path optimal.
-pub const ORACLE_OBJECTIVE_PASS: &str = "oracle/objective_pass";
-/// A differential check found an online objective below the optimal
-/// — an optimality violation in the planner or the objective.
-pub const ORACLE_OBJECTIVE_FAIL: &str = "oracle/objective_fail";
 
 // -------------------------------------------------------- session records
 
@@ -179,8 +173,6 @@ pub const ALL: &[&str] = &[
     ORACLE_REPLAY_PASS,
     ORACLE_REPLAY_FAIL,
     ORACLE_REPLAY_SKIP,
-    ORACLE_OBJECTIVE_PASS,
-    ORACLE_OBJECTIVE_FAIL,
     RECORD_RECORDED,
     RECORD_VERIFY_PASS,
     RECORD_VERIFY_FAIL,

@@ -5,7 +5,7 @@
 //! motivation is ultimately felt. Models a fixed-capacity ideal battery:
 //! capacity in milliamp-hours at a nominal voltage, drained by joules.
 
-use ecas_types::units::{Joules, Seconds, Watts};
+use ecas_types::units::Joules;
 use serde::{Deserialize, Serialize};
 
 /// An ideal fixed-voltage battery.
@@ -83,26 +83,10 @@ impl Battery {
         drained
     }
 
-    /// Recharges to full.
-    pub fn recharge(&mut self) {
-        self.remaining = self.capacity;
-    }
-
     /// The fraction of a *full* battery that `energy` represents.
     #[must_use]
     pub fn fraction_of_capacity(&self, energy: Joules) -> f64 {
         energy / self.capacity
-    }
-
-    /// How long the remaining charge lasts at a constant `power` draw.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `power` is zero.
-    #[must_use]
-    pub fn runtime_at(&self, power: Watts) -> Seconds {
-        assert!(!power.is_zero(), "cannot divide by zero power");
-        self.remaining / power
     }
 }
 
@@ -136,21 +120,6 @@ mod tests {
         assert_eq!(drained, Joules::new(260.0));
         assert!(b.is_empty());
         assert_eq!(b.drain(Joules::new(1.0)), Joules::zero());
-    }
-
-    #[test]
-    fn recharge_restores_full() {
-        let mut b = Battery::nexus_5x();
-        b.drain(Joules::new(5000.0));
-        b.recharge();
-        assert_eq!(b.state_of_charge(), 1.0);
-    }
-
-    #[test]
-    fn runtime_at_constant_power() {
-        let b = Battery::from_mah(1000.0, 1.0); // 3600 J
-        let runtime = b.runtime_at(Watts::new(2.0));
-        assert!((runtime.value() - 1800.0).abs() < 1e-9);
     }
 
     #[test]

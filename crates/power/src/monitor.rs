@@ -129,12 +129,6 @@ impl PowerMonitor {
         }
     }
 
-    /// A Monsoon-like configuration: 5 kHz sampling, 20 mW noise.
-    #[must_use]
-    pub fn monsoon(seed: u64) -> Self {
-        Self::new(5000.0, 0.02, seed)
-    }
-
     /// Samples the profile over its whole duration. Deterministic per
     /// seed.
     #[must_use]

@@ -1,36 +1,9 @@
 //! Session-level QoE aggregation.
 //!
 //! The paper scores a session by the mean of its per-task Eq. (1) values.
-//! The QoE literature it cites (refs [16, 25]) also uses aggregates that
-//! weigh the experience differently — the human memory effects of
-//! subjective studies. This module implements the standard set so session
-//! scores can be compared under several lenses:
-//!
-//! * [`mean`] — the paper's aggregate;
-//! * [`worst`] — the minimum segment (peak-annoyance);
-//! * [`percentile`] — e.g. p10, robust "bad minutes" measure;
-//! * [`recency_weighted`] — exponentially weighted toward the session end
-//!   (viewers remember how it ended);
-//! * [`SessionQoe::of`] — all of them at once.
-
-use serde::{Deserialize, Serialize};
-
-/// Mean per-task QoE (the paper's session aggregate).
-///
-/// Returns `None` for an empty session.
-#[must_use]
-pub fn mean(per_task: &[f64]) -> Option<f64> {
-    if per_task.is_empty() {
-        return None;
-    }
-    Some(per_task.iter().sum::<f64>() / per_task.len() as f64)
-}
-
-/// The worst per-task QoE.
-#[must_use]
-pub fn worst(per_task: &[f64]) -> Option<f64> {
-    ecas_types::float::total_min(per_task.iter().copied())
-}
+//! [`percentile`] gives the robust "bad minutes" view (e.g. p10) under the
+//! workspace's one percentile convention; `ecas_obs::perf::PerfStats` is checked
+//! against it.
 
 /// The `p`-quantile (0 ≤ p ≤ 1) of per-task QoE, using the workspace's
 /// nearest-rank-from-below convention
@@ -47,59 +20,6 @@ pub fn percentile(per_task: &[f64], p: f64) -> Option<f64> {
     ecas_types::float::nearest_rank(sorted.len(), p).and_then(|idx| sorted.get(idx).copied())
 }
 
-/// Exponentially recency-weighted mean: task `i` of `n` carries weight
-/// `decay^(n-1-i)`, so the last task has weight 1 and earlier tasks fade.
-///
-/// # Panics
-///
-/// Panics if `decay` is outside `(0, 1]`.
-#[must_use]
-pub fn recency_weighted(per_task: &[f64], decay: f64) -> Option<f64> {
-    assert!(
-        decay > 0.0 && decay <= 1.0,
-        "decay must be in (0, 1], got {decay}"
-    );
-    if per_task.is_empty() {
-        return None;
-    }
-    let n = per_task.len();
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (i, &q) in per_task.iter().enumerate() {
-        let w = decay.powi((n - 1 - i) as i32);
-        num += w * q;
-        den += w;
-    }
-    Some(num / den)
-}
-
-/// All session aggregates at once.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SessionQoe {
-    /// Mean per-task QoE (the paper's aggregate).
-    pub mean: f64,
-    /// Worst task.
-    pub worst: f64,
-    /// 10th percentile.
-    pub p10: f64,
-    /// Recency-weighted mean (decay 0.98 per task ≈ 2-minute memory for
-    /// 2-second segments).
-    pub recency: f64,
-}
-
-impl SessionQoe {
-    /// Computes every aggregate, or `None` for an empty session.
-    #[must_use]
-    pub fn of(per_task: &[f64]) -> Option<Self> {
-        Some(Self {
-            mean: mean(per_task)?,
-            worst: worst(per_task)?,
-            p10: percentile(per_task, 0.10)?,
-            recency: recency_weighted(per_task, 0.98)?,
-        })
-    }
-}
-
 #[cfg(test)]
 // Tests assert exact fixture values; clippy::float_cmp guards library code.
 #[allow(clippy::float_cmp)]
@@ -107,16 +27,6 @@ mod tests {
     use super::*;
 
     const TASKS: [f64; 5] = [4.0, 4.0, 1.0, 4.0, 4.0];
-
-    #[test]
-    fn mean_matches_hand_value() {
-        assert!((mean(&TASKS).unwrap() - 3.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn worst_finds_the_dip() {
-        assert_eq!(worst(&TASKS), Some(1.0));
-    }
 
     #[test]
     fn percentile_extremes() {
@@ -137,43 +47,7 @@ mod tests {
     }
 
     #[test]
-    fn recency_rewards_strong_finish() {
-        let bad_start = [1.0, 1.0, 4.0, 4.0, 4.0];
-        let bad_end = [4.0, 4.0, 4.0, 1.0, 1.0];
-        // Same mean, but the strong finish scores higher under recency.
-        assert_eq!(mean(&bad_start), mean(&bad_end));
-        let rs = recency_weighted(&bad_start, 0.7).unwrap();
-        let re = recency_weighted(&bad_end, 0.7).unwrap();
-        assert!(rs > re, "{rs} vs {re}");
-    }
-
-    #[test]
-    fn decay_one_equals_mean() {
-        let r = recency_weighted(&TASKS, 1.0).unwrap();
-        assert!((r - mean(&TASKS).unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_returns_none_everywhere() {
-        assert!(mean(&[]).is_none());
-        assert!(worst(&[]).is_none());
         assert!(percentile(&[], 0.5).is_none());
-        assert!(recency_weighted(&[], 0.9).is_none());
-        assert!(SessionQoe::of(&[]).is_none());
-    }
-
-    #[test]
-    fn bundle_is_consistent() {
-        let q = SessionQoe::of(&TASKS).unwrap();
-        assert_eq!(q.worst, 1.0);
-        assert!((q.mean - 3.4).abs() < 1e-12);
-        assert!(q.p10 <= q.mean);
-        assert!(q.recency >= q.worst && q.recency <= 4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "decay must be in")]
-    fn rejects_zero_decay() {
-        let _ = recency_weighted(&TASKS, 0.0);
     }
 }

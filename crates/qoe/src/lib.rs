@@ -45,7 +45,6 @@ pub mod params;
 pub mod quality;
 pub mod study;
 
-pub use aggregate::SessionQoe;
 pub use impairment::VibrationImpairment;
 pub use model::QoeModel;
 pub use params::{ImpairmentParams, PenaltyParams, QoeParams, QualityParams};

@@ -61,13 +61,6 @@ impl OriginalQuality {
         QoeScore::new(raw.clamp(1.0, 5.0))
     }
 
-    /// Evaluates the unclamped model (useful for fitting diagnostics).
-    #[must_use]
-    pub fn at_unclamped(&self, bitrate: Mbps) -> f64 {
-        let p = &self.params;
-        p.q_max - p.a * (-p.b * bitrate.value().powf(p.p)).exp()
-    }
-
     /// Relative quality drop (fraction in `[0, 1]`) when moving from
     /// `from` down to `to` — e.g. the paper's "12 %" from 1080p to 480p.
     ///
@@ -143,14 +136,5 @@ mod tests {
         let mut p = QualityParams::paper();
         p.p = -0.5;
         let _ = OriginalQuality::new(p);
-    }
-
-    #[test]
-    fn unclamped_matches_clamped_in_normal_range() {
-        let q0 = OriginalQuality::paper();
-        for r in [0.375, 0.75, 1.5, 3.0, 5.8] {
-            let raw = q0.at_unclamped(Mbps::new(r));
-            assert!((raw - q0.at(Mbps::new(r)).value()).abs() < 1e-12);
-        }
     }
 }

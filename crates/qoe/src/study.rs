@@ -173,28 +173,6 @@ fn gauss(rng: &mut SmallRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Mean-opinion-score aggregation per video genre (at a fixed context):
-/// the per-content quality differences behind the Fig. 2(a) video-set
-/// design.
-#[must_use]
-// ecas-lint: allow(pub-surface, reason = "Fig. 2(a) aggregation is paper-facing API; exercised by unit tests")
-pub fn mos_by_video(ratings: &[Rating]) -> Vec<(String, f64)> {
-    let mut cells: Vec<(String, f64, usize)> = Vec::new();
-    for r in ratings {
-        match cells.iter_mut().find(|(v, _, _)| *v == r.video) {
-            Some((_, sum, n)) => {
-                *sum += r.qoe.value();
-                *n += 1;
-            }
-            None => cells.push((r.video.clone(), r.qoe.value(), 1)),
-        }
-    }
-    cells
-        .into_iter()
-        .map(|(v, sum, n)| (v, sum / n as f64))
-        .collect()
-}
-
 /// Mean-opinion-score aggregation: averages ratings per
 /// `(bitrate, vibration)` cell.
 #[must_use]
@@ -374,15 +352,15 @@ mod tests {
         // The study gives high-TI videos a positive taste offset, so
         // Basketball (TI 25) should out-rate Speech (TI 3) on average.
         let ratings = SubjectiveStudy::paper(6).run();
-        let by_video = mos_by_video(&ratings);
         let get = |name: &str| {
-            by_video
+            let scores: Vec<f64> = ratings
                 .iter()
-                .find(|(v, _)| v == name)
-                .map(|(_, q)| *q)
-                .unwrap()
+                .filter(|r| r.video == name)
+                .map(|r| r.qoe.value())
+                .collect();
+            assert!(!scores.is_empty(), "no ratings for {name}");
+            scores.iter().sum::<f64>() / scores.len() as f64
         };
-        assert_eq!(by_video.len(), 10);
         assert!(
             get("Basketball") > get("Speech"),
             "basketball {} vs speech {}",

@@ -19,8 +19,7 @@ use crate::vibration::vibration_level;
 
 /// Decision thresholds of the classifier.
 #[derive(Debug, Clone, Copy, PartialEq)]
-// ecas-lint: allow(pub-surface, reason = "config consumed by the public ActivityClassifier constructors")
-pub struct ClassifierConfig {
+pub(crate) struct ClassifierConfig {
     /// Below this vibration level everything is a quiet room (m/s²).
     pub quiet_below: f64,
     /// Above this vibration level everything is a vehicle (m/s²).
@@ -42,32 +41,9 @@ impl Default for ClassifierConfig {
     }
 }
 
-/// Classifies watching context from a window of accelerometer samples.
-///
-/// # Examples
-///
-/// ```
-/// use ecas_sensors::activity::classify;
-/// use ecas_trace::synth::accel::AccelTraceGenerator;
-/// use ecas_trace::synth::context::{Context, ContextSchedule};
-/// use ecas_types::units::Seconds;
-///
-/// let accel = AccelTraceGenerator::new(
-///     ContextSchedule::constant(Context::MovingVehicle),
-///     Seconds::new(30.0),
-///     3,
-/// )
-/// .generate();
-/// assert_eq!(classify(accel.as_slice()), Some(Context::MovingVehicle));
-/// ```
-#[must_use]
-pub fn classify(samples: &[AccelSample]) -> Option<Context> {
-    classify_with(samples, &ClassifierConfig::default())
-}
-
-/// [`classify`] with explicit thresholds.
-#[must_use]
-pub(crate) fn classify_with(samples: &[AccelSample], config: &ClassifierConfig) -> Option<Context> {
+/// Classifies watching context from a window of accelerometer samples,
+/// or `None` when the window is empty.
+fn classify_with(samples: &[AccelSample], config: &ClassifierConfig) -> Option<Context> {
     let level = vibration_level(samples)?;
     Some(decide(level, samples, config))
 }
@@ -144,33 +120,14 @@ impl ActivityClassifier {
     /// vibration estimation span of Section IV-B).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_window(Seconds::new(6.0), ClassifierConfig::default())
-    }
-
-    /// Creates a classifier with an explicit window and thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn with_window(window: Seconds, config: ClassifierConfig) -> Self {
-        assert!(!window.is_zero(), "classifier window must be positive");
         Self {
-            config,
-            window,
+            config: ClassifierConfig::default(),
+            window: Seconds::new(6.0),
             samples: Vec::new(),
             confirm_span: Seconds::new(3.0),
             candidate: None,
             confirmed: None,
         }
-    }
-
-    /// Overrides how long a raw classification must persist before
-    /// [`Self::stable_context`] adopts it (default 3 s).
-    #[must_use]
-    pub fn confirm_span(mut self, span: Seconds) -> Self {
-        self.confirm_span = span;
-        self
     }
 
     /// Feeds one sample, evicting those older than the window.
@@ -236,6 +193,10 @@ mod tests {
     use super::*;
     use ecas_trace::synth::accel::AccelTraceGenerator;
     use ecas_trace::synth::context::ContextSchedule;
+
+    fn classify(samples: &[AccelSample]) -> Option<Context> {
+        classify_with(samples, &ClassifierConfig::default())
+    }
 
     fn synth(ctx: Context, secs: f64, seed: u64) -> Vec<AccelSample> {
         AccelTraceGenerator::new(ContextSchedule::constant(ctx), Seconds::new(secs), seed)

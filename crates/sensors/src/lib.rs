@@ -2,18 +2,15 @@
 //!
 //! The paper quantifies the watching context with a *vibration level*
 //! computed from the smartphone's accelerometer (its Eq. 5). This crate
-//! implements that pipeline:
+//! implements that statistic:
 //!
-//! 1. [`filter`] — first-order IIR filters (high-pass to remove the gravity
-//!    DC component, low-pass for denoising);
-//! 2. [`window`] — sliding time windows with streaming mean/RMS/std;
-//! 3. [`vibration`] — the Eq. 5 statistic itself, in an offline batch form
-//!    ([`vibration::vibration_level`]) and the online estimator used by the
-//!    bitrate selector ([`vibration::VibrationEstimator`]), which follows
-//!    Section IV-B: the level is estimated over the trailing
-//!    `0.2 * W` seconds with `W = 30 s`;
-//! 4. [`resample`] — linear-interpolation resampling of accelerometer
-//!    series onto a uniform rate.
+//! * [`window`] — a sliding time window with streaming mean/std;
+//! * [`vibration`] — the Eq. 5 statistic itself, in an offline batch form
+//!   ([`vibration::vibration_level`]) and the online estimator used by the
+//!   bitrate selector ([`vibration::VibrationEstimator`]), which follows
+//!   Section IV-B: the level is estimated over the trailing `0.2 * W`
+//!   seconds with `W = 30 s`, and the estimator holds exactly those 6 s;
+//! * [`activity`] — a context classifier over the same feature.
 //!
 //! # Examples
 //!
@@ -42,12 +39,9 @@
 #![warn(missing_docs)]
 
 pub mod activity;
-pub mod filter;
-pub mod resample;
 pub mod vibration;
 pub mod window;
 
-pub use activity::{classify, ActivityClassifier};
-pub use filter::{HighPass, LowPass};
+pub use activity::ActivityClassifier;
 pub use vibration::{vibration_level, VibrationEstimator};
 pub use window::SlidingWindow;

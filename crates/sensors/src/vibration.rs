@@ -26,14 +26,11 @@ use ecas_types::units::{MetersPerSec2, Seconds};
 
 use crate::window::SlidingWindow;
 
-/// The fraction of `W` actually used for the online estimate (`0.2 * W`).
-pub(crate) const WINDOW_FRACTION: f64 = 0.2;
+/// The paper's window `W` in seconds (Section IV-B).
+const W_SECONDS: f64 = 30.0;
 
-/// Returns the paper's default window `W = 30 s` (Section IV-B).
-#[must_use]
-pub(crate) fn default_window() -> Seconds {
-    Seconds::new(30.0)
-}
+/// The fraction of `W` the online estimate reads (`0.2 * W`).
+const WINDOW_FRACTION: f64 = 0.2;
 
 /// Computes the Eq. (5) vibration level of a batch of accelerometer
 /// samples (population std of the magnitude signal).
@@ -78,7 +75,8 @@ pub fn vibration_level_in_window(
 /// Streaming vibration-level estimator (Section IV-B).
 ///
 /// Accelerometer samples are pushed as they arrive; [`Self::level`]
-/// returns the Eq. (5) statistic over the trailing `0.2 * W` seconds.
+/// returns the Eq. (5) statistic over the trailing `0.2 * W` seconds,
+/// which is all the estimator retains.
 ///
 /// # Examples
 ///
@@ -99,29 +97,15 @@ pub fn vibration_level_in_window(
 #[derive(Debug, Clone)]
 pub struct VibrationEstimator {
     window: SlidingWindow,
-    estimate_span: Seconds,
 }
 
 impl VibrationEstimator {
-    /// Creates an estimator with the paper's defaults
-    /// (`W = 30 s`, estimation span `0.2 * W = 6 s`).
+    /// Creates an estimator with the paper's defaults: `W = 30 s`, so the
+    /// window holds the trailing `0.2 * W = 6 s`.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_window(default_window())
-    }
-
-    /// Creates an estimator with a custom window `W`; the estimation span
-    /// is `0.2 * W` per Section IV-B.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn with_window(window: Seconds) -> Self {
-        assert!(!window.is_zero(), "vibration window must be positive");
         Self {
-            window: SlidingWindow::new(window),
-            estimate_span: window * WINDOW_FRACTION,
+            window: SlidingWindow::new(Seconds::new(W_SECONDS) * WINDOW_FRACTION),
         }
     }
 
@@ -138,32 +122,7 @@ impl VibrationEstimator {
     /// before any sample has arrived.
     #[must_use]
     pub fn level(&self) -> Option<MetersPerSec2> {
-        self.window
-            .std_over_trailing(self.estimate_span)
-            .map(MetersPerSec2::new)
-    }
-
-    /// The vibration level over the full retained window `W`.
-    #[must_use]
-    pub fn level_full_window(&self) -> Option<MetersPerSec2> {
         self.window.std().map(MetersPerSec2::new)
-    }
-
-    /// Number of samples currently retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Whether no samples have been retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
-    /// Clears all retained samples.
-    pub fn clear(&mut self) {
-        self.window.clear();
     }
 }
 
@@ -256,32 +215,5 @@ mod tests {
         let a = vibration_level_in_window(&series, from, to).unwrap();
         let b = vibration_level(series.window(from, to)).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn estimator_clear_resets() {
-        let mut est = VibrationEstimator::new();
-        est.push(AccelSample::new(Seconds::zero(), 0.0, 0.0, 9.81));
-        assert!(!est.is_empty());
-        est.clear();
-        assert!(est.is_empty());
-        assert!(est.level().is_none());
-    }
-
-    #[test]
-    fn custom_window_changes_estimate_span() {
-        // With W = 10 s the estimate span is 2 s; feed 1 s of quiet then a
-        // single large spike burst in the last 0.5 s.
-        let mut est = VibrationEstimator::with_window(Seconds::new(10.0));
-        for i in 0..100 {
-            let t = i as f64 * 0.1;
-            let jitter = if t > 9.5 { (t * 40.0).sin() * 3.0 } else { 0.0 };
-            est.push(AccelSample::new(Seconds::new(t), 0.0, 0.0, 9.81 + jitter));
-        }
-        // The trailing-2s estimate sees the burst; the full-window estimate
-        // dilutes it.
-        let trailing = est.level().unwrap();
-        let full = est.level_full_window().unwrap();
-        assert!(trailing > full);
     }
 }

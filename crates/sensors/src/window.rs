@@ -7,7 +7,7 @@ use ecas_types::units::Seconds;
 /// A time-bounded sliding window over `(time, value)` pairs.
 ///
 /// Samples older than `span` relative to the most recent sample are evicted
-/// on insertion. Mean, RMS and standard deviation are computed over the
+/// on insertion. Mean and standard deviation are computed over the
 /// retained samples.
 ///
 /// # Examples
@@ -81,12 +81,6 @@ impl SlidingWindow {
         self.samples.is_empty()
     }
 
-    /// The configured window span.
-    #[must_use]
-    pub fn span(&self) -> Seconds {
-        self.span
-    }
-
     /// Mean of the retained values, or `None` when empty.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {
@@ -94,16 +88,6 @@ impl SlidingWindow {
             return None;
         }
         Some(self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64)
-    }
-
-    /// Root-mean-square of the retained values, or `None` when empty.
-    #[must_use]
-    pub fn rms(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let ms = self.samples.iter().map(|&(_, v)| v * v).sum::<f64>() / self.samples.len() as f64;
-        Some(ms.sqrt())
     }
 
     /// Population standard deviation of the retained values, or `None`
@@ -118,32 +102,6 @@ impl SlidingWindow {
             .sum::<f64>()
             / self.samples.len() as f64;
         Some(var.sqrt())
-    }
-
-    /// Retains only samples within `sub_span` of the most recent sample and
-    /// returns their population standard deviation (used for the paper's
-    /// `0.2 * W` online estimation window), or `None` when empty.
-    #[must_use]
-    pub fn std_over_trailing(&self, sub_span: Seconds) -> Option<f64> {
-        let &(latest, _) = self.samples.back()?;
-        let cutoff = latest.saturating_sub(sub_span);
-        let vals: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|&&(t, _)| t >= cutoff)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            return None;
-        }
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
-        Some(var.sqrt())
-    }
-
-    /// Clears all samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
     }
 
     /// Iterates over the retained `(time, value)` pairs, oldest first.
@@ -174,41 +132,14 @@ mod tests {
         }
         assert!((w.mean().unwrap() - 5.0).abs() < 1e-12);
         assert!((w.std().unwrap() - 2.0).abs() < 1e-12);
-        let expected_rms = (29.0f64).sqrt();
-        assert!((w.rms().unwrap() - expected_rms).abs() < 1e-12);
     }
 
     #[test]
     fn empty_window_returns_none() {
         let w = SlidingWindow::new(Seconds::new(1.0));
         assert!(w.mean().is_none());
-        assert!(w.rms().is_none());
         assert!(w.std().is_none());
-        assert!(w.std_over_trailing(Seconds::new(1.0)).is_none());
         assert!(w.is_empty());
-    }
-
-    #[test]
-    fn std_over_trailing_uses_subwindow() {
-        let mut w = SlidingWindow::new(Seconds::new(30.0));
-        // First 20 s: constant; last 10 s: alternating.
-        for i in 0..300 {
-            let t = i as f64 * 0.1;
-            let v = if t < 20.0 {
-                5.0
-            } else if i % 2 == 0 {
-                4.0
-            } else {
-                6.0
-            };
-            w.push(Seconds::new(t), v);
-        }
-        // The full window has low-ish std; the trailing 6 s has std 1.0.
-        // The trailing window holds 61 samples (31 of one value, 30 of the
-        // other), so the std is close to but not exactly 1.
-        let trailing = w.std_over_trailing(Seconds::new(6.0)).unwrap();
-        assert!((trailing - 1.0).abs() < 0.01, "trailing std {trailing}");
-        assert!(w.std().unwrap() < trailing);
     }
 
     #[test]
@@ -224,13 +155,5 @@ mod tests {
     fn rejects_nan_values() {
         let mut w = SlidingWindow::new(Seconds::new(1.0));
         w.push(Seconds::zero(), f64::NAN);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut w = SlidingWindow::new(Seconds::new(1.0));
-        w.push(Seconds::zero(), 1.0);
-        w.clear();
-        assert!(w.is_empty());
     }
 }

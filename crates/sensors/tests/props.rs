@@ -1,6 +1,5 @@
 //! Property-based tests for sensor-processing invariants.
 
-use ecas_sensors::filter::{HighPass, LowPass};
 use ecas_sensors::vibration::{vibration_level, VibrationEstimator};
 use ecas_sensors::window::SlidingWindow;
 use ecas_trace::sample::AccelSample;
@@ -55,42 +54,28 @@ proptest! {
     }
 
     #[test]
-    fn estimator_level_matches_batch_on_short_streams(vals in proptest::collection::vec(-3.0f64..3.0, 10..100)) {
-        // If the whole stream fits in the trailing 0.2*W span, the online
-        // estimate equals the batch statistic.
+    fn estimator_level_matches_batch_over_trailing_span(vals in proptest::collection::vec(-3.0f64..3.0, 10..1000)) {
+        // Streams of up to 20 s at 50 Hz, shorter and longer than the
+        // 0.2 * W = 6 s span: the online estimate has the bits of the batch
+        // statistic over the samples with t >= last - 6 s.
         let samples: Vec<AccelSample> = vals
             .iter()
             .enumerate()
             .map(|(i, &d)| AccelSample::new(Seconds::new(i as f64 * 0.02), 0.0, 0.0, 9.81 + d))
             .collect();
-        let batch = vibration_level(&samples).unwrap();
         let mut est = VibrationEstimator::new();
         for s in &samples {
             est.push(*s);
         }
+        let last = samples.last().unwrap().time.value();
+        let trailing: Vec<AccelSample> = samples
+            .iter()
+            .copied()
+            .filter(|s| s.time.value() >= last - 6.0)
+            .collect();
+        let batch = vibration_level(&trailing).unwrap();
         let online = est.level().unwrap();
-        prop_assert!((batch.value() - online.value()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lowpass_output_bounded_by_input_range(xs in proptest::collection::vec(-10.0f64..10.0, 1..300), cutoff in 0.1f64..10.0) {
-        let mut lp = LowPass::new(cutoff, 0.02);
-        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for &x in &xs {
-            let y = lp.apply(x);
-            prop_assert!(y >= lo - 1e-9 && y <= hi + 1e-9, "y {y} outside [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn highpass_of_constant_is_zero_after_first(c in -50.0f64..50.0, cutoff in 0.05f64..5.0) {
-        let mut hp = HighPass::new(cutoff, 0.02);
-        let _ = hp.apply(c);
-        for _ in 0..100 {
-            let y = hp.apply(c);
-            prop_assert!(y.abs() < 1e-6);
-        }
+        prop_assert_eq!(online.value().to_bits(), batch.value().to_bits());
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl RetryPolicy {
     }
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 /// DASH player configuration.
 ///
 /// The paper's evaluation uses 2-second segments and a buffer threshold
@@ -85,7 +79,6 @@ pub struct PlayerConfig {
     /// Model the LTE RRC tail after each download burst.
     pub radio_tail: bool,
     /// Retry/timeout/backoff behaviour under fault injection.
-    #[serde(default)]
     pub retry: RetryPolicy,
 }
 
@@ -120,18 +113,6 @@ impl PlayerConfig {
     #[must_use]
     pub fn with_buffer_threshold(mut self, threshold: Seconds) -> Self {
         self.buffer_threshold = threshold;
-        assert!(self.is_valid(), "invalid player config after override");
-        self
-    }
-
-    /// Returns a copy with a different segment duration (for sweeps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resulting configuration is invalid.
-    #[must_use]
-    pub fn with_segment_duration(mut self, duration: Seconds) -> Self {
-        self.segment_duration = duration;
         assert!(self.is_valid(), "invalid player config after override");
         self
     }
@@ -204,15 +185,5 @@ mod tests {
         let mut c = PlayerConfig::paper();
         c.retry.attempt_timeout = Seconds::zero();
         assert!(!c.is_valid());
-    }
-
-    #[test]
-    fn legacy_config_json_defaults_retry_policy() {
-        // Configs serialized before the retry field existed still load.
-        let json = r#"{"segment_duration":2.0,"buffer_threshold":30.0,
-                       "startup_threshold":4.0,"radio_tail":true}"#;
-        let c: PlayerConfig = serde_json::from_str(json).unwrap();
-        assert_eq!(c.retry, RetryPolicy::paper());
-        assert!(c.is_valid());
     }
 }

@@ -82,21 +82,16 @@ pub struct SessionResult {
     /// transfers are accounted in [`SessionResult::wasted_energy`] only).
     pub downloaded: MegaBytes,
     /// Download retries across the session (fault injection only).
-    #[serde(default)]
     pub retries: usize,
     /// Aborted download attempts (injected failures + stall timeouts).
-    #[serde(default)]
     pub aborts: usize,
     /// Segments delivered at the fallback (lowest) ladder level after
     /// exhausting the retry budget.
-    #[serde(default)]
     pub degraded_segments: usize,
     /// Injected link-outage time overlapping the session.
-    #[serde(default)]
     pub outage_time: Seconds,
     /// Radio energy spent on aborted download attempts (a subset of
     /// [`EnergyBreakdown::radio`], already included in the totals).
-    #[serde(default)]
     pub wasted_energy: Joules,
 }
 
@@ -105,9 +100,7 @@ impl SessionResult {
     ///
     /// A method over [`EnergyBreakdown::total`] rather than a stored
     /// field: the old denormalized `total_energy` field could drift from
-    /// the breakdown it claimed to summarize. Serialized forms that
-    /// still carry the legacy field deserialize fine (unknown fields are
-    /// ignored) and the total is recomputed from the breakdown.
+    /// the breakdown it claimed to summarize.
     #[must_use]
     pub fn total_energy(&self) -> Joules {
         self.energy.total()
@@ -133,58 +126,6 @@ impl SessionResult {
         }
         self.total_rebuffer / self.wall_time
     }
-
-    /// Per-task QoE values in task order.
-    #[must_use]
-    pub fn qoe_series(&self) -> Vec<f64> {
-        self.tasks.iter().map(|t| t.qoe.value()).collect()
-    }
-
-    /// Histogram of chosen levels: `(level, task count)` sorted by level.
-    #[must_use]
-    pub fn level_histogram(&self) -> Vec<(LevelIndex, usize)> {
-        let mut counts: std::collections::BTreeMap<usize, usize> =
-            std::collections::BTreeMap::new();
-        for t in &self.tasks {
-            *counts.entry(t.level.value()).or_insert(0) += 1;
-        }
-        counts
-            .into_iter()
-            .map(|(level, n)| (LevelIndex::new(level), n))
-            .collect()
-    }
-
-    /// Seconds of video played at each level, sorted by level (tasks all
-    /// contribute one segment duration inferred from the records).
-    #[must_use]
-    pub fn seconds_at_level(&self, segment_duration: Seconds) -> Vec<(LevelIndex, Seconds)> {
-        self.level_histogram()
-            .into_iter()
-            .map(|(level, n)| (level, segment_duration * n as f64))
-            .collect()
-    }
-
-    /// Total radio energy summed over the per-task records (excludes the
-    /// tail component tracked in [`EnergyBreakdown::tail`]).
-    #[must_use]
-    pub fn task_radio_energy(&self) -> Joules {
-        self.tasks.iter().map(|t| t.radio_energy).sum()
-    }
-
-    /// Mean download duty cycle: fraction of wall-clock time the radio
-    /// spent actively downloading.
-    #[must_use]
-    pub fn radio_duty_cycle(&self) -> f64 {
-        if self.wall_time.is_zero() {
-            return 0.0;
-        }
-        let active: f64 = self
-            .tasks
-            .iter()
-            .map(|t| t.download_end.value() - t.download_start.value())
-            .sum();
-        active / self.wall_time.value()
-    }
 }
 
 #[cfg(test)]
@@ -205,31 +146,6 @@ mod tests {
     #[test]
     fn default_breakdown_is_zero() {
         assert_eq!(EnergyBreakdown::default().total(), Joules::zero());
-    }
-
-    /// Regression: `total_energy` used to be a stored (denormalized)
-    /// field. Legacy JSON that still carries it must deserialize, and the
-    /// recomputed total must come from the breakdown — even when the
-    /// legacy field had drifted.
-    #[test]
-    fn legacy_json_with_total_energy_field_still_deserializes() {
-        let json = r#"{
-            "controller": "fixed",
-            "trace": "legacy",
-            "tasks": [],
-            "energy": { "screen": 10.0, "decode": 2.0, "radio": 5.0, "tail": 1.0 },
-            "total_energy": 999.0,
-            "mean_qoe": 3.5,
-            "total_rebuffer": 0.0,
-            "startup_delay": 1.0,
-            "switches": 0,
-            "played": 60.0,
-            "wall_time": 61.0,
-            "downloaded": 12.0
-        }"#;
-        let r: SessionResult = serde_json::from_str(json).expect("legacy JSON deserializes");
-        assert_eq!(r.total_energy(), Joules::new(18.0));
-        assert_eq!(r.energy.total(), r.total_energy());
     }
 }
 
@@ -254,38 +170,15 @@ mod analysis_tests {
     }
 
     #[test]
-    fn level_histogram_covers_all_tasks() {
-        let r = result();
-        let hist = r.level_histogram();
-        assert_eq!(hist.len(), 1, "fixed controller uses one level");
-        assert_eq!(hist[0].1, r.tasks.len());
-    }
-
-    #[test]
-    fn seconds_at_level_scale_with_segment_duration() {
-        let r = result();
-        let secs = r.seconds_at_level(Seconds::new(2.0));
-        let total: f64 = secs.iter().map(|(_, s)| s.value()).sum();
-        assert!((total - r.played.value()).abs() < 1e-9);
-    }
-
-    #[test]
     fn task_radio_energy_below_breakdown_radio() {
         let r = result();
         // Breakdown radio equals the task sum (both exclude the tail).
+        let task_radio: Joules = r.tasks.iter().map(|t| t.radio_energy).sum();
         assert!(
-            (r.task_radio_energy().value() - r.energy.radio.value()).abs() < 1e-6,
+            (task_radio.value() - r.energy.radio.value()).abs() < 1e-6,
             "{} vs {}",
-            r.task_radio_energy(),
+            task_radio,
             r.energy.radio
         );
-    }
-
-    #[test]
-    fn duty_cycle_is_a_fraction() {
-        let r = result();
-        let d = r.radio_duty_cycle();
-        assert!((0.0..=1.0).contains(&d), "duty cycle {d}");
-        assert!(d > 0.1, "5.8 Mbps over a walking link keeps the radio busy");
     }
 }

@@ -2,11 +2,8 @@
 //! measurement channels — the numbers a trace-collection paper reports
 //! about its dataset.
 
-use ecas_types::units::Seconds;
 use serde::{Deserialize, Serialize};
 
-use crate::sample::{NetworkSample, SignalSample};
-use crate::series::TimeSeries;
 use crate::session::SessionTrace;
 
 /// Five-number summary plus mean/std of a scalar channel.
@@ -59,28 +56,6 @@ impl ChannelStats {
     }
 }
 
-/// An empirical CDF as `(value, fraction ≤ value)` points.
-///
-/// Returns up to `points` evenly-spaced quantiles; empty input yields an
-/// empty vector.
-#[must_use]
-// ecas-lint: allow(pub-surface, reason = "trace-analysis API for notebook-style inspection; exercised by unit tests")
-pub fn empirical_cdf(values: &[f64], points: usize) -> Vec<(f64, f64)> {
-    if values.is_empty() || points == 0 {
-        return Vec::new();
-    }
-    let mut sorted = values.to_vec();
-    ecas_types::float::total_sort(&mut sorted);
-    let n = sorted.len();
-    (1..=points)
-        .map(|k| {
-            let q = k as f64 / points as f64;
-            let idx = ((q * n as f64).ceil() as usize - 1).min(n - 1);
-            (sorted[idx], q)
-        })
-        .collect()
-}
-
 /// Dataset-level summary of one session trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionStats {
@@ -122,60 +97,12 @@ impl SessionStats {
     }
 }
 
-/// Total bytes a constant-rate download would transfer across the trace's
-/// throughput, useful for sanity-checking capacity: integrates the step
-/// function over `[0, horizon)`.
-#[must_use]
-// ecas-lint: allow(pub-surface, reason = "trace-analysis API for notebook-style inspection; exercised by unit tests")
-pub fn link_capacity(network: &TimeSeries<NetworkSample>, horizon: Seconds) -> f64 {
-    let samples = network.as_slice();
-    let mut total_mb = 0.0;
-    for (i, s) in samples.iter().enumerate() {
-        let start = s.time.value();
-        if start >= horizon.value() {
-            break;
-        }
-        let end = samples
-            .get(i + 1)
-            .map_or(horizon.value(), |n| n.time.value().min(horizon.value()));
-        total_mb += s.throughput.megabytes_per_second() * (end - start).max(0.0);
-    }
-    total_mb
-}
-
-/// Time-weighted mean signal strength over `[0, horizon)` (dBm).
-#[must_use]
-// ecas-lint: allow(pub-surface, reason = "trace-analysis API for notebook-style inspection; exercised by unit tests")
-pub fn mean_signal_weighted(signal: &TimeSeries<SignalSample>, horizon: Seconds) -> f64 {
-    let samples = signal.as_slice();
-    let mut acc = 0.0;
-    let mut span = 0.0;
-    for (i, s) in samples.iter().enumerate() {
-        let start = s.time.value();
-        if start >= horizon.value() {
-            break;
-        }
-        let end = samples
-            .get(i + 1)
-            .map_or(horizon.value(), |n| n.time.value().min(horizon.value()));
-        let dt = (end - start).max(0.0);
-        acc += s.dbm.value() * dt;
-        span += dt;
-    }
-    if span > 0.0 {
-        acc / span
-    } else {
-        samples[0].dbm.value()
-    }
-}
-
 #[cfg(test)]
 // Tests assert exact fixture values; clippy::float_cmp guards library code.
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use crate::videos::EvalTraceSpec;
-    use ecas_types::units::{Dbm, Mbps};
 
     #[test]
     fn channel_stats_of_known_values() {
@@ -194,19 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone_and_complete() {
-        let values: Vec<f64> = (0..100).map(|i| (i * 37 % 100) as f64).collect();
-        let cdf = empirical_cdf(&values, 10);
-        assert_eq!(cdf.len(), 10);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-        assert_eq!(cdf.last().unwrap().0, 99.0);
-    }
-
-    #[test]
     fn session_stats_for_table_v_traces() {
         let quiet = SessionStats::of(&EvalTraceSpec::table_v()[1].generate());
         let vehicle = SessionStats::of(&EvalTraceSpec::table_v()[2].generate());
@@ -215,32 +129,5 @@ mod tests {
         assert!(quiet.signal.mean > vehicle.signal.mean);
         assert!(quiet.accel_magnitude.std < vehicle.accel_magnitude.std);
         assert!(quiet.below_top_bitrate < vehicle.below_top_bitrate);
-    }
-
-    #[test]
-    fn link_capacity_integrates_step_function() {
-        let net = TimeSeries::new(vec![
-            NetworkSample::new(Seconds::new(0.0), Mbps::new(8.0)),
-            NetworkSample::new(Seconds::new(10.0), Mbps::new(16.0)),
-        ])
-        .unwrap();
-        // 10 s at 1 MB/s + 10 s at 2 MB/s = 30 MB.
-        let mb = link_capacity(&net, Seconds::new(20.0));
-        assert!((mb - 30.0).abs() < 1e-9);
-        // Truncated horizon.
-        let mb = link_capacity(&net, Seconds::new(5.0));
-        assert!((mb - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_signal_mean() {
-        let sig = TimeSeries::new(vec![
-            SignalSample::new(Seconds::new(0.0), Dbm::new(-80.0)),
-            SignalSample::new(Seconds::new(30.0), Dbm::new(-110.0)),
-        ])
-        .unwrap();
-        // 30 s at -80, 10 s at -110 -> (-2400 - 1100) / 40 = -87.5.
-        let mean = mean_signal_weighted(&sig, Seconds::new(40.0));
-        assert!((mean + 87.5).abs() < 1e-9);
     }
 }

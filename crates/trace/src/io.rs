@@ -1,4 +1,4 @@
-//! Trace serialization: JSON, CSV and a compact binary format.
+//! Trace serialization: JSON and a compact binary format.
 //!
 //! The codec surface for whole [`SessionTrace`] bundles is the
 //! [`TraceFormat`] enum plus four `SessionTrace` methods defined here:
@@ -11,9 +11,7 @@
 //!   a path, autodetecting the format from the extension via
 //!   [`TraceFormat::from_path`].
 //!
-//! CSV ([`write_csv`] / [`read_csv`]) handles individual channels in a
-//! spreadsheet-friendly layout, and [`read_mahimahi`] imports external
-//! Mahimahi packet traces.
+//! [`read_mahimahi`] imports external Mahimahi packet traces.
 //!
 //! [`SessionTrace::content_hash`] names a trace by its `.bin` bytes: one
 //! encoder writes the v1 layout either into the buffer `write_to` hands
@@ -38,11 +36,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecas_obs::FnvHasher;
-use ecas_types::units::{Dbm, Mbps, MegaBytes, MetersPerSec2, Seconds, Watts};
+use ecas_types::units::{Dbm, Mbps, MegaBytes, MetersPerSec2, Seconds};
 
 use crate::record::wire::Reader;
-use crate::sample::{AccelSample, NetworkSample, PowerSample, SignalSample};
-use crate::series::{TimeSeries, Timestamped};
+use crate::sample::{AccelSample, NetworkSample, SignalSample};
+use crate::series::TimeSeries;
 use crate::session::{SessionTrace, TraceMeta};
 
 /// Magic prefix of the binary trace format.
@@ -279,165 +277,6 @@ pub fn write_atomic<E: From<io::Error>>(
         let _ = fs::remove_file(&tmp);
     }
     written
-}
-
-/// A sample that can be encoded to / decoded from a CSV row.
-// ecas-lint: allow(pub-surface, reason = "bound of the public CSV read/write functions")
-pub trait CsvRecord: Sized {
-    /// The header row for this sample type.
-    fn csv_header() -> &'static str;
-    /// Encodes the sample as one CSV row (no trailing newline).
-    fn to_csv_row(&self) -> String;
-    /// Decodes a sample from one CSV row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError::Corrupt`] when the row does not parse.
-    fn from_csv_row(row: &str) -> Result<Self, TraceIoError>;
-}
-
-fn parse_f64(field: &str, what: &str) -> Result<f64, TraceIoError> {
-    field
-        .trim()
-        .parse::<f64>()
-        .map_err(|e| TraceIoError::Corrupt(format!("bad {what} field {field:?}: {e}")))
-}
-
-fn split_fields(row: &str, expected: usize) -> Result<Vec<&str>, TraceIoError> {
-    let fields: Vec<&str> = row.split(',').collect();
-    if fields.len() != expected {
-        return Err(TraceIoError::Corrupt(format!(
-            "expected {expected} fields, found {} in {row:?}",
-            fields.len()
-        )));
-    }
-    Ok(fields)
-}
-
-impl CsvRecord for NetworkSample {
-    fn csv_header() -> &'static str {
-        "time_s,throughput_mbps"
-    }
-    fn to_csv_row(&self) -> String {
-        format!("{},{}", self.time.value(), self.throughput.value())
-    }
-    fn from_csv_row(row: &str) -> Result<Self, TraceIoError> {
-        let f = split_fields(row, 2)?;
-        Ok(NetworkSample::new(
-            Seconds::try_new(parse_f64(f[0], "time")?)
-                .map_err(|e| TraceIoError::Corrupt(e.to_string()))?,
-            Mbps::try_new(parse_f64(f[1], "throughput")?)
-                .map_err(|e| TraceIoError::Corrupt(e.to_string()))?,
-        ))
-    }
-}
-
-impl CsvRecord for SignalSample {
-    fn csv_header() -> &'static str {
-        "time_s,signal_dbm"
-    }
-    fn to_csv_row(&self) -> String {
-        format!("{},{}", self.time.value(), self.dbm.value())
-    }
-    fn from_csv_row(row: &str) -> Result<Self, TraceIoError> {
-        let f = split_fields(row, 2)?;
-        Ok(SignalSample::new(
-            Seconds::try_new(parse_f64(f[0], "time")?)
-                .map_err(|e| TraceIoError::Corrupt(e.to_string()))?,
-            Dbm::try_new(parse_f64(f[1], "signal")?)
-                .map_err(|e| TraceIoError::Corrupt(e.to_string()))?,
-        ))
-    }
-}
-
-impl CsvRecord for AccelSample {
-    fn csv_header() -> &'static str {
-        "time_s,ax,ay,az"
-    }
-    fn to_csv_row(&self) -> String {
-        format!("{},{},{},{}", self.time.value(), self.x, self.y, self.z)
-    }
-    fn from_csv_row(row: &str) -> Result<Self, TraceIoError> {
-        let f = split_fields(row, 4)?;
-        let t = Seconds::try_new(parse_f64(f[0], "time")?)
-            .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        let (x, y, z) = (
-            parse_f64(f[1], "ax")?,
-            parse_f64(f[2], "ay")?,
-            parse_f64(f[3], "az")?,
-        );
-        if x.is_nan() || y.is_nan() || z.is_nan() {
-            return Err(TraceIoError::Corrupt("NaN accelerometer axis".into()));
-        }
-        Ok(AccelSample::new(t, x, y, z))
-    }
-}
-
-impl CsvRecord for PowerSample {
-    fn csv_header() -> &'static str {
-        "time_s,power_w"
-    }
-    fn to_csv_row(&self) -> String {
-        format!("{},{}", self.time.value(), self.power.value())
-    }
-    fn from_csv_row(row: &str) -> Result<Self, TraceIoError> {
-        let f = split_fields(row, 2)?;
-        Ok(PowerSample::new(
-            Seconds::try_new(parse_f64(f[0], "time")?)
-                .map_err(|e| TraceIoError::Corrupt(e.to_string()))?,
-            Watts::try_new(parse_f64(f[1], "power")?)
-                .map_err(|e| TraceIoError::Corrupt(e.to_string()))?,
-        ))
-    }
-}
-
-/// Writes a channel as CSV with a header row.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError`] on I/O failure.
-pub fn write_csv<W: Write, T>(mut writer: W, series: &TimeSeries<T>) -> Result<(), TraceIoError>
-where
-    T: CsvRecord + Timestamped + Clone,
-{
-    writeln!(writer, "{}", T::csv_header())?;
-    for sample in series.iter() {
-        writeln!(writer, "{}", sample.to_csv_row())?;
-    }
-    Ok(())
-}
-
-/// Reads a channel from CSV produced by [`write_csv`].
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Corrupt`] when the header or any row is
-/// malformed, the payload is empty, or samples are out of order.
-pub fn read_csv<R: Read, T>(mut reader: R) -> Result<TimeSeries<T>, TraceIoError>
-where
-    T: CsvRecord + Timestamped + Clone,
-{
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(header) if header.trim() == T::csv_header() => {}
-        Some(header) => {
-            return Err(TraceIoError::Corrupt(format!(
-                "unexpected csv header {header:?}, want {:?}",
-                T::csv_header()
-            )))
-        }
-        None => return Err(TraceIoError::Corrupt("empty csv payload".into())),
-    }
-    let mut samples = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        samples.push(T::from_csv_row(line)?);
-    }
-    TimeSeries::new(samples).map_err(|e| TraceIoError::Corrupt(e.to_string()))
 }
 
 /// Writes a length or sample count as the layout's little-endian `u32`;
@@ -717,37 +556,6 @@ mod tests {
         write_atomic(&path, |out| out.write_all(b"new")).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"new");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn csv_roundtrip_all_channel_types() {
-        let s = session();
-        let mut buf = Vec::new();
-        write_csv(&mut buf, s.network()).unwrap();
-        let back: TimeSeries<NetworkSample> = read_csv(buf.as_slice()).unwrap();
-        assert_eq!(s.network(), &back);
-
-        let mut buf = Vec::new();
-        write_csv(&mut buf, s.signal()).unwrap();
-        let back: TimeSeries<SignalSample> = read_csv(buf.as_slice()).unwrap();
-        assert_eq!(s.signal(), &back);
-
-        let mut buf = Vec::new();
-        write_csv(&mut buf, s.accel()).unwrap();
-        let back: TimeSeries<AccelSample> = read_csv(buf.as_slice()).unwrap();
-        assert_eq!(s.accel(), &back);
-    }
-
-    #[test]
-    fn csv_rejects_wrong_header_and_bad_rows() {
-        let bad_header = "nope,nope\n1,2\n";
-        assert!(read_csv::<_, NetworkSample>(bad_header.as_bytes()).is_err());
-
-        let bad_row = "time_s,throughput_mbps\n1,abc\n";
-        assert!(read_csv::<_, NetworkSample>(bad_row.as_bytes()).is_err());
-
-        let wrong_arity = "time_s,throughput_mbps\n1\n";
-        assert!(read_csv::<_, NetworkSample>(wrong_arity.as_bytes()).is_err());
     }
 
     /// A tiny trace with every field set, small enough to spell out its

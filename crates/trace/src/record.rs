@@ -159,7 +159,7 @@ impl From<std::io::Error> for RecordError {
 }
 
 /// Wire primitives shared by every section codec: bounds-checked
-/// reading, LEB128 varints, zigzag, and XOR-delta `f64` chains.
+/// reading, LEB128 varints and XOR-delta `f64` chains.
 pub mod wire {
     use super::RecordError;
 
@@ -250,19 +250,6 @@ pub mod wire {
             }
         }
         Err(RecordError::VarintOverflow)
-    }
-
-    /// Maps a signed value onto the varint-friendly zigzag encoding.
-    #[must_use]
-    pub fn zigzag(v: i64) -> u64 {
-        ((v << 1) ^ (v >> 63)) as u64
-    }
-
-    /// Inverse of [`zigzag`].
-    #[must_use]
-    // ecas-lint: allow(pub-surface, reason = "decoder paired with zigzag; wire primitives ship as a symmetric set")
-    pub fn unzigzag(u: u64) -> i64 {
-        ((u >> 1) as i64) ^ -((u & 1) as i64)
     }
 
     /// Appends a length-prefixed byte string.
@@ -551,15 +538,6 @@ mod tests {
             wire::get_varint(&mut r),
             Err(RecordError::VarintOverflow)
         ));
-    }
-
-    #[test]
-    fn zigzag_roundtrip() {
-        for v in [0i64, 1, -1, 2, -2, i64::MAX, i64::MIN, 12345, -54321] {
-            assert_eq!(wire::unzigzag(wire::zigzag(v)), v);
-        }
-        // Small magnitudes stay small for the varint.
-        assert!(wire::zigzag(-3) < 8);
     }
 
     #[test]

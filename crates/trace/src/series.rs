@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use ecas_types::units::{Dbm, Mbps, Seconds, Watts};
+use ecas_types::units::{Dbm, Mbps, Seconds};
 use serde::{Deserialize, Serialize};
 
 use crate::sample::{AccelSample, NetworkSample, PowerSample, SignalSample};
@@ -255,55 +255,6 @@ impl TimeSeries<NetworkSample> {
         let sum: f64 = self.iter().map(|s| s.throughput.value()).sum();
         Mbps::new(sum / self.len() as f64)
     }
-
-    /// Overlays link outages onto the trace: inside each `(start, end)`
-    /// interval the throughput steps to zero, and at `end` it steps back
-    /// to whatever the original trace holds there. Intervals must be
-    /// sorted, non-overlapping and non-empty — the shape produced by
-    /// `ecas_sim::FaultPlan::outages` — so the result visualizes a fault
-    /// plan against the trace it perturbed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the intervals are unsorted, overlapping or empty.
-    #[must_use]
-    pub fn with_outages(&self, intervals: &[(Seconds, Seconds)]) -> Self {
-        let mut samples: Vec<NetworkSample> = Vec::with_capacity(self.len() + 2 * intervals.len());
-        let mut prev_end = f64::NEG_INFINITY;
-        let mut cursor = 0usize;
-        for &(start, end) in intervals {
-            assert!(end > start, "empty outage interval {start}..{end}");
-            assert!(
-                start.value() >= prev_end,
-                "outage intervals must be sorted and disjoint"
-            );
-            prev_end = end.value();
-            // Original steps strictly before the outage starts.
-            while let Some(s) = self.as_slice().get(cursor) {
-                if s.time >= start {
-                    break;
-                }
-                samples.push(*s);
-                cursor += 1;
-            }
-            // The link drops at `start` and recovers at `end` with the
-            // value the original step function holds there; any original
-            // steps inside the outage are swallowed by the zero hold.
-            samples.push(NetworkSample::new(start, Mbps::zero()));
-            while self.as_slice().get(cursor).is_some_and(|s| s.time < end) {
-                cursor += 1;
-            }
-            samples.push(NetworkSample::new(end, self.throughput_at(end)));
-            // An original sample exactly at `end` would duplicate the
-            // recovery step; skip it.
-            if self.as_slice().get(cursor).is_some_and(|s| s.time == end) {
-                cursor += 1;
-            }
-        }
-        samples.extend_from_slice(&self.as_slice()[cursor.min(self.len())..]);
-        // ecas-lint: allow(panic-safety, reason = "the merge above preserves strict time order by construction")
-        Self::new(samples).expect("outage overlay preserves time order")
-    }
 }
 
 impl TimeSeries<SignalSample> {
@@ -349,17 +300,6 @@ impl TimeSeries<PowerSample> {
         }
         ecas_types::units::Joules::new(total)
     }
-
-    /// Mean power over the series span (energy divided by duration), or the
-    /// single sample's power for a one-sample series.
-    #[must_use]
-    pub fn mean_power(&self) -> Watts {
-        let d = self.duration();
-        if d.is_zero() {
-            return self.first().power;
-        }
-        self.integrate_energy() / d
-    }
 }
 
 impl TimeSeries<AccelSample> {
@@ -390,6 +330,7 @@ impl TimeSeries<AccelSample> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecas_types::units::Watts;
 
     fn net(t: f64, m: f64) -> NetworkSample {
         NetworkSample::new(Seconds::new(t), Mbps::new(m))
@@ -444,35 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn outage_overlay_zeroes_link_and_restores_it() {
-        let s = series();
-        let o = s.with_outages(&[(Seconds::new(0.5), Seconds::new(2.0))]);
-        // Untouched before, zero inside, restored to the held step after.
-        assert_eq!(o.throughput_at(Seconds::new(0.2)), Mbps::new(10.0));
-        assert_eq!(o.throughput_at(Seconds::new(0.5)), Mbps::zero());
-        assert_eq!(o.throughput_at(Seconds::new(1.5)), Mbps::zero());
-        assert_eq!(o.throughput_at(Seconds::new(2.0)), Mbps::new(20.0));
-        assert_eq!(o.throughput_at(Seconds::new(3.5)), Mbps::new(5.0));
-        // The original step at t=1 is swallowed by the zero hold.
-        assert!(o.iter().all(|x| x.time != Seconds::new(1.0)));
-    }
-
-    #[test]
-    fn outage_overlay_with_no_intervals_is_identity() {
-        let s = series();
-        assert_eq!(s.with_outages(&[]), s);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted and disjoint")]
-    fn outage_overlay_rejects_overlap() {
-        let _ = series().with_outages(&[
-            (Seconds::new(0.5), Seconds::new(2.0)),
-            (Seconds::new(1.0), Seconds::new(3.0)),
-        ]);
-    }
-
-    #[test]
     fn window_half_open() {
         let s = series();
         assert_eq!(s.window(Seconds::new(0.0), Seconds::new(1.0)).len(), 1);
@@ -508,7 +420,6 @@ mod tests {
         .unwrap();
         // Trapezoid: (2+4)/2 * 2 = 6 J.
         assert!((s.integrate_energy().value() - 6.0).abs() < 1e-12);
-        assert!((s.mean_power().value() - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -104,22 +104,6 @@ impl SegmentSizes {
     pub fn get(&self, segment: usize, level: LevelIndex) -> Option<MegaBytes> {
         self.sizes.get(segment)?.get(level.value()).copied()
     }
-
-    /// Mean size at `level` across all segments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is empty or `level` is out of range.
-    #[must_use]
-    pub fn mean_at(&self, level: LevelIndex) -> MegaBytes {
-        assert!(!self.sizes.is_empty(), "empty size table");
-        let sum: f64 = self
-            .sizes
-            .iter()
-            .map(|row| row[level.value()].value())
-            .sum();
-        MegaBytes::new(sum / self.sizes.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +140,10 @@ mod tests {
         let s = SegmentSizes::vbr(&l, 300, Seconds::new(2.0), &video(20.0), 7);
         for level in l.levels() {
             let nominal = l.segment_size(level, Seconds::new(2.0)).value();
-            let mean = s.mean_at(level).value();
+            let mean = (0..s.len())
+                .map(|i| s.get(i, level).unwrap().value())
+                .sum::<f64>()
+                / s.len() as f64;
             assert!(
                 (mean - nominal).abs() / nominal < 1e-9,
                 "level {level}: mean {mean} vs nominal {nominal}"

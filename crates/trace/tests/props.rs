@@ -1,6 +1,6 @@
 //! Property-based tests for time-series invariants and trace codecs.
 
-use ecas_trace::io::{read_csv, write_csv, TraceFormat};
+use ecas_trace::io::TraceFormat;
 use ecas_trace::record::{RecordContainer, RecordError};
 use ecas_trace::sample::NetworkSample;
 use ecas_trace::series::TimeSeries;
@@ -62,20 +62,6 @@ proptest! {
         }
         let expected = times.iter().filter(|&&t| t >= from && t < to).count();
         prop_assert_eq!(window.len(), expected);
-    }
-
-    #[test]
-    fn csv_roundtrip_any_network_series(times in sorted_times()) {
-        let samples: Vec<NetworkSample> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| NetworkSample::new(Seconds::new(t), Mbps::new((i % 7) as f64 + 0.25)))
-            .collect();
-        let series = TimeSeries::new(samples).unwrap();
-        let mut buf = Vec::new();
-        write_csv(&mut buf, &series).unwrap();
-        let back: TimeSeries<NetworkSample> = read_csv(buf.as_slice()).unwrap();
-        prop_assert_eq!(series, back);
     }
 
     #[test]

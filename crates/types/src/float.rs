@@ -4,9 +4,9 @@
 //! when every float ordering is total: a NaN slipping into a
 //! `partial_cmp().unwrap()` turns a quiet model-fitting bug into a panic
 //! (or, with `max_by(partial_cmp)`, into a silently wrong winner). Every
-//! sort/min/max over raw floats in the workspace routes through these
-//! helpers, which delegate to [`f64::total_cmp`]; the `float-compare`
-//! rule of `ecas-lint` keeps it that way.
+//! sort over raw floats in the workspace routes through these helpers,
+//! which delegate to [`f64::total_cmp`]; the `float-compare` rule of
+//! `ecas-lint` keeps it that way.
 //!
 //! # Examples
 //!
@@ -18,9 +18,6 @@
 //! assert_eq!(xs[0], 1.0);
 //! assert_eq!(xs[1], 2.0);
 //! assert!(xs[2].is_nan()); // NaN sorts last, deterministically
-//!
-//! assert_eq!(float::total_max([1.0, 3.0, 2.0]), Some(3.0));
-//! assert_eq!(float::total_min([1.0, 3.0, 2.0]), Some(1.0));
 //! ```
 
 /// Sorts a float slice with the IEEE-754 total order (NaN sorts after
@@ -32,34 +29,6 @@ pub fn total_sort(xs: &mut [f64]) {
 /// Sorts a slice by a float key with the total order.
 pub fn total_sort_by_key<T>(xs: &mut [T], mut key: impl FnMut(&T) -> f64) {
     xs.sort_by(|a, b| key(a).total_cmp(&key(b)));
-}
-
-/// Maximum of a float iterator under the total order; `None` when empty.
-pub fn total_max(xs: impl IntoIterator<Item = f64>) -> Option<f64> {
-    xs.into_iter().max_by(|a, b| a.total_cmp(b))
-}
-
-/// Minimum of a float iterator under the total order; `None` when empty.
-pub fn total_min(xs: impl IntoIterator<Item = f64>) -> Option<f64> {
-    xs.into_iter().min_by(|a, b| a.total_cmp(b))
-}
-
-/// Element whose float key is largest under the total order.
-// ecas-lint: allow(pub-surface, reason = "total-order toolkit is paper-facing API; exercised by unit tests")
-pub fn total_max_by_key<T>(
-    xs: impl IntoIterator<Item = T>,
-    mut key: impl FnMut(&T) -> f64,
-) -> Option<T> {
-    xs.into_iter().max_by(|a, b| key(a).total_cmp(&key(b)))
-}
-
-/// Element whose float key is smallest under the total order.
-// ecas-lint: allow(pub-surface, reason = "total-order toolkit is paper-facing API; exercised by unit tests")
-pub fn total_min_by_key<T>(
-    xs: impl IntoIterator<Item = T>,
-    mut key: impl FnMut(&T) -> f64,
-) -> Option<T> {
-    xs.into_iter().min_by(|a, b| key(a).total_cmp(&key(b)))
 }
 
 /// Nearest-rank-from-below index of the `p`-quantile in a sorted sample
@@ -111,22 +80,6 @@ mod tests {
         assert_eq!(xs[1], 1.0);
         assert_eq!(xs[2], f64::INFINITY);
         assert!(xs[3].is_nan());
-    }
-
-    #[test]
-    fn max_min_ignore_order_of_appearance() {
-        assert_eq!(total_max([2.0, 9.0, 4.0]), Some(9.0));
-        assert_eq!(total_min([2.0, 9.0, 4.0]), Some(2.0));
-        assert_eq!(total_max(std::iter::empty()), None);
-    }
-
-    #[test]
-    fn by_key_variants_return_the_element() {
-        let words = ["a", "abc", "ab"];
-        let longest = total_max_by_key(words, |w| w.len() as f64);
-        assert_eq!(longest, Some("abc"));
-        let shortest = total_min_by_key(words, |w| w.len() as f64);
-        assert_eq!(shortest, Some("a"));
     }
 
     #[test]

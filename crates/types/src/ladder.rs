@@ -404,21 +404,6 @@ impl BitrateLadder {
             .unwrap_or_else(|| self.lowest_level())
     }
 
-    /// The level with bitrate closest to `target` (ties resolve downward).
-    #[must_use]
-    pub fn nearest(&self, target: Mbps) -> LevelIndex {
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        for (i, e) in self.entries.iter().enumerate() {
-            let d = (e.bitrate().value() - target.value()).abs();
-            if d < best_dist {
-                best = i;
-                best_dist = d;
-            }
-        }
-        LevelIndex::new(best)
-    }
-
     /// One level up from `level`, clamped to the top of the ladder.
     #[must_use]
     pub fn up(&self, level: LevelIndex) -> LevelIndex {
@@ -526,14 +511,6 @@ mod tests {
         assert_eq!(l.up(l.highest_level()), l.highest_level());
         assert_eq!(l.up(LevelIndex::new(0)), LevelIndex::new(1));
         assert_eq!(l.down(LevelIndex::new(3)), LevelIndex::new(2));
-    }
-
-    #[test]
-    fn nearest_picks_closest() {
-        let l = BitrateLadder::table_ii();
-        assert_eq!(l.bitrate(l.nearest(Mbps::new(1.4))), Mbps::new(1.5));
-        assert_eq!(l.bitrate(l.nearest(Mbps::new(0.0))), Mbps::new(0.1));
-        assert_eq!(l.bitrate(l.nearest(Mbps::new(50.0))), Mbps::new(5.8));
     }
 
     #[test]

@@ -81,18 +81,6 @@ proptest! {
     }
 
     #[test]
-    fn nearest_minimizes_distance(raw in proptest::collection::btree_set(10u64..100_000u64, 1..20), target in 0.0f64..120.0) {
-        let bitrates: Vec<Mbps> = raw.iter().map(|&b| Mbps::new(b as f64 / 1000.0)).collect();
-        let ladder = BitrateLadder::from_bitrates(bitrates).unwrap();
-        let chosen = ladder.nearest(Mbps::new(target));
-        let chosen_d = (ladder.bitrate(chosen).value() - target).abs();
-        for lvl in ladder.levels() {
-            let d = (ladder.bitrate(lvl).value() - target).abs();
-            prop_assert!(chosen_d <= d + 1e-12);
-        }
-    }
-
-    #[test]
     fn up_down_stay_in_bounds(raw in proptest::collection::btree_set(10u64..100_000u64, 1..20), idx in 0usize..40) {
         let bitrates: Vec<Mbps> = raw.iter().map(|&b| Mbps::new(b as f64 / 1000.0)).collect();
         let ladder = BitrateLadder::from_bitrates(bitrates).unwrap();

@@ -155,6 +155,14 @@ if ! grep -q 'cache: hits=30 misses=0 corrupt=0' "$obs_dir/eval_repaired.log"; t
     exit 1
 fi
 
+echo "==> examples (build in release, run each once)"
+# `cargo test` builds the examples but runs none of them.
+cargo build --release --examples
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    ./target/release/examples/"$name" > "$obs_dir/example_$name.txt"
+done
+
 echo "==> bench binaries go through the shared CLI (no direct env::args)"
 if grep -Rn 'env::args' crates/bench/src/bin/; then
     echo "bench binaries must parse arguments via ecas_bench::cli" >&2
