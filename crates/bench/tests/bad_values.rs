@@ -118,3 +118,48 @@ fn session_durations_outside_four_seconds_to_an_hour_are_typed_errors() {
     }
     fs::remove_dir_all(&dir).ok();
 }
+
+/// A trace file with an accelerometer sample whose magnitude is not
+/// finite (an infinite axis, or one whose square overflows) fails to
+/// load: `tracetool inspect` prints an `error:` line and exits 1. Loaded,
+/// such a trace made the simulator panic in Eq. (5).
+#[test]
+fn non_finite_accelerometer_magnitudes_fail_to_load() {
+    let tracetool = env!("CARGO_BIN_EXE_tracetool");
+    let dir = std::env::temp_dir().join(format!("ecas-bad-accel-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let bin = dir.join("t.bin");
+    let json = dir.join("t.json");
+    for path in [&bin, &json] {
+        let path = path.to_str().unwrap();
+        let out = run(tracetool, &["generate", "quiet", "4", "1", path]);
+        assert!(out.status.success(), "{out:?}");
+        assert!(
+            run(tracetool, &["inspect", path]).status.success(),
+            "{path}"
+        );
+    }
+
+    // The last 8 bytes of a `.bin` trace are its last accelerometer z axis.
+    let good = fs::read(&bin).unwrap();
+    for axis in [f64::INFINITY, 1e200] {
+        let mut bytes = good.clone();
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&axis.to_le_bytes());
+        fs::write(&bin, bytes).unwrap();
+        let out = run(tracetool, &["inspect", bin.to_str().unwrap()]);
+        assert_typed_error(&out, 1, "non-finite", &format!(".bin z = {axis}"));
+    }
+
+    // Only accelerometer samples have a "z" field; JSON reads `1e999` as
+    // infinity.
+    let good = fs::read_to_string(&json).unwrap();
+    let at = good.rfind("\"z\":").unwrap() + "\"z\":".len();
+    let end = at + good[at..].find('\n').unwrap();
+    for axis in ["1e999", "1e200"] {
+        fs::write(&json, format!("{} {axis}{}", &good[..at], &good[end..])).unwrap();
+        let out = run(tracetool, &["inspect", json.to_str().unwrap()]);
+        assert_typed_error(&out, 1, "non-finite", &format!(".json z = {axis}"));
+    }
+    fs::remove_dir_all(&dir).ok();
+}

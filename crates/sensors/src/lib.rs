@@ -4,12 +4,13 @@
 //! computed from the smartphone's accelerometer (its Eq. 5). This crate
 //! implements that statistic:
 //!
-//! * [`window`] — a sliding time window with streaming mean/std;
 //! * [`vibration`] — the Eq. 5 statistic itself, in an offline batch form
-//!   ([`vibration::vibration_level`]) and the online estimator used by the
-//!   bitrate selector ([`vibration::VibrationEstimator`]), which follows
-//!   Section IV-B: the level is estimated over the trailing `0.2 * W`
-//!   seconds with `W = 30 s`, and the estimator holds exactly those 6 s;
+//!   ([`vibration::vibration_level`]) and the online estimator the player
+//!   feeds the bitrate selector with ([`vibration::VibrationEstimator`]),
+//!   which follows Section IV-B: the level is estimated over the trailing
+//!   `0.2 * W` seconds with `W = 30 s`. The estimator reads the session's
+//!   accelerometer samples in place, forward to each decision time, and
+//!   keeps only the magnitudes of the 6 s window;
 //! * [`activity`] — a context classifier over the same feature.
 //!
 //! # Examples
@@ -27,11 +28,8 @@
 //! )
 //! .generate();
 //!
-//! let mut estimator = VibrationEstimator::new();
-//! for sample in accel.iter() {
-//!     estimator.push(*sample);
-//! }
-//! let level = estimator.level().unwrap();
+//! let mut estimator = VibrationEstimator::new(accel.as_slice());
+//! let level = estimator.level_at(Seconds::new(60.0)).unwrap();
 //! assert!(level.value() > 3.0, "vehicle context vibrates hard");
 //! ```
 
@@ -40,8 +38,6 @@
 
 pub mod activity;
 pub mod vibration;
-pub mod window;
 
 pub use activity::ActivityClassifier;
 pub use vibration::{vibration_level, VibrationEstimator};
-pub use window::SlidingWindow;

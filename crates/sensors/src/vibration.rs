@@ -20,11 +20,11 @@
 //! downloaded segment plays within seconds, so the vibration level at
 //! download time predicts the level at playback time.
 
+use std::collections::VecDeque;
+
 use ecas_trace::sample::AccelSample;
 use ecas_trace::series::TimeSeries;
 use ecas_types::units::{MetersPerSec2, Seconds};
-
-use crate::window::SlidingWindow;
 
 /// The paper's window `W` in seconds (Section IV-B).
 const W_SECONDS: f64 = 30.0;
@@ -52,13 +52,8 @@ const WINDOW_FRACTION: f64 = 0.2;
 /// ```
 #[must_use]
 pub fn vibration_level(samples: &[AccelSample]) -> Option<MetersPerSec2> {
-    if samples.is_empty() {
-        return None;
-    }
     let mags: Vec<f64> = samples.iter().map(AccelSample::magnitude).collect();
-    let mean = mags.iter().sum::<f64>() / mags.len() as f64;
-    let var = mags.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / mags.len() as f64;
-    Some(MetersPerSec2::new(var.sqrt()))
+    magnitude_std(mags.iter().copied())
 }
 
 /// Computes the vibration level of the slice of `series` within
@@ -72,11 +67,30 @@ pub fn vibration_level_in_window(
     vibration_level(series.window(from, to))
 }
 
-/// Streaming vibration-level estimator (Section IV-B).
+/// Population standard deviation of `mags`, summed front to back: the one
+/// Eq. (5) arithmetic the batch and online forms share, so both give the
+/// same bits over the same samples. `None` when `mags` is empty.
+fn magnitude_std<I>(mags: I) -> Option<MetersPerSec2>
+where
+    I: ExactSizeIterator<Item = f64> + Clone,
+{
+    if mags.len() == 0 {
+        return None;
+    }
+    let n = mags.len() as f64;
+    let mean = mags.clone().sum::<f64>() / n;
+    let var = mags.map(|m| (m - mean).powi(2)).sum::<f64>() / n;
+    Some(MetersPerSec2::new(var.sqrt()))
+}
+
+/// Online vibration-level estimator over one accelerometer channel
+/// (Section IV-B).
 ///
-/// Accelerometer samples are pushed as they arrive; [`Self::level`]
-/// returns the Eq. (5) statistic over the trailing `0.2 * W` seconds,
-/// which is all the estimator retains.
+/// The estimator borrows the channel's samples and reads them forward:
+/// [`Self::level_at`] takes in every sample up to `now`, evicts those
+/// older than `0.2 * W` before the newest one read, and returns Eq. (5)
+/// over the rest. It holds the magnitudes of exactly those windowed
+/// samples and copies nothing else.
 ///
 /// # Examples
 ///
@@ -85,50 +99,73 @@ pub fn vibration_level_in_window(
 /// use ecas_trace::sample::AccelSample;
 /// use ecas_types::units::Seconds;
 ///
-/// let mut est = VibrationEstimator::new();
-/// for i in 0..500 {
-///     let t = i as f64 * 0.02;
-///     let wobble = (t * 30.0).sin(); // ~5 Hz shaking
-///     est.push(AccelSample::new(Seconds::new(t), 0.0, 0.0, 9.81 + wobble));
-/// }
-/// let level = est.level().unwrap();
+/// let samples: Vec<AccelSample> = (0..500)
+///     .map(|i| {
+///         let t = i as f64 * 0.02;
+///         let wobble = (t * 30.0).sin(); // ~5 Hz shaking
+///         AccelSample::new(Seconds::new(t), 0.0, 0.0, 9.81 + wobble)
+///     })
+///     .collect();
+/// let mut est = VibrationEstimator::new(&samples);
+/// assert!(est.level_at(Seconds::zero()).is_some(), "the sample at t = 0");
+/// let level = est.level_at(Seconds::new(10.0)).unwrap();
 /// assert!((level.value() - 0.707).abs() < 0.05, "RMS of a unit sine");
 /// ```
 #[derive(Debug, Clone)]
-pub struct VibrationEstimator {
-    window: SlidingWindow,
+pub struct VibrationEstimator<'a> {
+    samples: &'a [AccelSample],
+    /// The window span, `0.2 * W`.
+    span: Seconds,
+    /// Index of the oldest sample in the window.
+    start: usize,
+    /// Index one past the newest sample read.
+    end: usize,
+    /// Magnitudes of `samples[start..end]`, oldest first.
+    window: VecDeque<f64>,
 }
 
-impl VibrationEstimator {
-    /// Creates an estimator with the paper's defaults: `W = 30 s`, so the
-    /// window holds the trailing `0.2 * W = 6 s`.
+impl<'a> VibrationEstimator<'a> {
+    /// Creates an estimator over `samples` (in time order, as a
+    /// [`TimeSeries`] keeps them) with the paper's `W = 30 s`, so the
+    /// window spans the trailing `0.2 * W = 6 s`.
     #[must_use]
-    pub fn new() -> Self {
+    pub fn new(samples: &'a [AccelSample]) -> Self {
+        let span = Seconds::new(W_SECONDS) * WINDOW_FRACTION;
+        // Sized to the first window's samples, so a channel sampled at a
+        // steady rate never grows the ring.
+        let capacity = samples.first().map_or(0, |first| {
+            samples.partition_point(|s| s.time <= first.time + span)
+        });
         Self {
-            window: SlidingWindow::new(Seconds::new(W_SECONDS) * WINDOW_FRACTION),
+            samples,
+            span,
+            start: 0,
+            end: 0,
+            window: VecDeque::with_capacity(capacity),
         }
     }
 
-    /// Feeds one accelerometer sample.
+    /// The vibration level over the trailing `0.2 * W` seconds of the
+    /// samples taken at or before `now`, or `None` while there are none.
     ///
-    /// # Panics
-    ///
-    /// Panics if samples arrive out of time order.
-    pub fn push(&mut self, sample: AccelSample) {
-        self.window.push(sample.time, sample.magnitude());
-    }
-
-    /// The vibration level over the trailing `0.2 * W` seconds, or `None`
-    /// before any sample has arrived.
-    #[must_use]
-    pub fn level(&self) -> Option<MetersPerSec2> {
-        self.window.std().map(MetersPerSec2::new)
-    }
-}
-
-impl Default for VibrationEstimator {
-    fn default() -> Self {
-        Self::new()
+    /// The estimator only reads forward: a `now` earlier than a previous
+    /// call's reads nothing new and returns the level over the samples
+    /// already read.
+    pub fn level_at(&mut self, now: Seconds) -> Option<MetersPerSec2> {
+        let samples = self.samples;
+        let end = self.end + samples[self.end..].partition_point(|s| s.time <= now);
+        let newest = samples[..end].last()?;
+        let cutoff = newest.time.saturating_sub(self.span);
+        let start = self.start + samples[self.start..end].partition_point(|s| s.time < cutoff);
+        self.window.drain(..start.min(self.end) - self.start);
+        self.window.extend(
+            samples[start.max(self.end)..end]
+                .iter()
+                .map(AccelSample::magnitude),
+        );
+        self.start = start;
+        self.end = end;
+        magnitude_std(self.window.iter().copied())
     }
 }
 
@@ -146,8 +183,8 @@ mod tests {
     #[test]
     fn empty_input_returns_none() {
         assert!(vibration_level(&[]).is_none());
-        let est = VibrationEstimator::new();
-        assert!(est.level().is_none());
+        let mut est = VibrationEstimator::new(&[]);
+        assert!(est.level_at(Seconds::new(1.0)).is_none());
     }
 
     #[test]
@@ -187,20 +224,9 @@ mod tests {
         ])
         .unwrap();
         let series = AccelTraceGenerator::new(schedule, Seconds::new(60.0), 3).generate();
-        let mut est = VibrationEstimator::new();
-        let mut at_25 = None;
-        let mut at_45 = None;
-        for s in series.iter() {
-            est.push(*s);
-            if s.time.value() >= 25.0 && at_25.is_none() {
-                at_25 = est.level();
-            }
-            if s.time.value() >= 45.0 && at_45.is_none() {
-                at_45 = est.level();
-            }
-        }
-        let quiet_level = at_25.unwrap().value();
-        let bus_level = at_45.unwrap().value();
+        let mut est = VibrationEstimator::new(series.as_slice());
+        let quiet_level = est.level_at(Seconds::new(25.0)).unwrap().value();
+        let bus_level = est.level_at(Seconds::new(45.0)).unwrap().value();
         assert!(
             bus_level > 4.0 * quiet_level,
             "online estimate failed to track: quiet {quiet_level}, bus {bus_level}"

@@ -1,7 +1,6 @@
 //! Property-based tests for sensor-processing invariants.
 
 use ecas_sensors::vibration::{vibration_level, VibrationEstimator};
-use ecas_sensors::window::SlidingWindow;
 use ecas_trace::sample::AccelSample;
 use ecas_types::units::Seconds;
 use proptest::prelude::*;
@@ -54,42 +53,58 @@ proptest! {
     }
 
     #[test]
-    fn estimator_level_matches_batch_over_trailing_span(vals in proptest::collection::vec(-3.0f64..3.0, 10..1000)) {
-        // Streams of up to 20 s at 50 Hz, shorter and longer than the
-        // 0.2 * W = 6 s span: the online estimate has the bits of the batch
-        // statistic over the samples with t >= last - 6 s.
-        let samples: Vec<AccelSample> = vals
+    fn estimator_level_matches_batch_over_trailing_span(
+        first in 0u32..128,
+        steps in proptest::collection::vec((0u32..4, -3.0f64..3.0), 1..800),
+        picks in proptest::collection::vec((0u8..4, 0usize..800), 1..40),
+    ) {
+        // Streams of 1-799 samples on a 1/64 s grid, shorter and longer
+        // than the 0.2 * W = 6 s span, with repeated timestamps (gap 0)
+        // and holes (gaps of 2-3 ticks). Grid times are exact, so
+        // t_newest - 6 s often lands on a sample and the window's
+        // inclusive lower edge is exercised. Queried at an increasing
+        // sequence of times, the online estimate has the bits of the
+        // batch statistic over {t_i <= q, t_i >= t_newest - 6 s}, where
+        // t_newest is the last sample at or before q, and is None before
+        // the first sample.
+        let mut tick = first;
+        let samples: Vec<AccelSample> = steps
             .iter()
             .enumerate()
-            .map(|(i, &d)| AccelSample::new(Seconds::new(i as f64 * 0.02), 0.0, 0.0, 9.81 + d))
+            .map(|(i, &(gap, d))| {
+                if i > 0 {
+                    tick += gap;
+                }
+                let t = f64::from(tick) / 64.0;
+                AccelSample::new(Seconds::new(t), 0.0, 0.0, 9.81 + d)
+            })
             .collect();
-        let mut est = VibrationEstimator::new();
-        for s in &samples {
-            est.push(*s);
-        }
-        let last = samples.last().unwrap().time.value();
-        let trailing: Vec<AccelSample> = samples
+        let time = |i: usize| samples[i % samples.len()].time.value();
+        let mut queries: Vec<f64> = picks
             .iter()
-            .copied()
-            .filter(|s| s.time.value() >= last - 6.0)
+            .map(|&(kind, i)| match kind {
+                0 => time(i),
+                1 => time(i) + 1.0 / 128.0,
+                2 => f64::from(first) / 128.0,
+                _ => time(i) + 6.0,
+            })
             .collect();
-        let batch = vibration_level(&trailing).unwrap();
-        let online = est.level().unwrap();
-        prop_assert_eq!(online.value().to_bits(), batch.value().to_bits());
-    }
-
-    #[test]
-    fn window_never_retains_stale_samples(times in proptest::collection::vec(0.0f64..100.0, 1..100), span in 0.5f64..20.0) {
-        let mut sorted = times.clone();
-        sorted.sort_by(f64::total_cmp);
-        let mut w = SlidingWindow::new(Seconds::new(span));
-        for &t in &sorted {
-            w.push(Seconds::new(t), 1.0);
+        queries.sort_by(f64::total_cmp);
+        let mut est = VibrationEstimator::new(&samples);
+        for q in queries {
+            let read: Vec<AccelSample> =
+                samples.iter().copied().filter(|s| s.time.value() <= q).collect();
+            let batch = read.last().and_then(|newest| {
+                let from = newest.time.value() - 6.0;
+                let window: Vec<AccelSample> =
+                    read.iter().copied().filter(|s| s.time.value() >= from).collect();
+                vibration_level(&window)
+            });
+            let online = est.level_at(Seconds::new(q));
+            prop_assert_eq!(
+                online.map(|v| v.value().to_bits()),
+                batch.map(|v| v.value().to_bits())
+            );
         }
-        let newest = *sorted.last().unwrap();
-        for &(t, _) in w.iter() {
-            prop_assert!(newest - t.value() <= span + 1e-9);
-        }
-        prop_assert!(!w.is_empty());
     }
 }

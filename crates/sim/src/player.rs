@@ -382,11 +382,9 @@ impl Simulator {
 
         let network = session.network();
         let signal = session.signal();
-        let accel = session.accel().as_slice();
 
         let mut state = PlayState::new(video_len, tau, probe, events);
-        let mut estimator = VibrationEstimator::new();
-        let mut accel_cursor = 0usize;
+        let mut estimator = VibrationEstimator::new(session.accel().as_slice());
 
         let mut history: Vec<ThroughputObservation> = Vec::with_capacity(n_segments);
         let mut tasks: Vec<TaskRecord> = Vec::with_capacity(n_segments);
@@ -434,25 +432,19 @@ impl Simulator {
                 t += wait;
             }
 
-            // 2+3. Feed the vibration estimator and ask the controller;
-            // honor deferrals (re-deciding after each wait) while the
-            // buffer affords them.
+            // 2+3. Read the vibration level at `t` and ask the
+            // controller; honor deferrals (re-deciding after each wait)
+            // while the buffer affords them.
             let mut vibration;
             let decision_span = SpanGuard::new(probe, names::SIM_DECISION_SPAN);
             let level = loop {
                 close_outage(&mut state, &mut open_outage, t);
-                while let Some(&sample) = accel.get(accel_cursor) {
-                    if sample.time.value() > t {
-                        break;
-                    }
-                    estimator.push(sample);
-                    accel_cursor += 1;
-                }
-                vibration = estimator.level();
+                let now = Seconds::new(t);
+                vibration = estimator.level_at(now);
                 let ctx = DecisionContext {
                     segment: SegmentIndex::new(seg),
                     total_segments: n_segments,
-                    now: Seconds::new(t),
+                    now,
                     buffer_level: Seconds::new(state.buffer.max(0.0)),
                     prev_level,
                     ladder: &self.ladder,
@@ -461,7 +453,7 @@ impl Simulator {
                     playback_started: state.playing,
                     history: &history,
                     vibration,
-                    signal: signal.signal_at(Seconds::new(t)),
+                    signal: signal.signal_at(now),
                 };
                 match controller.decide(&ctx) {
                     Decision::Download(level) => break level,
@@ -881,7 +873,7 @@ mod tests {
         let s = session(Context::QuietRoom, 60.0, 4);
         let r = sim().run(&s, &mut FixedLevel::new(LevelIndex::new(0)));
         assert_eq!(r.total_rebuffer, Seconds::zero());
-        assert_eq!(r.rebuffer_ratio(), 0.0);
+        assert_eq!(r.total_rebuffer / r.wall_time, 0.0);
     }
 
     #[test]

@@ -117,15 +117,6 @@ impl SessionResult {
         let sum: f64 = self.tasks.iter().map(|t| t.bitrate.value()).sum();
         Mbps::new(sum / self.tasks.len() as f64)
     }
-
-    /// Fraction of wall-clock time spent stalled.
-    #[must_use]
-    pub fn rebuffer_ratio(&self) -> f64 {
-        if self.wall_time.is_zero() {
-            return 0.0;
-        }
-        self.total_rebuffer / self.wall_time
-    }
 }
 
 #[cfg(test)]

@@ -144,7 +144,22 @@ fn write_json_impl<W: Write>(writer: W, session: &SessionTrace) -> Result<(), Tr
 }
 
 fn read_json_impl<R: Read>(reader: R) -> Result<SessionTrace, TraceIoError> {
-    Ok(serde_json::from_reader(reader)?)
+    let session: SessionTrace = serde_json::from_reader(reader)?;
+    check_accel_magnitudes(session.accel().as_slice())?;
+    Ok(session)
+}
+
+/// Rejects a channel with a sample whose magnitude is not finite: a NaN
+/// or infinite axis, or one whose square overflows. One infinite
+/// magnitude makes the Eq. (5) window mean infinite and its variance
+/// NaN, so every vibration level over the sample would be NaN.
+fn check_accel_magnitudes(accel: &[AccelSample]) -> Result<(), TraceIoError> {
+    match accel.iter().position(|s| !s.magnitude().is_finite()) {
+        Some(i) => Err(TraceIoError::Corrupt(format!(
+            "accelerometer sample {i} has a non-finite magnitude"
+        ))),
+        None => Ok(()),
+    }
 }
 
 impl SessionTrace {
@@ -153,7 +168,8 @@ impl SessionTrace {
     /// # Errors
     ///
     /// Returns [`TraceIoError`] on I/O failure or a malformed payload
-    /// (including out-of-order samples).
+    /// (including out-of-order samples and an accelerometer sample whose
+    /// magnitude is not finite).
     pub fn read_from<R: Read>(mut reader: R, format: TraceFormat) -> Result<Self, TraceIoError> {
         match format {
             TraceFormat::Json => read_json_impl(reader),
@@ -452,14 +468,16 @@ fn decode_binary_impl(data: &[u8]) -> Result<SessionTrace, TraceIoError> {
     for _ in 0..n {
         let t = Seconds::try_new(get_f64(&mut r, "accel time")?)
             .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        let x = get_f64(&mut r, "accel x")?;
-        let y = get_f64(&mut r, "accel y")?;
-        let z = get_f64(&mut r, "accel z")?;
-        if x.is_nan() || y.is_nan() || z.is_nan() {
-            return Err(TraceIoError::Corrupt("NaN accelerometer axis".into()));
-        }
-        accel.push(AccelSample::new(t, x, y, z));
+        // A struct literal, not `AccelSample::new`, which panics on a NaN
+        // axis: the magnitude check below rejects it as corrupt.
+        accel.push(AccelSample {
+            time: t,
+            x: get_f64(&mut r, "accel x")?,
+            y: get_f64(&mut r, "accel y")?,
+            z: get_f64(&mut r, "accel z")?,
+        });
     }
+    check_accel_magnitudes(&accel)?;
 
     let network = TimeSeries::new(network).map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
     let signal = TimeSeries::new(signal).map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
@@ -728,6 +746,33 @@ mod tests {
         assert_eq!(hashes.len(), variants.len(), "two variants share a hash");
         for trace in &variants {
             assert_eq!(trace.content_hash(), ecas_obs::fnv1a_64(&bin_bytes(trace)));
+        }
+    }
+
+    /// An accelerometer axis that is NaN or infinite, or whose square
+    /// overflows, is corrupt: loaded, it would make Eq. (5) NaN.
+    #[test]
+    fn binary_rejects_non_finite_accel_magnitudes() {
+        for axis in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200] {
+            let bytes = bin_bytes(&edited(|_, _, _, a| a[0].z = axis));
+            let err = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap_err();
+            assert!(matches!(err, TraceIoError::Corrupt(_)), "{axis}: {err}");
+        }
+    }
+
+    /// JSON has no NaN, but `1e999` parses to infinity.
+    #[test]
+    fn json_rejects_non_finite_accel_magnitudes() {
+        let mut json = Vec::new();
+        pinned_trace()
+            .write_to(&mut json, TraceFormat::Json)
+            .unwrap();
+        let json = String::from_utf8(json).unwrap();
+        assert_eq!(json.matches("9.75").count(), 1, "the accel z axis");
+        for axis in ["1e999", "-1e999", "1e200"] {
+            let hostile = json.replace("9.75", axis);
+            let err = SessionTrace::read_from(hostile.as_bytes(), TraceFormat::Json).unwrap_err();
+            assert!(matches!(err, TraceIoError::Corrupt(_)), "{axis}: {err}");
         }
     }
 

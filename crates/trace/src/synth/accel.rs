@@ -23,6 +23,12 @@ use crate::synth::standard_normal;
 /// Standard gravity (m/s²).
 pub(crate) const GRAVITY: f64 = 9.80665;
 
+/// Sampling rate of every generated trace (Hz).
+const SAMPLE_RATE_HZ: f64 = 50.0;
+
+/// Intensity scale applied when no session-average target is set.
+const VIBRATION_SCALE: f64 = 1.0;
+
 /// Generates a synthetic 3-axis accelerometer trace.
 ///
 /// # Examples
@@ -46,8 +52,6 @@ pub struct AccelTraceGenerator {
     schedule: ContextSchedule,
     duration: Seconds,
     seed: u64,
-    sample_rate: f64,
-    vibration_scale: f64,
     vibration_target: Option<MetersPerSec2>,
 }
 
@@ -59,34 +63,8 @@ impl AccelTraceGenerator {
             schedule,
             duration,
             seed,
-            sample_rate: 50.0,
-            vibration_scale: 1.0,
             vibration_target: None,
         }
-    }
-
-    /// Overrides the sampling rate (default 50 Hz).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_hz` is not positive.
-    #[must_use]
-    pub fn sample_rate(mut self, rate_hz: f64) -> Self {
-        assert!(rate_hz > 0.0, "sample rate must be positive");
-        self.sample_rate = rate_hz;
-        self
-    }
-
-    /// Scales all per-context vibration intensities by `scale`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is negative or NaN.
-    #[must_use]
-    pub fn vibration_scale(mut self, scale: f64) -> Self {
-        assert!(scale >= 0.0, "vibration scale must be non-negative");
-        self.vibration_scale = scale;
-        self
     }
 
     /// Rescales intensities so the *session-average* vibration level lands
@@ -99,7 +77,7 @@ impl AccelTraceGenerator {
 
     fn effective_scale(&self) -> f64 {
         match self.vibration_target {
-            None => self.vibration_scale,
+            None => VIBRATION_SCALE,
             Some(target) => {
                 let occ = self.schedule.occupancy(self.duration);
                 // Session-average RMS is the RMS of per-context RMS values
@@ -109,7 +87,7 @@ impl AccelTraceGenerator {
                     + occ[2] * Context::MovingVehicle.typical_vibration().value().powi(2);
                 let base = mean_sq.sqrt();
                 if base <= f64::EPSILON {
-                    self.vibration_scale
+                    VIBRATION_SCALE
                 } else {
                     target.value() / base
                 }
@@ -121,8 +99,8 @@ impl AccelTraceGenerator {
     #[must_use]
     pub fn generate(&self) -> TimeSeries<AccelSample> {
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let dt = 1.0 / self.sample_rate;
-        let steps = (self.duration.value() * self.sample_rate).ceil() as usize + 1;
+        let dt = 1.0 / SAMPLE_RATE_HZ;
+        let steps = (self.duration.value() * SAMPLE_RATE_HZ).ceil() as usize + 1;
         let scale = self.effective_scale();
 
         // AR(1) colored noise for the magnitude fluctuation. With
@@ -247,19 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_rate_controls_density() {
-        let s = AccelTraceGenerator::new(
-            ContextSchedule::constant(Context::QuietRoom),
-            Seconds::new(10.0),
-            6,
-        )
-        .sample_rate(100.0)
-        .generate();
-        assert_eq!(s.len(), 1001);
-        assert!((s.sample_rate().unwrap() - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         assert_eq!(
             gen(Context::Walking, 9, 20.0),
@@ -269,18 +234,5 @@ mod tests {
             gen(Context::Walking, 9, 20.0),
             gen(Context::Walking, 10, 20.0)
         );
-    }
-
-    #[test]
-    fn zero_scale_produces_still_sensor() {
-        let s = AccelTraceGenerator::new(
-            ContextSchedule::constant(Context::MovingVehicle),
-            Seconds::new(10.0),
-            7,
-        )
-        .vibration_scale(0.0)
-        .generate();
-        let rms = magnitude_std(&s);
-        assert!(rms < 1e-9, "rms {rms} should be ~0 at zero scale");
     }
 }

@@ -4,9 +4,11 @@ use ecas::obs::{fnv1a_64, stable_hash, NULL_PROBE};
 use ecas::record::{RecordScenario, RecordedSession};
 use ecas::sim::FaultSpec;
 use ecas::trace::io::TraceFormat;
+use ecas::trace::population::{FleetContext, PopulationSpec};
 use ecas::trace::videos::EvalTraceSpec;
 use ecas::trace::SessionTrace;
-use ecas::{Approach, ExecPolicy, ExperimentRunner, Scenario, SweepEngine};
+use ecas::types::units::Seconds;
+use ecas::{Approach, ExecPolicy, ExperimentRunner, FleetEngine, Scenario, SweepEngine};
 use serde::Serialize;
 
 #[test]
@@ -86,8 +88,8 @@ fn parallel_and_sequential_grids_agree() {
 
 /// Asserts that the compact JSON streamed from `value` — what
 /// `serde_json::to_string` returns and `stable_hash` hashes — hashes to
-/// `pin`. Each pin is FNV-1a over the bytes the former value-tree
-/// renderer produced for the same value.
+/// `pin`. The Table V pins are FNV-1a over the bytes the former
+/// value-tree renderer produced for the same value.
 fn assert_pinned<T: Serialize>(what: &str, value: &T, pin: u64) {
     let text = serde_json::to_string(value).unwrap();
     let hash = fnv1a_64(text.as_bytes());
@@ -136,4 +138,41 @@ fn streamed_json_is_pinned_for_real_values() {
     assert_pinned("record scenario", &scenario, 0xce2b12e024955601);
     let manifest = ecas::observe::manifest(&Scenario::paper_evaluation(), &runner);
     assert_pinned("manifest", &manifest, 0xcb394ae82390834b);
+}
+
+#[test]
+fn fleet_report_and_short_users_are_pinned() {
+    let spec = PopulationSpec::new(200, 7).mean_duration(Seconds::new(24.0));
+    let report = FleetEngine::paper().run(&spec, &ExecPolicy::Sequential);
+    assert_pinned("fleet report", &report, 0x2fd99daa11ddf4f2);
+    // (user index, context, result pin, event log pin), run under Ours
+    // as the fleet runs them.
+    let user_pins = [
+        (
+            1,
+            FleetContext::Walking,
+            0xecd728c0b38dcf7e,
+            0x985905169b81c76f,
+        ),
+        (
+            7,
+            FleetContext::Vehicle,
+            0xc85a520bc66f770e,
+            0xe62809d7ae993908,
+        ),
+        (
+            10,
+            FleetContext::Commute,
+            0x9071f0e90855b69e,
+            0x942cf8ffd9b9364b,
+        ),
+    ];
+    let runner = ExperimentRunner::paper();
+    for (index, context, result_pin, log_pin) in user_pins {
+        let user = spec.user(index);
+        assert_eq!(user.context, context, "user {index}");
+        let (result, log) = runner.run_with_probe(&user.synthesize(), &Approach::Ours, &NULL_PROBE);
+        assert_pinned(&format!("user {index} result"), &result, result_pin);
+        assert_pinned(&format!("user {index} log"), &log, log_pin);
+    }
 }
