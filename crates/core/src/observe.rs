@@ -193,10 +193,13 @@ mod tests {
         // Matches the uninstrumented path.
         assert_eq!(summary, scenario.run(&policy).unwrap().0);
 
-        let manifest =
-            RunManifest::from_json(&fs::read_to_string(dir.join("manifest.json")).unwrap())
-                .unwrap();
-        assert_eq!(manifest.scenario, "observe-test");
+        let manifest = fs::read_to_string(dir.join("manifest.json")).unwrap();
+        assert!(
+            manifest.contains(r#""scenario": "observe-test","#),
+            "{manifest}"
+        );
+        let expected = super::manifest(&scenario, &scenario.runner()).to_json_pretty();
+        assert_eq!(manifest, format!("{expected}\n"));
 
         let metrics = fs::read_to_string(dir.join("metrics.txt")).unwrap();
         assert!(metrics.contains("sim/segments"), "{metrics}");

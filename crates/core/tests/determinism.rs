@@ -1,12 +1,12 @@
 //! Reproducibility guarantees: two observed runs of the same scenario
-//! must produce byte-identical JSONL event streams and equal run-manifest
-//! hashes. Wall-clock metrics are exempt — they live in a separate stream
+//! must produce byte-identical JSONL event streams and run manifests.
+//! Wall-clock metrics are exempt — they live in a separate stream
 //! precisely so these assertions can hold.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ecas_core::obs::{fnv1a_64, RunManifest, NULL_PROBE};
+use ecas_core::obs::{fnv1a_64, NULL_PROBE};
 use ecas_core::record::RecordedSession;
 use ecas_core::sim::{FaultSpec, Simulator};
 use ecas_core::trace::synth::context::Context;
@@ -56,12 +56,9 @@ fn same_seed_observed_runs_are_byte_identical() {
     let summary_b = observe::run_observed(&scenario, &dir_b, &policy).unwrap();
     assert_eq!(summary_a, summary_b);
 
-    // Equal manifest hashes: same seeds, ladder, config, version.
-    let manifest_a =
-        RunManifest::from_json(&fs::read_to_string(dir_a.join("manifest.json")).unwrap()).unwrap();
-    let manifest_b =
-        RunManifest::from_json(&fs::read_to_string(dir_b.join("manifest.json")).unwrap()).unwrap();
-    assert_eq!(manifest_a.stable_hash(), manifest_b.stable_hash());
+    // Byte-identical manifests: same seeds, ladder, config, version.
+    let manifest_a = fs::read(dir_a.join("manifest.json")).unwrap();
+    assert_eq!(manifest_a, fs::read(dir_b.join("manifest.json")).unwrap());
 
     // Byte-identical event streams, file by file.
     let files = event_files(&dir_a);

@@ -80,11 +80,11 @@ fn short_table_falls_back_to_cbr_sizes() {
 }
 
 #[test]
-fn simulator_builds_from_a_parsed_manifest() {
+fn simulator_builds_from_the_paper_manifest_ladder() {
     use ecas_trace::mpd::Manifest;
-    let xml = Manifest::paper(Seconds::new(60.0)).to_xml();
-    let manifest = Manifest::parse(&xml).unwrap();
-    let sim = Simulator::from_manifest(&manifest);
+    let manifest = Manifest::paper(Seconds::new(60.0));
+    let sim = Simulator::paper(manifest.ladder.clone());
+    assert_eq!(sim.config().segment_duration, manifest.segment_duration);
     let s = session(60.0, 9);
     let r = sim.run(&s, &mut FixedLevel::highest());
     assert_eq!(r.tasks.len(), 30);

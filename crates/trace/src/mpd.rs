@@ -298,6 +298,51 @@ mod tests {
         }
     }
 
+    /// `tracetool mpd 449` prints exactly this document.
+    const PAPER_449S_MPD: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
+<MPD xmlns="urn:mpeg:dash:schema:mpd:2011" type="static" mediaPresentationDuration="PT7M29S" minBufferTime="PT2S" profiles="urn:mpeg:dash:profile:isoff-main:2011">
+  <Period>
+    <AdaptationSet mimeType="video/mp4" segmentAlignment="true">
+      <SegmentTemplate timescale="1000" duration="2000" media="video_$RepresentationID$_$Number$.m4s" initialization="init_$RepresentationID$.mp4" startNumber="1"/>
+      <Representation id="0" bandwidth="100000" width="256" height="144" codecs="avc1.64001f"/>
+      <Representation id="1" bandwidth="200000" codecs="avc1.64001f"/>
+      <Representation id="2" bandwidth="240000" codecs="avc1.64001f"/>
+      <Representation id="3" bandwidth="375000" width="426" height="240" codecs="avc1.64001f"/>
+      <Representation id="4" bandwidth="550000" codecs="avc1.64001f"/>
+      <Representation id="5" bandwidth="750000" width="640" height="360" codecs="avc1.64001f"/>
+      <Representation id="6" bandwidth="1000000" codecs="avc1.64001f"/>
+      <Representation id="7" bandwidth="1500000" width="854" height="480" codecs="avc1.64001f"/>
+      <Representation id="8" bandwidth="2300000" codecs="avc1.64001f"/>
+      <Representation id="9" bandwidth="2560000" codecs="avc1.64001f"/>
+      <Representation id="10" bandwidth="3000000" width="1280" height="720" codecs="avc1.64001f"/>
+      <Representation id="11" bandwidth="3600000" codecs="avc1.64001f"/>
+      <Representation id="12" bandwidth="4300000" codecs="avc1.64001f"/>
+      <Representation id="13" bandwidth="5800000" width="1920" height="1080" codecs="avc1.64001f"/>
+    </AdaptationSet>
+  </Period>
+</MPD>
+"#;
+
+    #[test]
+    fn paper_manifest_xml_is_pinned() {
+        assert_eq!(
+            Manifest::paper(Seconds::new(449.0)).to_xml(),
+            PAPER_449S_MPD
+        );
+    }
+
+    #[test]
+    fn iso8601_output_is_pinned() {
+        for (secs, text) in [
+            (0.5, "PT0.5S"),
+            (449.0, "PT7M29S"),
+            (3600.0, "PT1H0S"),
+            (3725.25, "PT1H2M5.25S"),
+        ] {
+            assert_eq!(iso8601(Seconds::new(secs)), text, "{secs} s");
+        }
+    }
+
     #[test]
     fn emitted_xml_looks_like_an_mpd() {
         let xml = Manifest::paper(Seconds::new(60.0)).to_xml();
