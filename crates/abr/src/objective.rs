@@ -12,14 +12,14 @@
 //! paper's evaluation uses `η = 0.5`.
 
 use ecas_types::units::{Joules, QoeScore};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Floor of the QoE normalizer `Q_max`, so the QoE term stays finite when
 /// the top bitrate's Eq. (1) score is (near) zero.
 const MIN_Q_MAX: f64 = 1e-6;
 
 /// The weighting factor `η` of Eq. (11).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ObjectiveWeights {
     eta: f64,
 }

@@ -76,8 +76,8 @@ pub struct HotPath {
     /// Path name (one of [`REQUIRED_PATHS`]).
     pub name: String,
     /// Simulated session-seconds one iteration of this path processes.
-    /// `Seconds` is `#[serde(transparent)]`, so this serializes as the
-    /// bare number.
+    /// `Seconds` serializes as the bare number, and a negative one fails
+    /// to parse.
     pub sim_seconds: Seconds,
     /// Deterministic work counters (`<area>/<noun>` names). Compared
     /// exactly by [`Baseline::compare`].

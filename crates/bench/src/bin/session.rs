@@ -211,16 +211,13 @@ fn reject_ignored(args: &Args, flags: &[&str], conflict: &str) -> Result<(), Cmd
 
 fn parse_approach(args: &Args) -> Result<Approach, CmdError> {
     let label = args.option("--approach").unwrap_or("Ours");
-    Approach::all()
-        .into_iter()
-        .find(|a| a.label().eq_ignore_ascii_case(label))
-        .ok_or_else(|| {
-            let labels: Vec<&str> = Approach::all().iter().map(Approach::label).collect();
-            CmdError::Usage(format!(
-                "unknown approach {label:?}; known: {}",
-                labels.join(", ")
-            ))
-        })
+    Approach::from_label(label).ok_or_else(|| {
+        let labels: Vec<&str> = Approach::all().iter().map(Approach::label).collect();
+        CmdError::Usage(format!(
+            "unknown approach {label:?}; known: {}",
+            labels.join(", ")
+        ))
+    })
 }
 
 /// Parses `--fault`/`--fault-seed`. A `--fault-seed` without `--fault`

@@ -5,29 +5,13 @@
 //! ```
 //!
 //! Approaches: youtube, festive, bba, ours, optimal, bola, mpc, pid,
-//! rate, adaptive.
+//! rate, adaptive, in any case ([`Approach::from_label`]).
 
 use std::process::ExitCode;
 
 use ecas_bench::Cli;
 use ecas_core::trace::videos::EvalTraceSpec;
 use ecas_core::{Approach, ExperimentRunner};
-
-fn parse_approach(name: &str) -> Option<Approach> {
-    Some(match name {
-        "youtube" => Approach::Youtube,
-        "festive" => Approach::Festive,
-        "bba" => Approach::Bba,
-        "ours" => Approach::Ours,
-        "optimal" => Approach::Optimal,
-        "bola" => Approach::Bola,
-        "mpc" => Approach::Mpc,
-        "pid" => Approach::Pid,
-        "rate" => Approach::RateBased,
-        "adaptive" => Approach::AdaptiveEta,
-        _ => return None,
-    })
-}
 
 fn main() -> ExitCode {
     let args = Cli::new(
@@ -61,7 +45,7 @@ fn main() -> ExitCode {
         eprintln!("error: no Table V trace {id}");
         return ExitCode::FAILURE;
     };
-    let Some(approach) = parse_approach(approach) else {
+    let Some(approach) = Approach::from_label(approach) else {
         eprintln!("error: unknown approach {approach:?}");
         return ExitCode::FAILURE;
     };

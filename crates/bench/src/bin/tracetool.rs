@@ -9,8 +9,11 @@
 //! tracetool mpd <seconds> [out.mpd]
 //! ```
 //!
-//! JSON vs binary is picked by the output extension
-//! ([`TraceFormat::from_path`]).
+//! `generate` synthesizes the [`RecordedSession`] recipe a session record
+//! would store, so the trace takes the recipe's name
+//! (`walking-300s-seed7`, `commute-60s-seed1`) and its duration lies in
+//! the recipes' 4 s to one hour. JSON vs binary is picked by the output
+//! extension ([`TraceFormat::from_path`]).
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -18,11 +21,11 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use ecas_bench::Cli;
+use ecas_core::record::RecordedSession;
 use ecas_core::trace::analysis::SessionStats;
 use ecas_core::trace::io::{read_mahimahi, write_atomic, TraceFormat};
 use ecas_core::trace::session::SessionTrace;
-use ecas_core::trace::synth::context::{Context, ContextSchedule};
-use ecas_core::trace::synth::SessionGenerator;
+use ecas_core::trace::synth::context::Context;
 use ecas_core::trace::videos::EvalTraceSpec;
 use ecas_core::types::units::Seconds;
 
@@ -31,7 +34,7 @@ fn cli() -> Cli {
         .subcommand(
             Cli::new("generate", "synthesize a session trace")
                 .positional("context", "quiet | walking | vehicle | commute")
-                .positional("seconds", "session duration in seconds")
+                .positional("seconds", "session duration in seconds (4 to 3600)")
                 .positional("seed", "generator seed")
                 .positional("out", "output path (.bin for binary, else JSON)"),
         )
@@ -92,18 +95,19 @@ fn save(session: &SessionTrace, path: &str) -> Result<(), String> {
 fn generate(context: &str, seconds: &str, seed: &str, out: &str) -> Result<(), String> {
     let seconds: f64 = seconds.parse().map_err(|e| format!("bad seconds: {e}"))?;
     let seed: u64 = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
-    let duration = Seconds::try_new(seconds).map_err(|e| e.to_string())?;
-    let schedule = match context {
-        "quiet" => ContextSchedule::constant(Context::QuietRoom),
-        "walking" => ContextSchedule::constant(Context::Walking),
-        "vehicle" => ContextSchedule::constant(Context::MovingVehicle),
-        "commute" => ContextSchedule::commute(duration),
+    let constant = |context| RecordedSession::Synthetic {
+        context,
+        seconds,
+        seed,
+    };
+    let recipe = match context {
+        "quiet" => constant(Context::QuietRoom),
+        "walking" => constant(Context::Walking),
+        "vehicle" => constant(Context::MovingVehicle),
+        "commute" => RecordedSession::Commute { seconds, seed },
         other => return Err(format!("unknown context {other:?}")),
     };
-    let session = SessionGenerator::new(format!("{context}-{seed}"), schedule, duration, seed)
-        .description(format!("tracetool generate {context} {seconds} {seed}"))
-        .generate();
-    save(&session, out)
+    save(&recipe.generate().map_err(|e| e.to_string())?, out)
 }
 
 fn tablev(id: &str, out: &str) -> Result<(), String> {

@@ -63,8 +63,8 @@ fn assert_typed_error(out: &Output, code: i32, what: &str, case: &str) {
 /// Session durations run from 4 s (two segments) to an hour. Past an
 /// hour, synthesis used to panic (`1e308`) or abort on a failed
 /// allocation (`1e9`); below 4 s, `fleet` ran a fleet no corpus could
-/// record. Each binary now rejects the value before it synthesizes
-/// anything.
+/// record, and `tracetool generate` wrote a trace no record could name.
+/// Each binary now rejects the value before it synthesizes anything.
 #[test]
 fn session_durations_outside_four_seconds_to_an_hour_are_typed_errors() {
     let fleet = env!("CARGO_BIN_EXE_fleet");
@@ -116,6 +116,17 @@ fn session_durations_outside_four_seconds_to_an_hour_are_typed_errors() {
         let written = fs::read_dir(&corpus).map_or(0, |entries| entries.count());
         assert_eq!(written, 0, "{case} wrote into the corpus");
     }
+
+    // `tracetool generate` synthesizes through the same recipes.
+    let tracetool = env!("CARGO_BIN_EXE_tracetool");
+    let trace = dir.join("x.bin");
+    for seconds in ["2", "7200", "1e9", "NaN"] {
+        let args = ["generate", "walking", seconds, "7", trace.to_str().unwrap()];
+        let out = run(tracetool, &args);
+        let case = format!("tracetool generate walking {seconds}");
+        assert_typed_error(&out, 1, "session duration", &case);
+        assert!(!trace.exists(), "{case} wrote a trace");
+    }
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -161,5 +172,65 @@ fn non_finite_accelerometer_magnitudes_fail_to_load() {
         let out = run(tracetool, &["inspect", json.to_str().unwrap()]);
         assert_typed_error(&out, 1, "non-finite", &format!(".json z = {axis}"));
     }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A JSON trace whose units lie outside their domain fails to load like
+/// the same value in a `.bin` trace: `tracetool inspect` prints an
+/// `error:` line and exits 1. Loaded, a negative video length would
+/// panic the simulator.
+#[test]
+fn out_of_domain_json_units_fail_to_load() {
+    let tracetool = env!("CARGO_BIN_EXE_tracetool");
+    let dir = std::env::temp_dir().join(format!("ecas-bad-units-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("t.json");
+    let path = json.to_str().unwrap();
+    let out = run(tracetool, &["generate", "quiet", "4", "1", path]);
+    assert!(out.status.success(), "{out:?}");
+    let good = fs::read_to_string(&json).unwrap();
+    for (field, value) in [("video_length", "-20"), ("throughput", "-5")] {
+        let key = format!("\"{field}\": ");
+        let at = good.find(&key).unwrap() + key.len();
+        let end = at + good[at..].find([',', '\n']).unwrap();
+        fs::write(&json, format!("{}{value}{}", &good[..at], &good[end..])).unwrap();
+        let out = run(tracetool, &["inspect", path]);
+        assert_typed_error(&out, 1, "negative", &format!("{field} = {value}"));
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// `timeline` names approaches by their figure labels in any case.
+#[test]
+fn timeline_approach_names_ignore_case() {
+    let timeline = env!("CARGO_BIN_EXE_timeline");
+    for name in ["rate", "RATE", "Adaptive"] {
+        let out = run(timeline, &["1", name, "1"]);
+        assert!(out.status.success(), "timeline {name}: {out:?}");
+    }
+    let out = run(timeline, &["1", "foo", "1"]);
+    assert_typed_error(&out, 1, "unknown approach", "timeline foo");
+    assert!(out.stdout.is_empty(), "timeline foo printed a timeline");
+}
+
+/// `session record --approach` names approaches like `timeline` does.
+#[test]
+fn session_approach_names_ignore_case() {
+    let session = env!("CARGO_BIN_EXE_session");
+    let dir = std::env::temp_dir().join(format!("ecas-approach-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let record = dir.join("r.ecasr");
+    let path = record.to_str().unwrap();
+    for name in ["rate", "RATE", "Adaptive"] {
+        let args = ["record", "--seconds", "4", "--approach", name, path];
+        let out = run(session, &args);
+        assert!(out.status.success(), "session --approach {name}: {out:?}");
+    }
+    // A usage error: exit 2, `session record: unknown approach "foo"; …`.
+    let out = run(session, &["record", "--approach", "foo", path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("unknown approach \"foo\""), "{stderr}");
     fs::remove_dir_all(&dir).ok();
 }

@@ -41,6 +41,19 @@ fn committed_baseline_round_trips_byte_identically() {
     );
 }
 
+/// A hot path's `sim_seconds` is a `Seconds`, so a negative value fails
+/// to parse instead of entering the baseline.
+#[test]
+fn negative_sim_seconds_is_a_parse_error() {
+    let text = std::fs::read_to_string(committed_path())
+        .expect("BENCH_core.json is committed at the repo root");
+    let bad = text.replacen("\"sim_seconds\": 198.0", "\"sim_seconds\": -1.0", 1);
+    assert_ne!(bad, text, "BENCH_core.json has no sim_seconds of 198");
+    let err = Baseline::from_json(&bad).expect_err("negative sim_seconds parsed");
+    assert!(err.starts_with("parse: "), "{err}");
+    assert!(err.contains("negative"), "{err}");
+}
+
 /// Collects counters with `prefix` from one instrumented pass over the
 /// smoke session — the same collection the `perf` binary performs.
 fn counters(prefix: &str) -> BTreeMap<String, u64> {

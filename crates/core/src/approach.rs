@@ -83,6 +83,15 @@ impl Approach {
         }
     }
 
+    /// The approach whose [`Self::label`] is `label`, ignoring ASCII case
+    /// (`"rate"`, `"RATE"` and `"Rate"` all name [`Approach::RateBased`]).
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<Approach> {
+        Self::all()
+            .into_iter()
+            .find(|a| a.label().eq_ignore_ascii_case(label))
+    }
+
     /// Whether the approach needs full future knowledge (only `Optimal`).
     #[must_use]
     pub fn is_offline(&self) -> bool {

@@ -41,7 +41,7 @@ use ecas_sim::result::SessionResult;
 use ecas_trace::population::{BatteryState, FleetContext, PopulationSpec, SignalTier, UserSpec};
 use ecas_types::float::nearest_rank;
 use ecas_types::units::MegaBytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::approach::Approach;
 use crate::runner::ExperimentRunner;
@@ -402,7 +402,7 @@ impl FleetReducer {
 
 /// Percentile tails of a fleet distribution (nearest-rank-from-below at
 /// histogram-bin resolution).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Tail {
     /// Median.
     pub p50: f64,
@@ -414,7 +414,7 @@ pub struct Tail {
 
 /// Per-class slice of the fleet (one context, battery state or signal
 /// tier).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClassReport {
     /// Class label (e.g. `"commute"`, `"low"`, `"poor"`).
     pub class: String,
@@ -428,7 +428,7 @@ pub struct ClassReport {
 
 /// The aggregate outcome of a fleet run: everything the deployment
 /// claim needs, nothing per-session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FleetReport {
     /// Sessions simulated.
     pub users: u64,
@@ -725,9 +725,5 @@ mod tests {
             let share: f64 = classes.iter().map(|c| c.share).sum();
             assert!((share - 1.0).abs() < 1e-9, "class shares sum to 1");
         }
-        // Round-trips through JSON.
-        let json = serde_json::to_string(&report).unwrap();
-        let back: FleetReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report);
     }
 }

@@ -12,12 +12,12 @@
 
 use ecas_sim::result::SessionResult;
 use ecas_types::units::{Joules, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::approach::Approach;
 
 /// Per-approach metrics on one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "exposed through TraceComparison's public fields and accessors")
 pub struct ApproachMetrics {
     /// The approach.
@@ -52,7 +52,7 @@ impl ApproachMetrics {
 }
 
 /// All approaches compared on one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceComparison {
     /// Trace name ("trace1" … "trace5").
     pub trace: String,
@@ -132,7 +132,7 @@ impl TraceComparison {
 
 /// Aggregated comparison over several traces (the "on average" numbers
 /// quoted in Section V-B/C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ComparisonSummary {
     /// The per-trace comparisons the summary was built from.
     pub traces: Vec<TraceComparison>,

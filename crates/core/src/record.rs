@@ -639,7 +639,7 @@ impl SessionRecord {
 /// The machine-readable summary of a record, rendered by
 /// `session inspect --json` and committed as `manifest.json` next to
 /// each golden fixture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "returned by SessionRecord::manifest and serialized by the session bin")
 pub struct RecordManifest {
     /// Scenario label (also the fixture directory name).

@@ -14,7 +14,7 @@ use ecas_sim::FaultSpec;
 use ecas_trace::session::SessionTrace;
 use ecas_trace::videos::EvalTraceSpec;
 use ecas_types::units::{Joules, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::approach::Approach;
 use crate::metrics::ComparisonSummary;
@@ -22,7 +22,7 @@ use crate::runner::ExperimentRunner;
 use crate::sweep::{CacheStats, ExecPolicy, SweepEngine};
 
 /// Mean and standard deviation of one metric across seeds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "re-exported robustness-report row type; part of the crate's published surface")
 pub struct SeedStat {
     /// Mean across seeds.
@@ -53,7 +53,7 @@ impl SeedStat {
 }
 
 /// Headline metrics of one approach, aggregated across seeds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "re-exported robustness-report row type; part of the crate's published surface")
 pub struct RobustnessRow {
     /// The approach.
@@ -133,7 +133,7 @@ pub fn table_v_robustness(
 
 /// One cell of a fault sweep: an approach evaluated under one fault
 /// intensity, averaged over the evaluation sessions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultSweepCell {
     /// The approach.
     pub approach: Approach,

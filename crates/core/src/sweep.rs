@@ -152,7 +152,7 @@ impl ExecPolicy {
 }
 
 /// Cache activity accumulated by a [`SweepEngine`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Cells served from the on-disk cache.
     pub hits: u64,
@@ -1012,12 +1012,11 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// A result line with a field missing is corrupt even when the
-    /// header's body hash matches it: every field is required, so an
-    /// entry without `retries` is recomputed, not served with a default.
-    #[test]
-    fn a_result_line_missing_a_field_is_corrupt() {
-        let dir = temp_dir("missing-field");
+    /// Rewrites the result body of a cached Ours entry with `edit`,
+    /// under a header whose body hash matches the new body, and checks
+    /// that the next run finds it corrupt, recomputes it and repairs it.
+    fn rewritten_result_is_corrupt(tag: &str, edit: impl Fn(&str) -> String) {
+        let dir = temp_dir(tag);
         let sessions = sessions();
         let approaches = [Approach::Ours];
         let policy = ExecPolicy::cached(&dir, ExecPolicy::Sequential);
@@ -1032,9 +1031,7 @@ mod tests {
         );
         let text = fs::read_to_string(&entry).unwrap();
         let (header, body) = text.split_once('\n').unwrap();
-        let field = body.find("\"retries\":").unwrap();
-        let end = field + body[field..].find(',').unwrap() + 1;
-        let body = format!("{}{}", &body[..field], &body[end..]);
+        let body = edit(body);
         let mut header: CacheHeader = serde_json::from_str(header).unwrap();
         header.body = fnv1a_64(body.as_bytes());
         let header = to_json(&header).unwrap();
@@ -1053,6 +1050,29 @@ mod tests {
         assert_eq!(warm.run_grid(&sessions, &approaches, &policy), uncached);
         assert!(warm.stats().all_hits(), "{:?}", warm.stats());
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A result line with a field missing is corrupt even when the
+    /// header's body hash matches it: every field is required, so an
+    /// entry without `retries` is recomputed, not served with a default.
+    #[test]
+    fn a_result_line_missing_a_field_is_corrupt() {
+        rewritten_result_is_corrupt("missing-field", |body| {
+            let field = body.find("\"retries\":").unwrap();
+            let end = field + body[field..].find(',').unwrap() + 1;
+            format!("{}{}", &body[..field], &body[end..])
+        });
+    }
+
+    /// A unit outside its domain is corrupt like a missing field: a
+    /// negative `wall_time` is recomputed, not served.
+    #[test]
+    fn a_result_line_with_an_out_of_domain_unit_is_corrupt() {
+        rewritten_result_is_corrupt("negative-unit", |body| {
+            let field = body.find("\"wall_time\":").unwrap() + "\"wall_time\":".len();
+            let end = field + body[field..].find(',').unwrap();
+            format!("{}-1{}", &body[..field], &body[end..])
+        });
     }
 
     /// Regression: `store()` used to write every writer's entry to the

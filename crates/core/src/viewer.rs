@@ -9,10 +9,10 @@
 
 use ecas_sim::result::SessionResult;
 use ecas_types::units::{Joules, MegaBytes, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What an early quit wastes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "re-exported viewer-model result type; part of the crate's published surface")
 pub struct QuitAnalysis {
     /// The quit time analyzed.

@@ -23,7 +23,7 @@
 
 use std::{fmt, io};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -121,7 +121,7 @@ pub fn stable_hash<T: Serialize + ?Sized>(value: &T) -> u64 {
 }
 
 /// One trace in a run: its name and the seed regenerating it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TraceRef {
     /// Trace name (e.g. `trace1`).
     pub name: String,
@@ -130,7 +130,7 @@ pub struct TraceRef {
 }
 
 /// Everything needed to replay an experiment bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunManifest {
     /// Scenario or tool name.
     pub scenario: String,
@@ -167,15 +167,6 @@ impl RunManifest {
     pub fn to_json_pretty(&self) -> String {
         // ecas-lint: allow(panic-safety, reason = "manifest types contain no non-serializable values; documented above")
         serde_json::to_string_pretty(self).expect("manifest serializes")
-    }
-
-    /// Parses a manifest from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error for malformed input.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -229,14 +220,6 @@ mod tests {
         let mut m = manifest();
         m.crate_version = "0.2.0".to_string();
         assert_ne!(base.stable_hash(), m.stable_hash());
-    }
-
-    #[test]
-    fn manifest_roundtrips_through_json() {
-        let m = manifest();
-        let parsed = RunManifest::from_json(&m.to_json_pretty()).unwrap();
-        assert_eq!(m, parsed);
-        assert_eq!(m.stable_hash(), parsed.stable_hash());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! capacity in milliamp-hours at a nominal voltage, drained by joules.
 
 use ecas_types::units::Joules;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An ideal fixed-voltage battery.
 ///
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(battery.state_of_charge() < 1.0);
 /// assert!(battery.state_of_charge() > 0.95);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Battery {
     capacity: Joules,
     remaining: Joules,

@@ -1,7 +1,7 @@
 //! The combined power model.
 
 use ecas_types::units::{Dbm, Joules, Mbps, MegaBytes, Seconds, Watts};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::params::PowerParams;
 
@@ -19,7 +19,7 @@ use crate::params::PowerParams;
 /// let weak = m.radio_power(Dbm::new(-115.0), Mbps::new(20.0));
 /// assert!(weak > strong, "weak signal draws more radio power");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PowerModel {
     params: PowerParams,
 }
@@ -211,12 +211,5 @@ mod tests {
         assert_eq!(model.bulk_throughput(Dbm::new(-20.0)), Mbps::new(45.0));
         let mid = model.bulk_throughput(Dbm::new(-90.0)).value();
         assert!((mid - 31.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let model = m();
-        let json = serde_json::to_string(&model).unwrap();
-        assert_eq!(model, serde_json::from_str::<PowerModel>(&json).unwrap());
     }
 }

@@ -11,16 +11,17 @@
 use ecas_obs::{names, Probe, SpanGuard};
 use ecas_trace::sample::PowerSample;
 use ecas_trace::series::TimeSeries;
+use ecas_trace::synth::standard_normal;
 use ecas_types::units::{Joules, Seconds, Watts};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use rand::SeedableRng;
+use serde::Serialize;
 
 /// A piecewise-constant power profile: `(start, end, watts)` intervals.
 ///
 /// Intervals may overlap; the instantaneous power is the sum of all active
 /// intervals (screen + decode + radio compose additively).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct PowerProfile {
     intervals: Vec<(Seconds, Seconds, Watts)>,
 }
@@ -103,7 +104,7 @@ impl PowerProfile {
 /// let measured = trace.integrate_energy().value();
 /// assert!((measured - 20.0).abs() < 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PowerMonitor {
     sample_rate_hz: f64,
     noise_std: f64,
@@ -165,18 +166,12 @@ impl PowerMonitor {
         for k in 0..steps {
             let t = Seconds::new(k as f64 * dt);
             let truth = profile.power_at(t).value();
-            let noise = self.noise_std * gauss(&mut rng);
+            let noise = self.noise_std * standard_normal(&mut rng);
             samples.push(PowerSample::new(t, Watts::new((truth + noise).max(0.0))));
         }
         // ecas-lint: allow(panic-safety, reason = "samples are pushed on a strictly increasing uniform grid")
         TimeSeries::new(samples).expect("uniform grid is ordered")
     }
-}
-
-fn gauss(rng: &mut SmallRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

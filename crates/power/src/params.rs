@@ -1,13 +1,13 @@
 //! Power model parameters.
 
 use ecas_types::units::{Dbm, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the radio (download) power model
 /// `P_dl(s, thr) = β(s) + α(s)·thr` with
 /// `β(s) = β0 + β1·max(0, s_ref − s)` and
 /// `α(s) = α0·(1 + α1·max(0, s_ref − s))`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "part of the crate's re-exported public API surface")
 pub struct RadioPowerParams {
     /// Baseline radio power at the reference signal (W).
@@ -62,7 +62,7 @@ impl RadioPowerParams {
 
 /// Parameters of the playback power model
 /// `P_play(r) = screen + γ0 + γ1·r`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "part of the crate's re-exported public API surface")
 pub struct PlaybackPowerParams {
     /// Screen power while the video is on screen (W).
@@ -98,7 +98,7 @@ impl PlaybackPowerParams {
 }
 
 /// The full power parameter bundle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PowerParams {
     /// Radio (download) power parameters.
     pub radio: RadioPowerParams,
@@ -148,12 +148,5 @@ mod tests {
         let mut p = PlaybackPowerParams::paper();
         p.screen = -1.0;
         assert!(!p.is_valid());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let p = PowerParams::paper();
-        let json = serde_json::to_string(&p).unwrap();
-        assert_eq!(p, serde_json::from_str::<PowerParams>(&json).unwrap());
     }
 }

@@ -17,12 +17,12 @@
 //! computes the same quantities from actual timelines.
 
 use ecas_types::units::{Dbm, Joules, Mbps, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::model::PowerModel;
 
 /// The conditions a task executes under (from the trace, indexed by task).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TaskConditions {
     /// Estimated/observed downlink throughput during the task.
     pub throughput: Mbps,
@@ -34,7 +34,7 @@ pub struct TaskConditions {
 }
 
 /// Energy breakdown of one task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "result type of the public TaskEnergyModel::energy")
 pub struct TaskEnergy {
     /// Radio energy spent downloading.
@@ -67,7 +67,7 @@ pub struct TaskEnergy {
 /// let costly = model.energy(Mbps::new(5.8), cond);
 /// assert!(costly.total > cheap.total, "higher bitrate costs more energy");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TaskEnergyModel {
     power: PowerModel,
     segment_duration: Seconds,

@@ -11,16 +11,17 @@
 //! CPU spikes), so the calculated-vs-measured error is a genuine model
 //! error of the same order as the paper's, not a trivial zero.
 
+use ecas_trace::synth::standard_normal;
 use ecas_types::units::{Dbm, Joules, Mbps, Seconds, Watts};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::model::PowerModel;
 use crate::monitor::{PowerMonitor, PowerProfile};
 
 /// One row of the Table VI reproduction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "row type returned by the public validate()")
 pub struct ValidationRow {
     /// Video bitrate.
@@ -34,7 +35,7 @@ pub struct ValidationRow {
 }
 
 /// Configuration of the validation experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ValidationConfig {
     /// Signal strength of the run (the paper shows −90 dBm).
     pub signal: Dbm,
@@ -92,7 +93,7 @@ fn session_profile(
         let end = start + t_dl;
         // Ground truth: per-burst efficiency jitter and a short ramp where
         // the radio draws only ~60% of its steady power.
-        let jitter = (0.03 * gauss(rng)).exp();
+        let jitter = (0.03 * standard_normal(rng)).exp();
         let p_truth = Watts::new(radio.value() * jitter);
         let ramp_end = start + Seconds::new(ramp);
         profile.add(start, ramp_end.min(end), p_truth * 0.6);
@@ -118,12 +119,6 @@ fn session_profile(
 
     let calculated = playback * cfg.video_length + calculated_radio;
     (profile, calculated)
-}
-
-fn gauss(rng: &mut SmallRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Runs the Table VI validation for each bitrate.

@@ -15,7 +15,7 @@
 use std::fmt;
 
 use ecas_types::units::{Mbps, MetersPerSec2};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::params::{ImpairmentParams, QualityParams};
 
@@ -47,7 +47,7 @@ impl fmt::Display for FitError {
 impl std::error::Error for FitError {}
 
 /// Goodness-of-fit summary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "result type of the public fitting entry points")
 pub struct FitReport {
     /// Root-mean-square error of the fit on the training data.

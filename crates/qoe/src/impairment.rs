@@ -6,7 +6,7 @@
 //! the vibration level and the bitrate.
 
 use ecas_types::units::{Mbps, MetersPerSec2};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::params::ImpairmentParams;
 
@@ -25,7 +25,7 @@ use crate::params::ImpairmentParams;
 /// assert_eq!(calm, 0.0);
 /// assert!(rough > 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct VibrationImpairment {
     params: ImpairmentParams,
 }

@@ -1,7 +1,7 @@
 //! The per-task QoE model (Eq. 1).
 
 use ecas_types::units::{Mbps, MetersPerSec2, QoeScore, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::impairment::VibrationImpairment;
 use crate::params::QoeParams;
@@ -27,18 +27,12 @@ use crate::quality::OriginalQuality;
 /// let stalled = model.segment_qoe(Mbps::new(3.0), MetersPerSec2::new(1.0), None, Seconds::new(2.0));
 /// assert!(smooth > stalled);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(from = "QoeParams", into = "QoeParams")]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[serde(into = "QoeParams")]
 pub struct QoeModel {
     params: QoeParams,
     quality: OriginalQuality,
     impairment: VibrationImpairment,
-}
-
-impl From<QoeParams> for QoeModel {
-    fn from(params: QoeParams) -> Self {
-        Self::new(params)
-    }
 }
 
 impl From<QoeModel> for QoeParams {
@@ -306,17 +300,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn serde_roundtrip_rebuilds_components() {
-        let model = m();
-        let json = serde_json::to_string(&model).unwrap();
-        let back: QoeModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(model, back);
-        assert_eq!(
-            model.context_quality(Mbps::new(2.0), MetersPerSec2::new(3.0)),
-            back.context_quality(Mbps::new(2.0), MetersPerSec2::new(3.0))
-        );
     }
 }

@@ -1,10 +1,10 @@
 //! Model parameter sets (the role of Table III in the paper).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the original-quality curve
 /// `q0(r) = q_max − a·exp(−b·r^p)` (Fig. 2b fit).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct QualityParams {
     /// Asymptotic quality at infinite bitrate (≤ 5).
     pub q_max: f64,
@@ -50,7 +50,7 @@ impl QualityParams {
 
 /// Parameters of the vibration-impairment surface `I(v, r) = k·v^p·r^q`
 /// (Fig. 2c fit).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ImpairmentParams {
     /// Scale factor.
     pub k: f64,
@@ -93,7 +93,7 @@ impl ImpairmentParams {
 /// cites (refs [16, 25]): a bitrate-switch term and a rebuffering term. The
 /// paper does not publish the weights; these defaults are documented
 /// assumptions (see `DESIGN.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "part of the crate's re-exported public API surface")
 pub struct PenaltyParams {
     /// Weight of `|q0(r_i) − q0(r_{i−1})|` per segment transition.
@@ -132,7 +132,7 @@ impl PenaltyParams {
 }
 
 /// The full QoE parameter bundle (our Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct QoeParams {
     /// Original-quality curve parameters.
     pub quality: QualityParams,
@@ -190,13 +190,5 @@ mod tests {
         let mut p = PenaltyParams::paper();
         p.switch_mu = f64::NAN;
         assert!(!p.is_valid());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let p = QoeParams::paper();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: QoeParams = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 }

@@ -6,7 +6,7 @@
 //! increase in the QoE" (Section III-B, consistent with refs [18, 19]).
 
 use ecas_types::units::{Mbps, QoeScore};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::params::QualityParams;
 
@@ -24,7 +24,7 @@ use crate::params::QualityParams;
 /// let high = q0.at(Mbps::new(5.8));
 /// assert!(low.value() < 2.0 && high.value() > 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OriginalQuality {
     params: QualityParams,
 }

@@ -12,10 +12,11 @@
 //! whole Table III pipeline: noisy panel → MOS aggregation → least-squares
 //! fit → model parameters.
 
+use ecas_trace::synth::standard_normal;
 use ecas_types::units::{Mbps, MetersPerSec2, QoeScore};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use rand::SeedableRng;
+use serde::Serialize;
 
 use crate::fit::{fit_impairment, fit_quality, FitError, FitReport};
 use crate::impairment::VibrationImpairment;
@@ -23,7 +24,7 @@ use crate::params::{PenaltyParams, QoeParams};
 use crate::quality::OriginalQuality;
 
 /// One rating produced by one subject for one clip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "sample type consumed by the public MOS aggregation API")
 pub struct Rating {
     /// Subject index (0-based).
@@ -41,7 +42,7 @@ pub struct Rating {
 }
 
 /// Configuration of the synthetic panel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StudyConfig {
     /// Number of subjects (the paper used 20).
     pub subjects: usize,
@@ -139,7 +140,7 @@ impl SubjectiveStudy {
             cfg.subjects * cfg.bitrates.len() * cfg.vibration_levels.len() * cfg.videos.len(),
         );
         for subject in 0..cfg.subjects {
-            let bias = cfg.subject_bias_std * gauss(&mut rng);
+            let bias = cfg.subject_bias_std * standard_normal(&mut rng);
             for (video, taste) in &cfg.videos {
                 for &bitrate in &cfg.bitrates {
                     for &vibration in &cfg.vibration_levels {
@@ -148,8 +149,10 @@ impl SubjectiveStudy {
                         // Move to the nine-grade scale, add human factors,
                         // quantize to an integer grade as P.910 prescribes.
                         let nine_true = 1.0 + 8.0 * (true_q - 1.0) / 4.0;
-                        let noisy =
-                            nine_true + bias + taste + cfg.rating_noise_std * gauss(&mut rng);
+                        let noisy = nine_true
+                            + bias
+                            + taste
+                            + cfg.rating_noise_std * standard_normal(&mut rng);
                         let nine = noisy.round().clamp(1.0, 9.0);
                         ratings.push(Rating {
                             subject,
@@ -165,12 +168,6 @@ impl SubjectiveStudy {
         }
         ratings
     }
-}
-
-fn gauss(rng: &mut SmallRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Mean-opinion-score aggregation: averages ratings per

@@ -1,7 +1,7 @@
 //! Player configuration.
 
 use ecas_types::units::Seconds;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Retry/timeout/backoff policy for the fault-aware download path.
 ///
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// backoff; after [`RetryPolicy::max_attempts`] failed attempts the
 /// player degrades gracefully to the lowest ladder level instead of
 /// spinning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RetryPolicy {
     /// Failed attempts at the chosen level before degrading to the
     /// lowest ladder level (which retries without a timeout and without
@@ -67,7 +67,7 @@ impl RetryPolicy {
 /// The paper's evaluation uses 2-second segments and a buffer threshold
 /// `B = 30 s` (Section V-A); playback starts once two segments are
 /// buffered.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PlayerConfig {
     /// Segment duration `τ`.
     pub segment_duration: Seconds,

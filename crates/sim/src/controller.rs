@@ -8,10 +8,10 @@
 use ecas_types::ids::SegmentIndex;
 use ecas_types::ladder::{BitrateLadder, LevelIndex};
 use ecas_types::units::{Dbm, Mbps, MetersPerSec2, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The measured throughput of one completed segment download.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ThroughputObservation {
     /// Which segment the observation belongs to.
     pub segment: SegmentIndex,

@@ -9,11 +9,11 @@
 use ecas_types::ids::SegmentIndex;
 use ecas_types::ladder::LevelIndex;
 use ecas_types::units::{Mbps, MetersPerSec2, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Why a download attempt was abandoned (see the fault-injected download
 /// path in [`crate::Simulator`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum AbortReason {
     /// The fault plan injected a mid-flight failure (reset connection).
     InjectedFailure,
@@ -33,7 +33,7 @@ impl AbortReason {
 }
 
 /// One timestamped event in a streaming session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum SessionEvent {
     /// The controller chose a level for a segment.
     Decision {
@@ -155,7 +155,7 @@ impl SessionEvent {
 }
 
 /// An append-only event log with time-ordered insertion.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct EventLog {
     events: Vec<SessionEvent>,
 }
@@ -426,16 +426,5 @@ mod tests {
             "{\"PlaybackStart\":{\"at\":1.0}}\n\
              {\"DownloadStart\":{\"at\":2.0,\"segment\":3}}\n"
         );
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut log = EventLog::new();
-        log.push(SessionEvent::IdleWait {
-            at: t(1.0),
-            duration: t(0.5),
-        });
-        let json = serde_json::to_string(&log).unwrap();
-        assert_eq!(log, serde_json::from_str::<EventLog>(&json).unwrap());
     }
 }

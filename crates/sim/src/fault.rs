@@ -203,7 +203,7 @@ fn episodes(
 /// at simulation time. All queries are pure functions of `(plan, t)` or
 /// `(plan, segment, attempt)`, so replaying a run reproduces the exact
 /// same failures in the exact same order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Sorted, non-overlapping complete-outage intervals.
     outages: Vec<(f64, f64)>,
@@ -451,10 +451,14 @@ mod tests {
         let _ = s.plan(Seconds::new(10.0));
     }
 
+    /// Scenario files and record headers carry the spec, never the plan:
+    /// a spec read back from its JSON draws the same plan.
     #[test]
     fn serde_roundtrip() {
-        let p = plan(0.9, 23);
-        let json = serde_json::to_string(&p).unwrap();
-        assert_eq!(p, serde_json::from_str::<FaultPlan>(&json).unwrap());
+        let spec = FaultSpec::scaled(0.9, 23);
+        let json = serde_json::to_string(&spec).unwrap();
+        let back: FaultSpec = serde_json::from_str(&json).unwrap();
+        assert_eq!(spec, back);
+        assert_eq!(plan(0.9, 23), back.plan(Seconds::new(600.0)));
     }
 }

@@ -221,28 +221,6 @@ impl Simulator {
         )
     }
 
-    /// Builds a simulator from a DASH manifest: the manifest's ladder and
-    /// segment duration with the paper's buffer settings and calibrated
-    /// models.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manifest's segment duration exceeds the paper's
-    /// startup/buffer thresholds (an invalid player configuration).
-    #[must_use]
-    pub fn from_manifest(manifest: &ecas_trace::mpd::Manifest) -> Self {
-        let config = PlayerConfig {
-            segment_duration: manifest.segment_duration,
-            ..PlayerConfig::paper()
-        };
-        Self::new(
-            config,
-            manifest.ladder.clone(),
-            PowerModel::paper(),
-            QoeModel::paper(),
-        )
-    }
-
     /// The player configuration.
     #[must_use]
     pub fn config(&self) -> &PlayerConfig {

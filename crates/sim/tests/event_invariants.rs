@@ -1,6 +1,6 @@
-//! Event-stream invariants: serde round-trips for every event variant
-//! and structural timeline properties that must hold for any session —
-//! time-ordering, decision-before-download, non-overlapping stalls.
+//! Event-stream invariants: structural timeline properties that must
+//! hold for any session — time-ordering, decision-before-download,
+//! non-overlapping stalls.
 
 use ecas_sim::controller::FixedLevel;
 use ecas_sim::{EventLog, SessionEvent, Simulator};
@@ -8,7 +8,7 @@ use ecas_trace::synth::context::{Context, ContextSchedule};
 use ecas_trace::synth::SessionGenerator;
 use ecas_types::ids::SegmentIndex;
 use ecas_types::ladder::{BitrateLadder, LevelIndex};
-use ecas_types::units::{Mbps, MetersPerSec2, Seconds};
+use ecas_types::units::Seconds;
 
 fn session(ctx: Context, secs: f64, seed: u64) -> ecas_trace::session::SessionTrace {
     SessionGenerator::new(
@@ -39,57 +39,6 @@ fn logged_sessions() -> Vec<EventLog> {
         }
     }
     logs
-}
-
-#[test]
-fn every_event_variant_roundtrips_through_json() {
-    let t = Seconds::new(1.25);
-    let events = [
-        SessionEvent::Decision {
-            at: t,
-            segment: SegmentIndex::new(3),
-            level: LevelIndex::new(5),
-            vibration: MetersPerSec2::new(2.5),
-            buffer: Seconds::new(12.0),
-        },
-        SessionEvent::DownloadStart {
-            at: t,
-            segment: SegmentIndex::new(3),
-        },
-        SessionEvent::DownloadEnd {
-            at: t,
-            segment: SegmentIndex::new(3),
-            throughput: Mbps::new(4.25),
-        },
-        SessionEvent::PlaybackStart { at: t },
-        SessionEvent::StallStart { at: t },
-        SessionEvent::StallEnd { at: t },
-        SessionEvent::Deferred {
-            at: t,
-            duration: Seconds::new(0.5),
-        },
-        SessionEvent::IdleWait {
-            at: t,
-            duration: Seconds::new(2.0),
-        },
-        SessionEvent::PlaybackEnd { at: t },
-    ];
-    for event in events {
-        let json = serde_json::to_string(&event).unwrap();
-        let back: SessionEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(event, back, "{json}");
-    }
-}
-
-#[test]
-fn real_session_logs_roundtrip_through_json() {
-    let sim = Simulator::paper(BitrateLadder::evaluation());
-    let s = session(Context::MovingVehicle, 120.0, 42);
-    let (_, log) = sim.run_logged(&s, &mut FixedLevel::highest());
-    let json = serde_json::to_string(&log).unwrap();
-    let back: EventLog = serde_json::from_str(&json).unwrap();
-    assert_eq!(log, back);
-    assert!(log.len() > 50);
 }
 
 #[test]

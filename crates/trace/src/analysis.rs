@@ -2,12 +2,12 @@
 //! measurement channels — the numbers a trace-collection paper reports
 //! about its dataset.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::session::SessionTrace;
 
 /// Five-number summary plus mean/std of a scalar channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "part of the crate's re-exported public API surface")
 pub struct ChannelStats {
     /// Minimum value.
@@ -57,7 +57,7 @@ impl ChannelStats {
 }
 
 /// Dataset-level summary of one session trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SessionStats {
     /// Trace name.
     pub name: String,

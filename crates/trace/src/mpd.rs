@@ -1,60 +1,22 @@
-//! A minimal DASH MPD (Media Presentation Description) layer.
+//! A minimal DASH MPD (Media Presentation Description) writer.
 //!
 //! DASH servers describe a video's representations in an MPD XML manifest;
 //! everything the streaming stack here needs — the bitrate ladder, the
 //! segment duration, the presentation length — lives in a small, static
-//! subset of that schema. This module writes and parses that subset so
-//! simulated sessions can interoperate with real-world tooling:
+//! subset of that schema. [`Manifest::to_xml`] writes that subset (what
+//! `tracetool mpd` prints): a valid static MPD with one video adaptation
+//! set, a `SegmentTemplate`, and one `Representation` per ladder rung.
 //!
-//! * [`Manifest::to_xml`] emits a valid static MPD with one video
-//!   adaptation set, a `SegmentTemplate`, and one `Representation` per
-//!   ladder rung;
-//! * [`Manifest::parse`] recovers a [`Manifest`] from any MPD that uses
-//!   `SegmentTemplate@duration` addressing (the common case), ignoring
-//!   everything it does not understand.
-//!
-//! The parser is a deliberate small-subset scanner, not a general XML
-//! implementation: it only inspects tag attributes and never needs nested
-//! character data.
+//! The layer is write-only: no program reads an MPD back, so there is no
+//! parser to trust with foreign bytes. Real links enter as Mahimahi logs
+//! ([`crate::io::read_mahimahi`]).
 
-use std::fmt;
-
-use ecas_types::ladder::{BitrateLadder, BuildLadderError};
-use ecas_types::units::{Mbps, Seconds};
-use serde::{Deserialize, Serialize};
-
-/// Error returned when parsing an MPD fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MpdError {
-    /// A required element or attribute was missing.
-    Missing(&'static str),
-    /// An attribute failed to parse.
-    BadAttribute {
-        /// Attribute name.
-        name: &'static str,
-        /// Raw value found.
-        value: String,
-    },
-    /// The representations did not form a valid ladder.
-    BadLadder(BuildLadderError),
-}
-
-impl fmt::Display for MpdError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MpdError::Missing(what) => write!(f, "mpd is missing {what}"),
-            MpdError::BadAttribute { name, value } => {
-                write!(f, "mpd attribute {name} has invalid value {value:?}")
-            }
-            MpdError::BadLadder(e) => write!(f, "mpd representations invalid: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for MpdError {}
+use ecas_types::ladder::BitrateLadder;
+use ecas_types::units::Seconds;
+use serde::Serialize;
 
 /// The manifest subset the simulator consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Manifest {
     /// Available representations, ascending by bandwidth.
     pub ladder: BitrateLadder,
@@ -88,12 +50,6 @@ impl Manifest {
     #[must_use]
     pub fn paper(duration: Seconds) -> Self {
         Self::new(BitrateLadder::evaluation(), Seconds::new(2.0), duration)
-    }
-
-    /// Number of segments in the presentation.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        (self.duration.value() / self.segment_duration.value()).ceil() as usize
     }
 
     /// Serializes the manifest as a static MPD document.
@@ -133,64 +89,6 @@ impl Manifest {
         out.push_str("    </AdaptationSet>\n  </Period>\n</MPD>\n");
         out
     }
-
-    /// Parses the supported subset out of an MPD document.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpdError`] when the presentation duration, segment
-    /// template, or representations are missing or malformed.
-    pub fn parse(xml: &str) -> Result<Self, MpdError> {
-        let mpd_tag = find_tag(xml, "MPD").ok_or(MpdError::Missing("MPD element"))?;
-        let duration_raw = attr(mpd_tag, "mediaPresentationDuration")
-            .ok_or(MpdError::Missing("mediaPresentationDuration"))?;
-        let duration = parse_iso8601(duration_raw).ok_or(MpdError::BadAttribute {
-            name: "mediaPresentationDuration",
-            value: duration_raw.to_string(),
-        })?;
-
-        let template =
-            find_tag(xml, "SegmentTemplate").ok_or(MpdError::Missing("SegmentTemplate"))?;
-        let timescale: f64 = match attr(template, "timescale") {
-            Some(raw) => raw.parse().map_err(|_| MpdError::BadAttribute {
-                name: "timescale",
-                value: raw.to_string(),
-            })?,
-            None => 1.0,
-        };
-        let seg_raw = attr(template, "duration").ok_or(MpdError::Missing(
-            "SegmentTemplate duration (only duration addressing is supported)",
-        ))?;
-        let seg_ticks: f64 = seg_raw.parse().map_err(|_| MpdError::BadAttribute {
-            name: "duration",
-            value: seg_raw.to_string(),
-        })?;
-        if seg_ticks <= 0.0 || timescale <= 0.0 {
-            return Err(MpdError::BadAttribute {
-                name: "duration",
-                value: seg_raw.to_string(),
-            });
-        }
-        let segment_duration = Seconds::new(seg_ticks / timescale);
-
-        let mut bitrates = Vec::new();
-        for tag in find_tags(xml, "Representation") {
-            let raw = attr(tag, "bandwidth").ok_or(MpdError::Missing("bandwidth"))?;
-            let bps: f64 = raw.parse().map_err(|_| MpdError::BadAttribute {
-                name: "bandwidth",
-                value: raw.to_string(),
-            })?;
-            bitrates.push(Mbps::new(bps / 1e6));
-        }
-        ecas_types::float::total_sort_by_key(&mut bitrates, |rate| rate.value());
-        let ladder = BitrateLadder::from_bitrates(bitrates).map_err(MpdError::BadLadder)?;
-
-        Ok(Self {
-            ladder,
-            segment_duration,
-            duration: Seconds::new(duration),
-        })
-    }
 }
 
 /// Formats seconds as an ISO 8601 duration (`PT…S` form).
@@ -213,90 +111,9 @@ fn iso8601(duration: Seconds) -> String {
     out
 }
 
-/// Parses the `PT#H#M#S` subset of ISO 8601 durations.
-fn parse_iso8601(raw: &str) -> Option<f64> {
-    let rest = raw.strip_prefix("PT")?;
-    if rest.is_empty() {
-        return None;
-    }
-    let mut total = 0.0;
-    let mut number = String::new();
-    for c in rest.chars() {
-        match c {
-            '0'..='9' | '.' => number.push(c),
-            'H' | 'M' | 'S' => {
-                let value: f64 = number.parse().ok()?;
-                number.clear();
-                total += match c {
-                    'H' => value * 3600.0,
-                    'M' => value * 60.0,
-                    _ => value,
-                };
-            }
-            _ => return None,
-        }
-    }
-    if !number.is_empty() {
-        return None; // trailing digits without a unit
-    }
-    Some(total)
-}
-
-/// The text of the first `<name …>` tag, or `None`.
-fn find_tag<'a>(xml: &'a str, name: &str) -> Option<&'a str> {
-    find_tags(xml, name).into_iter().next()
-}
-
-/// The text of every `<name …>` tag (content between `<name` and `>`).
-fn find_tags<'a>(xml: &'a str, name: &str) -> Vec<&'a str> {
-    let open = format!("<{name}");
-    let mut out = Vec::new();
-    let mut rest = xml;
-    while let Some(start) = rest.find(&open) {
-        let after = &rest[start + open.len()..];
-        // Must be followed by whitespace, '>' or '/' (not a longer name).
-        match after.chars().next() {
-            Some(c) if c.is_whitespace() || c == '>' || c == '/' => {
-                if let Some(end) = after.find('>') {
-                    out.push(&after[..end]);
-                    rest = &after[end..];
-                    continue;
-                }
-            }
-            _ => {}
-        }
-        rest = after;
-    }
-    out
-}
-
-/// The value of `name="…"` within a tag's text, or `None`.
-fn attr<'a>(tag: &'a str, name: &str) -> Option<&'a str> {
-    let needle = format!("{name}=\"");
-    let start = tag.find(&needle)? + needle.len();
-    let rest = &tag[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_paper_manifest() {
-        let m = Manifest::paper(Seconds::new(449.0));
-        let xml = m.to_xml();
-        let back = Manifest::parse(&xml).unwrap();
-        assert_eq!(back.segment_duration, Seconds::new(2.0));
-        assert_eq!(back.duration, Seconds::new(449.0));
-        assert_eq!(back.ladder.len(), 14);
-        assert_eq!(back.segment_count(), 225);
-        // Bitrates survive to within rounding of the bandwidth attribute.
-        for (a, b) in m.ladder.iter().zip(back.ladder.iter()) {
-            assert!((a.bitrate().value() - b.bitrate().value()).abs() < 1e-6);
-        }
-    }
 
     /// `tracetool mpd 449` prints exactly this document.
     const PAPER_449S_MPD: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
@@ -353,103 +170,5 @@ mod tests {
         assert_eq!(xml.matches("<Representation").count(), 14);
         // Named resolutions carry width/height.
         assert!(xml.contains("width=\"1920\" height=\"1080\""));
-    }
-
-    #[test]
-    fn parses_a_third_party_style_mpd() {
-        // Attribute order, extra elements and extra attributes differ from
-        // our writer's output.
-        let xml = r#"<?xml version="1.0"?>
-<MPD availabilityStartTime="1970-01-01T00:00:00Z" mediaPresentationDuration="PT1H2M3.5S" type="static" xmlns="urn:mpeg:dash:schema:mpd:2011">
- <ProgramInformation><Title>example</Title></ProgramInformation>
- <Period start="PT0S">
-  <AdaptationSet contentType="video">
-   <SegmentTemplate media="$Number$.m4s" duration="4" initialization="init.mp4"/>
-   <Representation bandwidth="4500000" id="hd" height="1080"/>
-   <Representation bandwidth="800000" id="sd" height="360"/>
-  </AdaptationSet>
- </Period>
-</MPD>"#;
-        let m = Manifest::parse(xml).unwrap();
-        assert_eq!(m.duration, Seconds::new(3723.5));
-        // No timescale attribute: duration is in seconds.
-        assert_eq!(m.segment_duration, Seconds::new(4.0));
-        assert_eq!(m.ladder.len(), 2);
-        assert_eq!(m.ladder.lowest().bitrate(), Mbps::new(0.8));
-        assert_eq!(m.ladder.highest().bitrate(), Mbps::new(4.5));
-    }
-
-    #[test]
-    fn parse_errors_are_specific() {
-        assert_eq!(
-            Manifest::parse("<foo/>"),
-            Err(MpdError::Missing("MPD element"))
-        );
-        assert_eq!(
-            Manifest::parse(r#"<MPD type="static">"#),
-            Err(MpdError::Missing("mediaPresentationDuration"))
-        );
-        let no_template = r#"<MPD mediaPresentationDuration="PT10S">"#;
-        assert!(matches!(
-            Manifest::parse(no_template),
-            Err(MpdError::Missing(_))
-        ));
-        let bad_bw = r#"<MPD mediaPresentationDuration="PT10S">
-            <SegmentTemplate duration="2"/>
-            <Representation bandwidth="abc"/></MPD>"#;
-        assert!(matches!(
-            Manifest::parse(bad_bw),
-            Err(MpdError::BadAttribute {
-                name: "bandwidth",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn iso8601_roundtrips() {
-        for secs in [1.0, 59.5, 60.0, 61.0, 3599.0, 3600.0, 3723.5, 86399.0] {
-            let formatted = iso8601(Seconds::new(secs));
-            let parsed = parse_iso8601(&formatted).unwrap();
-            assert!(
-                (parsed - secs).abs() < 1e-9,
-                "{secs} -> {formatted} -> {parsed}"
-            );
-        }
-    }
-
-    #[test]
-    fn iso8601_rejects_garbage() {
-        assert_eq!(parse_iso8601("10S"), None);
-        assert_eq!(parse_iso8601("PT"), None);
-        assert_eq!(parse_iso8601("PT10"), None);
-        assert_eq!(parse_iso8601("PTxS"), None);
-    }
-
-    #[test]
-    fn find_tags_does_not_match_prefixes() {
-        let xml = "<Representation bandwidth=\"1\"/><RepresentationIndex foo=\"2\"/>";
-        let tags = find_tags(xml, "Representation");
-        assert_eq!(tags.len(), 1);
-        assert!(attr(tags[0], "bandwidth").is_some());
-    }
-
-    #[test]
-    fn unsorted_representations_are_sorted() {
-        let xml = r#"<MPD mediaPresentationDuration="PT10S">
-            <SegmentTemplate duration="2000" timescale="1000"/>
-            <Representation bandwidth="3000000"/>
-            <Representation bandwidth="1000000"/>
-            <Representation bandwidth="2000000"/></MPD>"#;
-        let m = Manifest::parse(xml).unwrap();
-        let rates: Vec<f64> = m.ladder.iter().map(|e| e.bitrate().value()).collect();
-        assert_eq!(rates, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let m = Manifest::paper(Seconds::new(100.0));
-        let json = serde_json::to_string(&m).unwrap();
-        assert_eq!(m, serde_json::from_str::<Manifest>(&json).unwrap());
     }
 }

@@ -105,7 +105,7 @@ impl Timestamped for AccelSample {
 }
 
 /// An instantaneous whole-phone power reading.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PowerSample {
     /// Time since the start of the trace.
     pub time: Seconds,

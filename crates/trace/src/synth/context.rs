@@ -99,7 +99,7 @@ impl std::error::Error for ScheduleError {}
 /// assert_eq!(schedule.context_at(Seconds::new(90.0)), Context::MovingVehicle);
 /// # Ok::<(), ecas_trace::synth::context::ScheduleError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ContextSchedule {
     entries: Vec<(Seconds, Context)>,
 }

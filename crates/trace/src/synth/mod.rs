@@ -28,8 +28,10 @@ use crate::synth::link::LinkTraceGenerator;
 /// Draws a standard normal variate via the Box–Muller transform.
 ///
 /// `rand` 0.8 ships only uniform distributions by default; rather than pull
-/// in `rand_distr` for two lines of math we implement Box–Muller here.
-pub(crate) fn standard_normal(rng: &mut SmallRng) -> f64 {
+/// in `rand_distr` for two lines of math we implement Box–Muller here. The
+/// trace generators, the simulated QoE study and the power monitor all
+/// draw their Gaussian noise through this one function.
+pub fn standard_normal(rng: &mut SmallRng) -> f64 {
     // Avoid ln(0) by sampling the half-open interval away from zero.
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);

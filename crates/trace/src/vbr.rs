@@ -16,13 +16,13 @@ use ecas_types::ladder::{BitrateLadder, LevelIndex};
 use ecas_types::units::{MegaBytes, Seconds};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::synth::standard_normal;
 use crate::videos::TestVideo;
 
 /// A per-segment, per-level segment-size table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SegmentSizes {
     /// `sizes[segment][level]` in megabytes.
     sizes: Vec<Vec<MegaBytes>>,

@@ -8,7 +8,7 @@
 //!   which can be regenerated deterministically via [`EvalTraceSpec::generate`].
 
 use ecas_types::units::{MegaBytes, MetersPerSec2, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::session::SessionTrace;
 use crate::synth::context::{Context, ContextSchedule};
@@ -99,7 +99,7 @@ impl TestVideo {
 }
 
 /// Specification of one Table V evaluation trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EvalTraceSpec {
     /// Trace identifier (1-based, as in Table V).
     pub id: u8,

@@ -20,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.value(), 3);
 /// assert_eq!(s.next().value(), 4);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct SegmentIndex(usize);
 

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use crate::units::{Mbps, MegaBytes, Seconds};
 
 /// A named video resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 // ecas-lint: allow(pub-surface, reason = "re-exported field type of LadderEntry")
 pub enum Resolution {
     /// 256 x 144.
@@ -118,7 +118,7 @@ impl From<usize> for LevelIndex {
 
 /// One rung of a bitrate ladder: a bitrate and, when the bitrate matches a
 /// standard YouTube encoding, its named resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LadderEntry {
     bitrate: Mbps,
     resolution: Option<Resolution>,
@@ -222,29 +222,9 @@ const EVALUATION: [f64; 14] = [
 /// let level = ladder.highest_at_most(Mbps::new(2.0)).unwrap();
 /// assert_eq!(ladder.bitrate(level), Mbps::new(1.5));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "RawBitrateLadder")]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BitrateLadder {
     entries: Vec<LadderEntry>,
-}
-
-/// Wire shape of [`BitrateLadder`]. Deserialization routes through
-/// [`BitrateLadder::from_entries`], so a ladder that arrives over serde
-/// (config files, cache entries) upholds the same non-empty /
-/// strictly-ascending invariants as a constructed one — downstream code
-/// (e.g. the player's `playing_bitrate`) relies on ladders never being
-/// empty.
-#[derive(Deserialize)]
-struct RawBitrateLadder {
-    entries: Vec<LadderEntry>,
-}
-
-impl TryFrom<RawBitrateLadder> for BitrateLadder {
-    type Error = BuildLadderError;
-
-    fn try_from(raw: RawBitrateLadder) -> Result<Self, Self::Error> {
-        Self::from_entries(raw.entries)
-    }
 }
 
 impl BitrateLadder {
@@ -530,25 +510,6 @@ mod tests {
             assert!(w[0].width() < w[1].width());
         }
         assert_eq!(Resolution::R1080p.to_string(), "1080p");
-    }
-
-    /// Regression: `#[derive(Deserialize)]` used to bypass
-    /// `from_entries`, so an empty or descending ladder could enter the
-    /// system through serde and later surface as a bogus 0.0-bps
-    /// playing bitrate. Deserialization now routes through the
-    /// validating constructor.
-    #[test]
-    fn deserialization_validates_invariants() {
-        let empty = r#"{"entries":[]}"#;
-        assert!(serde_json::from_str::<BitrateLadder>(empty).is_err());
-        let descending = r#"{"entries":[
-            {"bitrate":2.0,"resolution":null},
-            {"bitrate":1.0,"resolution":null}
-        ]}"#;
-        assert!(serde_json::from_str::<BitrateLadder>(descending).is_err());
-        let good = serde_json::to_string(&BitrateLadder::table_ii()).unwrap();
-        let back: BitrateLadder = serde_json::from_str(&good).unwrap();
-        assert_eq!(back, BitrateLadder::table_ii());
     }
 
     #[test]

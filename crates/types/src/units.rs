@@ -80,9 +80,20 @@ macro_rules! float_unit {
         $name:ident, $unit_str:expr, $suffix:expr, $domain:expr
     ) => {
         $(#[$meta])*
+        ///
+        /// Serializes as the bare number; deserializing validates it
+        /// like [`Self::try_new`].
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
+        #[serde(try_from = "f64")]
         pub struct $name(f64);
+
+        impl TryFrom<f64> for $name {
+            type Error = UnitError;
+
+            fn try_from(value: f64) -> Result<Self, UnitError> {
+                Self::try_new(value)
+            }
+        }
 
         impl $name {
             /// Constructs a new value.
@@ -581,6 +592,18 @@ mod tests {
         assert_eq!(j, "1.5");
         let back: Mbps = serde_json::from_str(&j).unwrap();
         assert_eq!(back, Mbps::new(1.5));
+    }
+
+    /// A unit read from JSON passes the same domain check as
+    /// [`Mbps::try_new`] and friends.
+    #[test]
+    fn deserializing_validates_the_domain() {
+        assert!(serde_json::from_str::<Mbps>("-5").is_err());
+        assert!(serde_json::from_str::<Seconds>("-20").is_err());
+        assert!(serde_json::from_str::<Dbm>("-200").is_err());
+        assert!(serde_json::from_str::<QoeScore>("5.5").is_err());
+        let err = serde_json::from_str::<Seconds>("-1").unwrap_err();
+        assert!(err.to_string().contains("Seconds"), "{err}");
     }
 
     #[test]

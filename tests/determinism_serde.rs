@@ -42,18 +42,6 @@ fn session_results_serde_roundtrip() {
 }
 
 #[test]
-fn comparison_summary_serde_roundtrip() {
-    let scenario = Scenario {
-        traces: vec![RecordedSession::TableV { id: 1 }],
-        ..Scenario::paper_evaluation()
-    };
-    let (summary, _) = scenario.run(&ExecPolicy::parallel()).unwrap();
-    let json = serde_json::to_string(&summary).unwrap();
-    let back: ecas::ComparisonSummary = serde_json::from_str(&json).unwrap();
-    assert_eq!(summary, back);
-}
-
-#[test]
 fn traces_roundtrip_through_both_codecs() {
     let session = EvalTraceSpec::table_v()[1].generate();
 
