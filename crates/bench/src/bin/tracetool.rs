@@ -2,9 +2,9 @@
 //! command line.
 //!
 //! ```text
-//! tracetool generate <quiet|walking|vehicle|commute> <seconds> <seed> <out>
-//! tracetool tablev <id> <out.json|out.bin>
-//! tracetool inspect <trace.json|trace.bin>
+//! tracetool generate <quiet|walking|vehicle|commute> <seconds> <seed> <out.bin>
+//! tracetool tablev <id> <out.bin>
+//! tracetool inspect <trace.bin>
 //! tracetool mahimahi <packets.txt> <bin-seconds>
 //! tracetool mpd <seconds> [out.mpd]
 //! ```
@@ -12,8 +12,10 @@
 //! `generate` synthesizes the [`RecordedSession`] recipe a session record
 //! would store, so the trace takes the recipe's name
 //! (`walking-300s-seed7`, `commute-60s-seed1`) and its duration lies in
-//! the recipes' 4 s to one hour. JSON vs binary is picked by the output
-//! extension ([`TraceFormat::from_path`]).
+//! the recipes' 4 s to one hour. Traces are written in the one trace
+//! format, `.bin`: an output path with another extension is an error
+//! before anything is synthesized or written. `inspect` reads any path
+//! and lets the file's `ECAS` magic decide.
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -23,7 +25,7 @@ use std::process::ExitCode;
 use ecas_bench::Cli;
 use ecas_core::record::RecordedSession;
 use ecas_core::trace::analysis::SessionStats;
-use ecas_core::trace::io::{read_mahimahi, write_atomic, TraceFormat};
+use ecas_core::trace::io::{read_mahimahi, write_atomic};
 use ecas_core::trace::session::SessionTrace;
 use ecas_core::trace::synth::context::Context;
 use ecas_core::trace::videos::EvalTraceSpec;
@@ -36,16 +38,15 @@ fn cli() -> Cli {
                 .positional("context", "quiet | walking | vehicle | commute")
                 .positional("seconds", "session duration in seconds (4 to 3600)")
                 .positional("seed", "generator seed")
-                .positional("out", "output path (.bin for binary, else JSON)"),
+                .positional("out", "output .bin path"),
         )
         .subcommand(
             Cli::new("tablev", "write one of the five Table V evaluation traces")
                 .positional("id", "Table V trace id (1..5)")
-                .positional("out", "output path (.bin for binary, else JSON)"),
+                .positional("out", "output .bin path"),
         )
         .subcommand(
-            Cli::new("inspect", "summarize a stored trace")
-                .positional("trace", "trace file (.json or .bin)"),
+            Cli::new("inspect", "summarize a stored trace").positional("trace", ".bin trace file"),
         )
         .subcommand(
             Cli::new(
@@ -86,13 +87,23 @@ fn main() -> ExitCode {
     }
 }
 
+/// Refuses an output path that does not end in `.bin`, the one trace
+/// format, before anything is synthesized or written.
+fn check_bin_path(path: &str) -> Result<(), String> {
+    match Path::new(path).extension() {
+        Some(ext) if ext == "bin" => Ok(()),
+        _ => Err(format!("output path {path:?} does not end in .bin")),
+    }
+}
+
 fn save(session: &SessionTrace, path: &str) -> Result<(), String> {
     session.save(path).map_err(|e| e.to_string())?;
-    println!("wrote {path} ({})", TraceFormat::from_path(path));
+    println!("wrote {path}");
     Ok(())
 }
 
 fn generate(context: &str, seconds: &str, seed: &str, out: &str) -> Result<(), String> {
+    check_bin_path(out)?;
     let seconds: f64 = seconds.parse().map_err(|e| format!("bad seconds: {e}"))?;
     let seed: u64 = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
     let constant = |context| RecordedSession::Synthetic {
@@ -111,6 +122,7 @@ fn generate(context: &str, seconds: &str, seed: &str, out: &str) -> Result<(), S
 }
 
 fn tablev(id: &str, out: &str) -> Result<(), String> {
+    check_bin_path(out)?;
     let id: u8 = id.parse().map_err(|e| format!("bad id: {e}"))?;
     let spec = EvalTraceSpec::table_v()
         .into_iter()

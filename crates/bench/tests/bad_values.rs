@@ -130,6 +130,32 @@ fn session_durations_outside_four_seconds_to_an_hour_are_typed_errors() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// Generates the 4 s quiet-room trace into `dir/t.bin` and returns its
+/// path and bytes.
+fn quiet_trace(dir: &std::path::Path) -> (String, Vec<u8>) {
+    fs::create_dir_all(dir).unwrap();
+    let path = dir.join("t.bin").to_str().unwrap().to_string();
+    let tracetool = env!("CARGO_BIN_EXE_tracetool");
+    let out = run(tracetool, &["generate", "quiet", "4", "1", &path]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(run(tracetool, &["inspect", &path]).status.success());
+    let bytes = fs::read(&path).unwrap();
+    (path, bytes)
+}
+
+/// Byte offset of a `.bin` trace's `video_length`: after the magic, the
+/// version and the length-prefixed name.
+fn video_length_at(bytes: &[u8]) -> usize {
+    9 + u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize
+}
+
+/// Writes `bytes` with the `f64` at `at` replaced by `value` to `path`.
+fn patch_f64(path: &str, bytes: &[u8], at: usize, value: f64) {
+    let mut bytes = bytes.to_vec();
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    fs::write(path, bytes).unwrap();
+}
+
 /// A trace file with an accelerometer sample whose magnitude is not
 /// finite (an infinite axis, or one whose square overflows) fails to
 /// load: `tracetool inspect` prints an `error:` line and exits 1. Loaded,
@@ -138,65 +164,82 @@ fn session_durations_outside_four_seconds_to_an_hour_are_typed_errors() {
 fn non_finite_accelerometer_magnitudes_fail_to_load() {
     let tracetool = env!("CARGO_BIN_EXE_tracetool");
     let dir = std::env::temp_dir().join(format!("ecas-bad-accel-{}", std::process::id()));
-    fs::create_dir_all(&dir).unwrap();
-    let bin = dir.join("t.bin");
-    let json = dir.join("t.json");
-    for path in [&bin, &json] {
-        let path = path.to_str().unwrap();
-        let out = run(tracetool, &["generate", "quiet", "4", "1", path]);
-        assert!(out.status.success(), "{out:?}");
-        assert!(
-            run(tracetool, &["inspect", path]).status.success(),
-            "{path}"
-        );
-    }
-
+    let (path, good) = quiet_trace(&dir);
     // The last 8 bytes of a `.bin` trace are its last accelerometer z axis.
-    let good = fs::read(&bin).unwrap();
     for axis in [f64::INFINITY, 1e200] {
-        let mut bytes = good.clone();
-        let at = bytes.len() - 8;
-        bytes[at..].copy_from_slice(&axis.to_le_bytes());
-        fs::write(&bin, bytes).unwrap();
-        let out = run(tracetool, &["inspect", bin.to_str().unwrap()]);
+        patch_f64(&path, &good, good.len() - 8, axis);
+        let out = run(tracetool, &["inspect", &path]);
         assert_typed_error(&out, 1, "non-finite", &format!(".bin z = {axis}"));
-    }
-
-    // Only accelerometer samples have a "z" field; JSON reads `1e999` as
-    // infinity.
-    let good = fs::read_to_string(&json).unwrap();
-    let at = good.rfind("\"z\":").unwrap() + "\"z\":".len();
-    let end = at + good[at..].find('\n').unwrap();
-    for axis in ["1e999", "1e200"] {
-        fs::write(&json, format!("{} {axis}{}", &good[..at], &good[end..])).unwrap();
-        let out = run(tracetool, &["inspect", json.to_str().unwrap()]);
-        assert_typed_error(&out, 1, "non-finite", &format!(".json z = {axis}"));
     }
     fs::remove_dir_all(&dir).ok();
 }
 
-/// A JSON trace whose units lie outside their domain fails to load like
-/// the same value in a `.bin` trace: `tracetool inspect` prints an
-/// `error:` line and exits 1. Loaded, a negative video length would
-/// panic the simulator.
+/// A trace whose units lie outside their domain fails to load:
+/// `tracetool inspect` prints an `error:` line and exits 1. Every value
+/// must be finite, and a video length positive and no longer than any
+/// recipe synthesizes. Loaded, such a trace made the simulator panic (a
+/// negative or zero length: `video shorter than one segment`; +inf:
+/// `capacity overflow`; an infinite throughput: a NaN energy) or abort
+/// on a failed allocation (1e12 s).
 #[test]
-fn out_of_domain_json_units_fail_to_load() {
+fn out_of_domain_units_fail_to_load() {
     let tracetool = env!("CARGO_BIN_EXE_tracetool");
     let dir = std::env::temp_dir().join(format!("ecas-bad-units-{}", std::process::id()));
-    fs::create_dir_all(&dir).unwrap();
-    let json = dir.join("t.json");
-    let path = json.to_str().unwrap();
-    let out = run(tracetool, &["generate", "quiet", "4", "1", path]);
-    assert!(out.status.success(), "{out:?}");
-    let good = fs::read_to_string(&json).unwrap();
-    for (field, value) in [("video_length", "-20"), ("throughput", "-5")] {
-        let key = format!("\"{field}\": ");
-        let at = good.find(&key).unwrap() + key.len();
-        let end = at + good[at..].find([',', '\n']).unwrap();
-        fs::write(&json, format!("{}{value}{}", &good[..at], &good[end..])).unwrap();
-        let out = run(tracetool, &["inspect", path]);
-        assert_typed_error(&out, 1, "negative", &format!("{field} = {value}"));
+    let (path, good) = quiet_trace(&dir);
+    let video_length = video_length_at(&good);
+    // Then data size, average vibration, the length-prefixed description,
+    // the seed (flag + u64), the network count and the first sample's time.
+    let description_at = video_length + 24;
+    let description_len =
+        u32::from_le_bytes(good[description_at..description_at + 4].try_into().unwrap());
+    let throughput = description_at + 4 + description_len as usize + 9 + 4 + 8;
+    let mut cases = vec![
+        (video_length, -20.0, "Seconds value -20 was negative"),
+        (throughput, -5.0, "Mbps value -5 was negative"),
+        (throughput, f64::INFINITY, "non-finite throughput"),
+    ];
+    for value in [f64::INFINITY, 1e12, 0.0, -0.0] {
+        cases.push((video_length, value, "video length"));
     }
+    for (at, value, what) in cases {
+        patch_f64(&path, &good, at, value);
+        let out = run(tracetool, &["inspect", &path]);
+        assert_typed_error(&out, 1, what, &format!("byte {at} = {value}"));
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Traces have one file format. `generate` and `tablev` refuse an output
+/// path that does not end in `.bin` before writing anything, and
+/// `inspect` reads a JSON file as a `.bin` with a bad magic.
+#[test]
+fn traces_are_written_and_read_only_as_bin() {
+    let tracetool = env!("CARGO_BIN_EXE_tracetool");
+    let dir = std::env::temp_dir().join(format!("ecas-bin-only-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    for name in ["t.json", "t", "t.bin.json"] {
+        let path = dir.join(name);
+        let path = path.to_str().unwrap();
+        for args in [
+            vec!["generate", "quiet", "4", "1", path],
+            vec!["tablev", "1", path],
+        ] {
+            let out = run(tracetool, &args);
+            let case = args.join(" ");
+            assert_typed_error(&out, 1, ".bin", &case);
+            assert!(out.stdout.is_empty(), "{case} printed a result");
+            assert_eq!(
+                fs::read_dir(&dir).unwrap().count(),
+                0,
+                "{case} wrote a file"
+            );
+        }
+    }
+
+    let json = dir.join("t.json");
+    fs::write(&json, "{\n  \"meta\": {}\n}\n").unwrap();
+    let out = run(tracetool, &["inspect", json.to_str().unwrap()]);
+    assert_typed_error(&out, 1, "bad magic", "inspect t.json");
     fs::remove_dir_all(&dir).ok();
 }
 

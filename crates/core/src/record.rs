@@ -66,6 +66,8 @@ use crate::approach::Approach;
 use crate::oracle::{Oracle, ReplayError, ReplayVerdict};
 use crate::runner::{check_paper_inputs, paper_runner, ExperimentRunner};
 
+pub use ecas_trace::population::MAX_SESSION_S;
+
 /// Section tag of the scenario header (canonical JSON).
 pub const SECTION_SCENARIO: u8 = 1;
 /// Section tag of the event log (`ecas_sim::codec::encode_log`).
@@ -277,11 +279,6 @@ impl RecordedSession {
 /// Shortest session (or fleet mean session) a recipe may ask for: two
 /// 2-second segments.
 pub const MIN_SESSION_S: f64 = 4.0;
-
-/// Longest session (or fleet mean session) a recipe may ask for. A fleet
-/// user's session reaches at most 5 × its mean + 10 s, so an hour's mean
-/// keeps one synthesized trace near 29 MB of accelerometer samples.
-pub const MAX_SESSION_S: f64 = 3600.0;
 
 fn checked_duration(seconds: f64) -> Result<Seconds, SessionRecordError> {
     if !(MIN_SESSION_S..=MAX_SESSION_S).contains(&seconds) {

@@ -9,6 +9,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::io;
 
+use ecas_obs::render::markdown_table;
 use ecas_sim::FaultSpec;
 use ecas_trace::session::SessionTrace;
 use serde::{Deserialize, Serialize};
@@ -170,45 +171,48 @@ impl Scenario {
 /// Renders a comparison summary as a Markdown report.
 #[must_use]
 pub fn render_markdown(title: &str, summary: &ComparisonSummary) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# {title}\n\n"));
-
-    out.push_str("## Energy per trace (J)\n\n| trace |");
     let approaches: Vec<Approach> = summary
         .traces
         .first()
         .map(|t| t.approaches.iter().map(|m| m.approach).collect())
         .unwrap_or_default();
-    for a in &approaches {
-        out.push_str(&format!(" {} |", a.label()));
-    }
-    out.push_str("\n|---|");
-    for _ in &approaches {
-        out.push_str("---|");
-    }
-    out.push('\n');
-    for t in &summary.traces {
-        out.push_str(&format!("| {} |", t.trace));
-        for m in &t.approaches {
-            out.push_str(&format!(" {:.0} |", m.energy.value()));
-        }
-        out.push('\n');
-    }
-
-    out.push_str("\n## Mean metrics\n\n");
-    out.push_str("| approach | QoE | energy saving | extra saving | QoE degradation |\n");
-    out.push_str("|---|---|---|---|---|\n");
-    for a in &approaches {
-        out.push_str(&format!(
-            "| {} | {:.2} | {:.1}% | {:.1}% | {:.2}% |\n",
-            a.label(),
-            summary.mean_qoe(*a),
-            100.0 * summary.mean_energy_saving(*a),
-            100.0 * summary.mean_extra_energy_saving(*a),
-            100.0 * summary.mean_qoe_degradation(*a),
-        ));
-    }
-    out
+    let mut header = vec!["trace"];
+    header.extend(approaches.iter().map(Approach::label));
+    let energy: Vec<Vec<String>> = summary
+        .traces
+        .iter()
+        .map(|t| {
+            let mut row = vec![t.trace.clone()];
+            for m in &t.approaches {
+                row.push(format!("{:.0}", m.energy.value()));
+            }
+            row
+        })
+        .collect();
+    let means: Vec<Vec<String>> = approaches
+        .iter()
+        .map(|&a| {
+            vec![
+                a.label().to_string(),
+                format!("{:.2}", summary.mean_qoe(a)),
+                format!("{:.1}%", 100.0 * summary.mean_energy_saving(a)),
+                format!("{:.1}%", 100.0 * summary.mean_extra_energy_saving(a)),
+                format!("{:.2}%", 100.0 * summary.mean_qoe_degradation(a)),
+            ]
+        })
+        .collect();
+    let means_header = [
+        "approach",
+        "QoE",
+        "energy saving",
+        "extra saving",
+        "QoE degradation",
+    ];
+    format!(
+        "# {title}\n\n## Energy per trace (J)\n\n{}\n## Mean metrics\n\n{}",
+        markdown_table(&header, &energy),
+        markdown_table(&means_header, &means),
+    )
 }
 
 #[cfg(test)]

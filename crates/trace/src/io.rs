@@ -1,25 +1,27 @@
-//! Trace serialization: JSON and a compact binary format.
+//! Trace serialization: the `.bin` format, and the Mahimahi importer
+//! ([`read_mahimahi`]) for external packet traces.
 //!
-//! The codec surface for whole [`SessionTrace`] bundles is the
-//! [`TraceFormat`] enum plus four `SessionTrace` methods defined here:
+//! A [`SessionTrace`] has one file encoding, the `.bin` v1 layout
+//! (`ECAS` magic + version, then little-endian lengths and values), and
+//! four `SessionTrace` methods defined here:
 //!
 //! * [`SessionTrace::read_from`] / [`SessionTrace::write_to`] move a
-//!   trace through any `Read` / `Write` in an explicit [`TraceFormat`]
-//!   (`Json` for interchange, `Binary` — `ECAS` magic + version — for
-//!   large archives);
+//!   trace through any `Read` / `Write`;
 //! * [`SessionTrace::load`] / [`SessionTrace::save`] do the same against
-//!   a path, autodetecting the format from the extension via
-//!   [`TraceFormat::from_path`].
+//!   a path, whatever its extension.
 //!
-//! [`read_mahimahi`] imports external Mahimahi packet traces.
+//! The reader trusts nothing it decodes: every value must be finite and
+//! every unit pass its domain check, each channel must be non-empty and
+//! in time order, every accelerometer magnitude finite, the video length
+//! positive and no longer than [`MAX_TRACE_S`], and no byte may follow
+//! the last sample. Anything else is [`TraceIoError::Corrupt`].
 //!
 //! [`SessionTrace::content_hash`] names a trace by its `.bin` bytes: one
 //! encoder writes the v1 layout either into the buffer `write_to` hands
 //! its writer or straight into an FNV-1a hasher
 //! ([`ecas_obs::FnvHasher`]), so the hash of a trace is
-//! `fnv1a_64(&bytes)` of the file `save("x.bin")` writes, computed
-//! without building those bytes. Cache keys and record headers carry this
-//! hash; JSON stays the interchange format at the edges.
+//! `fnv1a_64(&bytes)` of the file `save` writes, computed without
+//! building those bytes. Cache keys and record headers carry this hash.
 //!
 //! Reader/writer functions take `R: Read` / `W: Write` by value; pass
 //! `&mut reader` when the caller needs to keep using the stream afterwards.
@@ -31,13 +33,14 @@
 
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecas_obs::FnvHasher;
 use ecas_types::units::{Dbm, Mbps, MegaBytes, MetersPerSec2, Seconds};
 
+use crate::population::MAX_TRACE_S;
 use crate::record::wire::Reader;
 use crate::sample::{AccelSample, NetworkSample, SignalSample};
 use crate::series::TimeSeries;
@@ -53,8 +56,6 @@ pub(crate) const BINARY_VERSION: u8 = 1;
 pub enum TraceIoError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// JSON (de)serialization failure.
-    Json(serde_json::Error),
     /// The payload did not conform to the expected format.
     Corrupt(String),
 }
@@ -63,7 +64,6 @@ impl fmt::Display for TraceIoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceIoError::Io(e) => write!(f, "trace i/o failed: {e}"),
-            TraceIoError::Json(e) => write!(f, "trace json failed: {e}"),
             TraceIoError::Corrupt(msg) => write!(f, "corrupt trace payload: {msg}"),
         }
     }
@@ -73,7 +73,6 @@ impl std::error::Error for TraceIoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceIoError::Io(e) => Some(e),
-            TraceIoError::Json(e) => Some(e),
             TraceIoError::Corrupt(_) => None,
         }
     }
@@ -85,136 +84,43 @@ impl From<std::io::Error> for TraceIoError {
     }
 }
 
-impl From<serde_json::Error> for TraceIoError {
-    fn from(e: serde_json::Error) -> Self {
-        TraceIoError::Json(e)
-    }
-}
-
-/// The on-disk encodings a [`SessionTrace`] bundle supports.
-///
-/// # Examples
-///
-/// ```
-/// use ecas_trace::io::TraceFormat;
-///
-/// assert_eq!(TraceFormat::from_path("walk.bin"), TraceFormat::Binary);
-/// assert_eq!(TraceFormat::from_path("walk.json"), TraceFormat::Json);
-/// assert_eq!(TraceFormat::from_path("no-extension"), TraceFormat::Json);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// Pretty-printed JSON — the human-readable interchange format.
-    Json,
-    /// The compact little-endian binary format (`ECAS` magic + version).
-    Binary,
-}
-
-impl TraceFormat {
-    /// Picks the format from a path's extension: `.bin` means
-    /// [`TraceFormat::Binary`], everything else (including no extension)
-    /// is [`TraceFormat::Json`].
-    #[must_use]
-    pub fn from_path<P: AsRef<Path>>(path: P) -> Self {
-        match path.as_ref().extension().and_then(|e| e.to_str()) {
-            Some("bin") => TraceFormat::Binary,
-            _ => TraceFormat::Json,
-        }
-    }
-
-    /// Short lowercase label ("json" / "binary").
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceFormat::Json => "json",
-            TraceFormat::Binary => "binary",
-        }
-    }
-}
-
-impl fmt::Display for TraceFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-fn write_json_impl<W: Write>(writer: W, session: &SessionTrace) -> Result<(), TraceIoError> {
-    serde_json::to_writer_pretty(writer, session)?;
-    Ok(())
-}
-
-fn read_json_impl<R: Read>(reader: R) -> Result<SessionTrace, TraceIoError> {
-    let session: SessionTrace = serde_json::from_reader(reader)?;
-    check_accel_magnitudes(session.accel().as_slice())?;
-    Ok(session)
-}
-
-/// Rejects a channel with a sample whose magnitude is not finite: a NaN
-/// or infinite axis, or one whose square overflows. One infinite
-/// magnitude makes the Eq. (5) window mean infinite and its variance
-/// NaN, so every vibration level over the sample would be NaN.
-fn check_accel_magnitudes(accel: &[AccelSample]) -> Result<(), TraceIoError> {
-    match accel.iter().position(|s| !s.magnitude().is_finite()) {
-        Some(i) => Err(TraceIoError::Corrupt(format!(
-            "accelerometer sample {i} has a non-finite magnitude"
-        ))),
-        None => Ok(()),
-    }
-}
-
 impl SessionTrace {
-    /// Reads a trace from `reader` in the given `format`.
+    /// Reads a `.bin` trace from `reader`.
     ///
     /// # Errors
     ///
     /// Returns [`TraceIoError`] on I/O failure or a malformed payload
-    /// (including out-of-order samples and an accelerometer sample whose
-    /// magnitude is not finite).
-    pub fn read_from<R: Read>(mut reader: R, format: TraceFormat) -> Result<Self, TraceIoError> {
-        match format {
-            TraceFormat::Json => read_json_impl(reader),
-            TraceFormat::Binary => {
-                let mut data = Vec::new();
-                reader.read_to_end(&mut data)?;
-                decode_binary_impl(&data)
-            }
-        }
+    /// (see the [module docs](self) for what the reader checks).
+    pub fn read_from<R: Read>(mut reader: R) -> Result<Self, TraceIoError> {
+        let mut data = Vec::new();
+        reader.read_to_end(&mut data)?;
+        decode_binary_impl(&data)
     }
 
-    /// Writes the trace to `writer` in the given `format`.
+    /// Writes the trace's `.bin` bytes to `writer`.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceIoError`] on I/O or serialization failure.
-    pub fn write_to<W: Write>(
-        &self,
-        mut writer: W,
-        format: TraceFormat,
-    ) -> Result<(), TraceIoError> {
-        match format {
-            TraceFormat::Json => write_json_impl(writer, self),
-            TraceFormat::Binary => {
-                let mut bytes = Vec::new();
-                write_binary(self, &mut bytes)?;
-                writer.write_all(&bytes)?;
-                Ok(())
-            }
-        }
+    /// Returns [`TraceIoError`] on I/O failure.
+    pub fn write_to<W: Write>(&self, mut writer: W) -> Result<(), TraceIoError> {
+        let mut bytes = Vec::new();
+        write_binary(self, &mut bytes)?;
+        writer.write_all(&bytes)?;
+        Ok(())
     }
 
     /// The trace's content hash: FNV-1a 64 over its `.bin` v1 bytes —
-    /// exactly what [`write_to`](Self::write_to) writes in
-    /// [`TraceFormat::Binary`] — streamed into the hasher without building
-    /// them. Every channel value enters as its raw little-endian bits, so
-    /// a one-ULP change, or `0.0` against `-0.0`, changes the hash.
+    /// exactly what [`write_to`](Self::write_to) writes — streamed into
+    /// the hasher without building them. Every channel value enters as
+    /// its raw little-endian bits, so a one-ULP change, or `0.0` against
+    /// `-0.0`, changes the hash.
     ///
     /// ```
-    /// use ecas_trace::io::TraceFormat;
     /// use ecas_trace::videos::EvalTraceSpec;
     ///
     /// let trace = EvalTraceSpec::table_v()[0].generate();
     /// let mut bytes = Vec::new();
-    /// trace.write_to(&mut bytes, TraceFormat::Binary).unwrap();
+    /// trace.write_to(&mut bytes).unwrap();
     /// assert_eq!(trace.content_hash(), ecas_obs::fnv1a_64(&bytes));
     /// ```
     #[must_use]
@@ -225,29 +131,24 @@ impl SessionTrace {
         hasher.finish()
     }
 
-    /// Loads a trace from `path`, autodetecting the format from the
-    /// extension ([`TraceFormat::from_path`]).
+    /// Loads a `.bin` trace from `path`.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceIoError`] when the file cannot be opened or its
+    /// Returns [`TraceIoError`] when the file cannot be read or its
     /// payload is malformed.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, TraceIoError> {
-        let format = TraceFormat::from_path(&path);
-        let file = File::open(path)?;
-        Self::read_from(BufReader::new(file), format)
+        decode_binary_impl(&fs::read(path)?)
     }
 
-    /// Saves the trace to `path` through [`write_atomic`], autodetecting
-    /// the format from the extension ([`TraceFormat::from_path`]).
+    /// Saves the trace's `.bin` bytes to `path` through [`write_atomic`].
     ///
     /// # Errors
     ///
     /// Returns [`TraceIoError`] when the file cannot be created or
     /// written.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), TraceIoError> {
-        let format = TraceFormat::from_path(&path);
-        write_atomic(path.as_ref(), |out| self.write_to(out, format))
+        write_atomic(path.as_ref(), |out| self.write_to(out))
     }
 }
 
@@ -334,8 +235,20 @@ fn get_u32(r: &mut Reader<'_>, what: &'static str) -> Result<u32, TraceIoError> 
     take(r, what).map(u32::from_le_bytes)
 }
 
+/// Reads the next `f64`; no field may hold a NaN or an infinity (an
+/// infinite throughput made the optimal planner panic on a NaN cost).
 fn get_f64(r: &mut Reader<'_>, what: &'static str) -> Result<f64, TraceIoError> {
-    take(r, what).map(f64::from_le_bytes)
+    let value = f64::from_le_bytes(take(r, what)?);
+    if !value.is_finite() {
+        return Err(TraceIoError::Corrupt(format!("non-finite {what} {value}")));
+    }
+    Ok(value)
+}
+
+/// A unit outside its domain, or a channel or trace the constructors
+/// refuse, is a corrupt payload.
+fn corrupt(e: impl fmt::Display) -> TraceIoError {
+    TraceIoError::Corrupt(e.to_string())
 }
 
 fn get_string(r: &mut Reader<'_>) -> Result<String, TraceIoError> {
@@ -362,8 +275,7 @@ fn get_count(r: &mut Reader<'_>, what: &'static str, size: usize) -> Result<usiz
 }
 
 /// Writes the `.bin` v1 layout of `session` to `out`: the one encoder
-/// behind both [`SessionTrace::write_to`] in [`TraceFormat::Binary`] and
-/// [`SessionTrace::content_hash`].
+/// behind both [`SessionTrace::write_to`] and [`SessionTrace::content_hash`].
 fn write_binary<W: Write>(session: &SessionTrace, out: &mut W) -> io::Result<()> {
     out.write_all(BINARY_MAGIC)?;
     out.write_all(&[BINARY_VERSION])?;
@@ -403,9 +315,6 @@ fn write_binary<W: Write>(session: &SessionTrace, out: &mut W) -> io::Result<()>
 }
 
 fn decode_binary_impl(data: &[u8]) -> Result<SessionTrace, TraceIoError> {
-    if data.len() < 5 {
-        return Err(TraceIoError::Corrupt("payload shorter than header".into()));
-    }
     let mut r = Reader::new(data);
     let magic: [u8; 4] = take(&mut r, "magic")?;
     if &magic != BINARY_MAGIC {
@@ -421,12 +330,18 @@ fn decode_binary_impl(data: &[u8]) -> Result<SessionTrace, TraceIoError> {
     }
 
     let name = get_string(&mut r)?;
-    let video_length = Seconds::try_new(get_f64(&mut r, "video length")?)
-        .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let data_size = MegaBytes::try_new(get_f64(&mut r, "data size")?)
-        .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let avg_vibration = MetersPerSec2::try_new(get_f64(&mut r, "avg vibration")?)
-        .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
+    let video_length = Seconds::try_new(get_f64(&mut r, "video length")?).map_err(corrupt)?;
+    // A zero length plays no segment, and a huge one sizes the player's
+    // per-segment buffers: both panic or abort the simulator.
+    if !(video_length.value() > 0.0 && video_length.value() <= MAX_TRACE_S) {
+        return Err(TraceIoError::Corrupt(format!(
+            "video length {} s is outside (0, {MAX_TRACE_S}] s",
+            video_length.value()
+        )));
+    }
+    let data_size = MegaBytes::try_new(get_f64(&mut r, "data size")?).map_err(corrupt)?;
+    let avg_vibration =
+        MetersPerSec2::try_new(get_f64(&mut r, "avg vibration")?).map_err(corrupt)?;
     let description = get_string(&mut r)?;
     let seed = match take(&mut r, "seed flag")? {
         [0] => None,
@@ -446,45 +361,47 @@ fn decode_binary_impl(data: &[u8]) -> Result<SessionTrace, TraceIoError> {
     let n = get_count(&mut r, "network count", 16)?;
     let mut network = Vec::with_capacity(n);
     for _ in 0..n {
-        let t = Seconds::try_new(get_f64(&mut r, "network time")?)
-            .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        let thr = Mbps::try_new(get_f64(&mut r, "throughput")?)
-            .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        network.push(NetworkSample::new(t, thr));
+        let t = Seconds::try_new(get_f64(&mut r, "network time")?).map_err(corrupt)?;
+        let throughput = Mbps::try_new(get_f64(&mut r, "throughput")?).map_err(corrupt)?;
+        network.push(NetworkSample::new(t, throughput));
     }
 
     let n = get_count(&mut r, "signal count", 16)?;
     let mut signal = Vec::with_capacity(n);
     for _ in 0..n {
-        let t = Seconds::try_new(get_f64(&mut r, "signal time")?)
-            .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        let dbm = Dbm::try_new(get_f64(&mut r, "signal dbm")?)
-            .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
+        let t = Seconds::try_new(get_f64(&mut r, "signal time")?).map_err(corrupt)?;
+        let dbm = Dbm::try_new(get_f64(&mut r, "signal dbm")?).map_err(corrupt)?;
         signal.push(SignalSample::new(t, dbm));
     }
 
     let n = get_count(&mut r, "accel count", 32)?;
     let mut accel = Vec::with_capacity(n);
     for _ in 0..n {
-        let t = Seconds::try_new(get_f64(&mut r, "accel time")?)
-            .map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-        // A struct literal, not `AccelSample::new`, which panics on a NaN
-        // axis: the magnitude check below rejects it as corrupt.
-        accel.push(AccelSample {
-            time: t,
-            x: get_f64(&mut r, "accel x")?,
-            y: get_f64(&mut r, "accel y")?,
-            z: get_f64(&mut r, "accel z")?,
-        });
+        accel.push(AccelSample::new(
+            Seconds::try_new(get_f64(&mut r, "accel time")?).map_err(corrupt)?,
+            get_f64(&mut r, "accel x")?,
+            get_f64(&mut r, "accel y")?,
+            get_f64(&mut r, "accel z")?,
+        ));
     }
-    check_accel_magnitudes(&accel)?;
+    // An axis whose square overflows makes the Eq. (5) window mean
+    // infinite and every vibration level over the sample NaN.
+    if let Some(i) = accel.iter().position(|s| !s.magnitude().is_finite()) {
+        return Err(TraceIoError::Corrupt(format!(
+            "accelerometer sample {i} has a non-finite magnitude"
+        )));
+    }
+    if r.remaining() > 0 {
+        return Err(TraceIoError::Corrupt(format!(
+            "{} bytes follow the last accel sample",
+            r.remaining()
+        )));
+    }
 
-    let network = TimeSeries::new(network).map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let signal = TimeSeries::new(signal).map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-    let accel = TimeSeries::new(accel).map_err(|e| TraceIoError::Corrupt(e.to_string()))?;
-
-    SessionTrace::new(meta, network, signal, accel)
-        .map_err(|e| TraceIoError::Corrupt(e.to_string()))
+    let network = TimeSeries::new(network).map_err(corrupt)?;
+    let signal = TimeSeries::new(signal).map_err(corrupt)?;
+    let accel = TimeSeries::new(accel).map_err(corrupt)?;
+    SessionTrace::new(meta, network, signal, accel).map_err(corrupt)
 }
 
 #[cfg(test)]
@@ -505,46 +422,26 @@ mod tests {
         .generate()
     }
 
+    /// `save` writes `.bin` bytes whatever the extension, and `load`
+    /// reads them back.
     #[test]
-    fn json_roundtrip() {
-        let s = session();
-        let mut buf = Vec::new();
-        s.write_to(&mut buf, TraceFormat::Json).unwrap();
-        let back = SessionTrace::read_from(buf.as_slice(), TraceFormat::Json).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
-    fn format_from_path_autodetects() {
-        assert_eq!(TraceFormat::from_path("a/b/trace.bin"), TraceFormat::Binary);
-        assert_eq!(TraceFormat::from_path("trace.json"), TraceFormat::Json);
-        assert_eq!(TraceFormat::from_path("trace.csv"), TraceFormat::Json);
-        assert_eq!(TraceFormat::from_path("trace"), TraceFormat::Json);
-        assert_eq!(TraceFormat::Binary.label(), "binary");
-        assert_eq!(TraceFormat::Json.to_string(), "json");
-    }
-
-    #[test]
-    fn load_save_roundtrip_both_formats() {
+    fn load_save_roundtrip() {
         let s = session();
         let dir = std::env::temp_dir().join(format!("ecas-io-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for name in ["trace.json", "trace.bin"] {
+        for name in ["trace.bin", "trace.json", "trace"] {
             let path = dir.join(name);
             s.save(&path).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), bin_bytes(&s), "{name}");
             let back = SessionTrace::load(&path).unwrap();
             assert_eq!(s, back, "{name} did not roundtrip");
         }
-        // The two encodings really differ on disk.
-        let json_len = std::fs::metadata(dir.join("trace.json")).unwrap().len();
-        let bin_len = std::fs::metadata(dir.join("trace.bin")).unwrap().len();
-        assert!(bin_len * 2 < json_len);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn load_missing_file_is_io_error() {
-        let err = SessionTrace::load("/nonexistent/ecas-io-test.json").unwrap_err();
+        let err = SessionTrace::load("/nonexistent/ecas-io-test.bin").unwrap_err();
         assert!(matches!(err, TraceIoError::Io(_)));
     }
 
@@ -621,11 +518,10 @@ mod tests {
             "000000000000f0bf0000000000802340", //  y -1, z 9.75)
         );
         let trace = pinned_trace();
-        let mut bytes = Vec::new();
-        trace.write_to(&mut bytes, TraceFormat::Binary).unwrap();
+        let bytes = bin_bytes(&trace);
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, expected);
-        let back = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap();
+        let back = SessionTrace::read_from(bytes.as_slice()).unwrap();
         assert_eq!(back, trace);
     }
 
@@ -648,19 +544,20 @@ mod tests {
             }
             bytes.extend_from_slice(&u32::MAX.to_le_bytes());
             assert_eq!(bytes.len(), 42 + 4 * empty_before);
-            let err = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap_err();
+            let err = SessionTrace::read_from(bytes.as_slice()).unwrap_err();
             assert!(matches!(err, TraceIoError::Corrupt(_)), "{channel}: {err}");
         }
     }
 
     fn bin_bytes(trace: &SessionTrace) -> Vec<u8> {
         let mut bytes = Vec::new();
-        trace.write_to(&mut bytes, TraceFormat::Binary).unwrap();
+        trace.write_to(&mut bytes).unwrap();
         bytes
     }
 
     /// The content hash is FNV-1a 64 over exactly the bytes a `.bin` file
-    /// holds, for every Table V row, a fleet user and the pinned trace.
+    /// holds, for every Table V row, a fleet user and the pinned trace,
+    /// and each of them reads back from those bytes.
     #[test]
     fn content_hash_is_fnv1a_of_the_bin_bytes() {
         let mut traces: Vec<SessionTrace> = crate::videos::EvalTraceSpec::table_v()
@@ -682,6 +579,8 @@ mod tests {
                 "{}",
                 trace.meta().name
             );
+            let back = SessionTrace::read_from(bytes.as_slice()).unwrap();
+            assert_eq!(&back, trace);
         }
         assert_eq!(pinned_trace().content_hash(), 0x67b3_39fa_3597_4e09);
     }
@@ -755,77 +654,127 @@ mod tests {
     fn binary_rejects_non_finite_accel_magnitudes() {
         for axis in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200] {
             let bytes = bin_bytes(&edited(|_, _, _, a| a[0].z = axis));
-            let err = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap_err();
+            let err = SessionTrace::read_from(bytes.as_slice()).unwrap_err();
             assert!(matches!(err, TraceIoError::Corrupt(_)), "{axis}: {err}");
         }
     }
 
-    /// JSON has no NaN, but `1e999` parses to infinity.
+    /// No `f64` field holds a NaN or an infinity. Loaded, an infinite
+    /// throughput made every energy infinite and panicked the optimal
+    /// planner on a NaN cost.
     #[test]
-    fn json_rejects_non_finite_accel_magnitudes() {
-        let mut json = Vec::new();
-        pinned_trace()
-            .write_to(&mut json, TraceFormat::Json)
-            .unwrap();
-        let json = String::from_utf8(json).unwrap();
-        assert_eq!(json.matches("9.75").count(), 1, "the accel z axis");
-        for axis in ["1e999", "-1e999", "1e200"] {
-            let hostile = json.replace("9.75", axis);
-            let err = SessionTrace::read_from(hostile.as_bytes(), TraceFormat::Json).unwrap_err();
-            assert!(matches!(err, TraceIoError::Corrupt(_)), "{axis}: {err}");
+    fn binary_rejects_non_finite_values() {
+        let bytes = bin_bytes(&pinned_trace());
+        // Every f64 of the layout `binary_layout_is_pinned` spells out.
+        for at in [12, 20, 28, 55, 63, 71, 79, 91, 99, 111, 119, 127, 135] {
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut bad = bytes.clone();
+                bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                let err = SessionTrace::read_from(bad.as_slice()).unwrap_err();
+                assert!(
+                    matches!(&err, TraceIoError::Corrupt(msg) if msg.starts_with("non-finite")),
+                    "byte {at} = {value}: {err}"
+                );
+            }
         }
+    }
+
+    /// A video length that is not finite, not positive, or longer than
+    /// any recipe synthesizes is corrupt: loaded, an infinite length
+    /// panicked the simulator (`capacity overflow`), 1e12 s aborted it on
+    /// a failed allocation, and a zero length played no segment. The
+    /// longest trace a recipe makes still loads.
+    #[test]
+    fn video_length_outside_what_recipes_synthesize_is_corrupt() {
+        let with_length = |seconds: f64| {
+            bin_bytes(&edited(|m, _, _, _| {
+                m.video_length = Seconds::new(seconds);
+            }))
+        };
+        let bad = [f64::INFINITY, 1e12, 0.0, -0.0, MAX_TRACE_S.next_up()];
+        for seconds in bad {
+            let err = SessionTrace::read_from(with_length(seconds).as_slice()).unwrap_err();
+            assert!(
+                matches!(&err, TraceIoError::Corrupt(msg) if msg.contains("video length")),
+                "{seconds}: {err}"
+            );
+        }
+        for seconds in [f64::MIN_POSITIVE, MAX_TRACE_S] {
+            let trace = SessionTrace::read_from(with_length(seconds).as_slice()).unwrap();
+            assert_eq!(trace.meta().video_length.value(), seconds);
+        }
+    }
+
+    /// The longest trace a recipe synthesizes, a fleet user whose
+    /// duration reaches the ceiling at the longest mean, loads back.
+    #[test]
+    fn the_longest_fleet_user_loads() {
+        let mean = Seconds::new(crate::population::MAX_SESSION_S);
+        let user = crate::population::PopulationSpec::new(4169, 3)
+            .mean_duration(mean)
+            .user(4168);
+        assert_eq!(user.duration.value(), MAX_TRACE_S);
+        let trace = user.synthesize();
+        assert_eq!(trace.meta().video_length.value(), MAX_TRACE_S);
+        let back = SessionTrace::read_from(bin_bytes(&trace).as_slice()).unwrap();
+        assert_eq!(back, trace);
     }
 
     #[test]
     fn binary_roundtrip() {
         let s = session();
-        let mut bytes = Vec::new();
-        s.write_to(&mut bytes, TraceFormat::Binary).unwrap();
-        let back = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap();
+        let back = SessionTrace::read_from(bin_bytes(&s).as_slice()).unwrap();
         assert_eq!(s, back);
     }
 
     #[test]
     fn binary_rejects_bad_magic_and_version() {
-        let s = session();
-        let mut bytes = Vec::new();
-        s.write_to(&mut bytes, TraceFormat::Binary).unwrap();
+        let bytes = bin_bytes(&session());
 
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(SessionTrace::read_from(bad.as_slice(), TraceFormat::Binary).is_err());
+        assert!(SessionTrace::read_from(bad.as_slice()).is_err());
 
         let mut bad = bytes.clone();
         bad[4] = 200;
-        assert!(SessionTrace::read_from(bad.as_slice(), TraceFormat::Binary).is_err());
+        assert!(SessionTrace::read_from(bad.as_slice()).is_err());
     }
 
+    /// Every proper prefix of the pinned trace's 143 bytes fails to
+    /// decode, and so do trailing bytes. Every byte inverted and every
+    /// bit flipped decodes to a typed error or to a trace whose video
+    /// length the simulator can play; none panics.
     #[test]
     fn binary_rejects_truncation_everywhere() {
-        let s = session();
-        let mut bytes = Vec::new();
-        s.write_to(&mut bytes, TraceFormat::Binary).unwrap();
-        // Chop the payload at several points; every prefix must fail
-        // cleanly rather than panic.
-        for cut in [0, 3, 5, 9, 20, bytes.len() / 2, bytes.len() - 1] {
+        let bytes = bin_bytes(&pinned_trace());
+        assert_eq!(bytes.len(), 143);
+        for cut in 0..bytes.len() {
             assert!(
-                SessionTrace::read_from(&bytes[..cut], TraceFormat::Binary).is_err(),
+                SessionTrace::read_from(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes decoded successfully"
             );
         }
-    }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(SessionTrace::read_from(longer.as_slice()).is_err());
 
-    #[test]
-    fn binary_is_much_smaller_than_json() {
-        let s = session();
-        let mut json = Vec::new();
-        s.write_to(&mut json, TraceFormat::Json).unwrap();
-        let mut bin = Vec::new();
-        s.write_to(&mut bin, TraceFormat::Binary).unwrap();
-        assert!(
-            bin.len() * 2 < json.len(),
-            "binary should be < half of JSON"
-        );
+        let mut loaded = 0;
+        for at in 0..bytes.len() {
+            for mask in [0xff, 1, 2, 4, 8, 16, 32, 64, 128] {
+                let mut bad = bytes.clone();
+                bad[at] ^= mask;
+                if let Ok(trace) = SessionTrace::read_from(bad.as_slice()) {
+                    let length = trace.meta().video_length.value();
+                    assert!(
+                        length > 0.0 && length <= MAX_TRACE_S,
+                        "byte {at} ^ {mask:#04x} loaded a {length} s video"
+                    );
+                    loaded += 1;
+                }
+            }
+        }
+        // Flips inside a value that stays in its domain still load.
+        assert!(loaded > 0);
     }
 }
 
@@ -914,7 +863,7 @@ pub fn read_mahimahi<R: Read>(
             NetworkSample::new(Seconds::new(i as f64 * bin_s), Mbps::new(mbps))
         })
         .collect();
-    TimeSeries::new(samples).map_err(|e| TraceIoError::Corrupt(e.to_string()))
+    TimeSeries::new(samples).map_err(corrupt)
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ pub mod vbr;
 pub mod videos;
 
 pub use analysis::{ChannelStats, SessionStats};
-pub use io::{TraceFormat, TraceIoError};
+pub use io::TraceIoError;
 pub use mpd::Manifest;
 pub use population::{
     BatteryState, FleetContext, PopulationSpec, SessionBatch, SignalTier, UserSpec,

@@ -88,6 +88,23 @@ const BATTERY_WEIGHTS: [f64; 3] = [0.30, 0.55, 0.15];
 /// good / fair / poor cell-position split.
 const SIGNAL_WEIGHTS: [f64; 3] = [0.50, 0.35, 0.15];
 
+/// Longest session (or fleet mean session) a recipe may ask for, in
+/// seconds. An hour's mean keeps one synthesized fleet trace near 29 MB
+/// of accelerometer samples.
+pub const MAX_SESSION_S: f64 = 3600.0;
+
+/// Longest trace any recipe synthesizes, in seconds: a charged fleet
+/// user at the [`MAX_SESSION_S`] mean whose duration jitter reaches the
+/// clamp's ceiling, 5 × [`MAX_SESSION_S`] + 10 s. The `.bin` reader
+/// rejects a longer video length.
+pub const MAX_TRACE_S: f64 =
+    longest_session(MAX_SESSION_S * BatteryState::Charged.duration_scale());
+
+/// The ceiling of the duration jitter around a battery-scaled `nominal`.
+const fn longest_session(nominal: f64) -> f64 {
+    nominal * 4.0 + 10.0
+}
+
 /// Context shares effective at local `hour` (fractional, 0–24): the
 /// base shares with the commute share boosted 3× at rush hours (07–09,
 /// 16–19), renormalized, so the context mix co-varies with the arrival
@@ -134,7 +151,7 @@ impl BatteryState {
 
     /// Multiplier applied to the user's nominal session duration.
     #[must_use]
-    pub fn duration_scale(self) -> f64 {
+    pub const fn duration_scale(self) -> f64 {
         match self {
             BatteryState::Charged => 1.25,
             BatteryState::Normal => 1.0,
@@ -336,7 +353,7 @@ impl PopulationSpec {
         // draws stay playable and bounded.
         let jitter = (0.35 * crate::synth::standard_normal(&mut rng)).exp();
         let nominal = self.mean_duration.value() * battery.duration_scale();
-        let duration = (nominal * jitter).clamp(10.0, nominal * 4.0 + 10.0);
+        let duration = (nominal * jitter).clamp(10.0, longest_session(nominal));
         UserSpec {
             index,
             seed: rng.gen(),

@@ -9,12 +9,12 @@
 //! * [`PowerSample`] — instantaneous whole-phone power (Monsoon monitor).
 
 use ecas_types::units::{Dbm, Mbps, Seconds, Watts};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::series::Timestamped;
 
 /// A downloading-throughput measurement at a point in time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NetworkSample {
     /// Time since the start of the trace.
     pub time: Seconds,
@@ -37,7 +37,7 @@ impl Timestamped for NetworkSample {
 }
 
 /// A received-signal-strength measurement at a point in time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SignalSample {
     /// Time since the start of the trace.
     pub time: Seconds,
@@ -64,7 +64,7 @@ impl Timestamped for SignalSample {
 /// Axis values are plain `f64` because raw accelerometer axes are signed;
 /// the non-negative [`ecas_types::units::MetersPerSec2`] newtype is reserved
 /// for the derived vibration *level* of Eq. (5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AccelSample {
     /// Time since the start of the trace.
     pub time: Seconds,
@@ -152,13 +152,5 @@ mod tests {
         assert_eq!(SignalSample::new(t, Dbm::new(-90.0)).timestamp(), t);
         assert_eq!(AccelSample::new(t, 0.0, 0.0, 0.0).timestamp(), t);
         assert_eq!(PowerSample::new(t, Watts::new(1.0)).timestamp(), t);
-    }
-
-    #[test]
-    fn samples_serde_roundtrip() {
-        let s = NetworkSample::new(Seconds::new(1.0), Mbps::new(2.0));
-        let json = serde_json::to_string(&s).unwrap();
-        let back: NetworkSample = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

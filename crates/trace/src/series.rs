@@ -8,7 +8,7 @@
 use std::fmt;
 
 use ecas_types::units::{Dbm, Mbps, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::sample::{AccelSample, NetworkSample, PowerSample, SignalSample};
 
@@ -60,8 +60,8 @@ impl std::error::Error for SeriesError {}
 /// assert_eq!(series.throughput_at(Seconds::new(0.5)), Mbps::new(10.0));
 /// # Ok::<(), ecas_trace::series::SeriesError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "Vec<T>", into = "Vec<T>")]
+#[derive(Debug, Clone, PartialEq, Serialize)]
+#[serde(into = "Vec<T>")]
 pub struct TimeSeries<T>
 where
     T: Timestamped + Clone,
@@ -206,13 +206,6 @@ impl<T: Timestamped + Clone> TimeSeries<T> {
     #[must_use]
     pub fn into_inner(self) -> Vec<T> {
         self.samples
-    }
-}
-
-impl<T: Timestamped + Clone> TryFrom<Vec<T>> for TimeSeries<T> {
-    type Error = SeriesError;
-    fn try_from(samples: Vec<T>) -> Result<Self, SeriesError> {
-        Self::new(samples)
     }
 }
 
@@ -429,20 +422,6 @@ mod tests {
             .collect();
         let s = TimeSeries::new(samples).unwrap();
         assert!((s.sample_rate().unwrap() - 50.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_samples() {
-        let s = series();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: TimeSeries<NetworkSample> = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
-    fn serde_rejects_out_of_order_payload() {
-        let json = r#"[{"time":1.0,"throughput":1.0},{"time":0.0,"throughput":1.0}]"#;
-        assert!(serde_json::from_str::<TimeSeries<NetworkSample>>(json).is_err());
     }
 
     #[test]

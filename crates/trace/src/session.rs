@@ -5,13 +5,13 @@
 //! readings — plus metadata about the session (Table V row).
 
 use ecas_types::units::{MegaBytes, MetersPerSec2, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::sample::{AccelSample, NetworkSample, SignalSample};
 use crate::series::{SeriesError, TimeSeries};
 
 /// Metadata describing a collected (or generated) session trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceMeta {
     /// Short identifier ("trace1" … "trace5" for the Table V set).
     pub name: String,
@@ -39,7 +39,7 @@ pub struct TraceMeta {
 /// assert!(session.signal().duration() >= session.meta().video_length);
 /// assert!(session.accel().len() > 1000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SessionTrace {
     meta: TraceMeta,
     network: TimeSeries<NetworkSample>,
@@ -148,13 +148,5 @@ mod tests {
         let (meta, network, signal, accel) = s.clone().into_parts();
         let rebuilt = SessionTrace::new(meta, network, signal, accel).unwrap();
         assert_eq!(s, rebuilt);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let s = tiny_session();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: SessionTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -1,6 +1,5 @@
 //! Property-based tests for time-series invariants and trace codecs.
 
-use ecas_trace::io::TraceFormat;
 use ecas_trace::record::{RecordContainer, RecordError};
 use ecas_trace::sample::NetworkSample;
 use ecas_trace::series::TimeSeries;
@@ -74,8 +73,8 @@ proptest! {
         )
         .generate();
         let mut bytes = Vec::new();
-        session.write_to(&mut bytes, TraceFormat::Binary).unwrap();
-        let back = SessionTrace::read_from(bytes.as_slice(), TraceFormat::Binary).unwrap();
+        session.write_to(&mut bytes).unwrap();
+        let back = SessionTrace::read_from(bytes.as_slice()).unwrap();
         prop_assert_eq!(session, back);
     }
 

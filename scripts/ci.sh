@@ -155,13 +155,21 @@ if ! grep -q 'cache: hits=30 misses=0 corrupt=0' "$obs_dir/eval_repaired.log"; t
     exit 1
 fi
 
-echo "==> examples (build in release, run each once)"
+echo "==> examples and the bench binaries no other step runs (run each once, exit 0)"
 # `cargo test` builds the examples but runs none of them.
 cargo build --release --examples
 for example in examples/*.rs; do
     name="$(basename "$example" .rs)"
     ./target/release/examples/"$name" > "$obs_dir/example_$name.txt"
 done
+for bin in table3 table5 table6 fig1a fig1b fig2a fig2b fig2c \
+    ablation_abandonment ablation_buffer ablation_deferral ablation_estimators \
+    ablation_eta ablation_study_noise ablation_vbr ablation_window; do
+    ./target/release/"$bin" > "$obs_dir/bin_$bin.txt"
+done
+# A trace round trip: the .bin that tablev writes reads back in inspect.
+./target/release/tracetool tablev 1 "$obs_dir/t1.bin" > /dev/null
+./target/release/tracetool inspect "$obs_dir/t1.bin" > "$obs_dir/t1_inspect.txt"
 
 echo "==> bench binaries go through the shared CLI (no direct env::args)"
 if grep -Rn 'env::args' crates/bench/src/bin/; then

@@ -3,7 +3,6 @@
 use ecas::obs::{fnv1a_64, stable_hash, NULL_PROBE};
 use ecas::record::{RecordScenario, RecordedSession};
 use ecas::sim::FaultSpec;
-use ecas::trace::io::TraceFormat;
 use ecas::trace::population::{FleetContext, PopulationSpec};
 use ecas::trace::videos::EvalTraceSpec;
 use ecas::trace::SessionTrace;
@@ -42,22 +41,11 @@ fn session_results_serde_roundtrip() {
 }
 
 #[test]
-fn traces_roundtrip_through_both_codecs() {
+fn traces_roundtrip_through_the_bin_codec() {
     let session = EvalTraceSpec::table_v()[1].generate();
-
-    let mut json_buf = Vec::new();
-    session.write_to(&mut json_buf, TraceFormat::Json).unwrap();
-    assert_eq!(
-        session,
-        SessionTrace::read_from(json_buf.as_slice(), TraceFormat::Json).unwrap()
-    );
-
     let mut bin = Vec::new();
-    session.write_to(&mut bin, TraceFormat::Binary).unwrap();
-    assert_eq!(
-        session,
-        SessionTrace::read_from(bin.as_slice(), TraceFormat::Binary).unwrap()
-    );
+    session.write_to(&mut bin).unwrap();
+    assert_eq!(session, SessionTrace::read_from(bin.as_slice()).unwrap());
 }
 
 #[test]
